@@ -7,7 +7,7 @@ the monitors together, and a seeded fault-injection simulator with its
 evaluation metrics.
 """
 
-from .errors import ProtocolError, ValidationError
+from .errors import ValidationError
 from .geometry import (
     ArmPoint3,
     CompensationMode,
@@ -33,12 +33,10 @@ from .grasp import (
 from .lstm import LstmArch, SlipModel, TrainConfig, lstm_forward, lstm_train
 from .metrics import (
     ConfusionMatrix,
-    RipenessEval,
     SuccessTally,
     aggregate_cycle_times,
     confusion_metrics,
     macro_f1,
-    ripeness_loss,
     success_rates,
 )
 from .model_io import load_model, save_model
@@ -50,7 +48,6 @@ from .fsm import (
     Stage,
     StageTiming,
     Variant,
-    next_transition,
     run_episode,
     sample_stage_duration,
 )

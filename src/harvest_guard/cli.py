@@ -15,8 +15,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .errors import ValidationError
 from .fsm import DEFAULT_TIMING, Stage, Variant, read_episode_log, write_episode_log
@@ -32,11 +30,9 @@ from .grasp import GraspClass, read_grasp_csv, train_grasp_classifier, classify_
 from .lstm import LstmArch, TrainConfig, evaluate, lstm_train
 from .metrics import (
     ConfusionMatrix,
-    SuccessTally,
     aggregate_cycle_times,
     confusion_metrics,
     macro_f1,
-    success_rates,
     write_report,
 )
 from .model_io import load_model, save_model
@@ -44,7 +40,7 @@ from .slip_windows import (
     SlipLabel,
     class_counts,
     prepare_splits,
-    stratified_split_counts,
+    stratified_split_windows,
     windows_from_slip_csv,
 )
 from .world import (
@@ -92,6 +88,13 @@ def _parse_counts(text: str) -> tuple[int, int, int]:
     return a, b, c
 
 
+def _seed(text: str) -> int:
+    """argparse type of every seed flag: numpy seeds are non-negative."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _load_scenario(path: str | None) -> ScenarioConfig:
     return load_config(path) if path else ScenarioConfig()
 
@@ -105,13 +108,13 @@ def build_parser() -> _Parser:
     p.add_argument("--kind", choices=("slip", "grasp"), required=True)
     p.add_argument("--counts", required=True, help="slip: window labels normal,slipping,slipped; grasp: rows ripe,empty,unripe")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--config", help="scenario INI file (defaults used when omitted)")
 
     p = sub.add_parser("train-slip", help="train the slip classifier on a SlipData CSV")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="model file destination")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
@@ -126,12 +129,12 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="optional per-class metrics report")
     p.add_argument("--format", choices=("csv", "jsonlines"), default="csv")
     p.add_argument("--split-ratio", type=float, help="evaluate only the validation side of this split")
-    p.add_argument("--split-seed", type=int, help="seed of the split to reproduce (with --split-ratio)")
+    p.add_argument("--split-seed", type=_seed, help="seed of the split to reproduce (with --split-ratio)")
 
     p = sub.add_parser("train-grasp", help="train the grasp classifier on a GraspData CSV")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="model file destination")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--epochs", type=int, default=300)
     p.add_argument("--lr", type=float, default=0.5)
     p.add_argument("--ratio", type=float, default=0.7)
@@ -146,7 +149,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="run fault-injection harvest episodes")
     p.add_argument("--config", help="scenario INI file")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--episodes", type=int, help="override episode count from the config")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--deterministic", action="store_true", help="stage durations at their means")
@@ -232,17 +235,7 @@ def _cmd_train_grasp(args: argparse.Namespace) -> int:
     rows = read_grasp_csv(args.data)
     if not rows:
         raise ValidationError(f"{args.data}: empty dataset")
-    by_class: dict[GraspClass, list] = {}
-    for obs, label in rows:
-        by_class.setdefault(label, []).append(obs)
-    rng = np.random.default_rng(args.seed)
-    train_rows, val_rows = [], []
-    for label in sorted(by_class, key=int):
-        group = by_class[label]
-        n_train = stratified_split_counts([len(group)], args.ratio)[0][0]
-        order = rng.permutation(len(group))
-        train_rows.extend((group[i], label) for i in order[:n_train])
-        val_rows.extend((group[i], label) for i in order[n_train:])
+    train_rows, val_rows = stratified_split_windows(rows, args.ratio, args.seed, key=lambda row: row[1])
     model = train_grasp_classifier(
         [o for o, _ in train_rows], [l for _, l in train_rows], args.lr, args.epochs, args.seed
     )

@@ -3,8 +3,3 @@
 
 class ValidationError(ValueError):
     """Raised when an input violates a documented precondition."""
-
-
-class ProtocolError(RuntimeError):
-    """Raised when the harvest state machine receives an event that is
-    undefined for the current stage. Unreachable from valid event streams."""

@@ -24,9 +24,9 @@ from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .errors import ProtocolError, ValidationError
+from .errors import ValidationError
 from .geometry import CompensationParams, RelativeError
-from .grasp import GraspAction, GraspClass, GraspDecisionState, grasp_decision_step, resolve_at_deadline
+from .grasp import GraspAction, GraspClass, GraspDecisionState, grasp_decision_step
 from .slip_decision import RecoveryAction, StabilityState, time_stability_step
 from .slip_windows import SlipLabel
 
@@ -73,29 +73,8 @@ class Outcome(Enum):
     RECOVERED_AFTER_SLIP = "recovered-after-slip"
 
 
-# (stage, event) -> next (stage, variant); None = cycle complete
-TRANSITIONS: dict[tuple[Stage, Event], tuple[Stage, Variant] | None] = {
-    (Stage.INFLATING_APPROACHING, Event.ALIGNED): (Stage.SWALLOWING, Variant.NORMAL),
-    (Stage.INFLATING_APPROACHING, Event.MISALIGNED): (Stage.COMPENSATION, Variant.NORMAL),
-    (Stage.COMPENSATION, Event.COMPENSATED): (Stage.SWALLOWING, Variant.NORMAL),
-    (Stage.SWALLOWING, Event.SWALLOWED): (Stage.DEFLATING, Variant.NORMAL),
-    (Stage.DEFLATING, Event.GRASP_OK): (Stage.SNAP_OFF, Variant.NORMAL),
-    (Stage.DEFLATING, Event.GRASP_ABORT): (Stage.DESCENDING, Variant.NORMAL),
-    (Stage.SNAP_OFF, Event.SNAP_OK): (Stage.DESCENDING, Variant.NORMAL),
-    (Stage.SNAP_OFF, Event.TWO_CONSECUTIVE_SLIPPING): (Stage.SNAP_OFF, Variant.SLIPPING_RECOVERY),
-    (Stage.SNAP_OFF, Event.TWO_CONSECUTIVE_SLIPPED): (Stage.DESCENDING, Variant.NORMAL),
-    (Stage.DESCENDING, Event.DESCENDED_WITH_FRUIT): (Stage.PLACING, Variant.NORMAL),
-    (Stage.DESCENDING, Event.DESCENDED_EMPTY): (Stage.HOMING, Variant.NORMAL),
-    (Stage.PLACING, Event.PLACED): (Stage.HOMING, Variant.NORMAL),
-    (Stage.HOMING, Event.HOMED): None,
-}
-
-
-def next_transition(stage: Stage, event: Event) -> tuple[Stage, Variant] | None:
-    try:
-        return TRANSITIONS[(stage, event)]
-    except KeyError:
-        raise ProtocolError(f"event {event.value!r} is undefined in stage {stage.value!r}") from None
+# outcomes that end with the fruit placed, so the cycle runs the placing stage
+PLACING_OUTCOMES = frozenset({Outcome.PICKED_AND_PLACED, Outcome.RECOVERED_AFTER_SLIP})
 
 
 @dataclass(frozen=True)
@@ -120,19 +99,6 @@ class StageTiming:
             if s is stage and v is variant:
                 return mean, std
         raise ValidationError(f"no timing entry for ({stage.value}, {variant.value})")
-
-    def with_overrides(self, overrides: dict[tuple[Stage, Variant], tuple[float, float]]) -> "StageTiming":
-        """Same table with some (stage, variant) means/stds replaced; lets
-        alternative per-path accountings be replicated."""
-        remaining = dict(overrides)
-        rows = []
-        for stage, variant, mean, std in self.entries:
-            if (stage, variant) in remaining:
-                mean, std = remaining.pop((stage, variant))
-            rows.append((stage, variant, mean, std))
-        for (stage, variant), (mean, std) in remaining.items():
-            rows.append((stage, variant, mean, std))
-        return StageTiming(tuple(rows))
 
 
 DEFAULT_TIMING = StageTiming(
@@ -221,8 +187,7 @@ class HarvestEpisode:
             raise ValidationError("placing may occur at most once per cycle")
         if stages.count(Stage.SNAP_OFF) > 2:
             raise ValidationError("snap-off may occur at most twice per cycle")
-        placing_expected = self.outcome in (Outcome.PICKED_AND_PLACED, Outcome.RECOVERED_AFTER_SLIP)
-        if (Stage.PLACING in stages) != placing_expected:
+        if (Stage.PLACING in stages) != (self.outcome in PLACING_OUTCOMES):
             raise ValidationError(f"placing presence inconsistent with outcome {self.outcome.value}")
 
     @property
@@ -271,40 +236,31 @@ def run_episode(
         return sample_stage_duration(timing, stage, variant, rng, deterministic)
 
     records: list[StageRecord] = []
+
+    def record(stage: Stage, variant: Variant, event: Event, detail: str = "") -> None:
+        records.append(StageRecord(stage, variant, draw(stage, variant), event, detail))
+
     truth = world.sample_truth(rng)
 
     # approach; the visual check decides whether a compensation move runs
     approach = world.approach(truth, rng)
-    ia_event = Event.MISALIGNED if approach.compensated else Event.ALIGNED
-    records.append(
-        StageRecord(
-            Stage.INFLATING_APPROACHING,
+    record(
+        Stage.INFLATING_APPROACHING,
+        Variant.NORMAL,
+        Event.MISALIGNED if approach.compensated else Event.ALIGNED,
+        f"visual error ({approach.visual_error.dx:.1f}, {approach.visual_error.dy:.1f}) mm",
+    )
+    if approach.compensated:
+        record(
+            Stage.COMPENSATION,
             Variant.NORMAL,
-            draw(Stage.INFLATING_APPROACHING, Variant.NORMAL),
-            ia_event,
-            f"visual error ({approach.visual_error.dx:.1f}, {approach.visual_error.dy:.1f}) mm",
+            Event.COMPENSATED,
+            f"residual ({approach.residual_x:.1f}, {approach.residual_y:.1f}) mm",
         )
-    )
-    stage, variant = _must_transition(Stage.INFLATING_APPROACHING, ia_event)
-    if stage is Stage.COMPENSATION:
-        records.append(
-            StageRecord(
-                Stage.COMPENSATION,
-                Variant.NORMAL,
-                draw(Stage.COMPENSATION, Variant.NORMAL),
-                Event.COMPENSATED,
-                f"residual ({approach.residual_x:.1f}, {approach.residual_y:.1f}) mm",
-            )
-        )
-        stage, variant = _must_transition(Stage.COMPENSATION, Event.COMPENSATED)
-
-    records.append(
-        StageRecord(Stage.SWALLOWING, Variant.NORMAL, draw(Stage.SWALLOWING, Variant.NORMAL), Event.SWALLOWED)
-    )
-    stage, variant = _must_transition(Stage.SWALLOWING, Event.SWALLOWED)
+    record(Stage.SWALLOWING, Variant.NORMAL, Event.SWALLOWED)
 
     # deflating: the grasp verifier watches frames until a verdict or the
-    # stage ends (fail-open)
+    # stream ends
     grasp_state = GraspDecisionState()
     grasp_action: GraspAction | None = None
     grasp_detected: GraspClass | None = None
@@ -314,8 +270,11 @@ def run_episode(
             grasp_detected = cls
             break
     if grasp_action is None:
-        grasp_action = resolve_at_deadline(grasp_state)
+        # fail open: an undetected fault wastes one cycle, a false abort a ripe fruit
+        grasp_action = GraspAction.PROCEED
 
+    slip_action: RecoveryAction | None = None
+    detect_idx: int | None = None
     if grasp_action is GraspAction.ABORT_CYCLE:
         # fault response replaces the normal deflating duration and folds
         # in the re-inflation move
@@ -324,92 +283,67 @@ def run_episode(
             if grasp_detected is GraspClass.EMPTY
             else Variant.MISGRASP_RESPONSE
         )
-        records.append(
-            StageRecord(
-                Stage.DEFLATING,
-                response,
-                draw(Stage.DEFLATING, response),
-                Event.GRASP_ABORT,
-                f"detected {grasp_detected.name.lower()}",
-            )
-        )
-        stage, variant = _must_transition(Stage.DEFLATING, Event.GRASP_ABORT)
-        responses = EpisodeResponses(
-            compensated=approach.compensated,
-            residual_x=approach.residual_x if approach.compensated else None,
-            residual_y=approach.residual_y if approach.compensated else None,
-            grasp_action=grasp_action,
-            grasp_detected=grasp_detected,
-            slip_action=None,
-            slip_detect_frame=None,
-        )
-        _descend_and_home(records, draw, with_fruit=False)
-        return HarvestEpisode(
-            episode_id, tuple(records), truth, responses, Outcome.ABORTED_EMPTY_OR_MISGRASP
-        )
+        record(Stage.DEFLATING, response, Event.GRASP_ABORT, f"detected {grasp_detected.name.lower()}")
+        outcome = Outcome.ABORTED_EMPTY_OR_MISGRASP
+    else:
+        record(Stage.DEFLATING, Variant.NORMAL, Event.GRASP_OK)
 
-    records.append(
-        StageRecord(Stage.DEFLATING, Variant.NORMAL, draw(Stage.DEFLATING, Variant.NORMAL), Event.GRASP_OK)
-    )
-    stage, variant = _must_transition(Stage.DEFLATING, Event.GRASP_OK)
+        # snap-off: the slip monitor scans window predictions; the first
+        # regrasp or abort action decides the path
+        predictions = list(world.slip_stream(truth, rng))
+        stability = StabilityState()
+        for i, pred in enumerate(predictions):
+            stability, action = time_stability_step(stability, pred)
+            if action in (RecoveryAction.REGRASP_AND_RESNAP, RecoveryAction.ABORT_CYCLE):
+                slip_action, detect_idx = action, i
+                break
 
-    # snap-off: the slip monitor scans window predictions; the first
-    # regrasp or abort action decides the path
-    predictions = list(world.slip_stream(truth, rng))
-    stability = StabilityState()
-    slip_action: RecoveryAction | None = None
-    detect_idx: int | None = None
-    for i, pred in enumerate(predictions):
-        stability, action = time_stability_step(stability, pred)
-        if action in (RecoveryAction.REGRASP_AND_RESNAP, RecoveryAction.ABORT_CYCLE):
-            slip_action, detect_idx = action, i
-            break
-
-    outcome = Outcome.PICKED_AND_PLACED
-    if slip_action is RecoveryAction.ABORT_CYCLE:
-        records.append(
-            StageRecord(
+        outcome = Outcome.PICKED_AND_PLACED
+        if slip_action is RecoveryAction.ABORT_CYCLE:
+            record(
                 Stage.SNAP_OFF,
                 Variant.SLIPPED_ABORT,
-                draw(Stage.SNAP_OFF, Variant.SLIPPED_ABORT),
                 Event.TWO_CONSECUTIVE_SLIPPED,
                 f"slip confirmed at window {detect_idx}",
             )
-        )
-        stage, variant = _must_transition(Stage.SNAP_OFF, Event.TWO_CONSECUTIVE_SLIPPED)
-        outcome = Outcome.ABORTED_SLIPPED
-    elif slip_action is RecoveryAction.REGRASP_AND_RESNAP:
-        # one recovery draw covers the whole snap-off phase, split at the
-        # detection point across the interrupted and re-snap records
-        phase = draw(Stage.SNAP_OFF, Variant.SLIPPING_RECOVERY)
-        frames_seen = detect_idx + 1
-        fraction = frames_seen / max(len(predictions), frames_seen)
-        records.append(
-            StageRecord(
-                Stage.SNAP_OFF,
-                Variant.SLIPPING_RECOVERY,
-                phase * fraction,
-                Event.TWO_CONSECUTIVE_SLIPPING,
-                f"slipping confirmed at window {detect_idx}",
+            outcome = Outcome.ABORTED_SLIPPED
+        elif slip_action is RecoveryAction.REGRASP_AND_RESNAP:
+            # one recovery draw covers the whole snap-off phase, split at the
+            # detection point across the interrupted and re-snap records
+            phase = draw(Stage.SNAP_OFF, Variant.SLIPPING_RECOVERY)
+            frames_seen = detect_idx + 1
+            fraction = frames_seen / max(len(predictions), frames_seen)
+            records.append(
+                StageRecord(
+                    Stage.SNAP_OFF,
+                    Variant.SLIPPING_RECOVERY,
+                    phase * fraction,
+                    Event.TWO_CONSECUTIVE_SLIPPING,
+                    f"slipping confirmed at window {detect_idx}",
+                )
             )
-        )
-        stage, variant = _must_transition(Stage.SNAP_OFF, Event.TWO_CONSECUTIVE_SLIPPING)
-        records.append(
-            StageRecord(
-                Stage.SNAP_OFF,
-                Variant.SLIPPING_RECOVERY,
-                phase * (1.0 - fraction),
-                Event.SNAP_OK,
-                "regrasped and re-snapped",
+            records.append(
+                StageRecord(
+                    Stage.SNAP_OFF,
+                    Variant.SLIPPING_RECOVERY,
+                    phase * (1.0 - fraction),
+                    Event.SNAP_OK,
+                    "regrasped and re-snapped",
+                )
             )
-        )
-        stage, variant = _must_transition(Stage.SNAP_OFF, Event.SNAP_OK)
-        outcome = Outcome.RECOVERED_AFTER_SLIP
-    else:
-        records.append(
-            StageRecord(Stage.SNAP_OFF, Variant.NORMAL, draw(Stage.SNAP_OFF, Variant.NORMAL), Event.SNAP_OK)
-        )
-        stage, variant = _must_transition(Stage.SNAP_OFF, Event.SNAP_OK)
+            outcome = Outcome.RECOVERED_AFTER_SLIP
+        else:
+            record(Stage.SNAP_OFF, Variant.NORMAL, Event.SNAP_OK)
+
+    with_fruit = outcome in PLACING_OUTCOMES
+    record(
+        Stage.DESCENDING,
+        Variant.NORMAL,
+        Event.DESCENDED_WITH_FRUIT if with_fruit else Event.DESCENDED_EMPTY,
+    )
+    if with_fruit:
+        record(Stage.PLACING, Variant.NORMAL, Event.PLACED)
+    record(Stage.HOMING, Variant.NORMAL, Event.HOMED)
 
     responses = EpisodeResponses(
         compensated=approach.compensated,
@@ -420,32 +354,7 @@ def run_episode(
         slip_action=slip_action,
         slip_detect_frame=detect_idx,
     )
-    _descend_and_home(records, draw, with_fruit=outcome is not Outcome.ABORTED_SLIPPED)
     return HarvestEpisode(episode_id, tuple(records), truth, responses, outcome)
-
-
-def _must_transition(stage: Stage, event: Event) -> tuple[Stage, Variant]:
-    nxt = next_transition(stage, event)
-    if nxt is None:
-        raise ProtocolError(f"cycle already complete after {stage.value}")
-    return nxt
-
-
-def _descend_and_home(records: list[StageRecord], draw, with_fruit: bool) -> None:
-    descend_event = Event.DESCENDED_WITH_FRUIT if with_fruit else Event.DESCENDED_EMPTY
-    records.append(
-        StageRecord(Stage.DESCENDING, Variant.NORMAL, draw(Stage.DESCENDING, Variant.NORMAL), descend_event)
-    )
-    stage, variant = _must_transition(Stage.DESCENDING, descend_event)
-    if stage is Stage.PLACING:
-        records.append(
-            StageRecord(Stage.PLACING, Variant.NORMAL, draw(Stage.PLACING, Variant.NORMAL), Event.PLACED)
-        )
-        stage, variant = _must_transition(Stage.PLACING, Event.PLACED)
-    records.append(
-        StageRecord(Stage.HOMING, Variant.NORMAL, draw(Stage.HOMING, Variant.NORMAL), Event.HOMED)
-    )
-    assert next_transition(Stage.HOMING, Event.HOMED) is None
 
 
 LOG_FIELDS = ("episode_id", "seq", "stage", "variant", "duration_s", "event", "detail")
@@ -474,10 +383,16 @@ def read_episode_log(path: str | Path) -> list[dict[str, object]]:
     path = Path(path)
     out: list[dict[str, object]] = []
     with path.open() as fh:
-        for line in fh:
-            if line.strip():
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
                 doc = json.loads(line)
-                if list(doc.keys()) != list(LOG_FIELDS):
-                    raise ValidationError(f"{path}: unexpected log fields {list(doc.keys())}")
-                out.append(doc)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"{path}: line {lineno}: not JSON: {exc}") from exc
+            if not isinstance(doc, dict):
+                raise ValidationError(f"{path}: line {lineno}: not a JSON object")
+            if list(doc.keys()) != list(LOG_FIELDS):
+                raise ValidationError(f"{path}: line {lineno}: unexpected log fields {list(doc.keys())}")
+            out.append(doc)
     return out

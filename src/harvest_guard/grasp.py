@@ -18,6 +18,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
+from .lstm import softmax
 
 GRASP_FEATURES = ("red_fraction", "green_fraction", "fruit_area", "fruit_present")
 GRASP_CSV_HEADER = (*GRASP_FEATURES, "label")
@@ -76,10 +77,7 @@ def grasp_scores(model: GraspModel, obs: GripperObservation) -> np.ndarray:
     """Class probabilities for one observation; sums to 1."""
     if not isinstance(model, GraspModel):
         raise ValidationError("classify_grasp needs a trained GraspModel")
-    logits = model.weights @ obs.as_vector() + model.bias
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+    return softmax(model.weights @ obs.as_vector() + model.bias)
 
 
 def classify_grasp(model: GraspModel, obs: GripperObservation) -> tuple[GraspClass, float]:
@@ -118,10 +116,7 @@ def train_grasp_classifier(
     w = rng.uniform(-0.1, 0.1, size=(len(GraspClass), len(GRASP_FEATURES)))
     b = np.zeros(len(GraspClass))
     for _ in range(epochs):
-        logits = x @ w.T + b
-        logits -= logits.max(axis=1, keepdims=True)
-        e = np.exp(logits)
-        probs = e / e.sum(axis=1, keepdims=True)
+        probs = softmax(x @ w.T + b)
         probs[np.arange(n), y] -= 1.0
         probs /= n
         w -= learning_rate * (probs.T @ x)
@@ -141,15 +136,11 @@ class GraspDecisionState:
     fault_count and ok_count track runs of fault-family and RipeHeld
     frames; at most one can be positive. last_fault only matters in
     same-class mode, where a run must repeat the identical fault class.
-    deadline_s is carried for the caller; expiry without a verdict means
-    Proceed (an undetected fault wastes one cycle, a false abort wastes
-    a ripe fruit).
     """
 
     fault_count: int = 0
     ok_count: int = 0
     last_fault: GraspClass | None = None
-    deadline_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.fault_count < 0 or self.ok_count < 0:
@@ -182,16 +173,11 @@ def grasp_decision_step(
     return replace(state, fault_count=0, ok_count=count, last_fault=None), None
 
 
-def resolve_at_deadline(state: GraspDecisionState) -> GraspAction:
-    """Deadline reached with no verdict: fail open."""
-    return GraspAction.PROCEED
-
-
 def run_grasp_decision(classes: Sequence[GraspClass], pool_faults: bool = True) -> tuple[GraspAction | None, int | None]:
     """Scan a class stream until a decision fires.
 
     Returns (action, frame index) or (None, None) when the stream ends
-    undecided; the caller applies the deadline rule in that case.
+    undecided; the caller then fails open (proceeds).
     """
     state = GraspDecisionState()
     for i, cls in enumerate(classes):

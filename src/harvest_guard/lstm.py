@@ -201,6 +201,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _severity_argmax(probs: np.ndarray) -> np.ndarray:
+    """Row-wise argmax with ties broken toward the higher class index
+    (= severity)."""
+    return probs.shape[1] - 1 - probs[:, ::-1].argmax(axis=1)
+
+
 def _forward_batch(
     model: SlipModel, x: np.ndarray, dropout_rng: np.random.Generator | None
 ) -> tuple[np.ndarray, dict[str, Any]]:
@@ -344,21 +350,12 @@ def predict_proba(model: SlipModel, x: np.ndarray) -> np.ndarray:
     return softmax(logits)
 
 
-def lstm_forward(model: SlipModel, window: SlipWindow, mode: str = "infer") -> "SlipProbabilities":
-    """Single-window forward pass.
-
-    infer mode is pure and repeatable; train mode draws fresh dropout
-    masks from the model's metadata seed stream and is only meant for
-    inspecting stochastic behavior.
-    """
+def lstm_forward(model: SlipModel, window: SlipWindow) -> "SlipProbabilities":
+    """Single-window inference pass; pure and repeatable."""
     from .slip_decision import SlipProbabilities
 
-    if mode not in ("train", "infer"):
-        raise ValidationError(f"mode must be 'train' or 'infer', got {mode!r}")
     x = np.stack([f.as_vector(model.feature_order) for f in window.frames])[None, :, :]
-    rng = np.random.default_rng(model.metadata.get("seed", 0)) if mode == "train" else None
-    logits, _ = _forward_batch(model, x, dropout_rng=rng)
-    p = softmax(logits)[0]
+    p = predict_proba(model, x)[0]
     return SlipProbabilities(p_normal=float(p[0]), p_slipping=float(p[1]), p_slipped=float(p[2]))
 
 
@@ -416,8 +413,7 @@ def lstm_train(
                 p -= config.learning_rate * (a / bias1) / (np.sqrt(b / bias2) + config.eps)
         losses.append(epoch_loss / n)
         if x_val is not None:
-            probs = predict_proba(model, x_val)
-            pred = probs.shape[1] - 1 - probs[:, ::-1].argmax(axis=1)
+            pred = _severity_argmax(predict_proba(model, x_val))
             acc = float((pred == y_val).mean())
             val_acc.append(acc)
             if acc > best_acc:
@@ -451,8 +447,4 @@ def evaluate(model: SlipModel, windows: Sequence[SlipWindow]) -> tuple[np.ndarra
     if not windows:
         raise ValidationError("evaluate needs a non-empty window set")
     x, y = windows_to_arrays(windows, model.feature_order)
-    probs = predict_proba(model, x)
-    # argmax with ties broken toward the higher class index (= severity)
-    rev = probs[:, ::-1]
-    pred = probs.shape[1] - 1 - rev.argmax(axis=1)
-    return pred, y
+    return _severity_argmax(predict_proba(model, x)), y

@@ -1,10 +1,10 @@
 """Evaluation quantities and report files.
 
 Pure functions over counts and sequences: confusion-matrix metrics,
-ripeness loss, cycle-time aggregates, success rates. Degenerate
-denominators never raise; they produce 0 plus an explicit flag so batch
-reports survive empty classes. Report writing fixes field order and
-numeric formatting, so identical results give byte-identical files.
+cycle-time aggregates, success rates. Degenerate denominators never
+raise; they produce 0 plus an explicit flag so batch reports survive
+empty classes. Report writing fixes field order and numeric
+formatting, so identical results give byte-identical files.
 """
 
 from __future__ import annotations
@@ -91,33 +91,6 @@ def confusion_metrics(cm: ConfusionMatrix) -> dict[str, ClassMetrics]:
 def macro_f1(cm: ConfusionMatrix) -> float:
     per_class = confusion_metrics(cm)
     return sum(m.f1 for m in per_class.values()) / len(per_class)
-
-
-@dataclass(frozen=True)
-class RipenessEval:
-    """Paired ripeness values with the loss weight."""
-
-    truth: tuple[float, ...]
-    predicted: tuple[float, ...]
-    weight: float = 1.0
-
-    def __post_init__(self) -> None:
-        if len(self.truth) != len(self.predicted):
-            raise ValidationError("truth and predicted sequences differ in length")
-        if len(self.truth) < 1:
-            raise ValidationError("ripeness evaluation needs at least one sample")
-        if self.weight < 0:
-            raise ValidationError(f"weight must be non-negative, got {self.weight}")
-        for seq_name in ("truth", "predicted"):
-            for v in getattr(self, seq_name):
-                if not (0.0 <= v <= 1.1):
-                    raise ValidationError(f"{seq_name} value {v} outside [0, 1.1]")
-
-
-def ripeness_loss(ev: RipenessEval) -> float:
-    """(weight / N) * sum |r_i - r_hat_i|; weight 1 is the plain MAE."""
-    total = sum(abs(r - p) for r, p in zip(ev.truth, ev.predicted))
-    return ev.weight * total / len(ev.truth)
 
 
 @dataclass(frozen=True)

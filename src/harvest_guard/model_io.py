@@ -33,13 +33,15 @@ def _arrays_payload(arrays: dict[str, np.ndarray]) -> dict[str, Any]:
     }
 
 
-def _array_from_payload(name: str, payload: Any) -> np.ndarray:
+def _array_from_payload(path: Path, name: str, payload: Any) -> np.ndarray:
     try:
         shape = tuple(int(s) for s in payload["shape"])
-        data = np.array(payload["data"], dtype=np.float64)
-        return data.reshape(shape)
+        data = np.array(payload["data"], dtype=np.float64).reshape(shape)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"array {name!r} is malformed: {exc}") from exc
+        raise ValidationError(f"{path}: array {name!r} is malformed: {exc}") from exc
+    if not np.isfinite(data).all():
+        raise ValidationError(f"{path}: array {name!r} holds non-finite values")
+    return data
 
 
 def save_model(path: str | Path, model: SlipModel | GraspModel) -> None:
@@ -83,7 +85,7 @@ def load_model(path: str | Path) -> SlipModel | GraspModel:
         raise ValidationError(f"{path}: unsupported version {doc.get('version')!r}")
     kind = doc.get("kind")
     metadata = doc.get("metadata") or {}
-    arrays = {name: _array_from_payload(name, p) for name, p in (doc.get("arrays") or {}).items()}
+    arrays = {name: _array_from_payload(path, name, p) for name, p in (doc.get("arrays") or {}).items()}
 
     if kind == KIND_GRASP:
         for need in ("weights", "bias"):

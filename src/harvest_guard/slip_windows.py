@@ -12,8 +12,9 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import IntEnum
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -33,6 +34,8 @@ FEATURE_ORDER = (
 )
 
 AREA_SUM_TOL = 0.01
+
+T = TypeVar("T")
 
 
 class SlipLabel(IntEnum):
@@ -169,23 +172,24 @@ def stratified_split_counts(counts: Sequence[int], ratio: float) -> tuple[tuple[
 
 
 def stratified_split_windows(
-    windows: Sequence[SlipWindow], ratio: float, rng_seed: int
-) -> tuple[list[SlipWindow], list[SlipWindow]]:
-    """Split windows per class after a seeded within-class shuffle.
+    windows: Sequence[T], ratio: float, rng_seed: int, key: Callable[[T], int] = attrgetter("label")
+) -> tuple[list[T], list[T]]:
+    """Split items per class after a seeded within-class shuffle.
 
-    Sizes follow stratified_split_counts; every input window lands in
-    exactly one side.
+    `key` gives an item's class (a window's label by default). Classes
+    are taken in ascending order and sizes follow
+    stratified_split_counts; every input item lands in exactly one side.
     """
-    by_class: dict[SlipLabel, list[SlipWindow]] = {}
+    by_class: dict[int, list[T]] = {}
     for w in windows:
-        by_class.setdefault(w.label, []).append(w)
+        by_class.setdefault(key(w), []).append(w)
     labels = sorted(by_class)
     counts = [len(by_class[lab]) for lab in labels]
     train_counts, _ = stratified_split_counts(counts, ratio)
 
     rng = np.random.default_rng(rng_seed)
-    train: list[SlipWindow] = []
-    val: list[SlipWindow] = []
+    train: list[T] = []
+    val: list[T] = []
     for lab, n_train in zip(labels, train_counts):
         group = by_class[lab]
         order = rng.permutation(len(group))

@@ -33,7 +33,7 @@ from .geometry import (
 from .grasp import GraspClass, GraspModel, GripperObservation, classify_grasp
 from .lstm import SlipModel, predict_proba
 from .slip_decision import Argmax, SlipProbabilities, Thresholds, classify_slip
-from .slip_windows import FrameFeatures, SlipLabel, build_windows, write_slip_csv
+from .slip_windows import LOOKAHEAD, WINDOW_LEN, FrameFeatures, SlipLabel, build_windows, write_slip_csv
 
 PROB_SUM_TOL = 1e-9
 
@@ -71,8 +71,6 @@ class ScenarioConfig:
     frames_slipped: int = 4
     slip_noise_std: float = 0.004
 
-    ripeness_threshold: float = 0.8
-
     def __post_init__(self) -> None:
         if self.episodes < 0:
             raise ValidationError(f"episodes must be non-negative, got {self.episodes}")
@@ -93,8 +91,6 @@ class ScenarioConfig:
                 raise ValidationError(f"{names} must be non-negative, got {triple}")
             if abs(sum(triple) - 1.0) > PROB_SUM_TOL:
                 raise ValidationError(f"{names} must sum to 1 +/- {PROB_SUM_TOL}, got {sum(triple)}")
-        if not (0.0 <= self.ripeness_threshold <= 1.1):
-            raise ValidationError(f"ripeness_threshold must lie in [0, 1.1], got {self.ripeness_threshold}")
         if not (0.0 < self.slip_initial_area <= 0.5):
             raise ValidationError(f"slip_initial_area must lie in (0, 0.5], got {self.slip_initial_area}")
         if self.slip_decay_rate <= 0:
@@ -133,7 +129,6 @@ _CONFIG_SCHEMA: dict[str, dict[str, str]] = {
         "frames_slipped": "frames_slipped",
         "feature_noise_std": "slip_noise_std",
     },
-    "ripeness": {"threshold": "ripeness_threshold"},
 }
 
 _INT_FIELDS = {
@@ -452,27 +447,30 @@ def plan_slip_trajectories(
 ) -> list[tuple[int, int, int]]:
     """Phase plans whose window yields hit the target label counts exactly.
 
-    A trajectory of 7 normal frames followed by k fault frames yields
-    exactly k windows of that fault label (the 3-frame lookahead promotes
-    every window); a pure normal run of 7+m frames yields m normal
-    windows. Targets are chunked to the configured phase sizes.
+    A window plus its lookahead spans lead = WINDOW_LEN + LOOKAHEAD - 1
+    frames past its first one. A trajectory of `lead` normal frames
+    followed by k fault frames yields exactly k windows of that fault
+    label (the lookahead promotes every window); a pure normal run of
+    lead+m frames yields m normal windows. Targets are chunked to the
+    configured phase sizes.
     """
     n_normal, n_slipping, n_slipped = targets
     if min(targets) < 0:
         raise ValidationError(f"targets must be non-negative, got {targets}")
+    lead = WINDOW_LEN + LOOKAHEAD - 1
     plans: list[tuple[int, int, int]] = []
     chunk_fault = config.frames_slipping + config.frames_slipped
     for target, kind in ((n_slipping, "slipping"), (n_slipped, "slipped")):
         full, rest = divmod(target, chunk_fault)
         sizes = [chunk_fault] * full + ([rest] if rest else [])
         for k in sizes:
-            plans.append((7, k, 0) if kind == "slipping" else (7, 0, k))
-    chunk_normal = config.frames_normal + config.frames_slipping + config.frames_slipped - 7
+            plans.append((lead, k, 0) if kind == "slipping" else (lead, 0, k))
+    chunk_normal = config.frames_normal + config.frames_slipping + config.frames_slipped - lead
     chunk_normal = max(chunk_normal, 1)
     full, rest = divmod(n_normal, chunk_normal)
-    plans.extend([(7 + chunk_normal, 0, 0)] * full)
+    plans.extend([(lead + chunk_normal, 0, 0)] * full)
     if rest:
-        plans.append((7 + rest, 0, 0))
+        plans.append((lead + rest, 0, 0))
     return plans
 
 
@@ -566,9 +564,9 @@ class EpisodeWorld:
         order = self.slip_model.feature_order
         stack = np.stack([f.as_vector(order) for f in traj.frames])
         n = len(traj.frames)
-        if n < 5:
+        if n < WINDOW_LEN:
             return []
-        x = np.stack([stack[i : i + 5] for i in range(n - 4)])
+        x = np.stack([stack[i : i + WINDOW_LEN] for i in range(n - WINDOW_LEN + 1)])
         probs = predict_proba(self.slip_model, x)
         out = []
         for row in probs:

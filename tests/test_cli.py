@@ -46,6 +46,23 @@ def test_bad_counts_is_usage_error(tmp_path, capsys):
     assert "three comma-separated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-data", "--kind", "slip", "--counts", "5,5,5", "--out", "x.csv", "--seed", "-1"],
+        ["train-slip", "--data", "x.csv", "--out", "m.json", "--seed", "-1"],
+        ["train-grasp", "--data", "x.csv", "--out", "m.json", "--seed", "-1"],
+        ["simulate", "--out", "run", "--seed", "-1"],
+        ["simulate", "--out", "run", "--seed", "seven"],
+        ["eval-slip", "--data", "x.csv", "--model", "m.json", "--split-ratio", "0.7", "--split-seed", "-1"],
+    ],
+)
+def test_bad_seed_is_usage_error(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "seed must be a non-negative integer" in err[0]
+
+
 def test_invalid_log_level_is_rejected(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("HARVEST_GUARD_LOG", "loud")
     assert main(["gen-data", "--kind", "slip", "--counts", "1,1,1", "--out", str(tmp_path / "x.csv"), "--seed", "0"]) == 1
@@ -135,6 +152,22 @@ def test_report_aggregates_an_episode_log(tmp_path, capsys):
     assert main(["report", "--episodes", str(out_dir / "episodes.jsonl"), "--out", str(report)]) == 0
     # rebuilding the summary from the log reproduces simulate's own summary
     assert report.read_bytes() == (out_dir / "summary.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "line, problem",
+    [("{not json", "line 2: not JSON"), ("[1, 2, 3]", "line 2: not a JSON object")],
+)
+def test_report_rejects_malformed_log_lines(tmp_path, capsys, line, problem):
+    out_dir = tmp_path / "run"
+    assert main(["simulate", "--seed", "2", "--episodes", "1", "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    log = out_dir / "episodes.jsonl"
+    first = log.read_text().splitlines()[0]
+    log.write_text(f"{first}\n{line}\n")
+    assert main(["report", "--episodes", str(log), "--out", str(tmp_path / "s.csv")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and problem in err[0]
 
 
 def test_train_and_eval_slip_round_trip(tmp_path, capsys):

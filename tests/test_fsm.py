@@ -1,9 +1,9 @@
-"""Cycle state machine: transitions, timing, anchor episodes, logs."""
+"""Cycle state machine: timing, anchor episodes, logs."""
 
 import numpy as np
 import pytest
 
-from harvest_guard.errors import ProtocolError, ValidationError
+from harvest_guard.errors import ValidationError
 from harvest_guard.fsm import (
     DEFAULT_TIMING,
     EpisodeResponses,
@@ -17,9 +17,7 @@ from harvest_guard.fsm import (
     Stage,
     StageRecord,
     StageTiming,
-    TRANSITIONS,
     Variant,
-    next_transition,
     read_episode_log,
     run_episode,
     sample_stage_duration,
@@ -30,26 +28,6 @@ from harvest_guard.grasp import GraspAction, GraspClass
 from harvest_guard.slip_windows import SlipLabel
 
 from conftest import ScriptedWorld
-
-
-def test_transition_table_shape():
-    assert len(TRANSITIONS) == 13
-    assert next_transition(Stage.INFLATING_APPROACHING, Event.ALIGNED) == (
-        Stage.SWALLOWING,
-        Variant.NORMAL,
-    )
-    assert next_transition(Stage.SNAP_OFF, Event.TWO_CONSECUTIVE_SLIPPING) == (
-        Stage.SNAP_OFF,
-        Variant.SLIPPING_RECOVERY,
-    )
-    assert next_transition(Stage.HOMING, Event.HOMED) is None
-
-
-def test_undefined_event_is_protocol_error():
-    with pytest.raises(ProtocolError):
-        next_transition(Stage.PLACING, Event.HOMED)
-    with pytest.raises(ProtocolError):
-        next_transition(Stage.SWALLOWING, Event.GRASP_OK)
 
 
 def test_timing_table_validation():
@@ -71,13 +49,11 @@ def test_timing_lookup_and_overrides():
     with pytest.raises(ValidationError):
         DEFAULT_TIMING.lookup(Stage.COMPENSATION, Variant.SLIPPED_ABORT)
 
-    patched = DEFAULT_TIMING.with_overrides({(Stage.SNAP_OFF, Variant.NORMAL): (2.0, 0.0)})
-    assert patched.lookup(Stage.SNAP_OFF, Variant.NORMAL) == (2.0, 0.0)
-    assert patched.lookup(Stage.HOMING, Variant.NORMAL) == (1.88, 0.0)
-
-    small = StageTiming(((Stage.HOMING, Variant.NORMAL, 1.0, 0.0),))
-    grown = small.with_overrides({(Stage.SNAP_OFF, Variant.NORMAL): (3.0, 0.1)})
-    assert grown.lookup(Stage.SNAP_OFF, Variant.NORMAL) == (3.0, 0.1)
+    # a custom table overrides the defaults and holds only its own rows
+    custom = StageTiming(((Stage.SNAP_OFF, Variant.NORMAL, 2.0, 0.1),))
+    assert custom.lookup(Stage.SNAP_OFF, Variant.NORMAL) == (2.0, 0.1)
+    with pytest.raises(ValidationError):
+        custom.lookup(Stage.HOMING, Variant.NORMAL)
 
 
 def test_duration_sampling():

@@ -17,7 +17,6 @@ from harvest_guard.grasp import (
     grasp_decision_step,
     grasp_scores,
     read_grasp_csv,
-    resolve_at_deadline,
     run_grasp_decision,
     train_grasp_classifier,
     write_grasp_csv,
@@ -120,11 +119,6 @@ def test_alternating_stream_stays_undecided():
     stream = [RIPE, EMPTY, RIPE, UNRIPE, RIPE, EMPTY]
     assert run_grasp_decision(stream) == (None, None)
     assert run_grasp_decision(stream, pool_faults=False) == (None, None)
-
-
-def test_deadline_fails_open():
-    assert resolve_at_deadline(GraspDecisionState()) is GraspAction.PROCEED
-    assert resolve_at_deadline(GraspDecisionState(fault_count=1, last_fault=EMPTY)) is GraspAction.PROCEED
 
 
 def test_decision_state_validation():

@@ -104,26 +104,9 @@ def test_infer_mode_is_repeatable():
     model = init_model(SMALL, seed=0)
     rng = np.random.default_rng(3)
     window = _window(rng)
-    a = lstm_forward(model, window, mode="infer")
-    b = lstm_forward(model, window, mode="infer")
+    a = lstm_forward(model, window)
+    b = lstm_forward(model, window)
     assert a.as_tuple() == b.as_tuple()
-
-
-def test_train_mode_draws_seeded_dropout():
-    model = init_model(SMALL, seed=0)
-    rng = np.random.default_rng(4)
-    window = _window(rng)
-    a = lstm_forward(model, window, mode="train")
-    b = lstm_forward(model, window, mode="train")
-    assert a.as_tuple() == b.as_tuple()  # fresh generator from the same seed
-    assert a.as_tuple() != lstm_forward(model, window, mode="infer").as_tuple()
-
-
-def test_forward_rejects_unknown_mode():
-    model = init_model(SMALL, seed=0)
-    window = _window(np.random.default_rng(5))
-    with pytest.raises(ValidationError):
-        lstm_forward(model, window, mode="test")
 
 
 def test_gradients_match_finite_differences():

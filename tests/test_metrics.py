@@ -9,14 +9,12 @@ from harvest_guard.errors import ValidationError
 from harvest_guard.metrics import (
     CONDITIONS,
     ConfusionMatrix,
-    RipenessEval,
     SuccessTally,
     aggregate_cycle_times,
     confusion_metrics,
     format_value,
     macro_f1,
     read_report,
-    ripeness_loss,
     success_rates,
     write_report,
 )
@@ -72,23 +70,6 @@ def test_zero_denominators_flag_instead_of_raising():
     # class b: tp=0, fp=0 -> precision flagged
     assert "precision" in metrics["b"].zero_denominators
     assert metrics["b"].f1 == 0.0
-
-
-def test_ripeness_loss_weighted_mean_abs():
-    ev = RipenessEval(truth=(0.9, 0.5, 0.3), predicted=(0.8, 0.7, 0.3), weight=2.0)
-    assert ripeness_loss(ev) == pytest.approx(2.0 * (0.1 + 0.2 + 0.0) / 3)
-    assert ripeness_loss(RipenessEval((1.0,), (1.0,))) == 0.0
-
-
-def test_ripeness_validation():
-    with pytest.raises(ValidationError):
-        RipenessEval((), ())
-    with pytest.raises(ValidationError):
-        RipenessEval((0.5,), (0.5, 0.6))
-    with pytest.raises(ValidationError):
-        RipenessEval((1.2,), (0.5,))
-    with pytest.raises(ValidationError):
-        RipenessEval((0.5,), (0.5,), weight=-1.0)
 
 
 def test_cycle_time_aggregates():

@@ -128,3 +128,27 @@ def test_load_missing_file_is_io_error(tmp_path):
 def test_save_rejects_foreign_objects(tmp_path):
     with pytest.raises(ValidationError):
         save_model(tmp_path / "x.json", object())
+
+
+@pytest.mark.parametrize(
+    "model, array, bad",
+    [
+        (GraspModel(np.zeros((3, 4)), np.zeros(3)), "weights", float("nan")),
+        (init_model(ARCH, seed=0), "layer1.w_h", float("inf")),
+    ],
+)
+def test_load_rejects_non_finite_weights(tmp_path, capsys, model, array, bad):
+    from harvest_guard.cli import main
+
+    path = tmp_path / "model.json"
+    save_model(path, model)
+    doc = json.loads(path.read_text())
+    doc["arrays"][array]["data"][1] = bad
+    path.write_text(json.dumps(doc))  # json writes NaN / Infinity literals
+    with pytest.raises(ValidationError, match=f"{array!r} holds non-finite"):
+        load_model(path)
+    flag = "--grasp-model" if isinstance(model, GraspModel) else "--slip-model"
+    code = main(["simulate", "--seed", "1", "--episodes", "2", "--out", str(tmp_path / "run"), flag, str(path)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "non-finite" in err[0]

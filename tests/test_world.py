@@ -37,8 +37,6 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         ScenarioConfig(p_slip_normal=-0.1, p_slipping=0.55, p_slipped=0.55)
     with pytest.raises(ValidationError):
-        ScenarioConfig(ripeness_threshold=1.2)
-    with pytest.raises(ValidationError):
         ScenarioConfig(slip_initial_area=0.6)
     with pytest.raises(ValidationError):
         ScenarioConfig(slip_decay_rate=0.0)
