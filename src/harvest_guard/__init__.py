@@ -30,7 +30,7 @@ from .grasp import (
     grasp_decision_step,
     train_grasp_classifier,
 )
-from .lstm import LstmArch, SlipModel, TrainConfig, lstm_forward, lstm_train
+from .lstm import LstmArch, SlipModel, TrainConfig, lstm_train
 from .metrics import (
     ConfusionMatrix,
     SuccessTally,
@@ -52,11 +52,8 @@ from .fsm import (
     sample_stage_duration,
 )
 from .slip_decision import (
-    Argmax,
     RecoveryAction,
-    SlipProbabilities,
     StabilityState,
-    Thresholds,
     classify_slip,
     time_stability_step,
 )

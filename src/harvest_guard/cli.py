@@ -26,8 +26,8 @@ from .geometry import (
     read_alignment_csv,
     write_records_csv,
 )
-from .grasp import GraspClass, read_grasp_csv, train_grasp_classifier, classify_grasp
-from .lstm import LstmArch, TrainConfig, evaluate, lstm_train
+from .grasp import GraspClass, GraspModel, read_grasp_csv, train_grasp_classifier, classify_grasp
+from .lstm import LstmArch, SlipModel, TrainConfig, evaluate, lstm_train
 from .metrics import (
     ConfusionMatrix,
     aggregate_cycle_times,
@@ -97,6 +97,13 @@ def _seed(text: str) -> int:
 
 def _load_scenario(path: str | None) -> ScenarioConfig:
     return load_config(path) if path else ScenarioConfig()
+
+
+def _load_model_of(path: str, kind: type) -> SlipModel | GraspModel:
+    model = load_model(path)
+    if not isinstance(model, kind):
+        raise ValidationError(f"{path}: holds a {type(model).__name__}, expected a {kind.__name__}")
+    return model
 
 
 def build_parser() -> _Parser:
@@ -207,7 +214,7 @@ _SLIP_CLASS_NAMES = tuple(l.name.lower() for l in SlipLabel)
 
 
 def _cmd_eval_slip(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
+    model = _load_model_of(args.model, SlipModel)
     windows = windows_from_slip_csv(args.data)
     if (args.split_ratio is None) != (args.split_seed is None):
         raise UsageError("--split-ratio and --split-seed go together")
@@ -298,8 +305,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     n = args.episodes if args.episodes is not None else config.episodes
     if n < 1:
         raise ValidationError(f"need at least one episode, got {n}")
-    slip_model = load_model(args.slip_model) if args.slip_model else None
-    grasp_model = load_model(args.grasp_model) if args.grasp_model else None
+    slip_model = _load_model_of(args.slip_model, SlipModel) if args.slip_model else None
+    grasp_model = _load_model_of(args.grasp_model, GraspModel) if args.grasp_model else None
     world = EpisodeWorld(config, slip_model=slip_model, grasp_model=grasp_model)
     episodes = run_episodes(world, n, DEFAULT_TIMING, deterministic=args.deterministic, master_seed=args.seed)
 
@@ -359,15 +366,10 @@ def main(argv: list[str] | None = None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValidationError as exc:
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
-        log.error("%s", exc)
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
 

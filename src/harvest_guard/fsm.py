@@ -17,15 +17,15 @@ before detection and the re-snap after it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
-from .geometry import CompensationParams, RelativeError
+from .errors import ValidationError, open_text
+from .geometry import RelativeError
 from .grasp import GraspAction, GraspClass, GraspDecisionState, grasp_decision_step
 from .slip_decision import RecoveryAction, StabilityState, time_stability_step
 from .slip_windows import SlipLabel
@@ -214,16 +214,9 @@ class WorldLike(Protocol):
     def slip_stream(self, truth: EpisodeTruth, rng: np.random.Generator) -> Sequence[SlipLabel]: ...
 
 
-@dataclass(frozen=True)
-class Policies:
-    compensation: CompensationParams = field(default_factory=CompensationParams)
-    pool_grasp_faults: bool = True
-
-
 def run_episode(
     world: WorldLike,
     timing: StageTiming = DEFAULT_TIMING,
-    policies: Policies = Policies(),
     rng: np.random.Generator | None = None,
     deterministic: bool = False,
     episode_id: int = 0,
@@ -265,7 +258,7 @@ def run_episode(
     grasp_action: GraspAction | None = None
     grasp_detected: GraspClass | None = None
     for cls in world.grasp_stream(truth, rng):
-        grasp_state, grasp_action = grasp_decision_step(grasp_state, cls, policies.pool_grasp_faults)
+        grasp_state, grasp_action = grasp_decision_step(grasp_state, cls)
         if grasp_action is not None:
             grasp_detected = cls
             break
@@ -382,7 +375,7 @@ def write_episode_log(path: str | Path, episodes: Iterable[HarvestEpisode]) -> N
 def read_episode_log(path: str | Path) -> list[dict[str, object]]:
     path = Path(path)
     out: list[dict[str, object]] = []
-    with path.open() as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -17,7 +17,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, open_text
 
 __all__ = [
     "ArmPoint3",
@@ -279,7 +279,7 @@ def read_alignment_csv(path: str | Path) -> list[AlignmentRow]:
     """
     path = Path(path)
     rows: list[AlignmentRow] = []
-    with path.open(newline="") as fh:
+    with open_text(path, newline="") as fh:
         filtered = (line for line in fh if not line.startswith("#"))
         reader = csv.DictReader(filtered)
         fields = reader.fieldnames or []

@@ -10,14 +10,14 @@ the same call signature can be dropped in instead.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, open_text
 from .lstm import softmax
 
 GRASP_FEATURES = ("red_fraction", "green_fraction", "fruit_area", "fruit_present")
@@ -134,13 +134,11 @@ class GraspDecisionState:
     """Counters for the two-consecutive-frame rule.
 
     fault_count and ok_count track runs of fault-family and RipeHeld
-    frames; at most one can be positive. last_fault only matters in
-    same-class mode, where a run must repeat the identical fault class.
+    frames; at most one can be positive.
     """
 
     fault_count: int = 0
     ok_count: int = 0
-    last_fault: GraspClass | None = None
 
     def __post_init__(self) -> None:
         if self.fault_count < 0 or self.ok_count < 0:
@@ -152,28 +150,25 @@ class GraspDecisionState:
 def grasp_decision_step(
     state: GraspDecisionState,
     cls: GraspClass,
-    pool_faults: bool = True,
 ) -> tuple[GraspDecisionState, GraspAction | None]:
     """One frame of the proceed-or-abort rule.
 
-    Two consecutive fault-family frames fire AbortCycle; two consecutive
-    RipeHeld frames fire Proceed; a fired decision clears the counters.
-    With pool_faults (default) Empty and UnripeHeld extend each other's
-    runs; without it a run must repeat the same fault class.
+    Two consecutive fault-family frames fire AbortCycle; Empty and
+    UnripeHeld extend each other's runs. Two consecutive RipeHeld frames
+    fire Proceed. A fired decision clears the counters.
     """
     if cls in FAULT_CLASSES:
-        same_run = state.fault_count > 0 and (pool_faults or state.last_fault == cls)
-        count = state.fault_count + 1 if same_run else 1
+        count = state.fault_count + 1
         if count >= 2:
-            return replace(state, fault_count=0, ok_count=0, last_fault=None), GraspAction.ABORT_CYCLE
-        return replace(state, fault_count=count, ok_count=0, last_fault=cls), None
+            return GraspDecisionState(), GraspAction.ABORT_CYCLE
+        return GraspDecisionState(fault_count=count), None
     count = state.ok_count + 1
     if count >= 2:
-        return replace(state, fault_count=0, ok_count=0, last_fault=None), GraspAction.PROCEED
-    return replace(state, fault_count=0, ok_count=count, last_fault=None), None
+        return GraspDecisionState(), GraspAction.PROCEED
+    return GraspDecisionState(ok_count=count), None
 
 
-def run_grasp_decision(classes: Sequence[GraspClass], pool_faults: bool = True) -> tuple[GraspAction | None, int | None]:
+def run_grasp_decision(classes: Sequence[GraspClass]) -> tuple[GraspAction | None, int | None]:
     """Scan a class stream until a decision fires.
 
     Returns (action, frame index) or (None, None) when the stream ends
@@ -181,7 +176,7 @@ def run_grasp_decision(classes: Sequence[GraspClass], pool_faults: bool = True) 
     """
     state = GraspDecisionState()
     for i, cls in enumerate(classes):
-        state, action = grasp_decision_step(state, cls, pool_faults=pool_faults)
+        state, action = grasp_decision_step(state, cls)
         if action is not None:
             return action, i
     return None, None
@@ -209,7 +204,7 @@ def write_grasp_csv(
 def read_grasp_csv(path: str | Path) -> list[tuple[GripperObservation, GraspClass]]:
     path = Path(path)
     out: list[tuple[GripperObservation, GraspClass]] = []
-    with path.open(newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.DictReader(line for line in fh if not line.startswith("#"))
         fields = reader.fieldnames or []
         missing = [c for c in GRASP_CSV_HEADER if c not in fields]

@@ -22,7 +22,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .slip_windows import FEATURE_ORDER, SlipLabel, SlipWindow, windows_to_arrays
+from .slip_windows import FEATURE_ORDER, SlipWindow, windows_to_arrays
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,8 @@ class SlipModel:
 
     w_x[l]: (4H, D_l) input weights, w_h[l]: (4H, H) recurrent weights,
     b[l]: (4H,) bias; w_out: (C, H), b_out: (C,). metadata records the
-    seed, the feature order enforced at inference, and the training
-    hyperparameters.
+    seed, the feature order (always FEATURE_ORDER, which load_model
+    enforces), and the training hyperparameters.
     """
 
     def __init__(
@@ -117,10 +117,6 @@ class SlipModel:
         if self.b_out.shape != (a.n_classes,):
             raise ValidationError(f"b_out shape {self.b_out.shape}, expected {(a.n_classes,)}")
 
-    @property
-    def feature_order(self) -> tuple[str, ...]:
-        return tuple(self.metadata["feature_order"])
-
     def parameters(self) -> list[np.ndarray]:
         """All weight arrays in a fixed order (layers bottom-up, then head)."""
         params: list[np.ndarray] = []
@@ -138,17 +134,6 @@ class SlipModel:
         out["head.w"] = self.w_out
         out["head.b"] = self.b_out
         return out
-
-    def copy(self) -> "SlipModel":
-        return SlipModel(
-            self.arch,
-            [w.copy() for w in self.w_x],
-            [w.copy() for w in self.w_h],
-            [v.copy() for v in self.b],
-            self.w_out.copy(),
-            self.b_out.copy(),
-            dict(self.metadata),
-        )
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
@@ -201,7 +186,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _severity_argmax(probs: np.ndarray) -> np.ndarray:
+def severity_argmax(probs: np.ndarray) -> np.ndarray:
     """Row-wise argmax with ties broken toward the higher class index
     (= severity)."""
     return probs.shape[1] - 1 - probs[:, ::-1].argmax(axis=1)
@@ -350,15 +335,6 @@ def predict_proba(model: SlipModel, x: np.ndarray) -> np.ndarray:
     return softmax(logits)
 
 
-def lstm_forward(model: SlipModel, window: SlipWindow) -> "SlipProbabilities":
-    """Single-window inference pass; pure and repeatable."""
-    from .slip_decision import SlipProbabilities
-
-    x = np.stack([f.as_vector(model.feature_order) for f in window.frames])[None, :, :]
-    p = predict_proba(model, x)[0]
-    return SlipProbabilities(p_normal=float(p[0]), p_slipping=float(p[1]), p_slipped=float(p[2]))
-
-
 def lstm_train(
     train_windows: Sequence[SlipWindow],
     val_windows: Sequence[SlipWindow] = (),
@@ -378,10 +354,10 @@ def lstm_train(
         raise ValidationError("training needs a non-empty window set")
     rng = np.random.default_rng(config.seed)
     model = init_model(arch, seed=config.seed, rng=rng)
-    x_train, y_train = windows_to_arrays(train_windows, model.feature_order)
+    x_train, y_train = windows_to_arrays(train_windows)
     x_val, y_val = (None, None)
     if val_windows:
-        x_val, y_val = windows_to_arrays(val_windows, model.feature_order)
+        x_val, y_val = windows_to_arrays(val_windows)
 
     params = model.parameters()
     # Adam moment buffers; the depth of the stack shrinks raw gradients
@@ -413,7 +389,7 @@ def lstm_train(
                 p -= config.learning_rate * (a / bias1) / (np.sqrt(b / bias2) + config.eps)
         losses.append(epoch_loss / n)
         if x_val is not None:
-            pred = _severity_argmax(predict_proba(model, x_val))
+            pred = severity_argmax(predict_proba(model, x_val))
             acc = float((pred == y_val).mean())
             val_acc.append(acc)
             if acc > best_acc:
@@ -446,5 +422,5 @@ def evaluate(model: SlipModel, windows: Sequence[SlipWindow]) -> tuple[np.ndarra
     toward higher severity)."""
     if not windows:
         raise ValidationError("evaluate needs a non-empty window set")
-    x, y = windows_to_arrays(windows, model.feature_order)
-    return _severity_argmax(predict_proba(model, x)), y
+    x, y = windows_to_arrays(windows)
+    return severity_argmax(predict_proba(model, x)), y

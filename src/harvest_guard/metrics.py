@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, open_text
 
 
 @dataclass(frozen=True)
@@ -224,12 +224,12 @@ def read_report(path: str | Path, fmt: str = "csv") -> list[dict[str, object]]:
     precision they were written with."""
     path = Path(path)
     if fmt == "csv":
-        with path.open(newline="") as fh:
+        with open_text(path, newline="") as fh:
             reader = csv.DictReader(fh)
             return [{k: _parse_value(v) for k, v in row.items()} for row in reader]
     if fmt == "jsonlines":
         out = []
-        with path.open() as fh:
+        with open_text(path) as fh:
             for line in fh:
                 if line.strip():
                     out.append(json.loads(line))

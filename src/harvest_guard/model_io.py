@@ -15,9 +15,10 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, open_text
 from .grasp import GraspModel
 from .lstm import LstmArch, SlipModel
+from .slip_windows import FEATURE_ORDER, SlipLabel
 
 FORMAT_NAME = "harvest-guard-model"
 FORMAT_VERSION = 1
@@ -76,7 +77,8 @@ def save_model(path: str | Path, model: SlipModel | GraspModel) -> None:
 def load_model(path: str | Path) -> SlipModel | GraspModel:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        with open_text(path) as fh:
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not a model file: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
@@ -85,6 +87,8 @@ def load_model(path: str | Path) -> SlipModel | GraspModel:
         raise ValidationError(f"{path}: unsupported version {doc.get('version')!r}")
     kind = doc.get("kind")
     metadata = doc.get("metadata") or {}
+    if not isinstance(metadata, dict):
+        raise ValidationError(f"{path}: metadata must be a JSON object")
     arrays = {name: _array_from_payload(path, name, p) for name, p in (doc.get("arrays") or {}).items()}
 
     if kind == KIND_GRASP:
@@ -98,6 +102,11 @@ def load_model(path: str | Path) -> SlipModel | GraspModel:
             arch = LstmArch(**doc["arch"])
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"{path}: bad architecture block: {exc}") from exc
+        # the simulator feeds FEATURE_ORDER vectors and reads SlipLabel rows
+        if (arch.input_size, arch.n_classes) != (len(FEATURE_ORDER), len(SlipLabel)):
+            raise ValidationError(f"{path}: slip model maps {arch.input_size} features to {arch.n_classes} classes")
+        if metadata.get("feature_order", list(FEATURE_ORDER)) != list(FEATURE_ORDER):
+            raise ValidationError(f"{path}: feature_order must be {list(FEATURE_ORDER)}")
         w_x, w_h, b = [], [], []
         for layer in range(arch.n_layers):
             for group, name in ((w_x, f"layer{layer}.w_x"), (w_h, f"layer{layer}.w_h"), (b, f"layer{layer}.b")):

@@ -1,10 +1,9 @@
 """Turning slip probabilities into labels and labels into actions.
 
-Two classification policies sit on top of the 3-class softmax output: a
-plain argmax (ties going to the more severe class) and a scalar
-min/max-threshold rule on the combined slip score. A time-stability rule
-then requires the same label on two consecutive frames before any action
-fires, filtering single-frame flickers.
+The 3-class softmax output is labelled by its argmax, ties going to the
+more severe class. A time-stability rule then requires the same label on
+two consecutive frames before any action fires, filtering single-frame
+flickers.
 """
 
 from __future__ import annotations
@@ -12,78 +11,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import ValidationError
+from .lstm import severity_argmax
 from .slip_windows import SlipLabel
 
 PROB_SUM_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class SlipProbabilities:
-    p_normal: float
-    p_slipping: float
-    p_slipped: float
-
-    def __post_init__(self) -> None:
-        for name in ("p_normal", "p_slipping", "p_slipped"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValidationError(f"{name} must lie in [0, 1], got {v}")
-        total = self.p_normal + self.p_slipping + self.p_slipped
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(f"probabilities must sum to 1 +/- {PROB_SUM_TOL}, got {total}")
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.p_normal, self.p_slipping, self.p_slipped)
-
-    @property
-    def slip_score(self) -> float:
-        """Combined probability that the berry is slipping or gone."""
-        return self.p_slipping + self.p_slipped
-
-
-class Argmax:
-    """Highest-probability class; ties break toward higher severity."""
-
-    def __repr__(self) -> str:  # keeps policy objects readable in logs
-        return "Argmax()"
-
-
-@dataclass(frozen=True)
-class Thresholds:
-    """Scalar rule on slip score s = p_slipping + p_slipped:
-    s < min_threshold -> Normal, s >= max_threshold -> Slipped,
-    anything between -> Slipping."""
-
-    min_threshold: float = 0.4
-    max_threshold: float = 0.8
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.min_threshold < self.max_threshold < 1.0):
-            raise ValidationError(
-                f"need 0 < min < max < 1, got ({self.min_threshold}, {self.max_threshold})"
-            )
-
-
-def classify_slip(probs: SlipProbabilities, policy: Argmax | Thresholds = Argmax()) -> SlipLabel:
-    if isinstance(policy, Thresholds):
-        s = probs.slip_score
-        if s < policy.min_threshold:
-            return SlipLabel.NORMAL
-        if s >= policy.max_threshold:
-            return SlipLabel.SLIPPED
-        return SlipLabel.SLIPPING
-    if isinstance(policy, Argmax):
-        best = SlipLabel.NORMAL
-        best_p = probs.p_normal
-        for label, p in (
-            (SlipLabel.SLIPPING, probs.p_slipping),
-            (SlipLabel.SLIPPED, probs.p_slipped),
-        ):
-            if p >= best_p:  # >= sends ties to the more severe label
-                best, best_p = label, p
-        return best
-    raise ValidationError(f"unknown policy {policy!r}")
+def classify_slip(probs: np.ndarray) -> list[SlipLabel]:
+    """Each row's most probable class in an (n, 3) probability batch,
+    ties going to the more severe class. Every value must lie in [0, 1]
+    and every row sum to 1 within PROB_SUM_TOL; a NaN fails both checks.
+    """
+    if probs.ndim != 2 or probs.shape[1] != len(SlipLabel):
+        raise ValidationError(f"need an (n, {len(SlipLabel)}) probability batch, got shape {probs.shape}")
+    in_range = ((probs >= 0.0) & (probs <= 1.0)).all(axis=1)
+    bad = ~(in_range & (np.abs(probs.sum(axis=1) - 1.0) <= PROB_SUM_TOL))
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValidationError(f"row {i}: {probs[i].tolist()} must lie in [0, 1] and sum to 1 +/- {PROB_SUM_TOL}")
+    return [SlipLabel(i) for i in severity_argmax(probs).tolist()]
 
 
 class RecoveryAction(Enum):

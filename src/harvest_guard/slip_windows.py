@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, open_text
 
 WINDOW_LEN = 5
 LOOKAHEAD = 3
@@ -72,8 +72,8 @@ class FrameFeatures:
         if abs(area_sum - 1.0) > AREA_SUM_TOL:
             raise ValidationError(f"area fractions must sum to 1 +/- {AREA_SUM_TOL}, got {area_sum}")
 
-    def as_vector(self, order: Sequence[str] = FEATURE_ORDER) -> np.ndarray:
-        return np.array([getattr(self, name) for name in order], dtype=np.float64)
+    def as_vector(self) -> np.ndarray:
+        return np.array([getattr(self, name) for name in FEATURE_ORDER], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -108,11 +108,9 @@ def build_windows(frames: Sequence[FrameFeatures], labels: Sequence[SlipLabel]) 
     return windows
 
 
-def windows_to_arrays(
-    windows: Sequence[SlipWindow], order: Sequence[str] = FEATURE_ORDER
-) -> tuple[np.ndarray, np.ndarray]:
+def windows_to_arrays(windows: Sequence[SlipWindow]) -> tuple[np.ndarray, np.ndarray]:
     """Stack windows into (n, 5, 7) inputs and (n,) integer labels."""
-    x = np.stack([np.stack([f.as_vector(order) for f in w.frames]) for w in windows])
+    x = np.stack([np.stack([f.as_vector() for f in w.frames]) for w in windows])
     y = np.array([int(w.label) for w in windows], dtype=np.int64)
     return x, y
 
@@ -248,7 +246,7 @@ def read_slip_csv(path: str | Path) -> list[tuple[int, list[FrameFeatures], list
     path = Path(path)
     episodes: list[tuple[int, list[FrameFeatures], list[SlipLabel]]] = []
     seen: set[int] = set()
-    with path.open(newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.DictReader(line for line in fh if not line.startswith("#"))
         fields = reader.fieldnames or []
         missing = [c for c in SLIP_CSV_HEADER if c not in fields]

@@ -20,19 +20,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
-from .fsm import DEFAULT_TIMING, EpisodeTruth, HarvestEpisode, Policies, StageTiming, run_episode
+from .errors import ValidationError, open_text
+from .fsm import DEFAULT_TIMING, EpisodeTruth, HarvestEpisode, StageTiming, run_episode
 from .geometry import (
     ArmPoint3,
     CompensationParams,
-    CompensationRecord,
     RelativeError,
     compensated_point,
     needs_compensation,
 )
 from .grasp import GraspClass, GraspModel, GripperObservation, classify_grasp
 from .lstm import SlipModel, predict_proba
-from .slip_decision import Argmax, SlipProbabilities, Thresholds, classify_slip
+from .slip_decision import classify_slip
 from .slip_windows import LOOKAHEAD, WINDOW_LEN, FrameFeatures, SlipLabel, build_windows, write_slip_csv
 
 PROB_SUM_TOL = 1e-9
@@ -145,10 +144,12 @@ def load_config(path: str | Path) -> ScenarioConfig:
     """Read an INI scenario file; missing keys keep their defaults,
     unknown keys are rejected."""
     path = Path(path)
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise OSError(f"cannot read config {path}")
+    parser = configparser.ConfigParser(interpolation=None)
+    with open_text(path) as fh:
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:
+            raise ValidationError(f"{path}: not an INI file: {str(exc).splitlines()[0]}") from exc
     kwargs: dict[str, object] = {}
     for section in parser.sections():
         if section not in _CONFIG_SCHEMA:
@@ -283,20 +284,16 @@ def gen_slip_trajectory(
     config: ScenarioConfig,
     outcome: SlipLabel,
     rng: np.random.Generator,
-    length: int | None = None,
 ) -> SlipTrajectory:
     """One snap-off observation sequence for the requested outcome class.
 
-    All outcomes share the same total length (so downstream window counts
-    match); `length` overrides it for normal-outcome sequences. A slipped
-    outcome passes through at most one slipping frame, reflecting how
-    abruptly an actual drop shows up at the frame rate.
+    All outcomes share the same total length, so downstream window counts
+    match. A slipped outcome passes through at most one slipping frame,
+    reflecting how abruptly an actual drop shows up at the frame rate.
     """
     total = config.frames_normal + config.frames_slipping + config.frames_slipped
     if outcome is SlipLabel.NORMAL:
-        return _trajectory(config, (length or total, 0, 0), rng)
-    if length is not None:
-        raise ValidationError("length override applies to normal-outcome trajectories only")
+        return _trajectory(config, (total, 0, 0), rng)
     if outcome is SlipLabel.SLIPPING:
         return _trajectory(config, (config.frames_normal, total - config.frames_normal, 0), rng)
     if outcome is SlipLabel.SLIPPED:
@@ -361,7 +358,6 @@ NOMINAL_PICKING_POINT = ArmPoint3(400.0, 300.0, 250.0)
 
 @dataclass(frozen=True)
 class ApproachOutcome:
-    record: CompensationRecord
     visual_error: RelativeError
     compensated: bool
     residual_x: float
@@ -372,8 +368,7 @@ def simulate_approach(
     config: ScenarioConfig,
     params: CompensationParams,
     rng: np.random.Generator,
-    injected_error: RelativeError | None = None,
-    picking: ArmPoint3 = NOMINAL_PICKING_POINT,
+    injected_error: RelativeError,
 ) -> ApproachOutcome:
     """One noisy approach with optional correction.
 
@@ -383,11 +378,7 @@ def simulate_approach(
     the compensated point (fresh actuation noise). The residual is the
     true point minus where the effector finally sits, per axis.
     """
-    if injected_error is None:
-        ex = rng.normal(config.error_mean_x_mm, config.error_std_x_mm)
-        ey = rng.normal(config.error_mean_y_mm, config.error_std_y_mm)
-        injected_error = RelativeError(float(ex), float(ey))
-
+    picking = NOMINAL_PICKING_POINT
     act = config.actuation_noise_std_mm
     vis = config.vision_noise_std_mm
     a1x, a1y = rng.normal(0.0, act, size=2) if act > 0 else (0.0, 0.0)
@@ -400,18 +391,7 @@ def simulate_approach(
     visual = RelativeError((picking.x - e1.x) + v_x, (picking.y - e1.y) + v_y)
 
     if not needs_compensation(visual, params):
-        uncompensated = CompensationRecord(
-            picking=picking,
-            effector=e1,
-            visual_err=visual,
-            physical_err_x=injected_error.dx,
-            physical_err_y=injected_error.dy,
-            compensated=None,
-            residual_x=None,
-            residual_y=None,
-        )
         return ApproachOutcome(
-            uncompensated,
             visual,
             False,
             float(injected_error.dx - a1x),
@@ -427,17 +407,7 @@ def simulate_approach(
     )
     residual_x = picking.x - e2.x
     residual_y = picking.y - e2.y
-    record = CompensationRecord(
-        picking=picking,
-        effector=e1,
-        visual_err=visual,
-        physical_err_x=injected_error.dx,
-        physical_err_y=injected_error.dy,
-        compensated=target,
-        residual_x=float(residual_x),
-        residual_y=float(residual_y),
-    )
-    return ApproachOutcome(record, visual, True, float(residual_x), float(residual_y))
+    return ApproachOutcome(visual, True, float(residual_x), float(residual_y))
 
 
 # --- dataset generation ---------------------------------------------------
@@ -515,20 +485,23 @@ class EpisodeWorld:
     repeats the injected class and the slip stream replays the window
     labels a perfect predictor would emit. With models attached, streams
     come from the classifiers instead.
+
+    The slip phases must yield a window, or the slip monitor never fires:
+    WINDOW_LEN + LOOKAHEAD frames for ground truth, WINDOW_LEN for a model.
     """
 
     def __init__(
         self,
         config: ScenarioConfig,
-        policies: Policies | None = None,
         slip_model: SlipModel | None = None,
-        slip_policy: Argmax | Thresholds | None = None,
         grasp_model: GraspModel | None = None,
     ) -> None:
+        frames = config.frames_normal + config.frames_slipping + config.frames_slipped
+        need = WINDOW_LEN if slip_model is not None else WINDOW_LEN + LOOKAHEAD
+        if frames < need:
+            raise ValidationError(f"slip phases total {frames} frames; the slip monitor needs at least {need}")
         self.config = config
-        self.policies = policies or Policies()
         self.slip_model = slip_model
-        self.slip_policy = slip_policy or Argmax()
         self.grasp_model = grasp_model
 
     def sample_truth(self, rng: np.random.Generator) -> EpisodeTruth:
@@ -544,7 +517,7 @@ class EpisodeWorld:
 
     def approach(self, truth: EpisodeTruth, rng: np.random.Generator) -> ApproachOutcome:
         return simulate_approach(
-            self.config, self.policies.compensation, rng, injected_error=truth.positional_error
+            self.config, CompensationParams(), rng, truth.positional_error
         )
 
     def grasp_stream(self, truth: EpisodeTruth, rng: np.random.Generator) -> list[GraspClass]:
@@ -561,18 +534,11 @@ class EpisodeWorld:
         traj = gen_slip_trajectory(self.config, truth.slip_outcome, rng)
         if self.slip_model is None:
             return [w.label for w in build_windows(list(traj.frames), list(traj.labels))]
-        order = self.slip_model.feature_order
-        stack = np.stack([f.as_vector(order) for f in traj.frames])
+        stack = np.stack([f.as_vector() for f in traj.frames])
         n = len(traj.frames)
-        if n < WINDOW_LEN:
-            return []
         x = np.stack([stack[i : i + WINDOW_LEN] for i in range(n - WINDOW_LEN + 1)])
         probs = predict_proba(self.slip_model, x)
-        out = []
-        for row in probs:
-            p = SlipProbabilities(float(row[0]), float(row[1]), float(row[2]))
-            out.append(classify_slip(p, self.slip_policy))
-        return out
+        return classify_slip(probs)
 
 
 def run_episodes(
@@ -588,7 +554,6 @@ def run_episodes(
         run_episode(
             world,
             timing,
-            world.policies,
             episode_rng(seed, i),
             deterministic=deterministic,
             episode_id=i,

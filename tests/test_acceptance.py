@@ -161,12 +161,12 @@ def test_acceptance_05_decision_rules_match_exhaustive_oracles():
                 return ACTION_FOR_LABEL[stream[i]], i
         return None, None
 
-    def grasp_oracle(stream, pool):
+    def grasp_oracle(stream):
         for i in range(1, len(stream)):
             a, b = stream[i - 1], stream[i]
             if a is GraspClass.RIPE_HELD and b is GraspClass.RIPE_HELD:
                 return GraspAction.PROCEED, i
-            if a in FAULT_CLASSES and b in FAULT_CLASSES and (pool or a == b):
+            if a in FAULT_CLASSES and b in FAULT_CLASSES:
                 return GraspAction.ABORT_CYCLE, i
         return None, None
 
@@ -175,15 +175,14 @@ def test_acceptance_05_decision_rules_match_exhaustive_oracles():
         for stream in itertools.product(list(SlipLabel), repeat=6)
     )
     grasp_ok = all(
-        run_grasp_decision(list(stream), pool_faults=pool) == grasp_oracle(stream, pool)
+        run_grasp_decision(list(stream)) == grasp_oracle(stream)
         for stream in itertools.product(list(GraspClass), repeat=6)
-        for pool in (True, False)
     )
     _verdict(
         5,
         "decision rules vs exhaustive 3^6 stream oracles",
         slip_ok and grasp_ok,
-        f"slip streams {3**6} ok={slip_ok}, grasp streams {2 * 3**6} ok={grasp_ok}",
+        f"slip streams {3**6} ok={slip_ok}, grasp streams {3**6} ok={grasp_ok}",
     )
 
 

@@ -1,13 +1,22 @@
 """Command-line behavior: exit codes, determinism, file outputs."""
 
+import hashlib
+import os
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 
 from harvest_guard.cli import main
+from harvest_guard.grasp import GraspModel
+from harvest_guard.lstm import LstmArch, init_model
 from harvest_guard.metrics import read_report
+from harvest_guard.model_io import save_model
 from harvest_guard.slip_windows import windows_from_slip_csv
 from harvest_guard.world import ScenarioConfig, load_config, save_config
 
-from conftest import ALIGNMENT_CSV
+from conftest import ALIGNMENT_CSV, REPO_ROOT
 
 
 def test_help_exits_zero():
@@ -218,3 +227,101 @@ def test_train_grasp_reports_validation_metrics(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "model saved to" in printed
     assert "precision 1.00" in printed  # separable bands train clean
+
+
+def test_simulate_bytes_are_pinned(tmp_path, capsys):
+    # same seed, same bytes across versions of the code, not only across
+    # two runs of one version; a change here changes what a seed produces
+    out = tmp_path / "run"
+    assert main(["simulate", "--seed", "7", "--episodes", "200", "--out", str(out)]) == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("episodes.jsonl", "summary.csv", "scenario.ini")
+    }
+    assert digests == {
+        "episodes.jsonl": "9de6ce4a186293bebb6477f13c439586db7de7999c73c532aa7a990ce8ae799e",
+        "summary.csv": "1526a787752b28f3d3518683c951140df1fca476a56b4ad77960a8f5a0fa8a2f",
+        "scenario.ini": "8fa4772293a4b788594f6cade8dcb6b4c237d7267db9e5bee3498b1c38edbbb4",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--episodes", "BAD", "--out", "s.csv"],
+        ["simulate", "--config", "BAD", "--seed", "1", "--out", "run"],
+        ["simulate", "--slip-model", "BAD", "--seed", "1", "--out", "run"],
+        ["simulate", "--grasp-model", "BAD", "--seed", "1", "--out", "run"],
+        ["compensate", "--input", "BAD", "--out", "records.csv"],
+        ["train-slip", "--data", "BAD", "--out", "m.json", "--seed", "0"],
+        ["train-grasp", "--data", "BAD", "--out", "m.json", "--seed", "0"],
+    ],
+)
+def test_non_utf8_input_is_validation_error(tmp_path, monkeypatch, capsys, argv):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(np.random.default_rng(0).bytes(200))
+    monkeypatch.chdir(tmp_path)
+    assert main([str(bad) if a == "BAD" else a for a in argv]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f"{bad}: not UTF-8 text" in err[0]
+
+
+def test_error_is_one_stderr_line_in_a_fresh_process(tmp_path):
+    # in-process runs share pytest's logging set-up; a real process
+    # configures logging itself and must still print one line
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(np.random.default_rng(0).bytes(200))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "harvest_guard.cli", "compensate", "--input", str(bad), "--out", str(tmp_path / "r.csv")],
+        capture_output=True, text=True, env=env, check=False, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [f"error: {bad}: not UTF-8 text (invalid start byte at byte 1)"]
+
+
+def test_simulate_rejects_slip_phases_without_a_window(tmp_path, capsys):
+    config = tmp_path / "short.ini"
+    config.write_text("[slip]\nframes_normal = 1\nframes_slipping = 1\nframes_slipped = 1\n")
+    argv = ["simulate", "--seed", "1", "--episodes", "300", "--config", str(config), "--out", str(tmp_path / "run")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "slip phases total 3 frames" in err[0]
+    assert not (tmp_path / "run").exists()
+
+
+def _slip_model_file(path, **arch):
+    save_model(path, init_model(LstmArch(n_layers=1, hidden_size=2, **arch), seed=0))
+    return path
+
+
+def test_models_of_the_wrong_kind_are_rejected(tmp_path, capsys):
+    grasp = tmp_path / "grasp.json"
+    save_model(grasp, GraspModel(np.zeros((3, 4)), np.zeros(3)))
+    slip = _slip_model_file(tmp_path / "slip.json")
+    data = tmp_path / "slip.csv"
+    assert main(["gen-data", "--kind", "slip", "--counts", "3,3,3", "--out", str(data), "--seed", "0"]) == 0
+    capsys.readouterr()
+    run = ["simulate", "--seed", "1", "--episodes", "2", "--out", str(tmp_path / "run")]
+    for argv, problem in (
+        (run + ["--slip-model", str(grasp)], "holds a GraspModel, expected a SlipModel"),
+        (run + ["--grasp-model", str(slip)], "holds a SlipModel, expected a GraspModel"),
+        (["eval-slip", "--data", str(data), "--model", str(grasp)], "holds a GraspModel, expected a SlipModel"),
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and problem in err[0]
+
+
+def test_two_class_slip_model_is_rejected(tmp_path, capsys):
+    model = _slip_model_file(tmp_path / "slip2.json", n_classes=2)
+    data = tmp_path / "slip.csv"
+    assert main(["gen-data", "--kind", "slip", "--counts", "3,3,3", "--out", str(data), "--seed", "0"]) == 0
+    capsys.readouterr()
+    for argv in (
+        ["simulate", "--seed", "1", "--episodes", "2", "--out", str(tmp_path / "run"), "--slip-model", str(model)],
+        ["eval-slip", "--data", str(data), "--model", str(model)],
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "maps 7 features to 2 classes" in err[0]

@@ -13,7 +13,6 @@ from harvest_guard.fsm import (
     LOG_FIELDS,
     MIN_DURATION_S,
     Outcome,
-    Policies,
     Stage,
     StageRecord,
     StageTiming,
@@ -153,12 +152,12 @@ def test_undecided_grasp_stream_fails_open():
     assert ep.responses.grasp_detected is None
 
 
-def test_same_class_fault_policy_changes_the_verdict():
+def test_mixed_fault_frames_abort():
+    # Empty then UnripeHeld is two consecutive fault frames: faults pool
     world = _CustomGraspWorld([GraspClass.EMPTY, GraspClass.UNRIPE_HELD, GraspClass.RIPE_HELD, GraspClass.RIPE_HELD])
-    pooled = _run(world)
-    assert pooled.outcome is Outcome.ABORTED_EMPTY_OR_MISGRASP
-    strict = _run(world, policies=Policies(pool_grasp_faults=False))
-    assert strict.outcome is Outcome.PICKED_AND_PLACED
+    ep = _run(world)
+    assert ep.outcome is Outcome.ABORTED_EMPTY_OR_MISGRASP
+    assert ep.responses.grasp_detected is GraspClass.UNRIPE_HELD
 
 
 def _records(stages):

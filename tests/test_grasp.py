@@ -107,18 +107,12 @@ def test_two_consecutive_ripe_proceed():
 
 def test_pooled_faults_extend_each_other():
     assert run_grasp_decision([EMPTY, UNRIPE]) == (GraspAction.ABORT_CYCLE, 1)
-    # same-class mode restarts the run on a different fault
-    assert run_grasp_decision([EMPTY, UNRIPE], pool_faults=False) == (None, None)
-    assert run_grasp_decision([EMPTY, UNRIPE, UNRIPE], pool_faults=False) == (
-        GraspAction.ABORT_CYCLE,
-        2,
-    )
+    assert run_grasp_decision([UNRIPE, EMPTY]) == (GraspAction.ABORT_CYCLE, 1)
 
 
 def test_alternating_stream_stays_undecided():
     stream = [RIPE, EMPTY, RIPE, UNRIPE, RIPE, EMPTY]
     assert run_grasp_decision(stream) == (None, None)
-    assert run_grasp_decision(stream, pool_faults=False) == (None, None)
 
 
 def test_decision_state_validation():
@@ -134,30 +128,29 @@ def test_fired_decision_clears_counters():
     assert action is None
     state, action = grasp_decision_step(state, EMPTY)
     assert action is GraspAction.ABORT_CYCLE
-    assert state.fault_count == 0 and state.ok_count == 0 and state.last_fault is None
+    assert state == GraspDecisionState()
     # the very next frame starts a fresh run
     state, action = grasp_decision_step(state, EMPTY)
     assert action is None and state.fault_count == 1
 
 
-def _bruteforce_decision(stream, pool_faults):
+def _bruteforce_decision(stream):
     """Restated rule: first index where two consecutive frames agree on a
-    verdict family (faults pooled or per class)."""
+    verdict family (faults pooled)."""
     for i in range(1, len(stream)):
         a, b = stream[i - 1], stream[i]
         if a is RIPE and b is RIPE:
             return GraspAction.PROCEED, i
-        if a in FAULT_CLASSES and b in FAULT_CLASSES and (pool_faults or a == b):
+        if a in FAULT_CLASSES and b in FAULT_CLASSES:
             return GraspAction.ABORT_CYCLE, i
     return None, None
 
 
 def test_exhaustive_streams_match_bruteforce():
-    # all 3^6 six-frame class streams, in both fault-pooling modes
+    # all 3^6 six-frame class streams
     for raw in itertools.product(list(GraspClass), repeat=6):
         stream = list(raw)
-        for pool in (True, False):
-            assert run_grasp_decision(stream, pool_faults=pool) == _bruteforce_decision(stream, pool)
+        assert run_grasp_decision(stream) == _bruteforce_decision(stream)
 
 
 def test_grasp_csv_round_trip(tmp_path):

@@ -13,12 +13,11 @@ from harvest_guard.lstm import (
     evaluate,
     init_model,
     loss_and_grads,
-    lstm_forward,
     lstm_train,
     predict_proba,
     softmax,
 )
-from harvest_guard.slip_windows import FrameFeatures, SlipLabel, SlipWindow
+from harvest_guard.slip_windows import FrameFeatures, SlipLabel, SlipWindow, windows_to_arrays
 
 from conftest import fd_max_rel_err
 
@@ -96,17 +95,16 @@ def test_forward_matches_handrolled_cell():
     expected = np.exp(logits - logits.max())
     expected /= expected.sum()
 
-    got = lstm_forward(model, window)
-    assert np.allclose(got.as_tuple(), expected, atol=1e-12)
+    got = predict_proba(model, windows_to_arrays([window])[0])[0]
+    assert np.allclose(got, expected, atol=1e-12)
 
 
 def test_infer_mode_is_repeatable():
     model = init_model(SMALL, seed=0)
     rng = np.random.default_rng(3)
     window = _window(rng)
-    a = lstm_forward(model, window)
-    b = lstm_forward(model, window)
-    assert a.as_tuple() == b.as_tuple()
+    x, _ = windows_to_arrays([window])
+    assert np.array_equal(predict_proba(model, x), predict_proba(model, x))
 
 
 def test_gradients_match_finite_differences():

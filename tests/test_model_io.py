@@ -8,6 +8,7 @@ import pytest
 from harvest_guard.errors import ValidationError
 from harvest_guard.grasp import GraspModel
 from harvest_guard.lstm import LstmArch, init_model
+from harvest_guard.slip_windows import FEATURE_ORDER
 from harvest_guard.model_io import (
     FORMAT_NAME,
     FORMAT_VERSION,
@@ -110,6 +111,16 @@ def test_load_rejects_missing_array(tmp_path):
         load_model(path)
 
 
+def test_load_rejects_non_object_metadata(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(path, GraspModel(np.zeros((3, 4)), np.zeros(3)))
+    doc = json.loads(path.read_text())
+    doc["metadata"] = [1, 2]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match="metadata must be a JSON object"):
+        load_model(path)
+
+
 def test_load_rejects_malformed_array(tmp_path):
     path = tmp_path / "model.json"
     save_model(path, GraspModel(np.zeros((3, 4)), np.zeros(3)))
@@ -152,3 +163,35 @@ def test_load_rejects_non_finite_weights(tmp_path, capsys, model, array, bad):
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "non-finite" in err[0]
+
+
+@pytest.mark.parametrize(
+    "arch, problem",
+    [
+        (LstmArch(n_layers=1, hidden_size=2, input_size=6), "maps 6 features to 3 classes"),
+        (LstmArch(n_layers=1, hidden_size=2, n_classes=2), "maps 7 features to 2 classes"),
+    ],
+)
+def test_load_rejects_slip_shapes_the_simulator_cannot_feed(tmp_path, arch, problem):
+    path = tmp_path / "model.json"
+    save_model(path, init_model(arch, seed=0))
+    with pytest.raises(ValidationError, match=problem):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        [*FEATURE_ORDER[:-1], "z"],  # a feature this package does not compute
+        [FEATURE_ORDER[1], FEATURE_ORDER[0], *FEATURE_ORDER[2:]],  # permuted
+    ],
+)
+def test_load_rejects_any_other_feature_order(tmp_path, order):
+    path = tmp_path / "model.json"
+    save_model(path, init_model(ARCH, seed=0))
+    doc = json.loads(path.read_text())
+    assert doc["metadata"]["feature_order"] == list(FEATURE_ORDER)  # still written
+    doc["metadata"]["feature_order"] = order
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match="feature_order must be"):
+        load_model(path)

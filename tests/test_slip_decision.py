@@ -1,18 +1,16 @@
-"""Slip classification policies and the two-consecutive stability rule."""
+"""Slip classification and the two-consecutive stability rule."""
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from harvest_guard.errors import ValidationError
 from harvest_guard.slip_decision import (
     ACTION_FOR_LABEL,
-    Argmax,
     RecoveryAction,
-    SlipProbabilities,
     StabilityState,
-    Thresholds,
     classify_slip,
     run_stability,
     time_stability_step,
@@ -21,61 +19,23 @@ from harvest_guard.slip_windows import SlipLabel
 
 
 def test_probabilities_must_sum_to_one():
-    SlipProbabilities(0.2, 0.3, 0.5)
-    with pytest.raises(ValidationError):
-        SlipProbabilities(0.2, 0.3, 0.6)
-    with pytest.raises(ValidationError):
-        SlipProbabilities(-0.1, 0.6, 0.5)
-    with pytest.raises(ValidationError):
-        SlipProbabilities(1.1, 0.0, -0.1)
-
-
-def test_slip_score_combines_fault_mass():
-    p = SlipProbabilities(0.5, 0.3, 0.2)
-    assert p.slip_score == pytest.approx(0.5)
-    assert p.as_tuple() == (0.5, 0.3, 0.2)
+    assert classify_slip(np.array([[0.2, 0.3, 0.5]])) == [SlipLabel.SLIPPED]
+    for bad in ([0.2, 0.3, 0.6], [-0.1, 0.6, 0.5], [1.1, 0.0, -0.1], [np.nan, 0.5, 0.5]):
+        with pytest.raises(ValidationError, match=r"row 1: .* must lie in \[0, 1\] and sum to 1"):
+            classify_slip(np.array([[0.2, 0.3, 0.5], bad]))
+    with pytest.raises(ValidationError, match="probability batch"):
+        classify_slip(np.array([0.2, 0.3, 0.5]))
 
 
 def test_argmax_picks_highest():
-    assert classify_slip(SlipProbabilities(0.7, 0.2, 0.1)) is SlipLabel.NORMAL
-    assert classify_slip(SlipProbabilities(0.2, 0.5, 0.3)) is SlipLabel.SLIPPING
-    assert classify_slip(SlipProbabilities(0.1, 0.2, 0.7)) is SlipLabel.SLIPPED
+    probs = np.array([[0.7, 0.2, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]])
+    assert classify_slip(probs) == [SlipLabel.NORMAL, SlipLabel.SLIPPING, SlipLabel.SLIPPED]
+    assert classify_slip(np.empty((0, 3))) == []
 
 
 def test_argmax_ties_go_to_severity():
-    assert classify_slip(SlipProbabilities(0.4, 0.4, 0.2)) is SlipLabel.SLIPPING
-    assert classify_slip(SlipProbabilities(1 / 3, 1 / 3, 1 / 3)) is SlipLabel.SLIPPED
-    assert classify_slip(SlipProbabilities(0.2, 0.4, 0.4)) is SlipLabel.SLIPPED
-
-
-def test_threshold_bands():
-    policy = Thresholds(0.4, 0.8)
-    assert classify_slip(SlipProbabilities(0.7, 0.2, 0.1), policy) is SlipLabel.NORMAL
-    assert classify_slip(SlipProbabilities(0.5, 0.3, 0.2), policy) is SlipLabel.SLIPPING
-    assert classify_slip(SlipProbabilities(0.1, 0.3, 0.6), policy) is SlipLabel.SLIPPED
-
-
-def test_threshold_boundaries_are_inclusive_upward():
-    policy = Thresholds(0.4, 0.8)
-    # s == min enters the slipping band; s == max enters slipped
-    assert classify_slip(SlipProbabilities(0.6, 0.4, 0.0), policy) is SlipLabel.SLIPPING
-    assert classify_slip(SlipProbabilities(0.2, 0.8, 0.0), policy) is SlipLabel.SLIPPED
-
-
-def test_threshold_validation():
-    with pytest.raises(ValidationError):
-        Thresholds(0.8, 0.4)
-    with pytest.raises(ValidationError):
-        Thresholds(0.0, 0.8)
-    with pytest.raises(ValidationError):
-        Thresholds(0.4, 1.0)
-    with pytest.raises(ValidationError):
-        Thresholds(0.4, 0.4)
-
-
-def test_unknown_policy_rejected():
-    with pytest.raises(ValidationError):
-        classify_slip(SlipProbabilities(1.0, 0.0, 0.0), policy="argmax")
+    probs = np.array([[0.4, 0.4, 0.2], [1 / 3, 1 / 3, 1 / 3], [0.2, 0.4, 0.4]])
+    assert classify_slip(probs) == [SlipLabel.SLIPPING, SlipLabel.SLIPPED, SlipLabel.SLIPPED]
 
 
 @given(
@@ -86,23 +46,13 @@ def test_policies_agree_with_direct_rules(pn, ps):
     if pn + ps > 1.0:
         pn, ps = pn / (pn + ps), ps / (pn + ps)
     pd = max(0.0, 1.0 - pn - ps)
-    probs = SlipProbabilities(pn, ps, pd)
 
     expected = SlipLabel.SLIPPED
     if pn > max(ps, pd):
         expected = SlipLabel.NORMAL
     elif ps > pd:
         expected = SlipLabel.SLIPPING
-    assert classify_slip(probs, Argmax()) is expected
-
-    s = probs.slip_score
-    th = classify_slip(probs, Thresholds(0.4, 0.8))
-    if s < 0.4:
-        assert th is SlipLabel.NORMAL
-    elif s >= 0.8:
-        assert th is SlipLabel.SLIPPED
-    else:
-        assert th is SlipLabel.SLIPPING
+    assert classify_slip(np.array([[pn, ps, pd]])) == [expected]
 
 
 def test_stability_state_validation():

@@ -7,6 +7,7 @@ from harvest_guard.errors import ValidationError
 from harvest_guard.fsm import Outcome, Stage
 from harvest_guard.geometry import CompensationParams, RelativeError
 from harvest_guard.grasp import GraspClass
+from harvest_guard.lstm import LstmArch, init_model
 from harvest_guard.slip_windows import SlipLabel, class_counts, windows_from_slip_csv
 from harvest_guard.world import (
     EpisodeWorld,
@@ -72,6 +73,17 @@ def test_config_rejects_bad_value(tmp_path):
     path.write_text("[simulation]\nepisodes = many\n")
     with pytest.raises(ValidationError, match="episodes"):
         load_config(path)
+    # a '%' is a bad number, not the start of an interpolation
+    path.write_text("[simulation]\nepisodes = 5%\n")
+    with pytest.raises(ValidationError, match="bad value for simulation.episodes: '5%'"):
+        load_config(path)
+
+
+def test_config_without_section_header_is_validation_error(tmp_path):
+    path = tmp_path / "scenario.ini"
+    path.write_text("episodes = 5\n")
+    with pytest.raises(ValidationError, match="not an INI file: File contains no section headers."):
+        load_config(path)
 
 
 def test_config_missing_file_is_io_error(tmp_path):
@@ -100,14 +112,6 @@ def test_trajectory_lengths_and_labels():
     assert list(slipped.labels) == (
         [SlipLabel.NORMAL] * 6 + [SlipLabel.SLIPPING] + [SlipLabel.SLIPPED] * 7
     )
-
-
-def test_normal_length_override():
-    cfg = ScenarioConfig()
-    traj = gen_slip_trajectory(cfg, SlipLabel.NORMAL, episode_rng(0, 0), length=9)
-    assert len(traj.frames) == 9
-    with pytest.raises(ValidationError):
-        gen_slip_trajectory(cfg, SlipLabel.SLIPPING, episode_rng(0, 0), length=9)
 
 
 def test_severity_never_decreases():
@@ -194,8 +198,6 @@ def test_quiet_approach_default_gains_halve_y():
     assert out.visual_error.dy == pytest.approx(-20.0)
     assert out.residual_x == pytest.approx(0.0, abs=1e-12)
     assert out.residual_y == pytest.approx(-10.0, abs=1e-12)
-    assert out.record.physical_err_y == -20.0
-    assert out.record.compensated is not None
 
 
 def test_quiet_approach_below_threshold_skips_correction():
@@ -203,15 +205,16 @@ def test_quiet_approach_below_threshold_skips_correction():
         QUIET, CompensationParams(), episode_rng(0, 0), injected_error=RelativeError(3.0, 2.0)
     )
     assert not out.compensated
-    assert out.record.compensated is None
     assert out.residual_x == pytest.approx(3.0)
     assert out.residual_y == pytest.approx(2.0)
 
 
 def test_noisy_approach_residuals_match_field_scale():
+    world = EpisodeWorld(ScenarioConfig())
     got_x, got_y = [], []
     for i in range(500):
-        out = simulate_approach(ScenarioConfig(), CompensationParams(), episode_rng(3, i))
+        rng = episode_rng(3, i)
+        out = world.approach(world.sample_truth(rng), rng)
         if out.compensated:
             got_x.append(abs(out.residual_x))
             got_y.append(abs(out.residual_y))
@@ -303,3 +306,20 @@ def test_outcome_frequencies_match_the_mix():
         assert stages[-1] is Stage.HOMING
         if ep.outcome in (Outcome.ABORTED_SLIPPED, Outcome.ABORTED_EMPTY_OR_MISGRASP):
             assert Stage.PLACING not in stages
+
+
+def test_world_rejects_slip_phases_too_short_for_a_window():
+    short = ScenarioConfig(frames_normal=1, frames_slipping=1, frames_slipped=1)
+    model = init_model(LstmArch(n_layers=1, hidden_size=2), seed=0)
+    with pytest.raises(ValidationError, match="3 frames; the slip monitor needs at least 8"):
+        EpisodeWorld(short)
+    with pytest.raises(ValidationError, match="3 frames; the slip monitor needs at least 5"):
+        EpisodeWorld(short, slip_model=model)
+    # the shortest accepted phases still give the slip monitor one window
+    truth = EpisodeWorld(ScenarioConfig()).sample_truth(episode_rng(0, 0))
+    shortest_truth = EpisodeWorld(ScenarioConfig(frames_normal=6, frames_slipping=1, frames_slipped=1))
+    assert len(shortest_truth.slip_stream(truth, episode_rng(0, 1))) == 1
+    shortest_model = EpisodeWorld(
+        ScenarioConfig(frames_normal=3, frames_slipping=1, frames_slipped=1), slip_model=model
+    )
+    assert len(shortest_model.slip_stream(truth, episode_rng(0, 1))) == 1
