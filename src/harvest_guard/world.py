@@ -150,6 +150,10 @@ def load_config(path: str | Path) -> ScenarioConfig:
             parser.read_file(fh)
         except configparser.Error as exc:
             raise ValidationError(f"{path}: not an INI file: {str(exc).splitlines()[0]}") from exc
+    # configparser hides [DEFAULT] from sections() and copies its keys into
+    # every other section, so reject them here or they load as nothing
+    for key in parser.defaults():
+        raise ValidationError(f"{path}: unknown key {key!r} in [DEFAULT]")
     kwargs: dict[str, object] = {}
     for section in parser.sections():
         if section not in _CONFIG_SCHEMA:

@@ -209,6 +209,29 @@ def test_train_and_eval_slip_round_trip(tmp_path, capsys):
     assert "macro-F1:" in capsys.readouterr().out
 
 
+def test_train_slip_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # hidden 64 at batch 32 makes the gate GEMMs big enough for OpenBLAS
+    # to split them across threads; smaller ones always run on one
+    data = tmp_path / "slip.csv"
+    assert main(["gen-data", "--kind", "slip", "--counts", "120,40,40", "--out", str(data), "--seed", "0"]) == 0
+    models = {}
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]),
+        }
+        out = tmp_path / f"threads{threads}.json"
+        argv = ["train-slip", "--data", str(data), "--out", str(out), "--seed", "0", "--epochs", "1",
+                "--layers", "2", "--hidden", "64"]
+        proc = subprocess.run([sys.executable, "-m", "harvest_guard.cli", *argv],
+                              capture_output=True, text=True, env=env, check=False, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        models[threads] = out.read_bytes()
+    assert models["1"] == models["2"]
+
+
 def test_eval_slip_split_flags_must_pair(tmp_path, capsys):
     data = tmp_path / "slip.csv"
     model = tmp_path / "m.json"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from harvest_guard import lstm
 from harvest_guard.errors import ValidationError
 from harvest_guard.lstm import (
     LstmArch,
@@ -216,3 +217,175 @@ def test_wrong_feature_width_rejected():
 def test_empty_training_set_rejected():
     with pytest.raises(ValidationError):
         lstm_train([], config=TrainConfig(epochs=1), arch=SMALL)
+
+
+# --- kernel oracle --------------------------------------------------------
+# Reference: the unpacked cell kernel (three masked sigmoid calls per
+# step, one array per gate, a concatenated dz), verbatim apart from the
+# names. The packed kernel must give the same bits, so every comparison
+# below is exact; both sides run on the same BLAS, so this pins no
+# machine's GEMM rounding.
+
+
+def _ref_sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _ref_forward_batch(model, x, dropout_rng):
+    a = model.arch
+    n_batch, n_steps, d_in = x.shape
+    if d_in != a.input_size:
+        raise ValidationError(f"input feature size {d_in}, model expects {a.input_size}")
+    h_size = a.hidden_size
+
+    cache = {"steps": [], "inputs": [], "masks": [], "x": x}
+    current = x
+    for layer in range(a.n_layers):
+        cache["inputs"].append(current)
+        h = np.zeros((n_batch, h_size))
+        c = np.zeros((n_batch, h_size))
+        step_cache = []
+        outputs = np.empty((n_batch, n_steps, h_size))
+        for t in range(n_steps):
+            x_t = current[:, t, :]
+            z = x_t @ model.w_x[layer].T + h @ model.w_h[layer].T + model.b[layer]
+            gi = _ref_sigmoid(z[:, :h_size])
+            gf = _ref_sigmoid(z[:, h_size : 2 * h_size])
+            gg = np.tanh(z[:, 2 * h_size : 3 * h_size])
+            go = _ref_sigmoid(z[:, 3 * h_size :])
+            c_new = gf * c + gi * gg
+            tanh_c = np.tanh(c_new)
+            h_new = go * tanh_c
+            step_cache.append((x_t, h, c, gi, gf, gg, go, tanh_c))
+            h, c = h_new, c_new
+            outputs[:, t, :] = h
+        cache["steps"].append(step_cache)
+
+        mask = None
+        if dropout_rng is not None and layer < a.n_layers - 1 and a.inter_dropout > 0.0:
+            keep = 1.0 - a.inter_dropout
+            mask = (dropout_rng.random(outputs.shape) < keep) / keep
+            outputs = outputs * mask
+        cache["masks"].append(mask)
+        current = outputs
+
+    h_final = current[:, -1, :]
+    head_mask = None
+    if dropout_rng is not None and a.head_dropout > 0.0:
+        keep = 1.0 - a.head_dropout
+        head_mask = (dropout_rng.random(h_final.shape) < keep) / keep
+        h_final = h_final * head_mask
+    cache["head_mask"] = head_mask
+    cache["h_final"] = h_final
+    logits = h_final @ model.w_out.T + model.b_out
+    return logits, cache
+
+
+def _ref_backward_batch(model, cache, dlogits):
+    a = model.arch
+    h_size = a.hidden_size
+    x = cache["x"]
+    n_batch, n_steps, _ = x.shape
+
+    d_w_out = dlogits.T @ cache["h_final"]
+    d_b_out = dlogits.sum(axis=0)
+    dh_final = dlogits @ model.w_out
+    if cache["head_mask"] is not None:
+        dh_final = dh_final * cache["head_mask"]
+
+    d_current = np.zeros((n_batch, n_steps, h_size))
+    d_current[:, -1, :] = dh_final
+
+    grads_layers = [None] * a.n_layers
+    for layer in reversed(range(a.n_layers)):
+        if cache["masks"][layer] is not None:
+            d_current = d_current * cache["masks"][layer]
+        d_in = a.input_size if layer == 0 else h_size
+        d_w_x = np.zeros_like(model.w_x[layer])
+        d_w_h = np.zeros_like(model.w_h[layer])
+        d_b = np.zeros_like(model.b[layer])
+        d_input = np.zeros((n_batch, n_steps, d_in))
+        dh_next = np.zeros((n_batch, h_size))
+        dc_next = np.zeros((n_batch, h_size))
+        for t in reversed(range(n_steps)):
+            x_t, h_prev, c_prev, gi, gf, gg, go, tanh_c = cache["steps"][layer][t]
+            dh = d_current[:, t, :] + dh_next
+            d_go = dh * tanh_c
+            dc = dc_next + dh * go * (1.0 - tanh_c * tanh_c)
+            d_gi = dc * gg
+            d_gf = dc * c_prev
+            d_gg = dc * gi
+            dc_next = dc * gf
+            dz = np.concatenate(
+                [
+                    d_gi * gi * (1.0 - gi),
+                    d_gf * gf * (1.0 - gf),
+                    d_gg * (1.0 - gg * gg),
+                    d_go * go * (1.0 - go),
+                ],
+                axis=1,
+            )
+            d_w_x += dz.T @ x_t
+            d_w_h += dz.T @ h_prev
+            d_b += dz.sum(axis=0)
+            d_input[:, t, :] = dz @ model.w_x[layer]
+            dh_next = dz @ model.w_h[layer]
+        grads_layers[layer] = (d_w_x, d_w_h, d_b)
+        d_current = d_input
+
+    grads = []
+    for layer in range(a.n_layers):
+        grads.extend(grads_layers[layer])
+    grads.extend((d_w_out, d_b_out))
+    return grads
+
+
+def _ref_loss_and_grads(model, x, y, dropout_rng=None):
+    logits, cache = _ref_forward_batch(model, x, dropout_rng)
+    probs = softmax(logits)
+    n = x.shape[0]
+    loss = float(-np.log(probs[np.arange(n), y] + 1e-12).mean())
+    dlogits = probs.copy()
+    dlogits[np.arange(n), y] -= 1.0
+    dlogits /= n
+    return loss, _ref_backward_batch(model, cache, dlogits)
+
+
+@pytest.mark.parametrize("arch", [SMALL, LstmArch()], ids=["2x8", "5x64"])
+def test_kernel_matches_reference_bit_for_bit(arch):
+    rng = np.random.default_rng(12)
+    model = init_model(arch, seed=5)
+    for n_batch in [*range(1, 13), 33]:
+        # spread well past the feature range so gates saturate both ways
+        x = rng.normal(0.0, 3.0, size=(n_batch, 5, arch.input_size))
+        y = rng.integers(0, arch.n_classes, size=n_batch)
+        logits, _ = _ref_forward_batch(model, x, None)
+        assert np.array_equal(predict_proba(model, x), softmax(logits)), n_batch
+        for dropout_seed in (None, n_batch):
+            ref_rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
+            new_rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
+            ref_loss, ref_grads = _ref_loss_and_grads(model, x, y, ref_rng)
+            loss, grads = loss_and_grads(model, x, y, new_rng)
+            assert loss == ref_loss, (n_batch, dropout_seed)
+            assert len(grads) == len(ref_grads)
+            for g, ref in zip(grads, ref_grads):
+                assert np.array_equal(g, ref), (n_batch, dropout_seed)
+
+
+def test_sigmoid_matches_two_branch_form_bit_for_bit():
+    # exp overflows past 709 and underflows to 0 past 745; 1e-310 is
+    # subnormal; from about 37 on, 1 + exp(-z) rounds to 1
+    edges = [0.0, np.inf, 709.0, 745.0, 800.0, 1e-310, 1.0, 36.0, 40.0]
+    z = np.concatenate([
+        np.array(edges + [-v for v in edges] + [np.nan]),
+        np.random.default_rng(13).normal(0.0, 10.0, size=100_000),
+    ])
+    z = np.stack([z, z[::-1]])  # 2-D, like the (B, 4H) pre-activations
+    got, ref = lstm._sigmoid(z), _ref_sigmoid(z)
+    assert np.array_equal(got, ref, equal_nan=True)
+    assert np.array_equal(np.signbit(got[~np.isnan(got)]), np.signbit(ref[~np.isnan(ref)]))

@@ -68,6 +68,15 @@ def test_config_rejects_unknown_section(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("text", ["[DEFAULT]\nepisodes = 5\n", "[DEFAULT]\nepisodes = 5\n[slip]\nframes_normal = 6\n"],
+                         ids=["alone", "beside-a-section"])
+def test_config_rejects_default_section_keys(tmp_path, text):
+    path = tmp_path / "scenario.ini"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=r"unknown key 'episodes' in \[DEFAULT\]$"):
+        load_config(path)
+
+
 def test_config_rejects_bad_value(tmp_path):
     path = tmp_path / "scenario.ini"
     path.write_text("[simulation]\nepisodes = many\n")
