@@ -84,21 +84,22 @@ class StageTiming:
     entries: tuple[tuple[Stage, Variant, float, float], ...]
 
     def __post_init__(self) -> None:
-        seen = set()
+        table: dict[tuple[Stage, Variant], tuple[float, float]] = {}
         for stage, variant, mean, std in self.entries:
-            if (stage, variant) in seen:
+            if (stage, variant) in table:
                 raise ValidationError(f"duplicate timing entry for ({stage.value}, {variant.value})")
-            seen.add((stage, variant))
+            table[stage, variant] = (mean, std)
             if mean <= 0:
                 raise ValidationError(f"mean for ({stage.value}, {variant.value}) must be > 0, got {mean}")
             if std < 0:
                 raise ValidationError(f"std for ({stage.value}, {variant.value}) must be >= 0, got {std}")
+        object.__setattr__(self, "_table", table)
 
     def lookup(self, stage: Stage, variant: Variant) -> tuple[float, float]:
-        for s, v, mean, std in self.entries:
-            if s is stage and v is variant:
-                return mean, std
-        raise ValidationError(f"no timing entry for ({stage.value}, {variant.value})")
+        try:
+            return self._table[stage, variant]
+        except KeyError:
+            raise ValidationError(f"no timing entry for ({stage.value}, {variant.value})") from None
 
 
 DEFAULT_TIMING = StageTiming(

@@ -15,7 +15,8 @@ across runs and independent of scheduling.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from .geometry import (
 from .grasp import GraspClass, GraspModel, GripperObservation, classify_grasp
 from .lstm import SlipModel, predict_proba
 from .slip_decision import classify_slip
-from .slip_windows import LOOKAHEAD, WINDOW_LEN, FrameFeatures, SlipLabel, build_windows, write_slip_csv
+from .slip_windows import FEATURE_ORDER, LOOKAHEAD, WINDOW_LEN, FrameFeatures, SlipLabel, build_windows, write_slip_csv
 
 PROB_SUM_TOL = 1e-9
 
@@ -71,6 +72,11 @@ class ScenarioConfig:
     slip_noise_std: float = 0.004
 
     def __post_init__(self) -> None:
+        # NaN passes every comparison below, so reject non-finite values first
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValidationError(f"{f.name} must be finite, got {value}")
         if self.episodes < 0:
             raise ValidationError(f"episodes must be non-negative, got {self.episodes}")
         for name in (
@@ -192,10 +198,14 @@ def episode_rng(master_seed: int, index: int) -> np.random.Generator:
 class SlipTrajectory:
     frames: tuple[FrameFeatures, ...]
     labels: tuple[SlipLabel, ...]
+    # the frames as (n, 7) float64 rows in FEATURE_ORDER, for the model
+    features: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.frames) != len(self.labels):
             raise ValidationError("frames and labels differ in length")
+        if self.features.shape != (len(self.frames), len(FEATURE_ORDER)):
+            raise ValidationError(f"features must have shape ({len(self.frames)}, {len(FEATURE_ORDER)})")
         for a, b in zip(self.labels, self.labels[1:]):
             if b < a:
                 raise ValidationError("slip severity may never decrease within a trajectory")
@@ -215,26 +225,13 @@ _PRE_SLIP_FRAMES = 3
 _DROP_ACCEL = 3.0
 
 
-def _make_frame(
-    s_area: float, w: float, h: float, x: float, y: float, noise: float, rng: np.random.Generator
-) -> FrameFeatures:
-    def jitter(v: float, lo: float = 0.0, hi: float = 1.0) -> float:
-        if noise > 0:
-            v = v + rng.normal(0.0, noise)
-        return float(min(hi, max(lo, v)))
-
-    s = jitter(s_area, 0.001, 0.60)
-    g = jitter(_GRIPPER_AREA, 0.05, 0.60)
-    background = 1.0 - s - g
-    return FrameFeatures(
-        strawberry_area=s,
-        gripper_area=g,
-        background_area=background,
-        w=jitter(w),
-        h=jitter(h),
-        x=jitter(x),
-        y=jitter(y),
-    )
+# the jittered features, in draw order s, g, w, h, x, y: their columns in
+# FEATURE_ORDER and their clamp bounds; background_area is derived
+_NOISY_COLS = [0, 1, 3, 4, 5, 6]
+_NOISY_LO = np.array([0.001, 0.05, 0.0, 0.0, 0.0, 0.0])
+_NOISY_HI = np.array([0.60, 0.60, 1.0, 1.0, 1.0, 1.0])
+# a slipped frame: the fruit is gone and nothing is jittered
+_GONE_ROW = (_GONE_AREA, _GRIPPER_AREA, 0.0, 0.0, 0.0, 0.0)
 
 
 def _trajectory(
@@ -249,39 +246,45 @@ def _trajectory(
     creeps (fractional area decay plus downward drift). Window labels
     look ahead of the frames they cover, so the pre-onset cue is what
     makes them predictable at all. `accel` scales the motion rate.
+
+    The moving (normal and slipping) frames take their feature noise from
+    one (n_moving, 6) normal draw in column order s, g, w, h, x, y;
+    slipped frames and zero noise draw nothing.
     """
     n_normal, n_slipping, n_slipped = phases
-    frames: list[FrameFeatures] = []
-    labels: list[SlipLabel] = []
     noise = config.slip_noise_std
     area0 = config.slip_initial_area
-
-    def box_scale(area: float) -> float:
-        return float(np.sqrt(max(area, 0.0) / area0))
 
     def moved(area: float, y: float, frac: float) -> tuple[float, float]:
         area = max(_MIN_AREA, area - config.slip_decay_rate * accel * frac)
         y = min(1.0, y + _Y_DRIFT_PER_FRAME * accel * frac)
         return area, y
 
+    # the noise-free curve, one (s, g, w, h, x, y) row per moving frame
+    rows: list[tuple[float, ...]] = []
     area, y = area0, _CENTER_Y
     ramp = min(_PRE_SLIP_FRAMES, n_normal) if (n_slipping or n_slipped) else 0
-    for i in range(n_normal):
+    for i in range(n_normal + n_slipping):
         left = n_normal - i
-        if ramp and left <= ramp:
+        if left <= 0:
+            area, y = moved(area, y, 1.0)
+        elif ramp and left <= ramp:
             area, y = moved(area, y, (ramp - left + 1) / ramp)
-        scale = box_scale(area)
-        frames.append(_make_frame(area, _BOX_W * scale, _BOX_H * scale, _CENTER_X, y, noise, rng))
-        labels.append(SlipLabel.NORMAL)
-    for _ in range(n_slipping):
-        area, y = moved(area, y, 1.0)
-        scale = box_scale(area)
-        frames.append(_make_frame(area, _BOX_W * scale, _BOX_H * scale, _CENTER_X, y, noise, rng))
-        labels.append(SlipLabel.SLIPPING)
-    for _ in range(n_slipped):
-        frames.append(_make_frame(_GONE_AREA, 0.0, 0.0, 0.0, 0.0, 0.0, rng))
-        labels.append(SlipLabel.SLIPPED)
-    return SlipTrajectory(tuple(frames), tuple(labels))
+        scale = math.sqrt(max(area, 0.0) / area0)
+        rows.append((area, _GRIPPER_AREA, _BOX_W * scale, _BOX_H * scale, _CENTER_X, y))
+    moving = np.array(rows).reshape(len(rows), 6)
+    if noise > 0:
+        moving += rng.normal(0.0, noise, size=moving.shape)
+
+    features = np.empty((len(rows) + n_slipped, len(FEATURE_ORDER)))
+    features[: len(rows), _NOISY_COLS] = np.minimum(_NOISY_HI, np.maximum(_NOISY_LO, moving))
+    features[len(rows) :, _NOISY_COLS] = _GONE_ROW
+    features[:, 2] = 1.0 - features[:, 0] - features[:, 1]
+    frames = tuple(FrameFeatures(*row) for row in features.tolist())
+    labels = (
+        (SlipLabel.NORMAL,) * n_normal + (SlipLabel.SLIPPING,) * n_slipping + (SlipLabel.SLIPPED,) * n_slipped
+    )
+    return SlipTrajectory(frames, labels, features)
 
 
 def gen_slip_trajectory(
@@ -482,6 +485,13 @@ _GRASP_ORDER = (GraspClass.RIPE_HELD, GraspClass.EMPTY, GraspClass.UNRIPE_HELD)
 _SLIP_ORDER = (SlipLabel.NORMAL, SlipLabel.SLIPPING, SlipLabel.SLIPPED)
 
 
+def _choice_cdf(p: tuple[float, float, float]) -> np.ndarray:
+    """The normalised cumulative weights Generator.choice searches."""
+    cdf = np.cumsum(np.asarray(p, dtype=np.float64))
+    cdf /= cdf[-1]
+    return cdf
+
+
 class EpisodeWorld:
     """Bundles generation and (optional) learned perception for episodes.
 
@@ -507,16 +517,15 @@ class EpisodeWorld:
         self.config = config
         self.slip_model = slip_model
         self.grasp_model = grasp_model
+        self._grasp_cdf = _choice_cdf((config.p_ripe, config.p_empty, config.p_unripe))
+        self._slip_cdf = _choice_cdf((config.p_slip_normal, config.p_slipping, config.p_slipped))
 
     def sample_truth(self, rng: np.random.Generator) -> EpisodeTruth:
         ex = rng.normal(self.config.error_mean_x_mm, self.config.error_std_x_mm)
         ey = rng.normal(self.config.error_mean_y_mm, self.config.error_std_y_mm)
-        grasp = _GRASP_ORDER[
-            rng.choice(3, p=[self.config.p_ripe, self.config.p_empty, self.config.p_unripe])
-        ]
-        slip = _SLIP_ORDER[
-            rng.choice(3, p=[self.config.p_slip_normal, self.config.p_slipping, self.config.p_slipped])
-        ]
+        # one uniform per class, searched as Generator.choice(3, p=...) does
+        grasp = _GRASP_ORDER[self._grasp_cdf.searchsorted(rng.random(), side="right")]
+        slip = _SLIP_ORDER[self._slip_cdf.searchsorted(rng.random(), side="right")]
         return EpisodeTruth(RelativeError(float(ex), float(ey)), grasp, slip)
 
     def approach(self, truth: EpisodeTruth, rng: np.random.Generator) -> ApproachOutcome:
@@ -538,9 +547,8 @@ class EpisodeWorld:
         traj = gen_slip_trajectory(self.config, truth.slip_outcome, rng)
         if self.slip_model is None:
             return [w.label for w in build_windows(list(traj.frames), list(traj.labels))]
-        stack = np.stack([f.as_vector() for f in traj.frames])
         n = len(traj.frames)
-        x = np.stack([stack[i : i + WINDOW_LEN] for i in range(n - WINDOW_LEN + 1)])
+        x = np.stack([traj.features[i : i + WINDOW_LEN] for i in range(n - WINDOW_LEN + 1)])
         probs = predict_proba(self.slip_model, x)
         return classify_slip(probs)
 

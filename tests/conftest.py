@@ -2,7 +2,12 @@
 frozen finite-difference gradient-check procedure."""
 
 import logging
+import os
 from pathlib import Path
+
+# at these GEMM sizes a second BLAS thread costs CPU and saves no time;
+# set before numpy loads OpenBLAS, and only if the caller has not chosen
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 import pytest
@@ -12,10 +17,15 @@ from harvest_guard.geometry import CompensationParams, RelativeError
 from harvest_guard.grasp import GraspClass
 from harvest_guard.lstm import LstmArch, init_model, loss_and_grads
 from harvest_guard.slip_windows import SlipLabel, build_windows
-from harvest_guard.world import ScenarioConfig, gen_slip_trajectory, simulate_approach
+from harvest_guard.world import _CONFIG_SCHEMA, _INT_FIELDS, ScenarioConfig, gen_slip_trajectory, simulate_approach
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 ALIGNMENT_CSV = REPO_ROOT / "data" / "alignment_reference.csv"
+
+# every (section, key) of a scenario INI that holds a float
+FLOAT_KEYS = [
+    (section, key) for section, keys in _CONFIG_SCHEMA.items() for key, attr in keys.items() if attr not in _INT_FIELDS
+]
 
 
 @pytest.fixture(autouse=True)

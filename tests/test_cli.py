@@ -14,9 +14,9 @@ from harvest_guard.lstm import LstmArch, init_model
 from harvest_guard.metrics import read_report
 from harvest_guard.model_io import save_model
 from harvest_guard.slip_windows import windows_from_slip_csv
-from harvest_guard.world import ScenarioConfig, load_config, save_config
+from harvest_guard.world import _CONFIG_SCHEMA, ScenarioConfig, load_config, save_config
 
-from conftest import ALIGNMENT_CSV, REPO_ROOT
+from conftest import ALIGNMENT_CSV, FLOAT_KEYS, REPO_ROOT
 
 
 def test_help_exits_zero():
@@ -266,6 +266,36 @@ def test_simulate_bytes_are_pinned(tmp_path, capsys):
         "summary.csv": "1526a787752b28f3d3518683c951140df1fca476a56b4ad77960a8f5a0fa8a2f",
         "scenario.ini": "8fa4772293a4b788594f6cade8dcb6b4c237d7267db9e5bee3498b1c38edbbb4",
     }
+
+
+def test_gen_data_slip_bytes_are_pinned(tmp_path, capsys):
+    # the benchmark's sim-learned training set; gen-data is the other
+    # caller of the trajectory generator, so its bytes are pinned too
+    out = tmp_path / "slip.csv"
+    assert main(["gen-data", "--kind", "slip", "--counts", "300,120,120", "--seed", "7", "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "9fd5b1e26c54a7da506f1ff417443ce71abd8e2054b663582484c09583ff09fa"
+
+
+def test_simulate_rejects_a_frame_outside_the_feature_range(tmp_path, capsys):
+    # a large fruit plus heavy noise can push strawberry and gripper areas
+    # past the whole image; the frame check stops the run
+    config = tmp_path / "crowded.ini"
+    config.write_text("[slip]\ninitial_area = 0.5\nfeature_noise_std = 0.2\n")
+    argv = ["simulate", "--seed", "1", "--episodes", "100", "--config", str(config), "--out", str(tmp_path / "run")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: background_area must lie in [0, 1], got -0.004478998574600324"]
+
+
+@pytest.mark.parametrize("section,key", FLOAT_KEYS, ids=[f"{s}.{k}" for s, k in FLOAT_KEYS])
+def test_simulate_rejects_non_finite_config_values(tmp_path, capsys, section, key):
+    config = tmp_path / "scenario.ini"
+    config.write_text(f"[{section}]\n{key} = nan\n")
+    argv = ["simulate", "--seed", "1", "--episodes", "5", "--config", str(config), "--out", str(tmp_path / "run")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {_CONFIG_SCHEMA[section][key]} must be finite, got nan"]
 
 
 @pytest.mark.parametrize(

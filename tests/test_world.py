@@ -8,8 +8,11 @@ from harvest_guard.fsm import Outcome, Stage
 from harvest_guard.geometry import CompensationParams, RelativeError
 from harvest_guard.grasp import GraspClass
 from harvest_guard.lstm import LstmArch, init_model
-from harvest_guard.slip_windows import SlipLabel, class_counts, windows_from_slip_csv
+from harvest_guard.slip_windows import FrameFeatures, SlipLabel, class_counts, windows_from_slip_csv
 from harvest_guard.world import (
+    _CONFIG_SCHEMA,
+    _DROP_ACCEL,
+    _trajectory,
     EpisodeWorld,
     ScenarioConfig,
     SlipTrajectory,
@@ -24,6 +27,8 @@ from harvest_guard.world import (
     save_config,
     simulate_approach,
 )
+
+from conftest import FLOAT_KEYS
 
 QUIET = ScenarioConfig(actuation_noise_std_mm=0.0, vision_noise_std_mm=0.0, slip_noise_std=0.0)
 
@@ -45,6 +50,17 @@ def test_config_validation():
         ScenarioConfig(frames_normal=0)
     with pytest.raises(ValidationError):
         ScenarioConfig(grasp_frames=0)
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section,key", FLOAT_KEYS, ids=[f"{s}.{k}" for s, k in FLOAT_KEYS])
+def test_config_rejects_non_finite_floats(tmp_path, section, key, raw):
+    # NaN fails no comparison, so range checks alone let it through
+    path = tmp_path / "scenario.ini"
+    path.write_text(f"[{section}]\n{key} = {raw}\n")
+    attr = _CONFIG_SCHEMA[section][key]
+    with pytest.raises(ValidationError, match=rf"^{attr} must be finite, got {raw}$"):
+        load_config(path)
 
 
 def test_config_ini_round_trip(tmp_path):
@@ -124,8 +140,11 @@ def test_trajectory_lengths_and_labels():
 
 
 def test_severity_never_decreases():
-    with pytest.raises(ValidationError):
-        SlipTrajectory(frames=(), labels=(SlipLabel.SLIPPING, SlipLabel.NORMAL))
+    traj = gen_slip_trajectory(QUIET, SlipLabel.SLIPPING, episode_rng(0, 0))
+    with pytest.raises(ValidationError, match="severity may never decrease"):
+        SlipTrajectory(traj.frames, traj.labels[::-1], traj.features)
+    with pytest.raises(ValidationError, match=r"features must have shape \(14, 7\)"):
+        SlipTrajectory(traj.frames, traj.labels, traj.features[1:])
 
 
 def test_quiet_normal_trajectory_is_static():
@@ -332,3 +351,142 @@ def test_world_rejects_slip_phases_too_short_for_a_window():
         ScenarioConfig(frames_normal=3, frames_slipping=1, frames_slipped=1), slip_model=model
     )
     assert len(shortest_model.slip_stream(truth, episode_rng(0, 1))) == 1
+
+
+# --- world-generation oracle ---------------------------------------------
+# Reference: the scalar generator (one rng.normal call per jittered
+# feature) and the rng.choice class draws, verbatim apart from the names
+# and the reference trajectory returning (frames, labels). The block draw
+# must give the same bits and leave the generator in the same state, so
+# every comparison below is exact.
+
+_REF_GRIPPER_AREA = 0.35
+_REF_BOX_W, _REF_BOX_H = 0.28, 0.30
+_REF_CENTER_X, _REF_CENTER_Y = 0.50, 0.45
+_REF_Y_DRIFT_PER_FRAME = 0.02
+_REF_GONE_AREA = 0.005
+_REF_MIN_AREA = 0.01
+_REF_PRE_SLIP_FRAMES = 3
+
+
+def _ref_make_frame(s_area, w, h, x, y, noise, rng):
+    def jitter(v: float, lo: float = 0.0, hi: float = 1.0) -> float:
+        if noise > 0:
+            v = v + rng.normal(0.0, noise)
+        return float(min(hi, max(lo, v)))
+
+    s = jitter(s_area, 0.001, 0.60)
+    g = jitter(_REF_GRIPPER_AREA, 0.05, 0.60)
+    background = 1.0 - s - g
+    return FrameFeatures(
+        strawberry_area=s,
+        gripper_area=g,
+        background_area=background,
+        w=jitter(w),
+        h=jitter(h),
+        x=jitter(x),
+        y=jitter(y),
+    )
+
+
+def _ref_trajectory(config, phases, rng, accel=1.0):
+    n_normal, n_slipping, n_slipped = phases
+    frames = []
+    labels = []
+    noise = config.slip_noise_std
+    area0 = config.slip_initial_area
+
+    def box_scale(area: float) -> float:
+        return float(np.sqrt(max(area, 0.0) / area0))
+
+    def moved(area: float, y: float, frac: float) -> tuple[float, float]:
+        area = max(_REF_MIN_AREA, area - config.slip_decay_rate * accel * frac)
+        y = min(1.0, y + _REF_Y_DRIFT_PER_FRAME * accel * frac)
+        return area, y
+
+    area, y = area0, _REF_CENTER_Y
+    ramp = min(_REF_PRE_SLIP_FRAMES, n_normal) if (n_slipping or n_slipped) else 0
+    for i in range(n_normal):
+        left = n_normal - i
+        if ramp and left <= ramp:
+            area, y = moved(area, y, (ramp - left + 1) / ramp)
+        scale = box_scale(area)
+        frames.append(_ref_make_frame(area, _REF_BOX_W * scale, _REF_BOX_H * scale, _REF_CENTER_X, y, noise, rng))
+        labels.append(SlipLabel.NORMAL)
+    for _ in range(n_slipping):
+        area, y = moved(area, y, 1.0)
+        scale = box_scale(area)
+        frames.append(_ref_make_frame(area, _REF_BOX_W * scale, _REF_BOX_H * scale, _REF_CENTER_X, y, noise, rng))
+        labels.append(SlipLabel.SLIPPING)
+    for _ in range(n_slipped):
+        frames.append(_ref_make_frame(_REF_GONE_AREA, 0.0, 0.0, 0.0, 0.0, 0.0, rng))
+        labels.append(SlipLabel.SLIPPED)
+    return tuple(frames), tuple(labels)
+
+
+_GRASP_ORDER = (GraspClass.RIPE_HELD, GraspClass.EMPTY, GraspClass.UNRIPE_HELD)
+_SLIP_ORDER = (SlipLabel.NORMAL, SlipLabel.SLIPPING, SlipLabel.SLIPPED)
+
+
+def _ref_sample_truth(config, rng):
+    ex = rng.normal(config.error_mean_x_mm, config.error_std_x_mm)
+    ey = rng.normal(config.error_mean_y_mm, config.error_std_y_mm)
+    grasp = _GRASP_ORDER[rng.choice(3, p=[config.p_ripe, config.p_empty, config.p_unripe])]
+    slip = _SLIP_ORDER[rng.choice(3, p=[config.p_slip_normal, config.p_slipping, config.p_slipped])]
+    return RelativeError(float(ex), float(ey)), grasp, slip
+
+
+ORACLE_CONFIGS = {"default": ScenarioConfig(), "quiet": QUIET, "noiseless-slip": ScenarioConfig(slip_noise_std=0.0)}
+
+
+def _assert_trajectory_matches_reference(config, phases, seed, accel):
+    rng, ref_rng = episode_rng(seed, 0), episode_rng(seed, 0)
+    traj = _trajectory(config, phases, rng, accel=accel)
+    ref_frames, ref_labels = _ref_trajectory(config, phases, ref_rng, accel)
+    assert traj.labels == ref_labels
+    assert len(traj.frames) == len(ref_frames) == sum(phases)
+    ref = np.array([f.as_vector() for f in ref_frames]).reshape(len(ref_frames), 7)
+    got = np.array([f.as_vector() for f in traj.frames]).reshape(len(traj.frames), 7)
+    assert np.array_equal(got, ref) and got.tobytes() == ref.tobytes()  # signed zeros too
+    assert traj.features.tobytes() == ref.tobytes() and traj.features.flags.c_contiguous
+    assert all(type(v) is float for f in traj.frames for v in vars(f).values())
+    assert rng.random() == ref_rng.random()  # the generator ends in the same state
+
+
+@pytest.mark.parametrize("config", ORACLE_CONFIGS.values(), ids=ORACLE_CONFIGS.keys())
+def test_outcome_trajectories_match_scalar_reference(config):
+    for outcome in SlipLabel:
+        for seed in range(25):
+            traj = gen_slip_trajectory(config, outcome, episode_rng(seed, 0))
+            phases = tuple(traj.labels.count(label) for label in SlipLabel)
+            accel = _DROP_ACCEL if outcome is SlipLabel.SLIPPED else 1.0
+            _assert_trajectory_matches_reference(config, phases, seed, accel)
+
+
+@pytest.mark.parametrize("config", ORACLE_CONFIGS.values(), ids=ORACLE_CONFIGS.keys())
+def test_phase_plans_match_scalar_reference(config):
+    plans = [(1, 1, 6), (9, 2, 3), (0, 0, 4), (0, 3, 0), *plan_slip_trajectories(config, (20, 9, 10))]
+    for seed, phases in enumerate(plans):
+        for accel in (1.0, _DROP_ACCEL):
+            _assert_trajectory_matches_reference(config, phases, seed, accel)
+
+
+@pytest.mark.parametrize(
+    "mix",
+    [
+        {},
+        {"p_ripe": 1.0, "p_empty": 0.0, "p_unripe": 0.0, "p_slip_normal": 0.0, "p_slipping": 0.0, "p_slipped": 1.0},
+        {"p_ripe": 0.0, "p_empty": 1.0, "p_unripe": 0.0, "p_slip_normal": 0.0, "p_slipping": 1.0, "p_slipped": 0.0},
+        {"p_ripe": 0.0, "p_empty": 0.0, "p_unripe": 1.0, "p_slip_normal": 1.0, "p_slipping": 0.0, "p_slipped": 0.0},
+        {"p_ripe": 0.5, "p_empty": 0.0, "p_unripe": 0.5, "p_slip_normal": 0.1, "p_slipping": 0.2, "p_slipped": 0.7},
+    ],
+    ids=["default", "ripe-slipped", "empty-slipping", "unripe-normal", "mixed"],
+)
+def test_sample_truth_matches_choice_reference(mix):
+    config = ScenarioConfig(**mix)
+    world = EpisodeWorld(config)
+    for seed in range(2000):
+        rng, ref_rng = episode_rng(seed, 0), episode_rng(seed, 0)
+        truth = world.sample_truth(rng)
+        assert (truth.positional_error, truth.grasp_outcome, truth.slip_outcome) == _ref_sample_truth(config, ref_rng)
+        assert rng.random() == ref_rng.random()
