@@ -277,6 +277,43 @@ def test_gen_data_slip_bytes_are_pinned(tmp_path, capsys):
     assert digest == "9fd5b1e26c54a7da506f1ff417443ce71abd8e2054b663582484c09583ff09fa"
 
 
+def test_training_bytes_are_pinned(tmp_path, capsys):
+    # the stratified split, the oversampling draws and the learned-monitor
+    # path: the order of every training window reaches these bytes, so a
+    # data path that reorders a draw or a window fails here
+    slip, grasp = tmp_path / "slip.csv", tmp_path / "grasp.csv"
+    slip_model, first_model, grasp_model = (tmp_path / n for n in ("slip.json", "first.json", "grasp.json"))
+    assert main(["gen-data", "--kind", "slip", "--counts", "60,25,25", "--out", str(slip), "--seed", "3"]) == 0
+    assert main(["gen-data", "--kind", "grasp", "--counts", "30,30,30", "--out", str(grasp), "--seed", "1"]) == 0
+    train = ["train-slip", "--data", str(slip), "--seed", "0", "--layers", "2", "--hidden", "8", "--epochs", "2",
+             "--lr", "0.03"]
+    assert main(train + ["--out", str(slip_model)]) == 0
+    assert main(train + ["--out", str(first_model), "--oversample-first"]) == 0
+    assert main(["train-grasp", "--data", str(grasp), "--out", str(grasp_model), "--seed", "1"]) == 0
+    capsys.readouterr()
+    evaluated = ["eval-slip", "--data", str(slip), "--model", str(slip_model), "--split-ratio", "0.7", "--split-seed", "0"]
+    assert main(evaluated) == 0
+    eval_stdout = capsys.readouterr().out
+    run = tmp_path / "run"
+    simulated = ["simulate", "--seed", "7", "--episodes", "100", "--out", str(run), "--slip-model", str(slip_model),
+                 "--grasp-model", str(grasp_model)]
+    assert main(simulated) == 0
+    digests = {
+        "slip model": hashlib.sha256(slip_model.read_bytes()).hexdigest(),
+        "oversample-first model": hashlib.sha256(first_model.read_bytes()).hexdigest(),
+        "grasp model": hashlib.sha256(grasp_model.read_bytes()).hexdigest(),
+        "eval-slip stdout": hashlib.sha256(eval_stdout.encode()).hexdigest(),
+        "episodes.jsonl": hashlib.sha256((run / "episodes.jsonl").read_bytes()).hexdigest(),
+    }
+    assert digests == {
+        "slip model": "fa3f6f883dbb48fe7147d8cb20ae7e0c07af256bbd22bc6578d81cb97a459586",
+        "oversample-first model": "d345e117c264db64c7460108163a453bf952f823bdebef73a5c71e2119543d79",
+        "grasp model": "f48a4e7978eb0b204e916c1d688d3b113522d2da3580f57636d35ff02246c76f",
+        "eval-slip stdout": "12ee286ac7ff67c45ace3b137d5b138ea12592ea6cefa17c007d55345f7deb36",
+        "episodes.jsonl": "ffdda36dfbb99eecebaa3fa1612fc21c6b0c46f63c56f569e06e98fcf62a9870",
+    }
+
+
 def test_simulate_rejects_a_frame_outside_the_feature_range(tmp_path, capsys):
     # a large fruit plus heavy noise can push strawberry and gripper areas
     # past the whole image; the frame check stops the run
