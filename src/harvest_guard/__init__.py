@@ -7,6 +7,12 @@ the monitors together, and a seeded fault-injection simulator with its
 evaluation metrics.
 """
 
+import os
+
+# a second BLAS thread costs CPU and saves no time at the LSTM's GEMM
+# sizes; OpenBLAS reads this when numpy first loads, and a set value wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import ValidationError
 from .geometry import (
     ArmPoint3,
@@ -58,9 +64,8 @@ from .slip_decision import (
     time_stability_step,
 )
 from .slip_windows import (
-    FrameFeatures,
     SlipLabel,
-    SlipWindow,
+    SlipWindows,
     build_windows,
     oversample,
     stratified_split_counts,

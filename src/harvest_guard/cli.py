@@ -15,6 +15,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .errors import ValidationError
 from .fsm import DEFAULT_TIMING, Stage, Variant, read_episode_log, write_episode_log
@@ -40,7 +42,7 @@ from .slip_windows import (
     SlipLabel,
     class_counts,
     prepare_splits,
-    stratified_split_windows,
+    stratified_split,
     windows_from_slip_csv,
 )
 from .world import (
@@ -187,7 +189,7 @@ def _cmd_train_slip(args: argparse.Namespace) -> int:
     windows = windows_from_slip_csv(args.data)
     if not windows:
         raise ValidationError(f"{args.data}: no windows (episodes need at least 8 frames)")
-    counts = class_counts(windows)
+    counts = class_counts(windows.y)
     log.info("loaded %d windows, counts %s", len(windows), {k.name: v for k, v in sorted(counts.items())})
     train, val = prepare_splits(windows, args.ratio, args.seed, oversample_first=args.oversample_first)
     arch = LstmArch(n_layers=args.layers, hidden_size=args.hidden)
@@ -242,7 +244,8 @@ def _cmd_train_grasp(args: argparse.Namespace) -> int:
     rows = read_grasp_csv(args.data)
     if not rows:
         raise ValidationError(f"{args.data}: empty dataset")
-    train_rows, val_rows = stratified_split_windows(rows, args.ratio, args.seed, key=lambda row: row[1])
+    train_idx, val_idx = stratified_split(np.array([label for _, label in rows]), args.ratio, args.seed)
+    train_rows, val_rows = [rows[i] for i in train_idx], [rows[i] for i in val_idx]
     model = train_grasp_classifier(
         [o for o, _ in train_rows], [l for _, l in train_rows], args.lr, args.epochs, args.seed
     )

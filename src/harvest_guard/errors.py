@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the UTF-8 opener every file reader uses."""
 
+import math
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterator
@@ -7,6 +8,14 @@ from typing import IO, Iterator
 
 class ValidationError(ValueError):
     """Raised when an input violates a documented precondition."""
+
+
+def require_finite(**values: float) -> None:
+    """Reject the first NaN or infinite value by name. NaN passes every
+    range comparison, so bounds checks run after this one."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
 
 
 @contextmanager

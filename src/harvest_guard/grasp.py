@@ -17,7 +17,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, open_text
+from .errors import ValidationError, open_text, require_finite
 from .lstm import softmax
 
 GRASP_FEATURES = ("red_fraction", "green_fraction", "fruit_area", "fruit_present")
@@ -106,6 +106,7 @@ def train_grasp_classifier(
     if present != set(GraspClass):
         missing = sorted(set(GraspClass) - present, key=int)
         raise ValidationError(f"training set is missing classes {[c.name for c in missing]}")
+    require_finite(learning_rate=learning_rate)
     if learning_rate <= 0 or epochs <= 0:
         raise ValidationError("learning rate and epochs must be positive")
 

@@ -30,12 +30,12 @@ evaluates the overflow-free two-branch form, not the cheaper
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
-from .errors import ValidationError
-from .slip_windows import FEATURE_ORDER, SlipWindow, windows_to_arrays
+from .errors import ValidationError, require_finite
+from .slip_windows import FEATURE_ORDER, SlipWindows, windows_to_arrays
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        require_finite(**{k: v for k, v in vars(self).items() if isinstance(v, float)})
         if self.epochs <= 0:
             raise ValidationError(f"epochs must be positive, got {self.epochs}")
         if self.learning_rate <= 0.0:
@@ -348,8 +349,8 @@ def predict_proba(model: SlipModel, x: np.ndarray) -> np.ndarray:
 
 
 def lstm_train(
-    train_windows: Sequence[SlipWindow],
-    val_windows: Sequence[SlipWindow] = (),
+    train_windows: SlipWindows,
+    val_windows: SlipWindows | None = None,
     config: TrainConfig = TrainConfig(),
     arch: LstmArch = LstmArch(),
 ) -> SlipModel:
@@ -429,7 +430,7 @@ def lstm_train(
     return model
 
 
-def evaluate(model: SlipModel, windows: Sequence[SlipWindow]) -> tuple[np.ndarray, np.ndarray]:
+def evaluate(model: SlipModel, windows: SlipWindows) -> tuple[np.ndarray, np.ndarray]:
     """Predicted labels and true labels for a window set (argmax, ties
     toward higher severity)."""
     if not windows:

@@ -1,20 +1,21 @@
 """Per-frame slip features, sliding windows, and dataset balancing.
 
 A trajectory of gripper-camera frames is reduced to 7 normalized features
-per frame. Sequences of 5 consecutive frames form the classifier inputs,
-each labeled by what happens in the 3 frames that follow the window: the
-most severe status seen there, so a window is marked as soon as trouble
-is imminent.
+per frame: one (n, 7) float64 array in FEATURE_ORDER with an (n,) int64
+label vector. Sequences of 5 consecutive frames form the classifier
+inputs, each labeled by what happens in the 3 frames that follow the
+window: the most severe status seen there, so a window is marked as soon
+as trouble is imminent.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from enum import IntEnum
-from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,8 +36,6 @@ FEATURE_ORDER = (
 
 AREA_SUM_TOL = 0.01
 
-T = TypeVar("T")
-
 
 class SlipLabel(IntEnum):
     """Slip status, ordered by severity."""
@@ -46,49 +45,47 @@ class SlipLabel(IntEnum):
     SLIPPED = 2
 
 
-@dataclass(frozen=True)
-class FrameFeatures:
-    """The 7 per-frame features, all normalized to [0, 1].
-
-    The three area fractions partition the image (strawberry, gripper,
-    background), so they must sum to 1 within a small tolerance. w, h are
-    the strawberry box size as fractions of the image; x, y its center.
-    """
-
-    strawberry_area: float
-    gripper_area: float
-    background_area: float
-    w: float
-    h: float
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        for name in FEATURE_ORDER:
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValidationError(f"{name} must lie in [0, 1], got {v}")
-        area_sum = self.strawberry_area + self.gripper_area + self.background_area
-        if abs(area_sum - 1.0) > AREA_SUM_TOL:
-            raise ValidationError(f"area fractions must sum to 1 +/- {AREA_SUM_TOL}, got {area_sum}")
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in FEATURE_ORDER], dtype=np.float64)
+def first_bad_frame(frames: np.ndarray) -> tuple[int, str] | None:
+    """(row, reason) of the first frame in an (n, 7) array that breaks
+    the feature contract, or None. Every feature must lie in [0, 1] (NaN
+    fails) and the three area fractions, which partition the image, must
+    sum to 1 within AREA_SUM_TOL; a row is checked in FEATURE_ORDER, then
+    by its area sum."""
+    in_range = (frames >= 0.0) & (frames <= 1.0)
+    area_sum = frames[:, 0] + frames[:, 1] + frames[:, 2]
+    bad = ~in_range.all(axis=1) | (np.abs(area_sum - 1.0) > AREA_SUM_TOL)
+    if not bad.any():
+        return None
+    row = int(bad.argmax())
+    for col, name in enumerate(FEATURE_ORDER):
+        if not in_range[row, col]:
+            return row, f"{name} must lie in [0, 1], got {frames[row, col].item()}"
+    return row, f"area fractions must sum to 1 +/- {AREA_SUM_TOL}, got {area_sum[row].item()}"
 
 
-@dataclass(frozen=True)
-class SlipWindow:
-    """Five consecutive frames plus the label derived from what follows."""
+@dataclass(frozen=True, eq=False)
+class SlipWindows:
+    """A labeled window set: x holds (n, 5, 7) float64 windows of frames
+    in FEATURE_ORDER, y the (n,) int64 labels."""
 
-    frames: tuple[FrameFeatures, ...]
-    label: SlipLabel
+    x: np.ndarray
+    y: np.ndarray
 
-    def __post_init__(self) -> None:
-        if len(self.frames) != WINDOW_LEN:
-            raise ValidationError(f"a window holds exactly {WINDOW_LEN} frames, got {len(self.frames)}")
+    def __len__(self) -> int:
+        return len(self.y)
+
+    def take(self, idx: np.ndarray) -> SlipWindows:
+        """The windows at `idx`, in that order, as C-contiguous copies."""
+        return SlipWindows(self.x[idx], self.y[idx])
 
 
-def build_windows(frames: Sequence[FrameFeatures], labels: Sequence[SlipLabel]) -> list[SlipWindow]:
+def frame_windows(frames: np.ndarray, count: int) -> np.ndarray:
+    """The first `count` windows of an (n, 7) frame array as one
+    (count, 5, 7) C-contiguous copy; window i is frames[i:i+5]."""
+    return frames[np.arange(count)[:, None] + np.arange(WINDOW_LEN)]
+
+
+def build_windows(frames: np.ndarray, labels: np.ndarray) -> SlipWindows:
     """Slide a 5-frame window over one trajectory.
 
     Window i covers frames[i:i+5] and is labeled by the maximum-severity
@@ -98,59 +95,42 @@ def build_windows(frames: Sequence[FrameFeatures], labels: Sequence[SlipLabel]) 
     """
     if len(frames) != len(labels):
         raise ValidationError(f"frames ({len(frames)}) and labels ({len(labels)}) differ in length")
-    need = WINDOW_LEN + LOOKAHEAD
-    windows: list[SlipWindow] = []
-    for i in range(len(frames) - need + 1):
-        future = labels[i + WINDOW_LEN : i + WINDOW_LEN + LOOKAHEAD]
-        windows.append(
-            SlipWindow(frames=tuple(frames[i : i + WINDOW_LEN]), label=SlipLabel(max(future)))
-        )
-    return windows
+    count = max(0, len(frames) - WINDOW_LEN - LOOKAHEAD + 1)
+    worst = labels[WINDOW_LEN : WINDOW_LEN + count]
+    for k in range(1, LOOKAHEAD):
+        worst = np.maximum(worst, labels[WINDOW_LEN + k : WINDOW_LEN + k + count])
+    return SlipWindows(frame_windows(frames, count), worst)
 
 
-def windows_to_arrays(windows: Sequence[SlipWindow]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack windows into (n, 5, 7) inputs and (n,) integer labels."""
-    x = np.stack([np.stack([f.as_vector() for f in w.frames]) for w in windows])
-    y = np.array([int(w.label) for w in windows], dtype=np.int64)
-    return x, y
+def windows_to_arrays(windows: SlipWindows) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, 5, 7) inputs and (n,) integer labels of a window set."""
+    return windows.x, windows.y
 
 
-def class_counts(windows: Sequence[SlipWindow]) -> dict[SlipLabel, int]:
-    counts: dict[SlipLabel, int] = {}
-    for w in windows:
-        counts[w.label] = counts.get(w.label, 0) + 1
-    return counts
+def class_counts(labels: np.ndarray) -> dict[SlipLabel, int]:
+    classes, counts = np.unique(labels, return_counts=True)
+    return {SlipLabel(c): n for c, n in zip(classes.tolist(), counts.tolist())}
 
 
-def oversample(windows: Sequence[SlipWindow], rng_seed: int) -> list[SlipWindow]:
-    """Duplicate minority-class windows until every present class matches
-    the majority count.
+def oversample(labels: np.ndarray, rng_seed: int) -> np.ndarray:
+    """Indices that duplicate minority-class items until every present
+    class matches the majority count.
 
-    All originals are kept; the top-up draws uniformly with replacement
-    from each minority class, seeded for reproducibility.
+    All originals come first, in order; the top-up draws uniformly with
+    replacement from each minority class (in ascending class order),
+    seeded for reproducibility.
     """
-    if not windows:
+    if len(labels) == 0:
         raise ValidationError("oversample needs a non-empty window set")
     rng = np.random.default_rng(rng_seed)
-    by_class: dict[SlipLabel, list[SlipWindow]] = {}
-    for w in windows:
-        by_class.setdefault(w.label, []).append(w)
-    majority = max(len(group) for group in by_class.values())
-
-    out = list(windows)
-    for label in sorted(by_class):
-        group = by_class[label]
-        deficit = majority - len(group)
-        if deficit > 0:
-            picks = rng.integers(0, len(group), size=deficit)
-            out.extend(group[i] for i in picks)
-    return out
-
-
-def _round_half_away(value: float) -> int:
-    import math
-
-    return int(math.floor(value + 0.5)) if value >= 0 else -int(math.floor(-value + 0.5))
+    classes, counts = np.unique(labels, return_counts=True)
+    majority = int(counts.max())
+    picks = [np.arange(len(labels))]
+    for label, count in zip(classes.tolist(), counts.tolist()):
+        if count < majority:
+            members = np.flatnonzero(labels == label)
+            picks.append(members[rng.integers(0, count, size=majority - count)])
+    return np.concatenate(picks)
 
 
 def stratified_split_counts(counts: Sequence[int], ratio: float) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -164,44 +144,40 @@ def stratified_split_counts(counts: Sequence[int], ratio: float) -> tuple[tuple[
     for c in counts:
         if c < 1:
             raise ValidationError(f"every class needs at least one item, got counts {tuple(counts)}")
-    train = tuple(_round_half_away(c * ratio) for c in counts)
+    # count * ratio is never negative, so half away from zero is half up
+    train = tuple(math.floor(c * ratio + 0.5) for c in counts)
     val = tuple(c - t for c, t in zip(counts, train))
     return train, val
 
 
-def stratified_split_windows(
-    windows: Sequence[T], ratio: float, rng_seed: int, key: Callable[[T], int] = attrgetter("label")
-) -> tuple[list[T], list[T]]:
-    """Split items per class after a seeded within-class shuffle.
+def stratified_split(labels: np.ndarray, ratio: float, rng_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Train and validation indices of a label vector, split per class
+    after a seeded within-class shuffle.
 
-    `key` gives an item's class (a window's label by default). Classes
-    are taken in ascending order and sizes follow
-    stratified_split_counts; every input item lands in exactly one side.
+    Classes are taken in ascending order, each class's members in input
+    order are shuffled by one permutation, and sizes follow
+    stratified_split_counts; every index lands on exactly one side.
     """
-    by_class: dict[int, list[T]] = {}
-    for w in windows:
-        by_class.setdefault(key(w), []).append(w)
-    labels = sorted(by_class)
-    counts = [len(by_class[lab]) for lab in labels]
-    train_counts, _ = stratified_split_counts(counts, ratio)
+    classes, counts = np.unique(labels, return_counts=True)
+    train_counts, _ = stratified_split_counts(counts.tolist(), ratio)
 
     rng = np.random.default_rng(rng_seed)
-    train: list[T] = []
-    val: list[T] = []
-    for lab, n_train in zip(labels, train_counts):
-        group = by_class[lab]
-        order = rng.permutation(len(group))
-        train.extend(group[i] for i in order[:n_train])
-        val.extend(group[i] for i in order[n_train:])
-    return train, val
+    train: list[int] = []
+    val: list[int] = []
+    for label, n_train in zip(classes.tolist(), train_counts):
+        members = np.flatnonzero(labels == label)
+        shuffled = members[rng.permutation(len(members))].tolist()
+        train.extend(shuffled[:n_train])
+        val.extend(shuffled[n_train:])
+    return np.array(train, dtype=np.intp), np.array(val, dtype=np.intp)
 
 
 def prepare_splits(
-    windows: Sequence[SlipWindow],
+    windows: SlipWindows,
     ratio: float,
     rng_seed: int,
     oversample_first: bool = False,
-) -> tuple[list[SlipWindow], list[SlipWindow]]:
+) -> tuple[SlipWindows, SlipWindows]:
     """Balanced train set plus untouched validation set.
 
     Default order splits first and oversamples only the training side, so
@@ -210,41 +186,41 @@ def prepare_splits(
     replicating pipelines that balance up front.
     """
     if oversample_first:
-        balanced = oversample(windows, rng_seed)
-        return stratified_split_windows(balanced, ratio, rng_seed)
-    train, val = stratified_split_windows(windows, ratio, rng_seed)
-    return oversample(train, rng_seed), val
+        balanced = oversample(windows.y, rng_seed)
+        train, val = stratified_split(windows.y[balanced], ratio, rng_seed)
+        return windows.take(balanced[train]), windows.take(balanced[val])
+    train, val = stratified_split(windows.y, ratio, rng_seed)
+    return windows.take(train[oversample(windows.y[train], rng_seed)]), windows.take(val)
 
 
 # SlipData CSV: one frame per row, grouped by episode.
 SLIP_CSV_HEADER = ("episode_id", "frame_id", *FEATURE_ORDER, "label")
 
 
-def write_slip_csv(
-    path: str | Path,
-    episodes: Iterable[tuple[int, Sequence[FrameFeatures], Sequence[SlipLabel]]],
-) -> None:
+def write_slip_csv(path: str | Path, episodes: Iterable[tuple[int, np.ndarray, np.ndarray]]) -> None:
+    """Episodes of (episode_id, (n, 7) frames, (n,) labels) as SlipData rows."""
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SLIP_CSV_HEADER)
         for episode_id, frames, labels in episodes:
-            for frame_id, (frame, label) in enumerate(zip(frames, labels)):
-                writer.writerow(
-                    [episode_id, frame_id]
-                    + [repr(float(getattr(frame, name))) for name in FEATURE_ORDER]
-                    + [int(label)]
-                )
+            for frame_id, (row, label) in enumerate(zip(frames.tolist(), labels.tolist())):
+                writer.writerow([episode_id, frame_id, *map(repr, row), label])
 
 
-def read_slip_csv(path: str | Path) -> list[tuple[int, list[FrameFeatures], list[SlipLabel]]]:
-    """Read a SlipData file back into per-episode frame/label sequences.
+def read_slip_csv(path: str | Path) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Read a SlipData file back into per-episode (n, 7) frame arrays and
+    (n,) int64 label vectors.
 
     Frames of one episode must be contiguous and in frame_id order;
-    violations are rejected rather than silently reordered.
+    violations are rejected rather than silently reordered. Once every
+    row has parsed, the first frame that breaks the feature contract
+    (first_bad_frame) is reported by its line.
     """
     path = Path(path)
-    episodes: list[tuple[int, list[FrameFeatures], list[SlipLabel]]] = []
+    rows: list[list[float]] = []
+    labels: list[SlipLabel] = []
+    starts: list[tuple[int, int]] = []  # (episode_id, index of its first row)
     seen: set[int] = set()
     with open_text(path, newline="") as fh:
         reader = csv.DictReader(line for line in fh if not line.startswith("#"))
@@ -252,32 +228,36 @@ def read_slip_csv(path: str | Path) -> list[tuple[int, list[FrameFeatures], list
         missing = [c for c in SLIP_CSV_HEADER if c not in fields]
         if missing:
             raise ValidationError(f"{path}: missing columns {missing}")
-        current_id: int | None = None
         for lineno, rec in enumerate(reader, start=2):
             try:
                 episode_id = int(rec["episode_id"])
                 frame_id = int(rec["frame_id"])
-                frame = FrameFeatures(**{name: float(rec[name]) for name in FEATURE_ORDER})
+                row = [float(rec[name]) for name in FEATURE_ORDER]
                 label = SlipLabel(int(rec["label"]))
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"{path}: bad row at line {lineno}: {exc}") from exc
-            if episode_id != current_id:
+            if not starts or episode_id != starts[-1][0]:
                 if episode_id in seen:
                     raise ValidationError(f"{path}: episode {episode_id} is not contiguous (line {lineno})")
                 seen.add(episode_id)
-                current_id = episode_id
-                episodes.append((episode_id, [], []))
-            frames, labels = episodes[-1][1], episodes[-1][2]
-            if frame_id != len(frames):
+                starts.append((episode_id, len(rows)))
+            if frame_id != len(rows) - starts[-1][1]:
                 raise ValidationError(f"{path}: frame_id out of order in episode {episode_id} (line {lineno})")
-            frames.append(frame)
+            rows.append(row)
             labels.append(label)
-    return episodes
+    frames = np.array(rows, dtype=np.float64).reshape(len(rows), len(FEATURE_ORDER))
+    bad = first_bad_frame(frames)
+    if bad is not None:
+        row_index, problem = bad
+        raise ValidationError(f"{path}: bad row at line {row_index + 2}: {problem}")
+    y = np.array(labels, dtype=np.int64)
+    ends = [first for _, first in starts[1:]] + [len(rows)]
+    return [(episode_id, frames[a:b], y[a:b]) for (episode_id, a), b in zip(starts, ends)]
 
 
-def windows_from_slip_csv(path: str | Path) -> list[SlipWindow]:
+def windows_from_slip_csv(path: str | Path) -> SlipWindows:
     """Windows built per episode so no window spans an episode boundary."""
-    windows: list[SlipWindow] = []
-    for _, frames, labels in read_slip_csv(path):
-        windows.extend(build_windows(frames, labels))
-    return windows
+    parts = [build_windows(frames, labels) for _, frames, labels in read_slip_csv(path)]
+    x = np.concatenate([p.x for p in parts] or [np.empty((0, WINDOW_LEN, len(FEATURE_ORDER)))])
+    y = np.concatenate([p.y for p in parts] or [np.empty(0, dtype=np.int64)])
+    return SlipWindows(x, y)

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, open_text
+from .errors import ValidationError, open_text, require_finite
 from .fsm import DEFAULT_TIMING, EpisodeTruth, HarvestEpisode, StageTiming, run_episode
 from .geometry import (
     ArmPoint3,
@@ -33,7 +33,9 @@ from .geometry import (
 from .grasp import GraspClass, GraspModel, GripperObservation, classify_grasp
 from .lstm import SlipModel, predict_proba
 from .slip_decision import classify_slip
-from .slip_windows import FEATURE_ORDER, LOOKAHEAD, WINDOW_LEN, FrameFeatures, SlipLabel, build_windows, write_slip_csv
+from .slip_windows import (
+    FEATURE_ORDER, LOOKAHEAD, WINDOW_LEN, SlipLabel, build_windows, first_bad_frame, frame_windows, write_slip_csv
+)
 
 PROB_SUM_TOL = 1e-9
 
@@ -72,11 +74,7 @@ class ScenarioConfig:
     slip_noise_std: float = 0.004
 
     def __post_init__(self) -> None:
-        # NaN passes every comparison below, so reject non-finite values first
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValidationError(f"{f.name} must be finite, got {value}")
+        require_finite(**{k: v for k, v in vars(self).items() if isinstance(v, float)})
         if self.episodes < 0:
             raise ValidationError(f"episodes must be non-negative, got {self.episodes}")
         for name in (
@@ -84,6 +82,7 @@ class ScenarioConfig:
             "error_std_y_mm",
             "actuation_noise_std_mm",
             "vision_noise_std_mm",
+            "grasp_noise_scale",
             "slip_noise_std",
         ):
             if getattr(self, name) < 0:
@@ -194,21 +193,22 @@ def episode_rng(master_seed: int, index: int) -> np.random.Generator:
 
 # --- slip trajectories --------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SlipTrajectory:
-    frames: tuple[FrameFeatures, ...]
-    labels: tuple[SlipLabel, ...]
-    # the frames as (n, 7) float64 rows in FEATURE_ORDER, for the model
-    features: np.ndarray = field(repr=False, compare=False)
+    """(n, 7) float64 frames in FEATURE_ORDER and their (n,) int64 labels."""
+
+    frames: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.frames) != len(self.labels):
-            raise ValidationError("frames and labels differ in length")
-        if self.features.shape != (len(self.frames), len(FEATURE_ORDER)):
-            raise ValidationError(f"features must have shape ({len(self.frames)}, {len(FEATURE_ORDER)})")
-        for a, b in zip(self.labels, self.labels[1:]):
-            if b < a:
-                raise ValidationError("slip severity may never decrease within a trajectory")
+        if self.frames.shape != (len(self.labels), len(FEATURE_ORDER)):
+            raise ValidationError(f"frames must have shape ({len(self.labels)}, {len(FEATURE_ORDER)})")
+        bad = first_bad_frame(self.frames)
+        if bad is not None:
+            raise ValidationError(bad[1])
+        labels = self.labels.tolist()
+        if labels != sorted(labels):
+            raise ValidationError("slip severity may never decrease within a trajectory")
 
 
 # base geometry of the visible strawberry box
@@ -280,11 +280,7 @@ def _trajectory(
     features[: len(rows), _NOISY_COLS] = np.minimum(_NOISY_HI, np.maximum(_NOISY_LO, moving))
     features[len(rows) :, _NOISY_COLS] = _GONE_ROW
     features[:, 2] = 1.0 - features[:, 0] - features[:, 1]
-    frames = tuple(FrameFeatures(*row) for row in features.tolist())
-    labels = (
-        (SlipLabel.NORMAL,) * n_normal + (SlipLabel.SLIPPING,) * n_slipping + (SlipLabel.SLIPPED,) * n_slipped
-    )
-    return SlipTrajectory(frames, labels, features)
+    return SlipTrajectory(features, np.repeat(np.arange(len(SlipLabel), dtype=np.int64), phases))
 
 
 def gen_slip_trajectory(
@@ -463,7 +459,7 @@ def gen_slip_dataset(
     for i, phases in enumerate(plans):
         accel = _DROP_ACCEL if phases[2] else 1.0
         traj = _trajectory(config, phases, episode_rng(seed, i), accel=accel)
-        episodes.append((i, list(traj.frames), list(traj.labels)))
+        episodes.append((i, traj.frames, traj.labels))
     write_slip_csv(path, episodes)
 
 
@@ -546,10 +542,8 @@ class EpisodeWorld:
     def slip_stream(self, truth: EpisodeTruth, rng: np.random.Generator) -> list[SlipLabel]:
         traj = gen_slip_trajectory(self.config, truth.slip_outcome, rng)
         if self.slip_model is None:
-            return [w.label for w in build_windows(list(traj.frames), list(traj.labels))]
-        n = len(traj.frames)
-        x = np.stack([traj.features[i : i + WINDOW_LEN] for i in range(n - WINDOW_LEN + 1)])
-        probs = predict_proba(self.slip_model, x)
+            return [_SLIP_ORDER[v] for v in build_windows(traj.frames, traj.labels).y.tolist()]
+        probs = predict_proba(self.slip_model, frame_windows(traj.frames, len(traj.frames) - WINDOW_LEN + 1))
         return classify_slip(probs)
 
 

@@ -106,4 +106,4 @@ class ScriptedWorld:
     def slip_stream(self, truth, rng):
         cfg = ScenarioConfig(slip_noise_std=0.0)
         traj = gen_slip_trajectory(cfg, truth.slip_outcome, rng)
-        return [w.label for w in build_windows(list(traj.frames), list(traj.labels))]
+        return [SlipLabel(v) for v in build_windows(traj.frames, traj.labels).y.tolist()]

@@ -24,15 +24,7 @@ from harvest_guard.grasp import (
 from harvest_guard.lstm import LstmArch, TrainConfig, evaluate, lstm_train
 from harvest_guard.metrics import ConfusionMatrix, confusion_metrics, macro_f1, success_rates, SuccessTally
 from harvest_guard.slip_decision import ACTION_FOR_LABEL, run_stability
-from harvest_guard.slip_windows import (
-    FrameFeatures,
-    SlipLabel,
-    SlipWindow,
-    class_counts,
-    stratified_split_windows,
-    prepare_splits,
-    windows_from_slip_csv,
-)
+from harvest_guard.slip_windows import SlipLabel, class_counts, prepare_splits, stratified_split, windows_from_slip_csv
 from harvest_guard.world import ScenarioConfig, EpisodeWorld, episode_rng, gen_slip_dataset, run_episodes, sample_grasp_dataset
 
 from conftest import ALIGNMENT_CSV, ScriptedWorld, fd_max_rel_err
@@ -90,23 +82,11 @@ def test_acceptance_01_alignment_audit_replay():
     )
 
 
-def _windows_with_counts(n_normal, n_slipping, n_slipped):
-    f = FrameFeatures(0.2, 0.3, 0.5, 0.1, 0.15, 0.5, 0.5)
-    out = []
-    for label, n in (
-        (SlipLabel.NORMAL, n_normal),
-        (SlipLabel.SLIPPING, n_slipping),
-        (SlipLabel.SLIPPED, n_slipped),
-    ):
-        out.extend(SlipWindow(frames=(f,) * 5, label=label) for _ in range(n))
-    return out
-
-
 def test_acceptance_02_stratified_split_counts():
-    windows = _windows_with_counts(389, 346, 388)
-    train, val = stratified_split_windows(windows, 0.7, rng_seed=0)
-    got_train = class_counts(train)
-    got_val = class_counts(val)
+    labels = np.repeat([SlipLabel.NORMAL, SlipLabel.SLIPPING, SlipLabel.SLIPPED], [389, 346, 388])
+    train, val = stratified_split(labels, 0.7, rng_seed=0)
+    got_train = class_counts(labels[train])
+    got_val = class_counts(labels[val])
     train_counts = tuple(got_train[l] for l in SlipLabel)
     val_counts = tuple(got_val[l] for l in SlipLabel)
     ok = train_counts == (272, 242, 272) and val_counts == (117, 104, 116)
@@ -131,7 +111,7 @@ def test_acceptance_04_slip_training_quality_and_determinism(tmp_path):
     bytes_ok = path_a.read_bytes() == path_b.read_bytes()
 
     windows = windows_from_slip_csv(path_a)
-    counts = class_counts(windows)
+    counts = class_counts(windows.y)
     counts_ok = tuple(counts[l] for l in SlipLabel) == targets and len(windows) >= 3000
 
     train, val = prepare_splits(windows, 0.7, 0)

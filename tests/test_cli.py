@@ -335,6 +335,60 @@ def test_simulate_rejects_non_finite_config_values(tmp_path, capsys, section, ke
     assert err == [f"error: {_CONFIG_SCHEMA[section][key]} must be finite, got nan"]
 
 
+def test_negative_grasp_noise_scale_is_rejected(tmp_path, capsys):
+    config = tmp_path / "scenario.ini"
+    config.write_text("[grasp]\nnoise_scale = -1\n")
+    grasp_model = tmp_path / "grasp.json"
+    save_model(grasp_model, GraspModel(np.zeros((3, 4)), np.zeros(3)))
+    simulate = ["simulate", "--seed", "1", "--episodes", "5", "--config", str(config), "--out", str(tmp_path / "run")]
+    for argv in (
+        simulate,
+        simulate + ["--grasp-model", str(grasp_model)],
+        ["gen-data", "--kind", "grasp", "--counts", "3,3,3", "--seed", "1", "--config", str(config),
+         "--out", str(tmp_path / "grasp.csv")],
+    ):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: grasp_noise_scale must be >= 0, got -1.0"]
+    assert not (tmp_path / "run").exists() and not (tmp_path / "grasp.csv").exists()
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+@pytest.mark.parametrize("kind", ["slip", "grasp"])
+def test_non_finite_learning_rate_is_rejected(tmp_path, capsys, kind, lr):
+    data, model = tmp_path / "data.csv", tmp_path / "model.json"
+    assert main(["gen-data", "--kind", kind, "--counts", "10,5,5", "--out", str(data), "--seed", "0"]) == 0
+    capsys.readouterr()
+    argv = [f"train-{kind}", "--data", str(data), "--out", str(model), "--seed", "0", "--epochs", "1", "--lr", lr]
+    if kind == "slip":
+        argv += ["--layers", "1", "--hidden", "4"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: learning_rate must be finite, got {lr}"]
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("user_value", [None, "2"])
+def test_package_defaults_blas_to_one_thread(user_value):
+    # OpenBLAS starts its threads when numpy loads, so the default must be
+    # in place before the package imports numpy; a value the user set wins
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    if user_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = user_value
+    probe = (
+        "import os, harvest_guard\n"
+        "status = open('/proc/self/status') if os.path.exists('/proc/self/status') else []\n"
+        "threads = [l.split()[1] for l in status if l.startswith('Threads:')]\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'], *threads)"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=False,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    blas_threads, *os_threads = proc.stdout.split()
+    assert blas_threads == (user_value or "1")
+    if user_value is None and os_threads:  # OpenBLAS started no worker thread
+        assert os_threads == ["1"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -18,30 +18,32 @@ from harvest_guard.lstm import (
     predict_proba,
     softmax,
 )
-from harvest_guard.slip_windows import FrameFeatures, SlipLabel, SlipWindow, windows_to_arrays
+from harvest_guard.slip_windows import SlipLabel, SlipWindows, windows_to_arrays
 
 from conftest import fd_max_rel_err
 
 SMALL = LstmArch(n_layers=2, hidden_size=8)
 
 
-def _window(rng, label=SlipLabel.NORMAL, shift=0.0):
+def _window(rng, shift=0.0):
     frames = []
     for _ in range(5):
         a = 0.15 + shift + rng.uniform(0.0, 0.05)
         g = 0.3 + rng.uniform(0.0, 0.05)
         frames.append(
-            FrameFeatures(a, g, 1.0 - a - g, rng.uniform(0.1, 0.2), rng.uniform(0.1, 0.2),
-                          rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7))
+            [a, g, 1.0 - a - g, rng.uniform(0.1, 0.2), rng.uniform(0.1, 0.2), rng.uniform(0.3, 0.7),
+             rng.uniform(0.3, 0.7)]
         )
-    return SlipWindow(frames=tuple(frames), label=label)
+    return frames
+
+
+def _windows(rng, labels, shifts=(0.0, 0.15, 0.3)):
+    x = np.array([_window(rng, shifts[label]) for label in labels]).reshape(len(labels), 5, 7)
+    return SlipWindows(x, np.array(labels, dtype=np.int64))
 
 
 def _dataset(rng, n_per_class=8):
-    out = []
-    for label, shift in ((SlipLabel.NORMAL, 0.0), (SlipLabel.SLIPPING, 0.15), (SlipLabel.SLIPPED, 0.3)):
-        out.extend(_window(rng, label, shift) for _ in range(n_per_class))
-    return out
+    return _windows(rng, [label for label in SlipLabel for _ in range(n_per_class)])
 
 
 def _zero_model(arch=SMALL):
@@ -78,13 +80,12 @@ def test_forward_matches_handrolled_cell():
     arch = LstmArch(n_layers=1, hidden_size=3, inter_dropout=0.0, head_dropout=0.0)
     model = init_model(arch, seed=7)
     rng = np.random.default_rng(2)
-    window = _window(rng)
+    window = _windows(rng, [SlipLabel.NORMAL])
 
     hs = arch.hidden_size
     h = np.zeros(hs)
     c = np.zeros(hs)
-    for frame in window.frames:
-        x_t = frame.as_vector()
+    for x_t in window.x[0]:
         z = model.w_x[0] @ x_t + model.w_h[0] @ h + model.b[0]
         gi = _sigmoid(z[:hs])
         gf = _sigmoid(z[hs : 2 * hs])
@@ -96,15 +97,14 @@ def test_forward_matches_handrolled_cell():
     expected = np.exp(logits - logits.max())
     expected /= expected.sum()
 
-    got = predict_proba(model, windows_to_arrays([window])[0])[0]
+    got = predict_proba(model, windows_to_arrays(window)[0])[0]
     assert np.allclose(got, expected, atol=1e-12)
 
 
 def test_infer_mode_is_repeatable():
     model = init_model(SMALL, seed=0)
     rng = np.random.default_rng(3)
-    window = _window(rng)
-    x, _ = windows_to_arrays([window])
+    x, _ = windows_to_arrays(_windows(rng, [SlipLabel.NORMAL]))
     assert np.array_equal(predict_proba(model, x), predict_proba(model, x))
 
 
@@ -139,7 +139,7 @@ def test_training_is_bitwise_deterministic():
 
 def test_training_learns_single_class():
     rng = np.random.default_rng(7)
-    windows = [_window(rng, SlipLabel.SLIPPING) for _ in range(12)]
+    windows = _windows(rng, [SlipLabel.SLIPPING] * 12, shifts=(0.0, 0.0, 0.0))
     model = lstm_train(windows, config=TrainConfig(epochs=10, seed=0), arch=SMALL)
     losses = model.metadata["train_loss"]
     assert losses[-1] < losses[0]
@@ -167,7 +167,7 @@ def test_no_validation_set_keeps_final_weights():
 def test_evaluate_breaks_ties_toward_severity():
     model = _zero_model()
     rng = np.random.default_rng(10)
-    windows = [_window(rng) for _ in range(3)]
+    windows = _windows(rng, [SlipLabel.NORMAL] * 3)
     pred, true = evaluate(model, windows)
     assert np.all(pred == int(SlipLabel.SLIPPED))
     assert np.all(true == int(SlipLabel.NORMAL))

@@ -9,6 +9,7 @@ from harvest_guard import cli, fsm, world
 from harvest_guard.grasp import GraspModel
 from harvest_guard.lstm import LstmArch, init_model
 from harvest_guard.model_io import save_model
+from harvest_guard.slip_windows import windows_from_slip_csv
 
 from conftest import REPO_ROOT
 
@@ -23,6 +24,17 @@ SIM_SPANS = {
     "geometry.needs_compensation",
     "geometry.compensated_point",
     "world.gen_slip_trajectory",
+}
+
+# spans a `train-slip` run must reach
+TRAIN_SPANS = {
+    "slip_windows.read_slip_csv",
+    "slip_windows.windows_from_slip_csv",
+    "slip_windows.build_windows",
+    "slip_windows.windows_to_arrays",
+    "slip_windows.prepare_splits",
+    "lstm.loss_and_grads",
+    "lstm.lstm_train",
 }
 
 
@@ -51,8 +63,29 @@ def test_simulate_calls_every_sim_trace_point(tmp_path, monkeypatch, capsys):
     save_model(grasp_model, GraspModel(np.zeros((3, 4)), np.zeros(3)))
     tracer = _tracer(monkeypatch)
     run = ["simulate", "--seed", "3", "--episodes", "20"]
-    with tracer.active():
+    with tracer.active("op"):
         assert cli.main(run + ["--out", str(tmp_path / "truth")]) == 0
         assert cli.main(run + ["--out", str(tmp_path / "models"), "--slip-model", str(slip_model),
                                "--grasp-model", str(grasp_model)]) == 0
-    assert SIM_SPANS - {span.name for span in tracer.spans} == set()
+    op = tracer.phases["op"]
+    assert SIM_SPANS - set(op.calls) == set()
+    # every default trajectory holds 14 frames
+    trajectories = op.calls["world.gen_slip_trajectory"]
+    assert trajectories > 0 and op.counts["world.gen_slip_trajectory.frames"] == 14 * trajectories
+
+
+def test_train_slip_calls_every_training_trace_point(tmp_path, monkeypatch, capsys):
+    data, model = tmp_path / "slip.csv", tmp_path / "model.json"
+    assert cli.main(["gen-data", "--kind", "slip", "--counts", "12,5,6", "--out", str(data), "--seed", "0"]) == 0
+    tracer = _tracer(monkeypatch)
+    with tracer.active("op"):
+        assert cli.main(["train-slip", "--data", str(data), "--out", str(model), "--seed", "0", "--epochs", "1",
+                         "--layers", "1", "--hidden", "4"]) == 0
+    op = tracer.phases["op"]
+    assert TRAIN_SPANS - set(op.calls) == set()
+    assert op.counts["slip_windows.build_windows.windows"] == len(windows_from_slip_csv(data)) == 23
+
+    # the benchmark scores trained models through this chain
+    from workloads import slip_macro_f1
+
+    assert 0.0 <= slip_macro_f1(data, model, split_seed=0) <= 1.0

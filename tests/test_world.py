@@ -8,7 +8,7 @@ from harvest_guard.fsm import Outcome, Stage
 from harvest_guard.geometry import CompensationParams, RelativeError
 from harvest_guard.grasp import GraspClass
 from harvest_guard.lstm import LstmArch, init_model
-from harvest_guard.slip_windows import FrameFeatures, SlipLabel, class_counts, windows_from_slip_csv
+from harvest_guard.slip_windows import FEATURE_ORDER, SlipLabel, class_counts, windows_from_slip_csv
 from harvest_guard.world import (
     _CONFIG_SCHEMA,
     _DROP_ACCEL,
@@ -130,7 +130,7 @@ def test_trajectory_lengths_and_labels():
         traj = gen_slip_trajectory(cfg, outcome, episode_rng(0, 0))
         assert len(traj.frames) == 14  # all outcomes share one length
     normal = gen_slip_trajectory(cfg, SlipLabel.NORMAL, episode_rng(0, 1))
-    assert all(l is SlipLabel.NORMAL for l in normal.labels)
+    assert all(l == SlipLabel.NORMAL for l in normal.labels)
     slipping = gen_slip_trajectory(cfg, SlipLabel.SLIPPING, episode_rng(0, 2))
     assert list(slipping.labels) == [SlipLabel.NORMAL] * 6 + [SlipLabel.SLIPPING] * 8
     slipped = gen_slip_trajectory(cfg, SlipLabel.SLIPPED, episode_rng(0, 3))
@@ -142,38 +142,43 @@ def test_trajectory_lengths_and_labels():
 def test_severity_never_decreases():
     traj = gen_slip_trajectory(QUIET, SlipLabel.SLIPPING, episode_rng(0, 0))
     with pytest.raises(ValidationError, match="severity may never decrease"):
-        SlipTrajectory(traj.frames, traj.labels[::-1], traj.features)
-    with pytest.raises(ValidationError, match=r"features must have shape \(14, 7\)"):
-        SlipTrajectory(traj.frames, traj.labels, traj.features[1:])
+        SlipTrajectory(traj.frames, traj.labels[::-1])
+    with pytest.raises(ValidationError, match=r"frames must have shape \(14, 7\)"):
+        SlipTrajectory(traj.frames[1:], traj.labels)
+
+
+def _column(traj, name):
+    return traj.frames[:, FEATURE_ORDER.index(name)].tolist()
 
 
 def test_quiet_normal_trajectory_is_static():
     traj = gen_slip_trajectory(QUIET, SlipLabel.NORMAL, episode_rng(0, 0))
-    assert all(f.strawberry_area == pytest.approx(0.30) for f in traj.frames)
-    assert all(f.y == pytest.approx(0.45) for f in traj.frames)
+    assert all(a == pytest.approx(0.30) for a in _column(traj, "strawberry_area"))
+    assert all(y == pytest.approx(0.45) for y in _column(traj, "y"))
 
 
 def test_quiet_slipping_trajectory_creeps_then_slides():
     traj = gen_slip_trajectory(QUIET, SlipLabel.SLIPPING, episode_rng(0, 0))
-    areas = [f.strawberry_area for f in traj.frames]
-    ys = [f.y for f in traj.frames]
+    areas = _column(traj, "strawberry_area")
+    ys = _column(traj, "y")
     # first three frames are steady; the pre-onset ramp then starts
     assert areas[0] == areas[1] == areas[2] == pytest.approx(0.30)
     assert all(areas[i + 1] < areas[i] for i in range(2, 13))
     assert all(ys[i + 1] >= ys[i] for i in range(13))
     assert ys[-1] > ys[0]
     # the box shrinks with the area
-    assert traj.frames[-1].w < traj.frames[0].w
+    w = _column(traj, "w")
+    assert w[-1] < w[0]
 
 
 def test_quiet_slipped_trajectory_drops_fast_then_vanishes():
     traj = gen_slip_trajectory(QUIET, SlipLabel.SLIPPED, episode_rng(0, 0))
     slipping = gen_slip_trajectory(QUIET, SlipLabel.SLIPPING, episode_rng(0, 0))
     # a drop moves faster than a recoverable slip at the same frame
-    assert traj.frames[6].strawberry_area < slipping.frames[6].strawberry_area
-    for f in traj.frames[7:]:
-        assert f.strawberry_area == pytest.approx(0.005)
-        assert f.w == 0.0 and f.h == 0.0 and f.x == 0.0 and f.y == 0.0
+    assert _column(traj, "strawberry_area")[6] < _column(slipping, "strawberry_area")[6]
+    for s_area, _, _, w, h, x, y in traj.frames[7:].tolist():
+        assert s_area == pytest.approx(0.005)
+        assert w == 0.0 and h == 0.0 and x == 0.0 and y == 0.0
 
 
 def test_empty_grasp_observation_quiet_is_all_zero():
@@ -267,7 +272,7 @@ def test_plan_covers_targets_exactly():
 def test_generated_dataset_hits_window_targets(tmp_path):
     path = tmp_path / "slip.csv"
     gen_slip_dataset(path, ScenarioConfig(), (20, 9, 10), seed=0)
-    counts = class_counts(windows_from_slip_csv(path))
+    counts = class_counts(windows_from_slip_csv(path).y)
     assert counts == {SlipLabel.NORMAL: 20, SlipLabel.SLIPPING: 9, SlipLabel.SLIPPED: 10}
 
 
@@ -378,15 +383,7 @@ def _ref_make_frame(s_area, w, h, x, y, noise, rng):
     s = jitter(s_area, 0.001, 0.60)
     g = jitter(_REF_GRIPPER_AREA, 0.05, 0.60)
     background = 1.0 - s - g
-    return FrameFeatures(
-        strawberry_area=s,
-        gripper_area=g,
-        background_area=background,
-        w=jitter(w),
-        h=jitter(h),
-        x=jitter(x),
-        y=jitter(y),
-    )
+    return (s, g, background, jitter(w), jitter(h), jitter(x), jitter(y))
 
 
 def _ref_trajectory(config, phases, rng, accel=1.0):
@@ -443,13 +440,12 @@ def _assert_trajectory_matches_reference(config, phases, seed, accel):
     rng, ref_rng = episode_rng(seed, 0), episode_rng(seed, 0)
     traj = _trajectory(config, phases, rng, accel=accel)
     ref_frames, ref_labels = _ref_trajectory(config, phases, ref_rng, accel)
-    assert traj.labels == ref_labels
+    assert traj.labels.tolist() == list(ref_labels) and traj.labels.dtype == "int64"
     assert len(traj.frames) == len(ref_frames) == sum(phases)
-    ref = np.array([f.as_vector() for f in ref_frames]).reshape(len(ref_frames), 7)
-    got = np.array([f.as_vector() for f in traj.frames]).reshape(len(traj.frames), 7)
+    ref = np.array(ref_frames, dtype=np.float64).reshape(len(ref_frames), 7)
+    got = traj.frames
     assert np.array_equal(got, ref) and got.tobytes() == ref.tobytes()  # signed zeros too
-    assert traj.features.tobytes() == ref.tobytes() and traj.features.flags.c_contiguous
-    assert all(type(v) is float for f in traj.frames for v in vars(f).values())
+    assert got.dtype == "float64" and got.flags.c_contiguous
     assert rng.random() == ref_rng.random()  # the generator ends in the same state
 
 
@@ -458,7 +454,7 @@ def test_outcome_trajectories_match_scalar_reference(config):
     for outcome in SlipLabel:
         for seed in range(25):
             traj = gen_slip_trajectory(config, outcome, episode_rng(seed, 0))
-            phases = tuple(traj.labels.count(label) for label in SlipLabel)
+            phases = tuple(int((traj.labels == label).sum()) for label in SlipLabel)
             accel = _DROP_ACCEL if outcome is SlipLabel.SLIPPED else 1.0
             _assert_trajectory_matches_reference(config, phases, seed, accel)
 
