@@ -221,7 +221,8 @@ def _cmd_eval_slip(args: argparse.Namespace) -> int:
     if (args.split_ratio is None) != (args.split_seed is None):
         raise UsageError("--split-ratio and --split-seed go together")
     if args.split_ratio is not None:
-        _, windows = prepare_splits(windows, args.split_ratio, args.split_seed)
+        # the validation side of train-slip's default split; nothing is oversampled
+        windows = windows.take(stratified_split(windows.y, args.split_ratio, args.split_seed)[1])
     if not windows:
         raise ValidationError(f"{args.data}: nothing to evaluate")
     pred, true = evaluate(model, windows)

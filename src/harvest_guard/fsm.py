@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Generator, Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -215,6 +215,14 @@ class WorldLike(Protocol):
     def slip_stream(self, truth: EpisodeTruth, rng: np.random.Generator) -> Sequence[SlipLabel]: ...
 
 
+def advance(cycle: Generator, labels: Sequence[SlipLabel] | None = None) -> EpisodeTruth | HarvestEpisode:
+    """Run a cycle to its next stop: the truth awaiting slip labels at snap-off, or the episode."""
+    try:
+        return cycle.send(labels)
+    except StopIteration as done:
+        return done.value
+
+
 def run_episode(
     world: WorldLike,
     timing: StageTiming = DEFAULT_TIMING,
@@ -225,6 +233,19 @@ def run_episode(
     """Drive one full cycle; faults become outcomes, never exceptions."""
     if rng is None:
         rng = np.random.default_rng(0)
+    cycle = episode_cycle(world, timing, rng, deterministic, episode_id)
+    stop = advance(cycle)
+    if isinstance(stop, EpisodeTruth):
+        stop = advance(cycle, world.slip_stream(stop, rng))
+    return stop
+
+
+def episode_cycle(
+    world: WorldLike, timing: StageTiming, rng: np.random.Generator, deterministic: bool, episode_id: int
+) -> Generator[EpisodeTruth, Sequence[SlipLabel], HarvestEpisode]:
+    """The eight-stage walk of one episode. Unless the grasp aborts, it
+    suspends once, at snap-off, to yield the truth; the caller draws the
+    slip perception from the same rng and sends back its labels."""
 
     def draw(stage: Stage, variant: Variant) -> float:
         return sample_stage_duration(timing, stage, variant, rng, deterministic)
@@ -284,7 +305,7 @@ def run_episode(
 
         # snap-off: the slip monitor scans window predictions; the first
         # regrasp or abort action decides the path
-        predictions = list(world.slip_stream(truth, rng))
+        predictions = list((yield truth))
         stability = StabilityState()
         for i, pred in enumerate(predictions):
             stability, action = time_stability_step(stability, pred)

@@ -211,12 +211,14 @@ def _forward_batch(
     dropout_rng: np.random.Generator | None,
     cache: dict[str, Any] | None = None,
 ) -> np.ndarray:
-    """Run (B, T, D) inputs through the stack and return the logits.
+    """Run (..., T, D) inputs through the stack and return the (..., C)
+    logits. An (E, B) stack runs one GEMM per episode, never a flattened
+    (E*B, D) one, so every episode gets the bits of its own call.
     dropout_rng None means inference: no dropout anywhere. Pass a dict as
     cache to have it filled with what _backward_batch needs; without one
     no step's state outlives the step."""
     a = model.arch
-    n_batch, n_steps, d_in = x.shape
+    *lead, n_steps, d_in = x.shape
     if d_in != a.input_size:
         raise ValidationError(f"input feature size {d_in}, model expects {a.input_size}")
     h_size = a.hidden_size
@@ -227,21 +229,21 @@ def _forward_batch(
     current = x
     for layer in range(a.n_layers):
         w_x_t, w_h_t, bias = model.w_x[layer].T, model.w_h[layer].T, model.b[layer]
-        h = np.zeros((n_batch, h_size))
-        c = np.zeros((n_batch, h_size))
+        h = np.zeros((*lead, h_size))
+        c = np.zeros((*lead, h_size))
         steps: list[tuple[np.ndarray, ...]] = []
-        outputs = np.empty((n_batch, n_steps, h_size))
+        outputs = np.empty((*lead, n_steps, h_size))
         for t in range(n_steps):
-            x_t = current[:, t, :]
+            x_t = current[..., t, :]
             z = x_t @ w_x_t + h @ w_h_t + bias
             gates = _sigmoid(z)
-            np.tanh(z[:, s_g], out=gates[:, s_g])
-            c_new = gates[:, s_f] * c + gates[:, s_i] * gates[:, s_g]
+            np.tanh(z[..., s_g], out=gates[..., s_g])
+            c_new = gates[..., s_f] * c + gates[..., s_i] * gates[..., s_g]
             tanh_c = np.tanh(c_new)
             if cache is not None:
                 steps.append((x_t, h, c, gates, tanh_c))
-            h, c = gates[:, s_o] * tanh_c, c_new
-            outputs[:, t, :] = h
+            h, c = gates[..., s_o] * tanh_c, c_new
+            outputs[..., t, :] = h
         layer_steps.append(steps)
 
         mask = None
@@ -252,7 +254,7 @@ def _forward_batch(
         masks.append(mask)
         current = outputs
 
-    h_final = current[:, -1, :]
+    h_final = current[..., -1, :]
     head_mask = None
     if dropout_rng is not None and a.head_dropout > 0.0:
         keep = 1.0 - a.head_dropout
@@ -344,7 +346,7 @@ def loss_and_grads(
 
 
 def predict_proba(model: SlipModel, x: np.ndarray) -> np.ndarray:
-    """(B, T, D) windows -> (B, C) class probabilities, no dropout."""
+    """(..., T, D) windows -> (..., C) class probabilities, no dropout."""
     return softmax(_forward_batch(model, x, dropout_rng=None))
 
 

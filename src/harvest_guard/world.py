@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError, open_text, require_finite
-from .fsm import DEFAULT_TIMING, EpisodeTruth, HarvestEpisode, StageTiming, run_episode
+from .fsm import DEFAULT_TIMING, EpisodeTruth, HarvestEpisode, StageTiming, advance, episode_cycle
+from .fsm import run_episode  # noqa: F401  not called here; perfbench traces world.run_episode
 from .geometry import (
     ArmPoint3,
     CompensationParams,
@@ -540,11 +541,23 @@ class EpisodeWorld:
         return out
 
     def slip_stream(self, truth: EpisodeTruth, rng: np.random.Generator) -> list[SlipLabel]:
-        traj = gen_slip_trajectory(self.config, truth.slip_outcome, rng)
-        if self.slip_model is None:
-            return [_SLIP_ORDER[v] for v in build_windows(traj.frames, traj.labels).y.tolist()]
-        probs = predict_proba(self.slip_model, frame_windows(traj.frames, len(traj.frames) - WINDOW_LEN + 1))
-        return classify_slip(probs)
+        return self.slip_streams([(truth, rng)])[0]
+
+    def slip_streams(self, requests: list[tuple[EpisodeTruth, np.random.Generator]]) -> list[list[SlipLabel]]:
+        """The slip labels of many episodes at snap-off. Each request draws
+        its trajectory from its own generator, in order; a model then runs
+        one forward (none for no requests) over the (E, B, T, D) stack of
+        their windows, which equal trajectory lengths make rectangular."""
+        trajs = [gen_slip_trajectory(self.config, truth.slip_outcome, rng) for truth, rng in requests]
+        if self.slip_model is None or not trajs:
+            return [[_SLIP_ORDER[v] for v in build_windows(t.frames, t.labels).y.tolist()] for t in trajs]
+        n_windows = len(trajs[0].frames) - WINDOW_LEN + 1
+        probs = predict_proba(self.slip_model, np.stack([frame_windows(t.frames, n_windows) for t in trajs]))
+        labels = classify_slip(probs.reshape(-1, probs.shape[-1]))
+        return [labels[k : k + n_windows] for k in range(0, len(labels), n_windows)]
+
+
+EPISODE_CHUNK = 32  # episodes per stacked slip forward; larger stacks' step buffers fall out of cache
 
 
 def run_episodes(
@@ -554,15 +567,18 @@ def run_episodes(
     deterministic: bool = False,
     master_seed: int | None = None,
 ) -> list[HarvestEpisode]:
-    """n episodes with per-episode derived seeds; order-independent."""
+    """n episodes with per-episode derived seeds; order-independent. Equal
+    to run_episode per episode, but each chunk's cycles walk to snap-off,
+    one slip_streams call perceives them all, then each cycle finishes."""
     seed = world.config.master_seed if master_seed is None else master_seed
-    return [
-        run_episode(
-            world,
-            timing,
-            episode_rng(seed, i),
-            deterministic=deterministic,
-            episode_id=i,
-        )
-        for i in range(n_episodes)
-    ]
+    episodes: list[HarvestEpisode] = []
+    for start in range(0, n_episodes, EPISODE_CHUNK):
+        ids = range(start, min(start + EPISODE_CHUNK, n_episodes))
+        rngs = [episode_rng(seed, i) for i in ids]
+        cycles = [episode_cycle(world, timing, rng, deterministic, i) for i, rng in zip(ids, rngs)]
+        stops = [advance(cycle) for cycle in cycles]
+        waiting = [k for k, stop in enumerate(stops) if isinstance(stop, EpisodeTruth)]
+        for k, slip in zip(waiting, world.slip_streams([(stops[k], rngs[k]) for k in waiting])):
+            stops[k] = advance(cycles[k], slip)
+        episodes.extend(stops)
+    return episodes

@@ -13,7 +13,7 @@ from harvest_guard.grasp import GraspModel
 from harvest_guard.lstm import LstmArch, init_model
 from harvest_guard.metrics import read_report
 from harvest_guard.model_io import save_model
-from harvest_guard.slip_windows import windows_from_slip_csv
+from harvest_guard.slip_windows import SLIP_CSV_HEADER, windows_from_slip_csv
 from harvest_guard.world import _CONFIG_SCHEMA, ScenarioConfig, load_config, save_config
 
 from conftest import ALIGNMENT_CSV, FLOAT_KEYS, REPO_ROOT
@@ -240,6 +240,15 @@ def test_eval_slip_split_flags_must_pair(tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval-slip", "--data", str(data), "--model", str(model), "--split-ratio", "0.7"]) == 1
     assert "go together" in capsys.readouterr().err
+
+
+def test_eval_slip_split_of_a_header_only_file_has_nothing_to_evaluate(tmp_path, capsys):
+    data = tmp_path / "empty.csv"
+    data.write_text(",".join(SLIP_CSV_HEADER) + "\n")
+    model = _slip_model_file(tmp_path / "m.json")
+    argv = ["eval-slip", "--data", str(data), "--model", str(model), "--split-ratio", "0.7", "--split-seed", "0"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {data}: nothing to evaluate"]
 
 
 def test_train_grasp_reports_validation_metrics(tmp_path, capsys):

@@ -377,6 +377,18 @@ def test_kernel_matches_reference_bit_for_bit(arch):
                 assert np.array_equal(g, ref), (n_batch, dropout_seed)
 
 
+@pytest.mark.parametrize("arch", [SMALL, LstmArch()], ids=["2x8", "5x64"])
+def test_stacked_forward_matches_per_episode_calls_bit_for_bit(arch):
+    rng = np.random.default_rng(14)
+    model = init_model(arch, seed=5)
+    for n_episodes in (1, 5, 33):
+        for n_batch in (1, 3, 10, 12):
+            x = rng.normal(0.0, 3.0, size=(n_episodes, n_batch, 5, arch.input_size))
+            stacked = predict_proba(model, x)
+            assert stacked.shape == (n_episodes, n_batch, arch.n_classes)
+            assert np.array_equal(stacked, np.stack([predict_proba(model, xe) for xe in x])), (n_episodes, n_batch)
+
+
 def test_sigmoid_matches_two_branch_form_bit_for_bit():
     # exp overflows past 709 and underflows to 0 past 745; 1e-310 is
     # subnormal; from about 37 on, 1 + exp(-z) rounds to 1

@@ -3,6 +3,8 @@ each caller looks up. Renaming or removing one of those attributes must
 fail here, not only in a traced benchmark run; so must an attribute that
 still resolves but that the simulation no longer calls."""
 
+import math
+
 import numpy as np
 
 from harvest_guard import cli, fsm, world
@@ -72,6 +74,18 @@ def test_simulate_calls_every_sim_trace_point(tmp_path, monkeypatch, capsys):
     # every default trajectory holds 14 frames
     trajectories = op.calls["world.gen_slip_trajectory"]
     assert trajectories > 0 and op.counts["world.gen_slip_trajectory.frames"] == 14 * trajectories
+
+
+def test_simulate_stacks_slip_inference_across_episodes(tmp_path, monkeypatch, capsys):
+    slip_model, grasp_model = tmp_path / "slip.json", tmp_path / "grasp.json"
+    save_model(slip_model, init_model(LstmArch(n_layers=1, hidden_size=4), seed=0))
+    save_model(grasp_model, GraspModel(np.zeros((3, 4)), np.zeros(3)))  # every episode reaches snap-off
+    tracer = _tracer(monkeypatch)
+    with tracer.active("op"):
+        assert cli.main(["simulate", "--seed", "3", "--episodes", "70", "--out", str(tmp_path / "run"),
+                         "--slip-model", str(slip_model), "--grasp-model", str(grasp_model)]) == 0
+    # one forward per chunk of episodes, not one per episode
+    assert 0 < tracer.phases["op"].calls["lstm.predict_proba"] <= math.ceil(70 / 32)
 
 
 def test_train_slip_calls_every_training_trace_point(tmp_path, monkeypatch, capsys):

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from harvest_guard import world as world_module
 from harvest_guard.errors import ValidationError
-from harvest_guard.fsm import Outcome, Stage
+from harvest_guard.fsm import DEFAULT_TIMING, Outcome, Stage, run_episode
 from harvest_guard.geometry import CompensationParams, RelativeError
-from harvest_guard.grasp import GraspClass
-from harvest_guard.lstm import LstmArch, init_model
+from harvest_guard.grasp import GraspClass, GraspModel
+from harvest_guard.lstm import LstmArch, TrainConfig, init_model, lstm_train
 from harvest_guard.slip_windows import FEATURE_ORDER, SlipLabel, class_counts, windows_from_slip_csv
 from harvest_guard.world import (
     _CONFIG_SCHEMA,
@@ -315,6 +316,47 @@ def test_run_episodes_is_prefix_stable_and_seeded():
     assert [e.outcome for e in five] == [e.outcome for e in ten[:5]]
     other = run_episodes(world, 5, master_seed=8)
     assert [e.total_s for e in five] != [e.total_s for e in other]
+
+
+# scores RipeHeld on red, UnripeHeld on green and Empty on a missing fruit
+SORTING_GRASP = GraspModel(np.array([[10.0, 0.0, 0.0, 5.0], [0.0, 0.0, 0.0, 0.0], [0.0, 10.0, 0.0, 5.0]]),
+                           np.array([0.0, 3.0, 0.0]))
+
+
+@pytest.fixture(scope="module")
+def slip_model(tmp_path_factory):
+    """A 2x8 LSTM trained until 70 model-monitored episodes reach all four outcomes."""
+    data = tmp_path_factory.mktemp("slip") / "slip.csv"
+    gen_slip_dataset(data, ScenarioConfig(), (60, 30, 30), seed=0)
+    return lstm_train(windows_from_slip_csv(data), config=TrainConfig(epochs=40, seed=0),
+                      arch=LstmArch(n_layers=2, hidden_size=8))
+
+
+def _one_at_a_time(world, n, seed):
+    return [run_episode(world, DEFAULT_TIMING, episode_rng(seed, i), episode_id=i) for i in range(n)]
+
+
+@pytest.mark.parametrize("with_models", [False, True], ids=["truth", "models"])
+@pytest.mark.parametrize("n", [0, 70])  # 70 episodes cross two chunk boundaries
+def test_phased_runner_equals_one_episode_at_a_time(with_models, n, slip_model):
+    world = EpisodeWorld(ScenarioConfig(), *((slip_model, SORTING_GRASP) if with_models else ()))
+    phased = run_episodes(world, n, master_seed=5)
+    assert len(phased) == n
+    for episode, alone in zip(phased, _one_at_a_time(world, n, 5)):
+        assert episode == alone
+    if n:
+        assert {e.outcome for e in phased} == set(Outcome)
+
+
+@pytest.mark.parametrize("grasp_model", [None, SORTING_GRASP], ids=["truth", "model"])
+def test_phased_runner_makes_no_slip_forward_when_every_grasp_aborts(grasp_model, slip_model, monkeypatch):
+    calls = []
+    monkeypatch.setattr(world_module, "predict_proba", lambda *args: calls.append(args))
+    world = EpisodeWorld(ScenarioConfig(p_ripe=0.0, p_empty=0.5, p_unripe=0.5), slip_model, grasp_model)
+    episodes = run_episodes(world, 40, master_seed=5)
+    assert {e.outcome for e in episodes} == {Outcome.ABORTED_EMPTY_OR_MISGRASP}
+    assert calls == []
+    assert episodes == _one_at_a_time(world, 40, 5)
 
 
 def test_outcome_frequencies_match_the_mix():
