@@ -29,7 +29,6 @@ from .geometry import (
 from .grasp import (
     GraspAction,
     GraspClass,
-    GraspDecisionState,
     GraspModel,
     GripperObservation,
     classify_grasp,
@@ -61,6 +60,7 @@ from .slip_decision import (
     RecoveryAction,
     StabilityState,
     classify_slip,
+    first_action,
     time_stability_step,
 )
 from .slip_windows import (

@@ -265,6 +265,8 @@ def _cmd_compensate(args: argparse.Namespace) -> int:
     mode = CompensationMode.EITHER_AXIS_BOTH if args.mode == "either" else CompensationMode.PER_AXIS
     params = CompensationParams(threshold_t=args.threshold, k_x=args.kx, k_y=args.ky, mode=mode)
     rows = read_alignment_csv(args.input)
+    if not rows:
+        raise ValidationError(f"{args.input}: no trials")
     records = compensate_rows(rows, params)
     write_records_csv(records, args.out)
 

@@ -17,6 +17,7 @@ before detection and the re-snap after it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -26,8 +27,8 @@ import numpy as np
 
 from .errors import ValidationError, open_text
 from .geometry import RelativeError
-from .grasp import GraspAction, GraspClass, GraspDecisionState, grasp_decision_step
-from .slip_decision import RecoveryAction, StabilityState, time_stability_step
+from .grasp import GraspAction, GraspClass, grasp_decision_step
+from .slip_decision import RecoveryAction, first_action, time_stability_step
 from .slip_windows import SlipLabel
 
 
@@ -166,6 +167,7 @@ class EpisodeResponses:
     residual_y: float | None
     grasp_action: GraspAction
     grasp_detected: GraspClass | None
+    grasp_detect_frame: int | None
     slip_action: RecoveryAction | None
     slip_detect_frame: int | None
 
@@ -276,14 +278,9 @@ def episode_cycle(
 
     # deflating: the grasp verifier watches frames until a verdict or the
     # stream ends
-    grasp_state = GraspDecisionState()
-    grasp_action: GraspAction | None = None
-    grasp_detected: GraspClass | None = None
-    for cls in world.grasp_stream(truth, rng):
-        grasp_state, grasp_action = grasp_decision_step(grasp_state, cls)
-        if grasp_action is not None:
-            grasp_detected = cls
-            break
+    frames = world.grasp_stream(truth, rng)
+    grasp_action, grasp_frame = first_action(grasp_decision_step, frames)
+    grasp_detected = None if grasp_frame is None else frames[grasp_frame]
     if grasp_action is None:
         # fail open: an undetected fault wastes one cycle, a false abort a ripe fruit
         grasp_action = GraspAction.PROCEED
@@ -303,15 +300,12 @@ def episode_cycle(
     else:
         record(Stage.DEFLATING, Variant.NORMAL, Event.GRASP_OK)
 
-        # snap-off: the slip monitor scans window predictions; the first
-        # regrasp or abort action decides the path
+        # snap-off: the slip monitor scans window predictions past any
+        # confirmed normal; the first regrasp or abort action decides the path
         predictions = list((yield truth))
-        stability = StabilityState()
-        for i, pred in enumerate(predictions):
-            stability, action = time_stability_step(stability, pred)
-            if action in (RecoveryAction.REGRASP_AND_RESNAP, RecoveryAction.ABORT_CYCLE):
-                slip_action, detect_idx = action, i
-                break
+        slip_action, detect_idx = first_action(
+            time_stability_step, predictions, ignore=(RecoveryAction.CONTINUE_SNAP_OFF,)
+        )
 
         outcome = Outcome.PICKED_AND_PLACED
         if slip_action is RecoveryAction.ABORT_CYCLE:
@@ -366,6 +360,7 @@ def episode_cycle(
         residual_y=approach.residual_y if approach.compensated else None,
         grasp_action=grasp_action,
         grasp_detected=grasp_detected,
+        grasp_detect_frame=grasp_frame,
         slip_action=slip_action,
         slip_detect_frame=detect_idx,
     )
@@ -394,6 +389,29 @@ def write_episode_log(path: str | Path, episodes: Iterable[HarvestEpisode]) -> N
                 fh.write(json.dumps(doc) + "\n")
 
 
+_LOG_ENUM_VALUES = {
+    "stage": {m.value for m in Stage},
+    "variant": {m.value for m in Variant},
+    "event": {m.value for m in Event},
+}
+
+
+def _log_value_problem(doc: dict[str, object]) -> str | None:
+    """What is wrong with the first bad value of a log line, if any."""
+    for key in ("episode_id", "seq"):
+        if isinstance(doc[key], bool) or not isinstance(doc[key], int):
+            return f"{key} must be an integer, got {doc[key]!r}"
+    d = doc["duration_s"]
+    if isinstance(d, bool) or not isinstance(d, (int, float)) or not math.isfinite(d):
+        return f"duration_s must be a finite number, got {d!r}"
+    for key, values in _LOG_ENUM_VALUES.items():
+        if not isinstance(doc[key], str) or doc[key] not in values:
+            return f"unknown {key} {doc[key]!r}"
+    if not isinstance(doc["detail"], str):
+        return f"detail must be a string, got {doc['detail']!r}"
+    return None
+
+
 def read_episode_log(path: str | Path) -> list[dict[str, object]]:
     path = Path(path)
     out: list[dict[str, object]] = []
@@ -409,5 +427,8 @@ def read_episode_log(path: str | Path) -> list[dict[str, object]]:
                 raise ValidationError(f"{path}: line {lineno}: not a JSON object")
             if list(doc.keys()) != list(LOG_FIELDS):
                 raise ValidationError(f"{path}: line {lineno}: unexpected log fields {list(doc.keys())}")
+            problem = _log_value_problem(doc)
+            if problem:
+                raise ValidationError(f"{path}: line {lineno}: {problem}")
             out.append(doc)
     return out

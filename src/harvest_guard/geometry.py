@@ -11,13 +11,12 @@ deliberately overshoots in z, so the vertical offset is left alone.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import ValidationError, open_text
+from .errors import ValidationError, open_text, require_finite
 
 __all__ = [
     "ArmPoint3",
@@ -37,12 +36,6 @@ __all__ = [
 ]
 
 
-def _require_finite(name: str, *values: float) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise ValidationError(f"{name} must be finite, got {v!r}")
-
-
 @dataclass(frozen=True)
 class ArmPoint3:
     """A 3D position in the robot-arm frame, in millimetres.
@@ -56,7 +49,7 @@ class ArmPoint3:
     z: float
 
     def __post_init__(self) -> None:
-        _require_finite("ArmPoint3", self.x, self.y, self.z)
+        require_finite(x=self.x, y=self.y, z=self.z)
 
 
 @dataclass(frozen=True)
@@ -68,7 +61,7 @@ class RelativeError:
     dz: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_finite("RelativeError", self.dx, self.dy, self.dz)
+        require_finite(dx=self.dx, dy=self.dy, dz=self.dz)
 
 
 class CompensationMode(Enum):
@@ -98,7 +91,7 @@ class CompensationParams:
     mode: CompensationMode = CompensationMode.EITHER_AXIS_BOTH
 
     def __post_init__(self) -> None:
-        _require_finite("CompensationParams", self.threshold_t, self.k_x, self.k_y)
+        require_finite(threshold_t=self.threshold_t, k_x=self.k_x, k_y=self.k_y)
         if self.threshold_t <= 0:
             raise ValidationError(f"threshold_t must be > 0, got {self.threshold_t}")
         if self.k_x < 0 or self.k_y < 0:
@@ -204,7 +197,7 @@ def mean_abs_error(values: Sequence[float]) -> float:
     """Arithmetic mean of absolute values. Rejects an empty sequence."""
     if len(values) == 0:
         raise ValidationError("mean_abs_error needs at least one value")
-    _require_finite("mean_abs_error", *values)
+    require_finite(**{f"values[{i}]": v for i, v in enumerate(values)})
     return sum(abs(v) for v in values) / len(values)
 
 
@@ -274,8 +267,8 @@ def read_alignment_csv(path: str | Path) -> list[AlignmentRow]:
 
     Header must contain xs,ys,zs,xe,ye,ze; the pairs dx/dy, dx_w/dy_w and
     e_x/e_y are picked up when present (empty cells mean not measured).
-    Extra columns are ignored so a full record file can be re-ingested.
-    Lines starting with '#' are comments.
+    Every value read must be finite. Extra columns are ignored so a full
+    record file can be re-ingested. Lines starting with '#' are comments.
     """
     path = Path(path)
     rows: list[AlignmentRow] = []
@@ -289,7 +282,9 @@ def read_alignment_csv(path: str | Path) -> list[AlignmentRow]:
 
         def pair(rec: dict[str, str], a: str, b: str) -> tuple[float, float] | None:
             if a in fields and b in fields and rec[a] != "" and rec[b] != "":
-                return (float(rec[a]), float(rec[b]))
+                x, y = float(rec[a]), float(rec[b])
+                require_finite(**{a: x, b: y})
+                return (x, y)
             return None
 
         for lineno, rec in enumerate(reader, start=2):

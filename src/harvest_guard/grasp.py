@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ValidationError, open_text, require_finite
 from .lstm import softmax
+from .slip_decision import StabilityState, stability_step
 
 GRASP_FEATURES = ("red_fraction", "green_fraction", "fruit_area", "fruit_present")
 GRASP_CSV_HEADER = (*GRASP_FEATURES, "label")
@@ -130,57 +131,18 @@ class GraspAction(Enum):
     ABORT_CYCLE = "abort-cycle"
 
 
-@dataclass(frozen=True)
-class GraspDecisionState:
-    """Counters for the two-consecutive-frame rule.
-
-    fault_count and ok_count track runs of fault-family and RipeHeld
-    frames; at most one can be positive.
-    """
-
-    fault_count: int = 0
-    ok_count: int = 0
-
-    def __post_init__(self) -> None:
-        if self.fault_count < 0 or self.ok_count < 0:
-            raise ValidationError("counts must be non-negative")
-        if self.fault_count > 0 and self.ok_count > 0:
-            raise ValidationError("at most one counter may be positive")
-
-
-def grasp_decision_step(
-    state: GraspDecisionState,
-    cls: GraspClass,
-) -> tuple[GraspDecisionState, GraspAction | None]:
-    """One frame of the proceed-or-abort rule.
+def grasp_decision_step(state: StabilityState, cls: GraspClass) -> tuple[StabilityState, GraspAction | None]:
+    """One frame of the proceed-or-abort rule, keyed on the fault family.
 
     Two consecutive fault-family frames fire AbortCycle; Empty and
     UnripeHeld extend each other's runs. Two consecutive RipeHeld frames
-    fire Proceed. A fired decision clears the counters.
+    fire Proceed. A fired decision clears the state.
     """
-    if cls in FAULT_CLASSES:
-        count = state.fault_count + 1
-        if count >= 2:
-            return GraspDecisionState(), GraspAction.ABORT_CYCLE
-        return GraspDecisionState(fault_count=count), None
-    count = state.ok_count + 1
-    if count >= 2:
-        return GraspDecisionState(), GraspAction.PROCEED
-    return GraspDecisionState(ok_count=count), None
-
-
-def run_grasp_decision(classes: Sequence[GraspClass]) -> tuple[GraspAction | None, int | None]:
-    """Scan a class stream until a decision fires.
-
-    Returns (action, frame index) or (None, None) when the stream ends
-    undecided; the caller then fails open (proceeds).
-    """
-    state = GraspDecisionState()
-    for i, cls in enumerate(classes):
-        state, action = grasp_decision_step(state, cls)
-        if action is not None:
-            return action, i
-    return None, None
+    fault = cls in FAULT_CLASSES
+    state, fired = stability_step(state, fault)
+    if not fired:
+        return state, None
+    return state, GraspAction.ABORT_CYCLE if fault else GraspAction.PROCEED
 
 
 def write_grasp_csv(

@@ -58,28 +58,25 @@ class LstmArch:
                 raise ValidationError(f"{name} must lie in [0, 1), got {rate}")
 
 
+# Adam's moment decay rates and denominator guard, at the usual values
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 30
     learning_rate: float = 0.005
     batch_size: int = 32
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self) -> None:
-        require_finite(**{k: v for k, v in vars(self).items() if isinstance(v, float)})
+        require_finite(learning_rate=self.learning_rate)
         if self.epochs <= 0:
             raise ValidationError(f"epochs must be positive, got {self.epochs}")
         if self.learning_rate <= 0.0:
             raise ValidationError(f"learning rate must be positive, got {self.learning_rate}")
         if self.batch_size <= 0:
             raise ValidationError(f"batch size must be positive, got {self.batch_size}")
-        if not (0.0 <= self.beta1 < 1.0) or not (0.0 <= self.beta2 < 1.0):
-            raise ValidationError(f"betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
-        if self.eps <= 0.0:
-            raise ValidationError(f"eps must be positive, got {self.eps}")
 
 
 class SlipModel:
@@ -394,14 +391,14 @@ def lstm_train(
             loss, grads = loss_and_grads(model, x_train[idx], y_train[idx], dropout_rng=rng)
             epoch_loss += loss * len(idx)
             step += 1
-            bias1 = 1.0 - config.beta1**step
-            bias2 = 1.0 - config.beta2**step
+            bias1 = 1.0 - ADAM_BETA1**step
+            bias2 = 1.0 - ADAM_BETA2**step
             for p, a, b, g in zip(params, m1, m2, grads):
-                a *= config.beta1
-                a += (1.0 - config.beta1) * g
-                b *= config.beta2
-                b += (1.0 - config.beta2) * g * g
-                p -= config.learning_rate * (a / bias1) / (np.sqrt(b / bias2) + config.eps)
+                a *= ADAM_BETA1
+                a += (1.0 - ADAM_BETA1) * g
+                b *= ADAM_BETA2
+                b += (1.0 - ADAM_BETA2) * g * g
+                p -= config.learning_rate * (a / bias1) / (np.sqrt(b / bias2) + ADAM_EPS)
         losses.append(epoch_loss / n)
         if x_val is not None:
             pred = severity_argmax(predict_proba(model, x_val))

@@ -3,13 +3,15 @@
 The 3-class softmax output is labelled by its argmax, ties going to the
 more severe class. A time-stability rule then requires the same label on
 two consecutive frames before any action fires, filtering single-frame
-flickers.
+flickers. That rule, `stability_step` scanned by `first_action`, is
+shared with the grasp monitor, which keys it on the fault family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Any, Callable, Collection, Hashable, Iterable
 
 import numpy as np
 
@@ -51,43 +53,54 @@ ACTION_FOR_LABEL = {
 
 @dataclass(frozen=True)
 class StabilityState:
-    """Running memory of the last prediction and how many consecutive
-    frames produced it."""
+    """Running memory of the two-consecutive rule: the last key seen and
+    how many consecutive frames produced it. A key is any hashable value
+    other than None."""
 
-    last: SlipLabel | None = None
+    last: Hashable | None = None
     count: int = 0
 
     def __post_init__(self) -> None:
         if self.last is not None and self.count < 1:
-            raise ValidationError("count must be >= 1 while a prediction is held")
+            raise ValidationError("count must be >= 1 while a key is held")
         if self.last is None and self.count != 0:
-            raise ValidationError("count must be 0 with no held prediction")
+            raise ValidationError("count must be 0 with no held key")
+
+
+def stability_step(state: StabilityState, key: Hashable) -> tuple[StabilityState, bool]:
+    """One frame of the two-consecutive rule, shared by both monitors.
+
+    A repeated key increments the count, a change resets it to 1. The
+    moment a key is seen twice in a row the rule fires and the state
+    clears, so the next identical frame starts a fresh count.
+    """
+    count = state.count + 1 if key == state.last else 1
+    if count >= 2:
+        return StabilityState(), True
+    return StabilityState(last=key, count=count), False
+
+
+def first_action(
+    step: Callable[[StabilityState, Any], tuple[StabilityState, Any]], stream: Iterable, ignore: Collection = ()
+) -> tuple[Any, int | None]:
+    """Scan a stream with a monitor's step until it fires an action not in
+    `ignore`; scanning goes on, from the cleared state, past one that is.
+
+    Returns (action, index of the firing frame), or (None, None) when
+    the stream ends first.
+    """
+    state = StabilityState()
+    for i, item in enumerate(stream):
+        state, action = step(state, item)
+        if action is not None and action not in ignore:
+            return action, i
+    return None, None
 
 
 def time_stability_step(
     state: StabilityState, prediction: SlipLabel
 ) -> tuple[StabilityState, RecoveryAction | None]:
-    """One frame of the two-consecutive rule.
-
-    A repeat increments the count, a change resets it to 1. The moment a
-    label is seen twice in a row the matching action fires and the state
-    clears, so the next identical frame starts a fresh count.
-    """
-    count = state.count + 1 if prediction == state.last else 1
-    if count >= 2:
-        return StabilityState(), ACTION_FOR_LABEL[prediction]
-    return StabilityState(last=prediction, count=count), None
-
-
-def run_stability(predictions: list[SlipLabel]) -> tuple[RecoveryAction | None, int | None]:
-    """Scan a prediction stream until the first action fires.
-
-    Returns (action, index of the firing frame), or (None, None) when
-    the stream ends without two consecutive equal predictions.
-    """
-    state = StabilityState()
-    for i, p in enumerate(predictions):
-        state, action = time_stability_step(state, p)
-        if action is not None:
-            return action, i
-    return None, None
+    """One slip window: the label is the key, and a confirmed label fires
+    its ACTION_FOR_LABEL action."""
+    state, fired = stability_step(state, prediction)
+    return state, ACTION_FOR_LABEL[prediction] if fired else None

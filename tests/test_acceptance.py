@@ -18,12 +18,12 @@ from harvest_guard.grasp import (
     GraspAction,
     GraspClass,
     classify_grasp,
-    run_grasp_decision,
+    grasp_decision_step,
     train_grasp_classifier,
 )
 from harvest_guard.lstm import LstmArch, TrainConfig, evaluate, lstm_train
 from harvest_guard.metrics import ConfusionMatrix, confusion_metrics, macro_f1, success_rates, SuccessTally
-from harvest_guard.slip_decision import ACTION_FOR_LABEL, run_stability
+from harvest_guard.slip_decision import ACTION_FOR_LABEL, first_action, time_stability_step
 from harvest_guard.slip_windows import SlipLabel, class_counts, prepare_splits, stratified_split, windows_from_slip_csv
 from harvest_guard.world import ScenarioConfig, EpisodeWorld, episode_rng, gen_slip_dataset, run_episodes, sample_grasp_dataset
 
@@ -151,11 +151,11 @@ def test_acceptance_05_decision_rules_match_exhaustive_oracles():
         return None, None
 
     slip_ok = all(
-        run_stability(list(stream)) == slip_oracle(stream)
+        first_action(time_stability_step, stream) == slip_oracle(stream)
         for stream in itertools.product(list(SlipLabel), repeat=6)
     )
     grasp_ok = all(
-        run_grasp_decision(list(stream)) == grasp_oracle(stream)
+        first_action(grasp_decision_step, stream) == grasp_oracle(stream)
         for stream in itertools.product(list(GraspClass), repeat=6)
     )
     _verdict(

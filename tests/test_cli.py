@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, determinism, file outputs."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -126,6 +127,30 @@ def test_compensate_replays_the_bundled_audit(tmp_path, capsys):
     assert out.exists()
 
 
+def test_compensate_of_a_header_only_file_has_no_trials(tmp_path, capsys):
+    data, out = tmp_path / "empty.csv", tmp_path / "records.csv"
+    data.write_text("xs,ys,zs,xe,ye,ze\n")
+    assert main(["compensate", "--input", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {data}: no trials\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [
+        ("709,221,706,686,225,647,22,-4,nan,4.2", "dx_w must be finite, got nan"),
+        ("709,221,706,686,225,647,inf,-4,,", "dx must be finite, got inf"),
+        ("nan,221,706,686,225,647,,,,", "x must be finite, got nan"),
+    ],
+)
+def test_compensate_rejects_non_finite_values_before_writing(tmp_path, capsys, row, problem):
+    data, out = tmp_path / "trials.csv", tmp_path / "records.csv"
+    data.write_text(f"xs,ys,zs,xe,ye,ze,dx,dy,dx_w,dy_w\n{row}\n")
+    assert main(["compensate", "--input", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {data}: bad row at line 2: {problem}"]
+    assert not out.exists()
+
+
 def test_simulate_writes_three_artifacts(tmp_path, capsys):
     out_dir = tmp_path / "run"
     assert main(["simulate", "--seed", "5", "--episodes", "20", "--out", str(out_dir)]) == 0
@@ -177,6 +202,38 @@ def test_report_rejects_malformed_log_lines(tmp_path, capsys, line, problem):
     assert main(["report", "--episodes", str(log), "--out", str(tmp_path / "s.csv")]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and problem in err[0]
+
+
+@pytest.mark.parametrize(
+    "field, value, problem",
+    [
+        ("duration_s", '"x"', "duration_s must be a finite number, got 'x'"),
+        ("duration_s", "NaN", "duration_s must be a finite number, got nan"),
+        ("duration_s", "true", "duration_s must be a finite number, got True"),
+        ("episode_id", '"a"', "episode_id must be an integer, got 'a'"),
+        ("episode_id", "[1]", "episode_id must be an integer, got [1]"),
+        ("seq", "1.0", "seq must be an integer, got 1.0"),
+        ("seq", "false", "seq must be an integer, got False"),
+        ("stage", '"flying"', "unknown stage 'flying'"),
+        ("variant", "{}", "unknown variant {}"),
+        ("event", "null", "unknown event None"),
+        ("detail", "5", "detail must be a string, got 5"),
+    ],
+)
+def test_report_rejects_log_values_of_the_wrong_kind(tmp_path, capsys, field, value, problem):
+    out_dir = tmp_path / "run"
+    assert main(["simulate", "--seed", "2", "--episodes", "1", "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    log = out_dir / "episodes.jsonl"
+    first, second = log.read_text().splitlines()[:2]
+    doc = json.loads(second)
+    bad = json.dumps(doc).replace(f'"{field}": {json.dumps(doc[field])}', f'"{field}": {value}')
+    assert bad != json.dumps(doc)
+    log.write_text(f"{first}\n{bad}\n")
+    report = tmp_path / "s.csv"
+    assert main(["report", "--episodes", str(log), "--out", str(report)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {log}: line 2: {problem}"]
+    assert not report.exists()
 
 
 def test_train_and_eval_slip_round_trip(tmp_path, capsys):

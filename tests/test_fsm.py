@@ -1,5 +1,7 @@
 """Cycle state machine: timing, anchor episodes, logs."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from harvest_guard.fsm import (
     StageRecord,
     StageTiming,
     Variant,
+    advance,
+    episode_cycle,
     read_episode_log,
     run_episode,
     sample_stage_duration,
@@ -24,6 +28,7 @@ from harvest_guard.fsm import (
 )
 from harvest_guard.geometry import RelativeError
 from harvest_guard.grasp import GraspAction, GraspClass
+from harvest_guard.slip_decision import ACTION_FOR_LABEL
 from harvest_guard.slip_windows import SlipLabel
 
 from conftest import ScriptedWorld
@@ -149,7 +154,7 @@ def test_undecided_grasp_stream_fails_open():
     ep = _run(world)
     assert ep.outcome is Outcome.PICKED_AND_PLACED
     assert ep.responses.grasp_action is GraspAction.PROCEED
-    assert ep.responses.grasp_detected is None
+    assert ep.responses.grasp_detected is None and ep.responses.grasp_detect_frame is None
 
 
 def test_mixed_fault_frames_abort():
@@ -158,6 +163,27 @@ def test_mixed_fault_frames_abort():
     ep = _run(world)
     assert ep.outcome is Outcome.ABORTED_EMPTY_OR_MISGRASP
     assert ep.responses.grasp_detected is GraspClass.UNRIPE_HELD
+    assert ep.responses.grasp_detect_frame == 1
+
+
+def _slip_scan_oracle(stream):
+    """The snap-off rule restated: the first window whose label repeats
+    the one before it, unless that label is Normal."""
+    for i in range(1, len(stream)):
+        if stream[i] == stream[i - 1] != SlipLabel.NORMAL:
+            return ACTION_FOR_LABEL[stream[i]], i
+    return None, None
+
+
+def test_slip_scan_matches_exhaustive_oracle():
+    # all 3^8 eight-window label streams, sent into the cycle at snap-off;
+    # a confirmed Normal is scanned past, not acted on
+    world = ScriptedWorld()
+    for stream in itertools.product(list(SlipLabel), repeat=8):
+        cycle = episode_cycle(world, DEFAULT_TIMING, np.random.default_rng(0), True, 0)
+        assert isinstance(advance(cycle), EpisodeTruth)
+        responses = advance(cycle, list(stream)).responses
+        assert (responses.slip_action, responses.slip_detect_frame) == _slip_scan_oracle(stream)
 
 
 def _records(stages):
@@ -178,7 +204,7 @@ def _records(stages):
 
 
 _TRUTH = EpisodeTruth(RelativeError(0.0, 0.0), GraspClass.RIPE_HELD, SlipLabel.NORMAL)
-_RESPONSES = EpisodeResponses(False, None, None, GraspAction.PROCEED, None, None, None)
+_RESPONSES = EpisodeResponses(False, None, None, GraspAction.PROCEED, None, None, None, None)
 
 _FULL = [
     Stage.INFLATING_APPROACHING,

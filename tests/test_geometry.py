@@ -64,6 +64,18 @@ def test_mean_abs_error():
         mean_abs_error([])
 
 
+def test_non_finite_values_are_rejected_by_name():
+    nan, inf = float("nan"), float("inf")
+    with pytest.raises(ValidationError, match=r"^x must be finite, got nan$"):
+        ArmPoint3(nan, 0.0, 0.0)
+    with pytest.raises(ValidationError, match=r"^dy must be finite, got inf$"):
+        RelativeError(0.0, inf)
+    with pytest.raises(ValidationError, match=r"^k_x must be finite, got nan$"):
+        CompensationParams(k_x=nan)
+    with pytest.raises(ValidationError, match=r"^values\[1\] must be finite, got -inf$"):
+        mean_abs_error([1.0, -inf])
+
+
 def test_validation_rejects_bad_inputs():
     with pytest.raises(ValidationError):
         ArmPoint3(float("nan"), 0.0, 0.0)

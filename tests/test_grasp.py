@@ -10,17 +10,16 @@ from harvest_guard.grasp import (
     FAULT_CLASSES,
     GraspAction,
     GraspClass,
-    GraspDecisionState,
     GraspModel,
     GripperObservation,
     classify_grasp,
     grasp_decision_step,
     grasp_scores,
     read_grasp_csv,
-    run_grasp_decision,
     train_grasp_classifier,
     write_grasp_csv,
 )
+from harvest_guard.slip_decision import StabilityState, first_action
 from harvest_guard.world import sample_grasp_dataset
 
 RIPE, EMPTY, UNRIPE = GraspClass.RIPE_HELD, GraspClass.EMPTY, GraspClass.UNRIPE_HELD
@@ -96,42 +95,35 @@ def test_training_rejects_degenerate_inputs():
 
 
 def test_two_consecutive_faults_abort():
-    assert run_grasp_decision([EMPTY, EMPTY]) == (GraspAction.ABORT_CYCLE, 1)
-    assert run_grasp_decision([RIPE, UNRIPE, UNRIPE]) == (GraspAction.ABORT_CYCLE, 2)
+    assert first_action(grasp_decision_step, [EMPTY, EMPTY]) == (GraspAction.ABORT_CYCLE, 1)
+    assert first_action(grasp_decision_step, [RIPE, UNRIPE, UNRIPE]) == (GraspAction.ABORT_CYCLE, 2)
 
 
 def test_two_consecutive_ripe_proceed():
-    assert run_grasp_decision([RIPE, RIPE]) == (GraspAction.PROCEED, 1)
-    assert run_grasp_decision([EMPTY, RIPE, RIPE]) == (GraspAction.PROCEED, 2)
+    assert first_action(grasp_decision_step, [RIPE, RIPE]) == (GraspAction.PROCEED, 1)
+    assert first_action(grasp_decision_step, [EMPTY, RIPE, RIPE]) == (GraspAction.PROCEED, 2)
 
 
 def test_pooled_faults_extend_each_other():
-    assert run_grasp_decision([EMPTY, UNRIPE]) == (GraspAction.ABORT_CYCLE, 1)
-    assert run_grasp_decision([UNRIPE, EMPTY]) == (GraspAction.ABORT_CYCLE, 1)
+    assert first_action(grasp_decision_step, [EMPTY, UNRIPE]) == (GraspAction.ABORT_CYCLE, 1)
+    assert first_action(grasp_decision_step, [UNRIPE, EMPTY]) == (GraspAction.ABORT_CYCLE, 1)
 
 
 def test_alternating_stream_stays_undecided():
     stream = [RIPE, EMPTY, RIPE, UNRIPE, RIPE, EMPTY]
-    assert run_grasp_decision(stream) == (None, None)
-
-
-def test_decision_state_validation():
-    with pytest.raises(ValidationError):
-        GraspDecisionState(fault_count=-1)
-    with pytest.raises(ValidationError):
-        GraspDecisionState(fault_count=1, ok_count=1)
+    assert first_action(grasp_decision_step, stream) == (None, None)
 
 
 def test_fired_decision_clears_counters():
-    state = GraspDecisionState()
+    state = StabilityState()
     state, action = grasp_decision_step(state, EMPTY)
     assert action is None
     state, action = grasp_decision_step(state, EMPTY)
     assert action is GraspAction.ABORT_CYCLE
-    assert state == GraspDecisionState()
-    # the very next frame starts a fresh run
+    assert state == StabilityState()
+    # the very next frame starts a fresh run, keyed on the fault family
     state, action = grasp_decision_step(state, EMPTY)
-    assert action is None and state.fault_count == 1
+    assert action is None and state == StabilityState(last=True, count=1)
 
 
 def _bruteforce_decision(stream):
@@ -150,7 +142,7 @@ def test_exhaustive_streams_match_bruteforce():
     # all 3^6 six-frame class streams
     for raw in itertools.product(list(GraspClass), repeat=6):
         stream = list(raw)
-        assert run_grasp_decision(stream) == _bruteforce_decision(stream)
+        assert first_action(grasp_decision_step, stream) == _bruteforce_decision(stream)
 
 
 def test_grasp_csv_round_trip(tmp_path):

@@ -188,10 +188,6 @@ def test_config_and_arch_validation():
     with pytest.raises(ValidationError):
         TrainConfig(batch_size=0)
     with pytest.raises(ValidationError):
-        TrainConfig(beta1=1.0)
-    with pytest.raises(ValidationError):
-        TrainConfig(eps=0.0)
-    with pytest.raises(ValidationError):
         LstmArch(n_layers=0)
     with pytest.raises(ValidationError):
         LstmArch(n_classes=1)

@@ -12,7 +12,7 @@ from harvest_guard.slip_decision import (
     RecoveryAction,
     StabilityState,
     classify_slip,
-    run_stability,
+    first_action,
     time_stability_step,
 )
 from harvest_guard.slip_windows import SlipLabel
@@ -77,14 +77,14 @@ def test_stability_step_counts_and_fires():
 
 def test_single_flicker_never_fires():
     stream = [SlipLabel.NORMAL, SlipLabel.SLIPPING, SlipLabel.NORMAL, SlipLabel.SLIPPED]
-    assert run_stability(stream) == (None, None)
+    assert first_action(time_stability_step, stream) == (None, None)
 
 
 def test_action_fires_on_second_consecutive_frame():
     stream = [SlipLabel.NORMAL, SlipLabel.SLIPPING, SlipLabel.SLIPPING]
-    assert run_stability(stream) == (RecoveryAction.REGRASP_AND_RESNAP, 2)
+    assert first_action(time_stability_step, stream) == (RecoveryAction.REGRASP_AND_RESNAP, 2)
     stream = [SlipLabel.SLIPPED, SlipLabel.SLIPPED, SlipLabel.SLIPPING]
-    assert run_stability(stream) == (RecoveryAction.ABORT_CYCLE, 1)
+    assert first_action(time_stability_step, stream) == (RecoveryAction.ABORT_CYCLE, 1)
 
 
 def _bruteforce_first_action(stream):
@@ -98,7 +98,7 @@ def _bruteforce_first_action(stream):
 def test_exhaustive_streams_match_bruteforce():
     # every possible 6-frame prediction stream, all 3^6 of them
     for raw in itertools.product(list(SlipLabel), repeat=6):
-        assert run_stability(list(raw)) == _bruteforce_first_action(raw)
+        assert first_action(time_stability_step, list(raw)) == _bruteforce_first_action(raw)
 
 
 def test_cleared_state_requires_fresh_pair():

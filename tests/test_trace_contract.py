@@ -8,10 +8,10 @@ import math
 import numpy as np
 
 from harvest_guard import cli, fsm, world
-from harvest_guard.grasp import GraspModel
+from harvest_guard.grasp import GraspAction, GraspModel
 from harvest_guard.lstm import LstmArch, init_model
 from harvest_guard.model_io import save_model
-from harvest_guard.slip_windows import windows_from_slip_csv
+from harvest_guard.slip_windows import LOOKAHEAD, WINDOW_LEN, windows_from_slip_csv
 
 from conftest import REPO_ROOT
 
@@ -63,6 +63,14 @@ def test_simulate_calls_every_sim_trace_point(tmp_path, monkeypatch, capsys):
     save_model(slip_model, init_model(LstmArch(n_layers=1, hidden_size=4), seed=0))
     # all-zero weights score every frame RipeHeld, so every episode reaches snap-off
     save_model(grasp_model, GraspModel(np.zeros((3, 4)), np.zeros(3)))
+    runs = []  # (world, episodes) of each simulate run
+    run_episodes = cli.run_episodes
+
+    def keep_episodes(w, *args, **kwargs):
+        runs.append((w, run_episodes(w, *args, **kwargs)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(cli, "run_episodes", keep_episodes)
     tracer = _tracer(monkeypatch)
     run = ["simulate", "--seed", "3", "--episodes", "20"]
     with tracer.active("op"):
@@ -74,6 +82,21 @@ def test_simulate_calls_every_sim_trace_point(tmp_path, monkeypatch, capsys):
     # every default trajectory holds 14 frames
     trajectories = op.calls["world.gen_slip_trajectory"]
     assert trajectories > 0 and op.counts["world.gen_slip_trajectory.frames"] == 14 * trajectories
+
+    # each monitor's step runs once per frame its scan consumed: to the
+    # firing frame, or to the end of an undecided stream; the slip scan
+    # runs only after a grasp that proceeds
+    grasp_used = slip_used = 0
+    for w, episodes in runs:
+        n_windows = 14 - WINDOW_LEN + 1 - (0 if w.slip_model else LOOKAHEAD)
+        for ep in episodes:
+            r = ep.responses
+            grasp_used += w.config.grasp_frames if r.grasp_detect_frame is None else r.grasp_detect_frame + 1
+            if r.grasp_action is GraspAction.PROCEED:
+                slip_used += n_windows if r.slip_detect_frame is None else r.slip_detect_frame + 1
+    assert len(runs) == 2 and slip_used > 0
+    assert op.calls["grasp.grasp_decision_step"] == grasp_used
+    assert op.calls["slip_decision.time_stability_step"] == slip_used
 
 
 def test_simulate_stacks_slip_inference_across_episodes(tmp_path, monkeypatch, capsys):
