@@ -30,7 +30,6 @@ from .grasp import (
     GraspAction,
     GraspClass,
     GraspModel,
-    GripperObservation,
     classify_grasp,
     grasp_decision_step,
     train_grasp_classifier,

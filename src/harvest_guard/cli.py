@@ -15,8 +15,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .errors import ValidationError
 from .fsm import DEFAULT_TIMING, Stage, Variant, read_episode_log, write_episode_log
@@ -242,19 +240,15 @@ def _cmd_eval_slip(args: argparse.Namespace) -> int:
 
 
 def _cmd_train_grasp(args: argparse.Namespace) -> int:
-    rows = read_grasp_csv(args.data)
-    if not rows:
+    x, y = read_grasp_csv(args.data)
+    if not len(y):
         raise ValidationError(f"{args.data}: empty dataset")
-    train_idx, val_idx = stratified_split(np.array([label for _, label in rows]), args.ratio, args.seed)
-    train_rows, val_rows = [rows[i] for i in train_idx], [rows[i] for i in val_idx]
-    model = train_grasp_classifier(
-        [o for o, _ in train_rows], [l for _, l in train_rows], args.lr, args.epochs, args.seed
-    )
+    train_idx, val_idx = stratified_split(y, args.ratio, args.seed)
+    model = train_grasp_classifier(x[train_idx], y[train_idx], args.lr, args.epochs, args.seed)
     save_model(args.out, model)
-    if val_rows:
-        pred = [int(classify_grasp(model, o)[0]) for o, _ in val_rows]
-        true = [int(l) for _, l in val_rows]
-        cm = ConfusionMatrix.from_pairs(true, pred, tuple(c.name.lower() for c in GraspClass))
+    if len(val_idx):
+        pred = [int(c) for c in classify_grasp(model, x[val_idx])]
+        cm = ConfusionMatrix.from_pairs(y[val_idx].tolist(), pred, tuple(c.name.lower() for c in GraspClass))
         for name, m in confusion_metrics(cm).items():
             print(f"{name:>12}: precision {m.precision:.2f} recall {m.recall:.2f} f1 {m.f1:.2f}")
     print(f"model saved to {args.out}")

@@ -412,9 +412,25 @@ def _log_value_problem(doc: dict[str, object]) -> str | None:
     return None
 
 
+def _order_problem(prev: dict[str, object] | None, doc: dict[str, object], seen: set[object]) -> str | None:
+    """What is wrong with where a well-formed log line sits, if anything:
+    an episode runs seq 0, 1, 2, ... to its one homing record, then the
+    next episode starts."""
+    homed = prev is None or prev["stage"] == Stage.HOMING.value
+    if homed and doc["episode_id"] in seen:
+        return f"episode {doc['episode_id']} already ended"
+    if not homed and doc["episode_id"] != prev["episode_id"]:
+        return f"episode {prev['episode_id']} ends in {prev['stage']}, not homing"
+    expected = 0 if homed else prev["seq"] + 1
+    if doc["seq"] != expected:
+        return f"episode {doc['episode_id']} has seq {doc['seq']}, expected {expected}"
+    return None
+
+
 def read_episode_log(path: str | Path) -> list[dict[str, object]]:
     path = Path(path)
     out: list[dict[str, object]] = []
+    seen: set[object] = set()
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -427,8 +443,13 @@ def read_episode_log(path: str | Path) -> list[dict[str, object]]:
                 raise ValidationError(f"{path}: line {lineno}: not a JSON object")
             if list(doc.keys()) != list(LOG_FIELDS):
                 raise ValidationError(f"{path}: line {lineno}: unexpected log fields {list(doc.keys())}")
-            problem = _log_value_problem(doc)
+            problem = _log_value_problem(doc) or _order_problem(out[-1] if out else None, doc, seen)
             if problem:
                 raise ValidationError(f"{path}: line {lineno}: {problem}")
+            seen.add(doc["episode_id"])
             out.append(doc)
+            last_lineno = lineno
+    last = out[-1] if out else None
+    if last is not None and last["stage"] != Stage.HOMING.value:
+        raise ValidationError(f"{path}: line {last_lineno}: episode {last['episode_id']} ends in {last['stage']}, not homing")
     return out

@@ -18,23 +18,6 @@ from typing import Iterable, Sequence
 
 from .errors import ValidationError, open_text, require_finite
 
-__all__ = [
-    "ArmPoint3",
-    "RelativeError",
-    "CompensationMode",
-    "CompensationParams",
-    "CompensationRecord",
-    "AlignmentRow",
-    "relative_error",
-    "needs_compensation",
-    "compensated_point",
-    "mean_abs_error",
-    "compensate_row",
-    "compensate_rows",
-    "read_alignment_csv",
-    "write_records_csv",
-]
-
 
 @dataclass(frozen=True)
 class ArmPoint3:
@@ -157,14 +140,10 @@ def relative_error(picking: ArmPoint3, effector: ArmPoint3) -> RelativeError:
 
 
 def needs_compensation(err: RelativeError, params: CompensationParams) -> bool:
-    """Whether the measured x/y offset exceeds the tolerance.
-
-    PER_AXIS: true iff |dx| > T or |dy| > T (each axis then corrected
-    independently downstream). EITHER_AXIS_BOTH: true iff max(|dx|, |dy|)
-    exceeds T, in which case both axes are corrected.
-    """
-    t = params.threshold_t
-    return abs(err.dx) > t or abs(err.dy) > t
+    """Whether the measured x/y offset exceeds the tolerance on either
+    axis, |dx| > T or |dy| > T. Both modes share this test; they differ
+    only in which axes compensated_point then corrects."""
+    return any(_axes_to_correct(err, params))
 
 
 def _axes_to_correct(err: RelativeError, params: CompensationParams) -> tuple[bool, bool]:
@@ -177,6 +156,15 @@ def _axes_to_correct(err: RelativeError, params: CompensationParams) -> tuple[bo
     return over_x, over_y
 
 
+def _corrected(picking: ArmPoint3, err: RelativeError, params: CompensationParams, fix: tuple[bool, bool]) -> ArmPoint3:
+    fix_x, fix_y = fix
+    return ArmPoint3(
+        x=picking.x + params.k_x * err.dx if fix_x else picking.x,
+        y=picking.y + params.k_y * err.dy if fix_y else picking.y,
+        z=picking.z,
+    )
+
+
 def compensated_point(picking: ArmPoint3, err: RelativeError, params: CompensationParams) -> ArmPoint3:
     """The corrected picking point for a measured error.
 
@@ -185,12 +173,7 @@ def compensated_point(picking: ArmPoint3, err: RelativeError, params: Compensati
     x_p), y_c analogously with k_y. z is never touched. If no axis
     triggers, the picking point is returned unchanged.
     """
-    fix_x, fix_y = _axes_to_correct(err, params)
-    return ArmPoint3(
-        x=picking.x + params.k_x * err.dx if fix_x else picking.x,
-        y=picking.y + params.k_y * err.dy if fix_y else picking.y,
-        z=picking.z,
-    )
+    return _corrected(picking, err, params, _axes_to_correct(err, params))
 
 
 def mean_abs_error(values: Sequence[float]) -> float:
@@ -217,7 +200,8 @@ def compensate_row(row: AlignmentRow, params: CompensationParams) -> Compensatio
     reported = RelativeError(vis_x, vis_y)
     phys_x, phys_y = row.physical_err if row.physical_err is not None else (None, None)
 
-    if not needs_compensation(err, params):
+    fix_x, fix_y = _axes_to_correct(err, params)
+    if not (fix_x or fix_y):
         return CompensationRecord(
             picking=row.picking,
             effector=row.effector,
@@ -226,11 +210,10 @@ def compensate_row(row: AlignmentRow, params: CompensationParams) -> Compensatio
             physical_err_y=phys_y,
         )
 
-    corrected = compensated_point(row.picking, err, params)
+    corrected = _corrected(row.picking, err, params, (fix_x, fix_y))
     if row.measured_residual is not None:
         residual_x, residual_y = row.measured_residual
     else:
-        fix_x, fix_y = _axes_to_correct(err, params)
         base_x = phys_x if phys_x is not None else err.dx
         base_y = phys_y if phys_y is not None else err.dy
         residual_x = base_x - (params.k_x * err.dx if fix_x else 0.0)
@@ -254,7 +237,6 @@ def compensate_rows(rows: Iterable[AlignmentRow], params: CompensationParams) ->
 # CSV layout shared by the audit input and output. Input needs the first
 # six columns; the paired optional columns carry listed log values.
 _INPUT_COLUMNS = ("xs", "ys", "zs", "xe", "ye", "ze")
-_OPTIONAL_PAIRS = (("dx", "dy"), ("dx_w", "dy_w"), ("e_x", "e_y"))
 RECORD_COLUMNS = (
     "xs", "ys", "zs", "xe", "ye", "ze",
     "dx", "dy", "dx_w", "dy_w",

@@ -10,10 +10,9 @@ the same call signature can be dropped in instead.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -35,27 +34,28 @@ class GraspClass(IntEnum):
 FAULT_CLASSES = frozenset({GraspClass.EMPTY, GraspClass.UNRIPE_HELD})
 
 
-@dataclass(frozen=True)
-class GripperObservation:
-    """Color and area summary of one gripper-camera frame."""
+def first_bad_observation(x: np.ndarray) -> tuple[int, str] | None:
+    """(row, reason) of the first row of an (n, 4) observation array that
+    breaks the contract, or None. Each fraction must lie in [0, 1] (NaN
+    fails) and a present fruit needs a positive area; a row is checked in
+    GRASP_FEATURES order, then for that last rule."""
+    if x.ndim != 2 or x.shape[1] != len(GRASP_FEATURES):
+        raise ValidationError(f"observations must have shape (n, {len(GRASP_FEATURES)}), got {x.shape}")
+    in_range = (x[:, :3] >= 0.0) & (x[:, :3] <= 1.0)
+    bad = ~in_range.all(axis=1) | ((x[:, 2] == 0.0) & (x[:, 3] != 0.0))
+    if not bad.any():
+        return None
+    row = int(bad.argmax())
+    for col, name in enumerate(GRASP_FEATURES[:3]):
+        if not in_range[row, col]:
+            return row, f"{name} must lie in [0, 1], got {x[row, col].item()}"
+    return row, "fruit_present requires a positive fruit_area"
 
-    red_fraction: float
-    green_fraction: float
-    fruit_area: float
-    fruit_present: bool
 
-    def __post_init__(self) -> None:
-        for name in ("red_fraction", "green_fraction", "fruit_area"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValidationError(f"{name} must lie in [0, 1], got {v}")
-        if self.fruit_area == 0.0 and self.fruit_present:
-            raise ValidationError("fruit_present requires a positive fruit_area")
-
-    def as_vector(self) -> np.ndarray:
-        return np.array(
-            [self.red_fraction, self.green_fraction, self.fruit_area, float(self.fruit_present)]
-        )
+def _require_observations(x: np.ndarray) -> None:
+    bad = first_bad_observation(x)
+    if bad is not None:
+        raise ValidationError(bad[1])
 
 
 class GraspModel:
@@ -74,36 +74,41 @@ class GraspModel:
         return {"weights": self.weights, "bias": self.bias}
 
 
-def grasp_scores(model: GraspModel, obs: GripperObservation) -> np.ndarray:
-    """Class probabilities for one observation; sums to 1."""
+def classify_grasp(model: GraspModel, x: np.ndarray) -> list[GraspClass]:
+    """The class of each row of an (n, 4) observation array.
+
+    Each row's scores are its own matrix-vector product, so a batch gives
+    the same bits as classifying the rows one by one (x @ W.T does not).
+    A tie goes to the lower class index, RIPE_HELD first.
+    """
     if not isinstance(model, GraspModel):
         raise ValidationError("classify_grasp needs a trained GraspModel")
-    return softmax(model.weights @ obs.as_vector() + model.bias)
-
-
-def classify_grasp(model: GraspModel, obs: GripperObservation) -> tuple[GraspClass, float]:
-    scores = grasp_scores(model, obs)
-    idx = int(scores.argmax())
-    return GraspClass(idx), float(scores[idx])
+    _require_observations(x)
+    probs = softmax((model.weights @ x[:, :, None])[:, :, 0] + model.bias)
+    return [GraspClass(i) for i in probs.argmax(axis=1).tolist()]
 
 
 def train_grasp_classifier(
-    observations: Sequence[GripperObservation],
-    labels: Sequence[GraspClass],
+    x: np.ndarray,
+    y: np.ndarray,
     learning_rate: float = 0.5,
     epochs: int = 300,
     seed: int = 0,
 ) -> GraspModel:
-    """Full-batch softmax regression; deterministic per seed.
+    """Full-batch softmax regression on an (n, 4) observation array and
+    its (n,) labels; deterministic per seed.
 
     Every class must appear at least once so each output row gets
     gradient signal.
     """
-    if len(observations) != len(labels):
+    if len(x) != len(y):
         raise ValidationError("observations and labels differ in length")
-    if not observations:
+    if not len(y):
         raise ValidationError("training needs a non-empty observation set")
-    present = {GraspClass(int(l)) for l in labels}
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    _require_observations(x)
+    present = {GraspClass(l) for l in y.tolist()}
     if present != set(GraspClass):
         missing = sorted(set(GraspClass) - present, key=int)
         raise ValidationError(f"training set is missing classes {[c.name for c in missing]}")
@@ -112,8 +117,6 @@ def train_grasp_classifier(
         raise ValidationError("learning rate and epochs must be positive")
 
     rng = np.random.default_rng(seed)
-    x = np.stack([o.as_vector() for o in observations])
-    y = np.array([int(l) for l in labels])
     n = len(y)
     w = rng.uniform(-0.1, 0.1, size=(len(GraspClass), len(GRASP_FEATURES)))
     b = np.zeros(len(GraspClass))
@@ -145,28 +148,26 @@ def grasp_decision_step(state: StabilityState, cls: GraspClass) -> tuple[Stabili
     return state, GraspAction.ABORT_CYCLE if fault else GraspAction.PROCEED
 
 
-def write_grasp_csv(
-    path: str | Path, rows: Iterable[tuple[GripperObservation, GraspClass]]
-) -> None:
+def write_grasp_csv(path: str | Path, x: np.ndarray, y: np.ndarray) -> None:
+    """An (n, 4) observation array and its (n,) labels as GraspData rows."""
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(GRASP_CSV_HEADER)
-        for obs, label in rows:
-            writer.writerow(
-                [
-                    repr(float(obs.red_fraction)),
-                    repr(float(obs.green_fraction)),
-                    repr(float(obs.fruit_area)),
-                    int(obs.fruit_present),
-                    int(label),
-                ]
-            )
+        for (red, green, area, present), label in zip(x.tolist(), y.tolist()):
+            writer.writerow([repr(red), repr(green), repr(area), int(present), label])
 
 
-def read_grasp_csv(path: str | Path) -> list[tuple[GripperObservation, GraspClass]]:
+def read_grasp_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a GraspData file into an (n, 4) float64 observation array and
+    (n,) int64 labels; a nonzero fruit_present reads as 1.0.
+
+    Once every row has parsed, the first observation that breaks the
+    contract (first_bad_observation) is reported by its line.
+    """
     path = Path(path)
-    out: list[tuple[GripperObservation, GraspClass]] = []
+    rows: list[list[float]] = []
+    labels: list[GraspClass] = []
     with open_text(path, newline="") as fh:
         reader = csv.DictReader(line for line in fh if not line.startswith("#"))
         fields = reader.fieldnames or []
@@ -175,14 +176,15 @@ def read_grasp_csv(path: str | Path) -> list[tuple[GripperObservation, GraspClas
             raise ValidationError(f"{path}: missing columns {missing}")
         for lineno, rec in enumerate(reader, start=2):
             try:
-                obs = GripperObservation(
-                    red_fraction=float(rec["red_fraction"]),
-                    green_fraction=float(rec["green_fraction"]),
-                    fruit_area=float(rec["fruit_area"]),
-                    fruit_present=bool(int(rec["fruit_present"])),
-                )
+                row = [float(rec[name]) for name in GRASP_FEATURES[:3]] + [float(bool(int(rec["fruit_present"])))]
                 label = GraspClass(int(rec["label"]))
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"{path}: bad row at line {lineno}: {exc}") from exc
-            out.append((obs, label))
-    return out
+            rows.append(row)
+            labels.append(label)
+    x = np.array(rows, dtype=np.float64).reshape(len(rows), len(GRASP_FEATURES))
+    bad = first_bad_observation(x)
+    if bad is not None:
+        row_index, problem = bad
+        raise ValidationError(f"{path}: bad row at line {row_index + 2}: {problem}")
+    return x, np.array(labels, dtype=np.int64)

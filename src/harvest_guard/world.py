@@ -31,7 +31,7 @@ from .geometry import (
     compensated_point,
     needs_compensation,
 )
-from .grasp import GraspClass, GraspModel, GripperObservation, classify_grasp
+from .grasp import GRASP_FEATURES, GraspClass, GraspModel, classify_grasp, write_grasp_csv
 from .lstm import SlipModel, predict_proba
 from .slip_decision import classify_slip
 from .slip_windows import (
@@ -313,44 +313,49 @@ def gen_slip_trajectory(
 
 # --- grasp observations --------------------------------------------------
 
-# class-conditional feature ranges; red/green clipped into disjoint bands
-# so the classes stay linearly separable at any noise scale
+# class-conditional (mean, std, lo, hi) of red, green and area, in draw
+# order; red/green clipped into disjoint bands so the classes stay
+# linearly separable at any noise scale
 _GRASP_BANDS = {
-    GraspClass.RIPE_HELD: {"red": (0.62, 0.05, 0.35, 0.90), "green": (0.06, 0.02, 0.0, 0.20), "area": (0.50, 0.05, 0.20, 0.80)},
-    GraspClass.UNRIPE_HELD: {"red": (0.05, 0.02, 0.0, 0.20), "green": (0.55, 0.05, 0.35, 0.90), "area": (0.45, 0.05, 0.20, 0.80)},
+    GraspClass.RIPE_HELD: np.array([(0.62, 0.05, 0.35, 0.90), (0.06, 0.02, 0.0, 0.20), (0.50, 0.05, 0.20, 0.80)]),
+    GraspClass.UNRIPE_HELD: np.array([(0.05, 0.02, 0.0, 0.20), (0.55, 0.05, 0.35, 0.90), (0.45, 0.05, 0.20, 0.80)]),
 }
+_EMPTY_STD, _EMPTY_MAX = 0.02, 0.15  # an empty gripper sees small |noise| specks
 
 
-def gen_grasp_observation(
-    outcome: GraspClass, rng: np.random.Generator, noise_scale: float = 1.0
-) -> GripperObservation:
+def gen_grasp_observations(
+    outcome: GraspClass, n: int, rng: np.random.Generator, noise_scale: float = 1.0
+) -> np.ndarray:
+    """n gripper frames of one grasp outcome as an (n, 4) array in
+    GRASP_FEATURES order.
+
+    The red, green and area columns come from one (n, 3) normal draw, row
+    by row. A held fruit draws even at noise_scale 0; an empty gripper
+    then draws nothing and sees all zeros.
+    """
+    x = np.zeros((n, len(GRASP_FEATURES)))
     if outcome is GraspClass.EMPTY:
-        if noise_scale == 0.0:
-            return GripperObservation(0.0, 0.0, 0.0, False)
-        small = lambda: float(min(0.15, abs(rng.normal(0.0, 0.02 * noise_scale))))
-        red, green = small(), small()
-        area = small()
-        return GripperObservation(red, green, area, False)
-    bands = _GRASP_BANDS[outcome]
-
-    def draw(name: str) -> float:
-        mean, std, lo, hi = bands[name]
-        return float(min(hi, max(lo, rng.normal(mean, std * noise_scale))))
-
-    return GripperObservation(draw("red"), draw("green"), max(draw("area"), 0.05), True)
+        if noise_scale != 0.0:
+            x[:, :3] = np.minimum(_EMPTY_MAX, np.abs(rng.normal(0.0, _EMPTY_STD * noise_scale, size=(n, 3))))
+        return x
+    mean, std, lo, hi = _GRASP_BANDS[outcome].T
+    x[:, :3] = np.minimum(hi, np.maximum(lo, rng.normal(mean, std * noise_scale, size=(n, 3))))
+    x[:, 3] = 1.0
+    return x
 
 
 def sample_grasp_dataset(
     counts: tuple[int, int, int], seed: int, noise_scale: float = 1.0
-) -> list[tuple[GripperObservation, GraspClass]]:
-    """counts = (ripe, empty, unripe) observations, deterministic per seed."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """counts = (ripe, empty, unripe) observations as an (n, 4) array and
+    (n,) int64 labels, grouped by class; deterministic per seed."""
     if any(c < 0 for c in counts):
         raise ValidationError(f"counts must be non-negative, got {counts}")
-    out: list[tuple[GripperObservation, GraspClass]] = []
-    for cls, n in zip((GraspClass.RIPE_HELD, GraspClass.EMPTY, GraspClass.UNRIPE_HELD), counts):
-        rng = np.random.default_rng([seed, int(cls)])
-        out.extend((gen_grasp_observation(cls, rng, noise_scale), cls) for _ in range(n))
-    return out
+    x = np.concatenate([
+        gen_grasp_observations(cls, n, np.random.default_rng([seed, int(cls)]), noise_scale)
+        for cls, n in zip(GraspClass, counts)
+    ])
+    return x, np.repeat(np.arange(len(GraspClass), dtype=np.int64), counts)
 
 
 # --- approach simulation --------------------------------------------------
@@ -471,9 +476,7 @@ def gen_grasp_dataset(
     seed: int,
 ) -> None:
     """GraspData CSV with exactly `counts` = (ripe, empty, unripe) rows."""
-    from .grasp import write_grasp_csv
-
-    write_grasp_csv(path, sample_grasp_dataset(counts, seed, config.grasp_noise_scale))
+    write_grasp_csv(path, *sample_grasp_dataset(counts, seed, config.grasp_noise_scale))
 
 
 # --- the episode world ----------------------------------------------------
@@ -533,12 +536,8 @@ class EpisodeWorld:
     def grasp_stream(self, truth: EpisodeTruth, rng: np.random.Generator) -> list[GraspClass]:
         if self.grasp_model is None:
             return [truth.grasp_outcome] * self.config.grasp_frames
-        out = []
-        for _ in range(self.config.grasp_frames):
-            obs = gen_grasp_observation(truth.grasp_outcome, rng, self.config.grasp_noise_scale)
-            cls, _ = classify_grasp(self.grasp_model, obs)
-            out.append(cls)
-        return out
+        x = gen_grasp_observations(truth.grasp_outcome, self.config.grasp_frames, rng, self.config.grasp_noise_scale)
+        return classify_grasp(self.grasp_model, x)
 
     def slip_stream(self, truth: EpisodeTruth, rng: np.random.Generator) -> list[SlipLabel]:
         return self.slip_streams([(truth, rng)])[0]

@@ -244,15 +244,13 @@ def test_acceptance_08_success_rate_rounding():
 
 
 def test_acceptance_09_grasp_classifier_separates_cleanly():
-    data = sample_grasp_dataset((300, 300, 300), seed=0)
-    train_rows, val_rows = [], []
-    for start in (0, 300, 600):  # dataset is grouped per class
-        block = data[start : start + 300]
-        train_rows.extend(block[:210])
-        val_rows.extend(block[210:])
-    model = train_grasp_classifier([o for o, _ in train_rows], [l for _, l in train_rows], seed=0)
-    pred = [int(classify_grasp(model, o)[0]) for o, _ in val_rows]
-    true = [int(l) for _, l in val_rows]
+    x, y = sample_grasp_dataset((300, 300, 300), seed=0)
+    # dataset is grouped per class: the first 210 of each class train
+    train = np.concatenate([np.arange(start, start + 210) for start in (0, 300, 600)])
+    val = np.concatenate([np.arange(start + 210, start + 300) for start in (0, 300, 600)])
+    model = train_grasp_classifier(x[train], y[train], seed=0)
+    pred = [int(c) for c in classify_grasp(model, x[val])]
+    true = y[val].tolist()
     cm = ConfusionMatrix.from_pairs(true, pred, ("ripe", "empty", "unripe"))
     per_class = confusion_metrics(cm)
     ok = all(m.precision == 1.0 and m.recall == 1.0 and m.f1 == 1.0 for m in per_class.values())

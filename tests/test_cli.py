@@ -236,6 +236,45 @@ def test_report_rejects_log_values_of_the_wrong_kind(tmp_path, capsys, field, va
     assert not report.exists()
 
 
+@pytest.mark.parametrize(
+    "case", ["repeated episode", "repeated record", "missing record", "no homing", "no final homing", "after homing"]
+)
+def test_report_rejects_a_log_whose_records_do_not_form_episodes(tmp_path, capsys, case):
+    out_dir = tmp_path / "run"
+    assert main(["simulate", "--seed", "2", "--episodes", "3", "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    log = out_dir / "episodes.jsonl"
+    lines = log.read_text().splitlines()
+    one = [json.loads(line)["seq"] for line in lines].index(0, 1)  # episode 1's first line
+    if case == "repeated episode":  # once accepted, adding episode 0's first stage again to its total
+        lines.append(lines[0])
+        problem = f"line {len(lines)}: episode 0 already ended"
+    elif case == "repeated record":
+        lines.insert(1, lines[0])
+        problem = "line 2: episode 0 has seq 0, expected 1"
+    elif case == "missing record":
+        del lines[one + 1]
+        problem = f"line {one + 2}: episode 1 has seq 2, expected 1"
+    elif case == "no homing":
+        stage = json.loads(lines[one - 2])["stage"]
+        del lines[one - 1]
+        problem = f"line {one}: episode 0 ends in {stage}, not homing"
+    elif case == "no final homing":  # blank lines after the last record do not move its line
+        stage = json.loads(lines[-2])["stage"]
+        lines[-1] = ""
+        problem = f"line {len(lines) - 1}: episode 2 ends in {stage}, not homing"
+    else:  # a second homing record, numbered in sequence
+        homing = json.loads(lines[one - 1])
+        homing["seq"] += 1
+        lines.insert(one, json.dumps(homing))
+        problem = f"line {one + 1}: episode 0 already ended"
+    log.write_text("\n".join(lines) + "\n")
+    report = tmp_path / "s.csv"
+    assert main(["report", "--episodes", str(log), "--out", str(report)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {log}: {problem}"]
+    assert not report.exists()
+
+
 def test_train_and_eval_slip_round_trip(tmp_path, capsys):
     data = tmp_path / "slip.csv"
     model = tmp_path / "slip.model.json"
@@ -377,6 +416,37 @@ def test_training_bytes_are_pinned(tmp_path, capsys):
         "grasp model": "f48a4e7978eb0b204e916c1d688d3b113522d2da3580f57636d35ff02246c76f",
         "eval-slip stdout": "12ee286ac7ff67c45ace3b137d5b138ea12592ea6cefa17c007d55345f7deb36",
         "episodes.jsonl": "ffdda36dfbb99eecebaa3fa1612fc21c6b0c46f63c56f569e06e98fcf62a9870",
+    }
+
+
+def test_grasp_bytes_are_pinned(tmp_path, capsys):
+    # the grasp draws, the CSV round trip, training and the learned grasp
+    # monitor; at noise_scale = 0 held classes still draw and an empty
+    # grasp draws nothing, so the episode log pins the draw order too
+    data, loud, model = tmp_path / "grasp.csv", tmp_path / "loud.csv", tmp_path / "grasp.json"
+    (tmp_path / "loud.ini").write_text("[grasp]\nnoise_scale = 8\n")
+    (tmp_path / "quiet.ini").write_text("[grasp]\nnoise_scale = 0\n")
+    assert main(["gen-data", "--kind", "grasp", "--counts", "120,120,120", "--seed", "7", "--out", str(data)]) == 0
+    assert main(["gen-data", "--kind", "grasp", "--counts", "40,40,40", "--seed", "2", "--out", str(loud),
+                 "--config", str(tmp_path / "loud.ini")]) == 0
+    capsys.readouterr()
+    # three epochs leave the noisy classes part-separated, so the printed
+    # metrics move if any validation prediction does
+    assert main(["train-grasp", "--data", str(loud), "--out", str(model), "--seed", "0", "--epochs", "3"]) == 0
+    train_stdout = capsys.readouterr().out.replace(str(model), "<model>")
+    assert main(["train-grasp", "--data", str(data), "--out", str(model), "--seed", "0"]) == 0
+    run = tmp_path / "run"
+    assert main(["simulate", "--seed", "7", "--episodes", "200", "--out", str(run), "--grasp-model", str(model),
+                 "--config", str(tmp_path / "quiet.ini")]) == 0
+    digests = {
+        "gen-data grasp": hashlib.sha256(data.read_bytes()).hexdigest(),
+        "train-grasp stdout": hashlib.sha256(train_stdout.encode()).hexdigest(),
+        "episodes.jsonl": hashlib.sha256((run / "episodes.jsonl").read_bytes()).hexdigest(),
+    }
+    assert digests == {
+        "gen-data grasp": "8404fe7ab78c705fad26b6b4df85a4f1277427d84d0ac65540925388807cdc16",
+        "train-grasp stdout": "74853d583c70da5d461e7e8a4ea3f3c372134f3c3ecb795d27812ad92067b64b",
+        "episodes.jsonl": "f49fb4af48cf6c74f41cfad4e5e094237de0770b78d06c57f27ab1f961e1f68b",
     }
 
 

@@ -42,6 +42,14 @@ def test_threshold_is_strict():
     assert needs_compensation(RelativeError(0.0, -10.1), params)
 
 
+def test_both_modes_share_the_trigger():
+    # the modes differ only in which axes they correct
+    for mode in CompensationMode:
+        params = CompensationParams(mode=mode)
+        for dx, dy, over in ((10.0, -10.0, False), (10.1, 0.0, True), (0.0, -10.1, True), (12.0, 11.0, True)):
+            assert needs_compensation(RelativeError(dx, dy), params) is over
+
+
 def test_default_gains_halve_y_correction():
     p = compensated_point(ArmPoint3(709, 221, 706), RelativeError(23, -4), CompensationParams())
     assert (p.x, p.y, p.z) == (732.0, 219.0, 706.0)

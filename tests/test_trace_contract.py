@@ -111,6 +111,19 @@ def test_simulate_stacks_slip_inference_across_episodes(tmp_path, monkeypatch, c
     assert 0 < tracer.phases["op"].calls["lstm.predict_proba"] <= math.ceil(70 / 32)
 
 
+def test_simulate_classifies_each_grasp_stream_in_one_call(tmp_path, monkeypatch, capsys):
+    grasp_model = tmp_path / "grasp.json"
+    save_model(grasp_model, GraspModel(np.zeros((3, 4)), np.zeros(3)))
+    tracer = _tracer(monkeypatch)
+    with tracer.active("op"):
+        assert cli.main(["simulate", "--seed", "3", "--episodes", "20", "--out", str(tmp_path / "run"),
+                         "--grasp-model", str(grasp_model)]) == 0
+    op = tracer.phases["op"]
+    # every episode reaches deflating; its frames are one batch, not one call each
+    assert op.calls["grasp.classify_grasp"] == op.calls["world.grasp_stream"] == 20
+    assert op.counts["world.grasp_stream.frames"] == 20 * world.ScenarioConfig().grasp_frames
+
+
 def test_train_slip_calls_every_training_trace_point(tmp_path, monkeypatch, capsys):
     data, model = tmp_path / "slip.csv", tmp_path / "model.json"
     assert cli.main(["gen-data", "--kind", "slip", "--counts", "12,5,6", "--out", str(data), "--seed", "0"]) == 0

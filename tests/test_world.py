@@ -18,7 +18,7 @@ from harvest_guard.world import (
     ScenarioConfig,
     SlipTrajectory,
     episode_rng,
-    gen_grasp_observation,
+    gen_grasp_observations,
     gen_slip_dataset,
     gen_slip_trajectory,
     load_config,
@@ -183,35 +183,29 @@ def test_quiet_slipped_trajectory_drops_fast_then_vanishes():
 
 
 def test_empty_grasp_observation_quiet_is_all_zero():
-    obs = gen_grasp_observation(GraspClass.EMPTY, episode_rng(0, 0), noise_scale=0.0)
-    assert (obs.red_fraction, obs.green_fraction, obs.fruit_area, obs.fruit_present) == (
-        0.0,
-        0.0,
-        0.0,
-        False,
-    )
+    rng, untouched = episode_rng(0, 0), episode_rng(0, 0)
+    x = gen_grasp_observations(GraspClass.EMPTY, 4, rng, noise_scale=0.0)
+    assert x.shape == (4, 4) and not x.any()
+    assert rng.random() == untouched.random()  # nothing was drawn
 
 
 def test_grasp_color_bands_stay_disjoint():
     rng = episode_rng(1, 0)
-    for _ in range(200):
-        ripe = gen_grasp_observation(GraspClass.RIPE_HELD, rng, noise_scale=2.0)
-        unripe = gen_grasp_observation(GraspClass.UNRIPE_HELD, rng, noise_scale=2.0)
-        empty = gen_grasp_observation(GraspClass.EMPTY, rng, noise_scale=2.0)
-        assert ripe.red_fraction >= 0.35 > unripe.red_fraction
-        assert unripe.green_fraction >= 0.35 > ripe.green_fraction
-        assert ripe.fruit_present and unripe.fruit_present
-        assert not empty.fruit_present
+    ripe, empty, unripe = (gen_grasp_observations(cls, 200, rng, noise_scale=2.0) for cls in GraspClass)
+    red, green, present = 0, 1, 3
+    assert (ripe[:, red] >= 0.35).all() and (unripe[:, red] < 0.35).all()
+    assert (unripe[:, green] >= 0.35).all() and (ripe[:, green] < 0.35).all()
+    assert (ripe[:, present] == 1.0).all() and (unripe[:, present] == 1.0).all()
+    assert (empty[:, present] == 0.0).all()
 
 
 def test_grasp_dataset_counts_and_determinism():
-    data = sample_grasp_dataset((7, 3, 5), seed=4)
-    labels = [l for _, l in data]
-    assert labels.count(GraspClass.RIPE_HELD) == 7
-    assert labels.count(GraspClass.EMPTY) == 3
-    assert labels.count(GraspClass.UNRIPE_HELD) == 5
-    assert sample_grasp_dataset((7, 3, 5), seed=4) == data
-    assert sample_grasp_dataset((7, 3, 5), seed=5) != data
+    x, y = sample_grasp_dataset((7, 3, 5), seed=4)
+    assert x.shape == (15, 4) and y.dtype == "int64"
+    assert y.tolist() == [GraspClass.RIPE_HELD] * 7 + [GraspClass.EMPTY] * 3 + [GraspClass.UNRIPE_HELD] * 5
+    again, _ = sample_grasp_dataset((7, 3, 5), seed=4)
+    other, _ = sample_grasp_dataset((7, 3, 5), seed=5)
+    assert again.tobytes() == x.tobytes() and other.tobytes() != x.tobytes()
     with pytest.raises(ValidationError):
         sample_grasp_dataset((-1, 0, 0), seed=0)
 
