@@ -37,19 +37,22 @@ FAULT_CLASSES = frozenset({GraspClass.EMPTY, GraspClass.UNRIPE_HELD})
 def first_bad_observation(x: np.ndarray) -> tuple[int, str] | None:
     """(row, reason) of the first row of an (n, 4) observation array that
     breaks the contract, or None. Each fraction must lie in [0, 1] (NaN
-    fails) and a present fruit needs a positive area; a row is checked in
-    GRASP_FEATURES order, then for that last rule."""
+    fails), a present fruit needs a positive area and fruit_present must be
+    0 or 1; a row is checked in GRASP_FEATURES order, then for those rules."""
     if x.ndim != 2 or x.shape[1] != len(GRASP_FEATURES):
         raise ValidationError(f"observations must have shape (n, {len(GRASP_FEATURES)}), got {x.shape}")
     in_range = (x[:, :3] >= 0.0) & (x[:, :3] <= 1.0)
-    bad = ~in_range.all(axis=1) | ((x[:, 2] == 0.0) & (x[:, 3] != 0.0))
+    needs_area = (x[:, 2] == 0.0) & (x[:, 3] != 0.0)
+    bad = ~in_range.all(axis=1) | needs_area | ((x[:, 3] != 0.0) & (x[:, 3] != 1.0))
     if not bad.any():
         return None
     row = int(bad.argmax())
     for col, name in enumerate(GRASP_FEATURES[:3]):
         if not in_range[row, col]:
             return row, f"{name} must lie in [0, 1], got {x[row, col].item()}"
-    return row, "fruit_present requires a positive fruit_area"
+    if needs_area[row]:
+        return row, "fruit_present requires a positive fruit_area"
+    return row, f"fruit_present must be 0 or 1, got {x[row, 3].item():g}"
 
 
 def _require_observations(x: np.ndarray) -> None:
@@ -160,7 +163,7 @@ def write_grasp_csv(path: str | Path, x: np.ndarray, y: np.ndarray) -> None:
 
 def read_grasp_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read a GraspData file into an (n, 4) float64 observation array and
-    (n,) int64 labels; a nonzero fruit_present reads as 1.0.
+    (n,) int64 labels; fruit_present parses as an integer.
 
     Once every row has parsed, the first observation that breaks the
     contract (first_bad_observation) is reported by its line.
@@ -176,9 +179,9 @@ def read_grasp_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
             raise ValidationError(f"{path}: missing columns {missing}")
         for lineno, rec in enumerate(reader, start=2):
             try:
-                row = [float(rec[name]) for name in GRASP_FEATURES[:3]] + [float(bool(int(rec["fruit_present"])))]
+                row = [float(rec[name]) for name in GRASP_FEATURES[:3]] + [float(int(rec["fruit_present"]))]
                 label = GraspClass(int(rec["label"]))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValidationError(f"{path}: bad row at line {lineno}: {exc}") from exc
             rows.append(row)
             labels.append(label)

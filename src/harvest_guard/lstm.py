@@ -50,6 +50,8 @@ class LstmArch:
     head_dropout: float = 0.3
 
     def __post_init__(self) -> None:
+        if not all(isinstance(n, int) for n in (self.n_layers, self.hidden_size, self.input_size, self.n_classes)):
+            raise ValidationError(f"architecture sizes must be integers: {self}")
         if self.n_layers < 1 or self.hidden_size < 1 or self.input_size < 1 or self.n_classes < 2:
             raise ValidationError(f"degenerate architecture: {self}")
         for name in ("inter_dropout", "head_dropout"):
@@ -187,7 +189,8 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     Both branches share e = exp(-|z|), so one pass gives the same bits as
     evaluating each branch on its own half."""
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    # max(e, 1) is 1 since e <= 1, max(e, 0) is e, and NaN stays NaN
+    return np.maximum(e, z >= 0) / (1.0 + e)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -285,11 +288,11 @@ def _backward_batch(
     for layer in reversed(range(a.n_layers)):
         if cache["masks"][layer] is not None:
             d_current = d_current * cache["masks"][layer]
-        d_in = a.input_size if layer == 0 else h_size
         d_w_x = np.zeros_like(model.w_x[layer])
         d_w_h = np.zeros_like(model.w_h[layer])
         d_b = np.zeros_like(model.b[layer])
-        d_input = np.zeros((n_batch, n_steps, d_in))
+        # nothing reads the gradient w.r.t. the input windows
+        d_input = np.zeros((n_batch, n_steps, h_size)) if layer else None
         dh_next = np.zeros((n_batch, h_size))
         dc_next = np.zeros((n_batch, h_size))
         # gradient w.r.t. the pre-activation z, one (B, 4H) buffer reused
@@ -310,7 +313,8 @@ def _backward_batch(
             d_w_x += dz.T @ x_t
             d_w_h += dz.T @ h_prev
             d_b += dz.sum(axis=0)
-            d_input[:, t, :] = dz @ model.w_x[layer]
+            if layer:
+                d_input[:, t, :] = dz @ model.w_x[layer]
             dh_next = dz @ model.w_h[layer]
         grads_layers[layer] = (d_w_x, d_w_h, d_b)
         d_current = d_input

@@ -27,18 +27,11 @@ KIND_SLIP = "slip-lstm"
 KIND_GRASP = "grasp-linear"
 
 
-def _arrays_payload(arrays: dict[str, np.ndarray]) -> dict[str, Any]:
-    return {
-        name: {"shape": list(a.shape), "data": [float(v) for v in a.ravel()]}
-        for name, a in arrays.items()
-    }
-
-
 def _array_from_payload(path: Path, name: str, payload: Any) -> np.ndarray:
     try:
         shape = tuple(int(s) for s in payload["shape"])
         data = np.array(payload["data"], dtype=np.float64).reshape(shape)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: array {name!r} is malformed: {exc}") from exc
     if not np.isfinite(data).all():
         raise ValidationError(f"{path}: array {name!r} holds non-finite values")
@@ -62,24 +55,39 @@ def save_model(path: str | Path, model: SlipModel | GraspModel) -> None:
         arch = None
     else:
         raise ValidationError(f"cannot persist {type(model).__name__}")
+    arrays = model.named_arrays()
     doc: dict[str, Any] = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "kind": kind,
         "metadata": model.metadata,
-        "arrays": _arrays_payload(model.named_arrays()),
+        "arrays": {name: {"shape": list(a.shape), "data": None} for name, a in arrays.items()},
     }
     if arch is not None:
         doc["arch"] = arch
-    path.write_text(json.dumps(doc, indent=1) + "\n")
+    # The file is json.dumps(doc, indent=1), whose indent forces the
+    # pure-Python encoder; only the skeleton goes through it. Each float
+    # list goes through the C encoder, its item separator writing the
+    # indent of depth 3. Metadata comes before "arrays" and indents deeper,
+    # so past the first one-space "arrays" key every "data": null is a
+    # stand-in (array names and arch keys are fixed).
+    head, key, tail = json.dumps(doc, indent=1).partition('\n "arrays": ')
+    slots = tail.split('"data": null')
+    parts = [head, key, slots[0]]
+    for a, after in zip(arrays.values(), slots[1:]):
+        values = a.astype(np.float64, copy=False).ravel().tolist()
+        body = json.dumps(values, separators=(",\n    ", ": "))[1:-1]
+        parts += ['"data": ', f"[\n    {body}\n   ]" if values else "[]", after]
+    path.write_text("".join(parts) + "\n")
 
 
 def load_model(path: str | Path) -> SlipModel | GraspModel:
     path = Path(path)
+    with open_text(path) as fh:
+        text = fh.read()
     try:
-        with open_text(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # ValueError also for ints over 4,300 digits
         raise ValidationError(f"{path}: not a model file: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ValidationError(f"{path}: missing format tag {FORMAT_NAME!r}")
@@ -89,7 +97,10 @@ def load_model(path: str | Path) -> SlipModel | GraspModel:
     metadata = doc.get("metadata") or {}
     if not isinstance(metadata, dict):
         raise ValidationError(f"{path}: metadata must be a JSON object")
-    arrays = {name: _array_from_payload(path, name, p) for name, p in (doc.get("arrays") or {}).items()}
+    payloads = doc.get("arrays") or {}
+    if not isinstance(payloads, dict):
+        raise ValidationError(f"{path}: arrays must be a JSON object")
+    arrays = {name: _array_from_payload(path, name, p) for name, p in payloads.items()}
 
     if kind == KIND_GRASP:
         for need in ("weights", "bias"):
@@ -100,7 +111,7 @@ def load_model(path: str | Path) -> SlipModel | GraspModel:
     if kind == KIND_SLIP:
         try:
             arch = LstmArch(**doc["arch"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"{path}: bad architecture block: {exc}") from exc
         # the simulator feeds FEATURE_ORDER vectors and reads SlipLabel rows
         if (arch.input_size, arch.n_classes) != (len(FEATURE_ORDER), len(SlipLabel)):

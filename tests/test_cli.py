@@ -357,6 +357,20 @@ def test_train_grasp_reports_validation_metrics(tmp_path, capsys):
     assert "precision 1.00" in printed  # separable bands train clean
 
 
+@pytest.mark.parametrize("flag", ["2", "-1"])
+def test_train_grasp_rejects_a_fruit_present_flag_other_than_0_or_1(tmp_path, capsys, flag):
+    data = tmp_path / "grasp.csv"
+    assert main(["gen-data", "--kind", "grasp", "--counts", "3,3,3", "--out", str(data), "--seed", "1"]) == 0
+    lines = data.read_text().splitlines()
+    lines.insert(3, f"0.5,0.1,0.3,{flag},0")
+    data.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    model = tmp_path / "grasp.model.json"
+    assert main(["train-grasp", "--data", str(data), "--out", str(model), "--seed", "1"]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {data}: bad row at line 4: fruit_present must be 0 or 1, got {flag}"]
+    assert not model.exists()
+
+
 def test_simulate_bytes_are_pinned(tmp_path, capsys):
     # same seed, same bytes across versions of the code, not only across
     # two runs of one version; a change here changes what a seed produces

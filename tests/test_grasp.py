@@ -36,6 +36,7 @@ def test_observation_validation():
         ([0.5, -0.1, 0.3, 1.0], "green_fraction must lie in [0, 1], got -0.1"),
         ([0.5, 0.1, float("nan"), 1.0], "fruit_area must lie in [0, 1], got nan"),
         ([0.5, 0.1, 0.0, 1.0], "fruit_present requires a positive fruit_area"),
+        ([0.5, 0.1, 0.3, 0.5], "fruit_present must be 0 or 1, got 0.5"),
     ]
     for row, problem in cases:
         x = np.vstack([good, [row], good])
@@ -187,6 +188,9 @@ def test_grasp_csv_reports_bad_row(tmp_path):
         ("1.5,0.1,0.3,1,0", "red_fraction must lie in [0, 1], got 1.5"),
         ("0.5,0.1,nan,1,0", "fruit_area must lie in [0, 1], got nan"),
         ("0.5,0.1,0.0,2,0", "fruit_present requires a positive fruit_area"),
+        ("0.5,0.1,0.3,2,0", "fruit_present must be 0 or 1, got 2"),
+        ("0.5,0.1,0.3,-1,0", "fruit_present must be 0 or 1, got -1"),
+        ("0.5,0.1,0.3," + "9" * 400 + ",0", "int too large to convert to float"),
         ("0.5,x,0.3,1,0", "could not convert string to float: 'x'"),
         ("0.5,0.1,0.3,1.0,0", "invalid literal for int() with base 10: '1.0'"),
         ("0.5,0.1,0.3,1,3", "3 is not a valid GraspClass"),
