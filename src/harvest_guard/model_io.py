@@ -1,15 +1,23 @@
 """One-file model persistence.
 
-Models are stored as a single self-describing JSON text file: a format
-tag, a kind, the architecture, metadata, and every weight array flattened
-alongside its shape. JSON serializes doubles through repr, which
-round-trips bit for bit, so save -> load returns numerically identical
-weights.
+A model file is `json.dumps(doc, indent=1)` plus a newline: a format tag,
+a version, a kind, the architecture (slip models only), metadata, and
+every weight array as `{"shape": [...], "data": ...}`. Version 2 stores
+`data` as the base64 (RFC 4648) of the array's little-endian float64
+bytes in C order, so a load returns the saved bits by construction.
+load_model also reads version 1, whose `data` is a flat JSON list of
+numbers printed through repr. The version must be the int 1 or 2 and each
+shape entry a non-negative int (not `true` or `3.0`); a version 2 payload
+must be valid base64 of 8 bytes per element. Arrays holding a NaN or an
+infinity are rejected, and every load error names the file.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any
 
@@ -21,64 +29,50 @@ from .lstm import LstmArch, SlipModel
 from .slip_windows import FEATURE_ORDER, SlipLabel
 
 FORMAT_NAME = "harvest-guard-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 KIND_SLIP = "slip-lstm"
 KIND_GRASP = "grasp-linear"
 
 
-def _array_from_payload(path: Path, name: str, payload: Any) -> np.ndarray:
+def _array_from_payload(name: str, payload: Any, version: int) -> np.ndarray:
     try:
-        shape = tuple(int(s) for s in payload["shape"])
-        data = np.array(payload["data"], dtype=np.float64).reshape(shape)
+        shape, data = payload["shape"], payload["data"]
+        if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
+            raise ValueError(f"shape must be a list of non-negative integers, got {shape!r}")
+        if version == 1:
+            array = np.array(data, dtype=np.float64).reshape(shape)
+        elif not isinstance(data, str):
+            raise TypeError(f"data must be a base64 string, got {type(data).__name__}")
+        else:
+            raw = base64.b64decode(data, validate=True)
+            if len(raw) != (need := 8 * math.prod(shape)):
+                raise ValueError(f"{len(raw)} data bytes, shape {shape} needs {need}")
+            # frombuffer is a read-only view of raw; astype copies it
+            array = np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{path}: array {name!r} is malformed: {exc}") from exc
-    if not np.isfinite(data).all():
-        raise ValidationError(f"{path}: array {name!r} holds non-finite values")
-    return data
+        raise ValidationError(f"array {name!r} is malformed: {exc}") from exc
+    if not np.isfinite(array).all():
+        raise ValidationError(f"array {name!r} holds non-finite values")
+    return array
 
 
 def save_model(path: str | Path, model: SlipModel | GraspModel) -> None:
-    path = Path(path)
-    if isinstance(model, SlipModel):
-        kind = KIND_SLIP
-        arch: dict[str, Any] | None = {
-            "n_layers": model.arch.n_layers,
-            "hidden_size": model.arch.hidden_size,
-            "input_size": model.arch.input_size,
-            "n_classes": model.arch.n_classes,
-            "inter_dropout": model.arch.inter_dropout,
-            "head_dropout": model.arch.head_dropout,
-        }
-    elif isinstance(model, GraspModel):
-        kind = KIND_GRASP
-        arch = None
-    else:
+    if not isinstance(model, (SlipModel, GraspModel)):
         raise ValidationError(f"cannot persist {type(model).__name__}")
-    arrays = model.named_arrays()
     doc: dict[str, Any] = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "kind": kind,
+        "kind": KIND_SLIP if isinstance(model, SlipModel) else KIND_GRASP,
         "metadata": model.metadata,
-        "arrays": {name: {"shape": list(a.shape), "data": None} for name, a in arrays.items()},
+        "arrays": {
+            name: {"shape": list(a.shape), "data": base64.b64encode(a.astype("<f8").tobytes()).decode("ascii")}
+            for name, a in model.named_arrays().items()
+        },
     }
-    if arch is not None:
-        doc["arch"] = arch
-    # The file is json.dumps(doc, indent=1), whose indent forces the
-    # pure-Python encoder; only the skeleton goes through it. Each float
-    # list goes through the C encoder, its item separator writing the
-    # indent of depth 3. Metadata comes before "arrays" and indents deeper,
-    # so past the first one-space "arrays" key every "data": null is a
-    # stand-in (array names and arch keys are fixed).
-    head, key, tail = json.dumps(doc, indent=1).partition('\n "arrays": ')
-    slots = tail.split('"data": null')
-    parts = [head, key, slots[0]]
-    for a, after in zip(arrays.values(), slots[1:]):
-        values = a.astype(np.float64, copy=False).ravel().tolist()
-        body = json.dumps(values, separators=(",\n    ", ": "))[1:-1]
-        parts += ['"data": ', f"[\n    {body}\n   ]" if values else "[]", after]
-    path.write_text("".join(parts) + "\n")
+    if isinstance(model, SlipModel):
+        doc["arch"] = asdict(model.arch)
+    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
 
 def load_model(path: str | Path) -> SlipModel | GraspModel:
@@ -89,44 +83,47 @@ def load_model(path: str | Path) -> SlipModel | GraspModel:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # ValueError also for ints over 4,300 digits
         raise ValidationError(f"{path}: not a model file: {exc}") from exc
+    try:
+        return _model_from(doc)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
+def _model_from(doc: Any) -> SlipModel | GraspModel:
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
-        raise ValidationError(f"{path}: missing format tag {FORMAT_NAME!r}")
-    if doc.get("version") != FORMAT_VERSION:
-        raise ValidationError(f"{path}: unsupported version {doc.get('version')!r}")
+        raise ValidationError(f"missing format tag {FORMAT_NAME!r}")
+    version = doc.get("version")
+    if type(version) is not int or version not in (1, FORMAT_VERSION):
+        raise ValidationError(f"unsupported version {version!r}")
     kind = doc.get("kind")
     metadata = doc.get("metadata") or {}
     if not isinstance(metadata, dict):
-        raise ValidationError(f"{path}: metadata must be a JSON object")
+        raise ValidationError("metadata must be a JSON object")
     payloads = doc.get("arrays") or {}
     if not isinstance(payloads, dict):
-        raise ValidationError(f"{path}: arrays must be a JSON object")
-    arrays = {name: _array_from_payload(path, name, p) for name, p in payloads.items()}
+        raise ValidationError("arrays must be a JSON object")
+    arrays = {name: _array_from_payload(name, p, version) for name, p in payloads.items()}
+
+    def array(name: str) -> np.ndarray:
+        if name not in arrays:
+            raise ValidationError(f"missing array {name!r}")
+        return arrays[name]
 
     if kind == KIND_GRASP:
-        for need in ("weights", "bias"):
-            if need not in arrays:
-                raise ValidationError(f"{path}: missing array {need!r}")
-        return GraspModel(arrays["weights"], arrays["bias"], metadata)
+        return GraspModel(array("weights"), array("bias"), metadata)
 
     if kind == KIND_SLIP:
         try:
             arch = LstmArch(**doc["arch"])
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}: bad architecture block: {exc}") from exc
+            raise ValidationError(f"bad architecture block: {exc}") from exc
         # the simulator feeds FEATURE_ORDER vectors and reads SlipLabel rows
         if (arch.input_size, arch.n_classes) != (len(FEATURE_ORDER), len(SlipLabel)):
-            raise ValidationError(f"{path}: slip model maps {arch.input_size} features to {arch.n_classes} classes")
+            raise ValidationError(f"slip model maps {arch.input_size} features to {arch.n_classes} classes")
         if metadata.get("feature_order", list(FEATURE_ORDER)) != list(FEATURE_ORDER):
-            raise ValidationError(f"{path}: feature_order must be {list(FEATURE_ORDER)}")
-        w_x, w_h, b = [], [], []
-        for layer in range(arch.n_layers):
-            for group, name in ((w_x, f"layer{layer}.w_x"), (w_h, f"layer{layer}.w_h"), (b, f"layer{layer}.b")):
-                if name not in arrays:
-                    raise ValidationError(f"{path}: missing array {name!r}")
-                group.append(arrays[name])
-        for need in ("head.w", "head.b"):
-            if need not in arrays:
-                raise ValidationError(f"{path}: missing array {need!r}")
-        return SlipModel(arch, w_x, w_h, b, arrays["head.w"], arrays["head.b"], metadata)
+            raise ValidationError(f"feature_order must be {list(FEATURE_ORDER)}")
+        layers = range(arch.n_layers)
+        w_x, w_h, b = ([array(f"layer{i}.{part}") for i in layers] for part in ("w_x", "w_h", "b"))
+        return SlipModel(arch, w_x, w_h, b, array("head.w"), array("head.b"), metadata)
 
-    raise ValidationError(f"{path}: unknown model kind {kind!r}")
+    raise ValidationError(f"unknown model kind {kind!r}")

@@ -425,9 +425,9 @@ def test_training_bytes_are_pinned(tmp_path, capsys):
         "episodes.jsonl": hashlib.sha256((run / "episodes.jsonl").read_bytes()).hexdigest(),
     }
     assert digests == {
-        "slip model": "fa3f6f883dbb48fe7147d8cb20ae7e0c07af256bbd22bc6578d81cb97a459586",
-        "oversample-first model": "d345e117c264db64c7460108163a453bf952f823bdebef73a5c71e2119543d79",
-        "grasp model": "f48a4e7978eb0b204e916c1d688d3b113522d2da3580f57636d35ff02246c76f",
+        "slip model": "272448c238f1b21abbf32dbae48302f5c4d174c9257591c3a33a66a2b741ce6d",
+        "oversample-first model": "d428b39777497c1562036ed0e413ba849c59b9e4f99946a39fb1657503d4d30c",
+        "grasp model": "4e4103727b1b84dda0ec3c1cb6827d03f11a355a823f6e51b994f5c3dd861f13",
         "eval-slip stdout": "12ee286ac7ff67c45ace3b137d5b138ea12592ea6cefa17c007d55345f7deb36",
         "episodes.jsonl": "ffdda36dfbb99eecebaa3fa1612fc21c6b0c46f63c56f569e06e98fcf62a9870",
     }
