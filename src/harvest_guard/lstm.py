@@ -17,8 +17,10 @@ Each time step keeps its gates in one packed (B, 4H) buffer: one sigmoid
 pass over all of z, then tanh written over the g slice in place; the
 backward pass copies i, f, g, o out of it as contiguous blocks and fills
 one (B, 4H) buffer per layer with the pre-activation gradient. Inference
-(predict_proba) caches nothing across steps; only loss_and_grads keeps
-the per-step state that backpropagation needs.
+(predict_proba) caches nothing across steps: every step writes into
+buffers allocated once per call. Only loss_and_grads keeps the per-step
+state that backpropagation needs. predict_proba runs the two halves of
+an (E, B, T, D) episode stack on two threads.
 
 The kernel's bits are part of its contract: a seed must keep producing
 the same weights and labels. So the GEMM operand layouts, the batch
@@ -29,6 +31,7 @@ evaluates the overflow-free two-branch form, not the cheaper
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Any
 
@@ -184,13 +187,17 @@ def init_model(arch: LstmArch = LstmArch(), seed: int = 0, rng: np.random.Genera
     return SlipModel(arch, w_x, w_h, b, w_out, b_out, metadata={"seed": seed})
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def _sigmoid(
+    z: np.ndarray, out: np.ndarray | None = None, e: np.ndarray | None = None, ge0: np.ndarray | None = None
+) -> np.ndarray:
     """Overflow-free logistic: 1/(1+e^-z) for z >= 0, e^z/(1+e^z) below.
     Both branches share e = exp(-|z|), so one pass gives the same bits as
-    evaluating each branch on its own half."""
-    e = np.exp(-np.abs(z))
+    evaluating each branch on its own half. out, e and ge0 (bool) are
+    optional buffers of z's shape; without them each is a new array."""
+    e = np.exp(np.negative(np.abs(z, out=e), out=e), out=e)
     # max(e, 1) is 1 since e <= 1, max(e, 0) is e, and NaN stays NaN
-    return np.maximum(e, z >= 0) / (1.0 + e)
+    out = np.maximum(e, np.greater_equal(z, 0, out=ge0), out=out)
+    return np.divide(out, np.add(e, 1.0, out=e), out=out)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -205,22 +212,40 @@ def severity_argmax(probs: np.ndarray) -> np.ndarray:
     return probs.shape[1] - 1 - probs[:, ::-1].argmax(axis=1)
 
 
+def _step_buffers(lead: tuple[int, ...], h_size: int) -> dict[str, np.ndarray]:
+    """Every array one time step writes, for a (*lead) batch: the (4H)
+    pre-activation z, its scratch, the packed gates, the new state (h, c)
+    and tanh(c)."""
+    gate, state = (*lead, 4 * h_size), (*lead, h_size)
+    buf = {name: np.empty(gate) for name in ("z", "zh", "e", "gates")}
+    buf["ge0"] = np.empty(gate, dtype=bool)
+    buf.update((name, np.empty(state)) for name in ("h", "c", "tanh_c", "prod"))
+    return buf
+
+
+def _check_width(model: SlipModel, x: np.ndarray) -> None:
+    if x.shape[-1] != model.arch.input_size:
+        raise ValidationError(f"input feature size {x.shape[-1]}, model expects {model.arch.input_size}")
+
+
 def _forward_batch(
     model: SlipModel,
     x: np.ndarray,
     dropout_rng: np.random.Generator | None,
     cache: dict[str, Any] | None = None,
+    buf: dict[str, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Run (..., T, D) inputs through the stack and return the (..., C)
     logits. An (E, B) stack runs one GEMM per episode, never a flattened
     (E*B, D) one, so every episode gets the bits of its own call.
-    dropout_rng None means inference: no dropout anywhere. Pass a dict as
-    cache to have it filled with what _backward_batch needs; without one
-    no step's state outlives the step."""
+    dropout_rng None means inference: no dropout anywhere.
+
+    Pass a dict as cache to have it filled with what _backward_batch
+    needs. Without buf each step writes into fresh arrays, which the cache
+    keeps; given buf (see predict_proba) every step writes into it and
+    updates the state in place, so no step allocates."""
     a = model.arch
-    *lead, n_steps, d_in = x.shape
-    if d_in != a.input_size:
-        raise ValidationError(f"input feature size {d_in}, model expects {a.input_size}")
+    *lead, n_steps, _ = x.shape
     h_size = a.hidden_size
     s_i, s_f, s_g, s_o = (slice(k * h_size, (k + 1) * h_size) for k in range(4))
 
@@ -229,20 +254,29 @@ def _forward_batch(
     current = x
     for layer in range(a.n_layers):
         w_x_t, w_h_t, bias = model.w_x[layer].T, model.w_h[layer].T, model.b[layer]
-        h = np.zeros((*lead, h_size))
-        c = np.zeros((*lead, h_size))
+        if buf is None:
+            h, c, outputs = np.zeros((*lead, h_size)), np.zeros((*lead, h_size)), np.empty((*lead, n_steps, h_size))
+        else:
+            h, c, outputs = buf["h"], buf["c"], buf[f"out{layer % 2}"]
+            h.fill(0.0)
+            c.fill(0.0)
         steps: list[tuple[np.ndarray, ...]] = []
-        outputs = np.empty((*lead, n_steps, h_size))
         for t in range(n_steps):
             x_t = current[..., t, :]
-            z = x_t @ w_x_t + h @ w_h_t + bias
-            gates = _sigmoid(z)
+            step = _step_buffers(lead, h_size) if buf is None else buf
+            # z = x_t @ W_x.T + h @ W_h.T + b, summed in that order
+            z, gates = step["z"], step["gates"]
+            np.add(np.matmul(x_t, w_x_t, out=z), np.matmul(h, w_h_t, out=step["zh"]), out=z)
+            np.add(z, bias, out=z)
+            _sigmoid(z, gates, step["e"], step["ge0"])
             np.tanh(z[..., s_g], out=gates[..., s_g])
-            c_new = gates[..., s_f] * c + gates[..., s_i] * gates[..., s_g]
-            tanh_c = np.tanh(c_new)
+            # h and c may be step's own arrays: each is read before it is overwritten
+            c_new = np.multiply(gates[..., s_f], c, out=step["c"])
+            np.add(c_new, np.multiply(gates[..., s_i], gates[..., s_g], out=step["prod"]), out=c_new)
+            tanh_c = np.tanh(c_new, out=step["tanh_c"])
             if cache is not None:
                 steps.append((x_t, h, c, gates, tanh_c))
-            h, c = gates[..., s_o] * tanh_c, c_new
+            h, c = np.multiply(gates[..., s_o], tanh_c, out=step["h"]), c_new
             outputs[..., t, :] = h
         layer_steps.append(steps)
 
@@ -309,13 +343,14 @@ def _backward_batch(
             np.multiply(dc * c_prev * gf, 1.0 - gf, out=dz[:, s_f])
             np.multiply(dc * gi, 1.0 - gg * gg, out=dz[:, s_g])
             np.multiply(dh * tanh_c * go, 1.0 - go, out=dz[:, s_o])
-            dc_next = dc * gf
             d_w_x += dz.T @ x_t
             d_w_h += dz.T @ h_prev
             d_b += dz.sum(axis=0)
             if layer:
                 d_input[:, t, :] = dz @ model.w_x[layer]
-            dh_next = dz @ model.w_h[layer]
+            if t:  # step 0 has no earlier step to pass the state gradients to
+                dh_next = dz @ model.w_h[layer]
+                dc_next = dc * gf
         grads_layers[layer] = (d_w_x, d_w_h, d_b)
         d_current = d_input
 
@@ -335,6 +370,7 @@ def loss_and_grads(
     """Mean cross-entropy over the batch plus gradients for every
     parameter. Pass a generator to draw dropout masks; None runs the
     network deterministically (used by the finite-difference checks)."""
+    _check_width(model, x)
     cache: dict[str, Any] = {}
     probs = softmax(_forward_batch(model, x, dropout_rng, cache))
     n = x.shape[0]
@@ -347,8 +383,43 @@ def loss_and_grads(
 
 
 def predict_proba(model: SlipModel, x: np.ndarray) -> np.ndarray:
-    """(..., T, D) windows -> (..., C) class probabilities, no dropout."""
-    return softmax(_forward_batch(model, x, dropout_rng=None))
+    """(..., T, D) windows -> (..., C) class probabilities, no dropout.
+
+    An (E, B, T, D) stack of two or more episodes runs episodes [E//2:] on
+    a worker thread while the calling thread runs [:E//2]; numpy and BLAS
+    release the GIL, so the halves overlap on two cores. Each episode keeps
+    its own GEMMs and everything else is per element or per row, so the
+    bits equal one call per episode. The calling thread allocates every
+    buffer of both halves once, so the worker allocates next to nothing.
+    A worker exception is raised here."""
+    _check_width(model, x)
+    *lead, n_steps, _ = x.shape
+    h_size = model.arch.hidden_size
+    # the step buffers plus two (..., T, H) layer outputs that alternate
+    # between layers; v[k:m] of each is the buffer of episodes k..m-1
+    buf = _step_buffers(tuple(lead), h_size)
+    buf.update((name, np.empty((*lead, n_steps, h_size))) for name in ("out0", "out1"))
+    if x.ndim != 4 or len(x) < 2:
+        return softmax(_forward_batch(model, x, None, buf=buf))
+    half = len(x) // 2
+    x_upper, buf_upper = x[half:], {k: v[half:] for k, v in buf.items()}
+    upper: dict[str, Any] = {}
+
+    def run_upper() -> None:
+        try:
+            upper["logits"] = _forward_batch(model, x_upper, None, buf=buf_upper)
+        except BaseException as exc:  # re-raised below, never printed by threading.excepthook
+            upper["error"] = exc
+
+    worker = threading.Thread(target=run_upper)
+    worker.start()
+    try:
+        lower = _forward_batch(model, x[:half], None, buf={k: v[:half] for k, v in buf.items()})
+    finally:
+        worker.join()
+    if "error" in upper:
+        raise upper["error"]
+    return softmax(np.concatenate([lower, upper["logits"]]))
 
 
 def lstm_train(

@@ -18,6 +18,7 @@ import base64
 import json
 import math
 from dataclasses import asdict
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -102,17 +103,10 @@ def _model_from(doc: Any) -> SlipModel | GraspModel:
     payloads = doc.get("arrays") or {}
     if not isinstance(payloads, dict):
         raise ValidationError("arrays must be a JSON object")
-    arrays = {name: _array_from_payload(name, p, version) for name, p in payloads.items()}
-
-    def array(name: str) -> np.ndarray:
-        if name not in arrays:
-            raise ValidationError(f"missing array {name!r}")
-        return arrays[name]
 
     if kind == KIND_GRASP:
-        return GraspModel(array("weights"), array("bias"), metadata)
-
-    if kind == KIND_SLIP:
+        names, build = ("weights", "bias"), GraspModel
+    elif kind == KIND_SLIP:
         try:
             arch = LstmArch(**doc["arch"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -122,8 +116,24 @@ def _model_from(doc: Any) -> SlipModel | GraspModel:
             raise ValidationError(f"slip model maps {arch.input_size} features to {arch.n_classes} classes")
         if metadata.get("feature_order", list(FEATURE_ORDER)) != list(FEATURE_ORDER):
             raise ValidationError(f"feature_order must be {list(FEATURE_ORDER)}")
-        layers = range(arch.n_layers)
-        w_x, w_h, b = ([array(f"layer{i}.{part}") for i in layers] for part in ("w_x", "w_h", "b"))
-        return SlipModel(arch, w_x, w_h, b, array("head.w"), array("head.b"), metadata)
+        n = arch.n_layers
+        # lazy: n_layers has no upper bound, and the first missing name ends the check
+        names = chain((f"layer{i}.{part}" for part in ("w_x", "w_h", "b") for i in range(n)), ("head.w", "head.b"))
 
-    raise ValidationError(f"unknown model kind {kind!r}")
+        def build(*a: Any) -> SlipModel:
+            return SlipModel(arch, list(a[:n]), list(a[n : 2 * n]), list(a[2 * n : 3 * n]), *a[3 * n :])
+    else:
+        raise ValidationError(f"unknown model kind {kind!r}")
+    # by name only, before any payload is decoded: a file whose arch was
+    # edited must not load as a different network built from some arrays
+    expected = []  # distinct keys of payloads, so never more than it holds
+    for name in names:
+        if name not in payloads:
+            raise ValidationError(f"missing array {name!r}")
+        expected.append(name)
+    known = set(expected)
+    for name in payloads:
+        if name not in known:
+            raise ValidationError(f"unexpected array {name!r}")
+    arrays = {name: _array_from_payload(name, p, version) for name, p in payloads.items()}
+    return build(*(arrays[name] for name in expected), metadata)

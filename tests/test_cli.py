@@ -328,6 +328,30 @@ def test_train_slip_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert models["1"] == models["2"]
 
 
+def test_learned_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # each stacked slip forward runs its two episode halves on two threads,
+    # so at 2 BLAS threads each episode thread may also run BLAS threads
+    slip, grasp = tmp_path / "slip.json", tmp_path / "grasp.json"
+    save_model(slip, init_model(LstmArch(n_layers=2, hidden_size=64), seed=0))
+    save_model(grasp, GraspModel(np.zeros((3, 4)), np.zeros(3)))  # every episode reaches snap-off
+    logs = {}
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]),
+        }
+        run = tmp_path / f"threads{threads}"
+        argv = ["simulate", "--seed", "7", "--episodes", "200", "--out", str(run), "--slip-model", str(slip),
+                "--grasp-model", str(grasp)]
+        proc = subprocess.run([sys.executable, "-m", "harvest_guard.cli", *argv],
+                              capture_output=True, text=True, env=env, check=False, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        logs[threads] = (run / "episodes.jsonl").read_bytes()
+    assert logs["1"] == logs["2"]
+
+
 def test_eval_slip_split_flags_must_pair(tmp_path, capsys):
     data = tmp_path / "slip.csv"
     model = tmp_path / "m.json"

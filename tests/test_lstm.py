@@ -1,12 +1,15 @@
 """Stacked-LSTM classifier tests: forward math, gradients, training."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from harvest_guard import lstm
+from harvest_guard import cli, lstm, world
 from harvest_guard.errors import ValidationError
+from harvest_guard.grasp import GraspModel
 from harvest_guard.lstm import (
     LstmArch,
     SlipModel,
@@ -18,6 +21,7 @@ from harvest_guard.lstm import (
     predict_proba,
     softmax,
 )
+from harvest_guard.model_io import save_model
 from harvest_guard.slip_windows import SlipLabel, SlipWindows, windows_to_arrays
 
 from conftest import fd_max_rel_err
@@ -383,6 +387,65 @@ def test_stacked_forward_matches_per_episode_calls_bit_for_bit(arch):
             stacked = predict_proba(model, x)
             assert stacked.shape == (n_episodes, n_batch, arch.n_classes)
             assert np.array_equal(stacked, np.stack([predict_proba(model, xe) for xe in x])), (n_episodes, n_batch)
+
+
+@pytest.mark.parametrize("arch", [SMALL, LstmArch()], ids=["2x8", "5x64"])
+def test_split_stack_matches_per_episode_calls_bit_for_bit(arch):
+    # a stack of E >= 2 episodes runs its two halves on two threads; odd E
+    # gives the worker the larger half, and E = 2, 3 a one-episode lower half
+    rng = np.random.default_rng(15)
+    model = init_model(arch, seed=5)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter lock between the halves as often as it can
+    try:
+        for n_episodes in (2, 3, 31, 32, 64):
+            for n_batch in (1, 10):
+                x = rng.normal(0.0, 3.0, size=(n_episodes, n_batch, 5, arch.input_size))
+                stacked = predict_proba(model, x)
+                per_episode = np.stack([predict_proba(model, xe) for xe in x])
+                assert np.array_equal(stacked, per_episode), (n_episodes, n_batch)
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_worker_half_failure_is_raised_once_in_the_caller(monkeypatch):
+    forward = lstm._forward_batch
+
+    def fail_off_the_main_thread(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("worker half failed")
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(lstm, "_forward_batch", fail_off_the_main_thread)
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    threads = threading.active_count()
+    x = np.random.default_rng(16).normal(size=(4, 3, 5, SMALL.input_size))
+    with pytest.raises(RuntimeError, match="^worker half failed$") as raised:
+        predict_proba(init_model(SMALL, seed=5), x)
+    assert raised.value.__context__ is None
+    assert hooked == []
+    assert threading.active_count() == threads
+
+
+def test_only_learned_slip_inference_starts_threads(tmp_path, monkeypatch, capsys):
+    starts = []
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        starts.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    grasp_model, slip_model = tmp_path / "grasp.json", tmp_path / "slip.json"
+    save_model(grasp_model, GraspModel(np.zeros((3, 4)), np.zeros(3)))  # every episode reaches snap-off
+    save_model(slip_model, init_model(SMALL, seed=0))
+    run = ["simulate", "--seed", "3", "--episodes", "40", "--out", str(tmp_path / "run")]
+    assert cli.main(run) == 0
+    assert cli.main(run + ["--grasp-model", str(grasp_model)]) == 0
+    assert starts == []
+    assert cli.main(run + ["--grasp-model", str(grasp_model), "--slip-model", str(slip_model)]) == 0
+    assert len(starts) == math.ceil(40 / world.EPISODE_CHUNK)  # one worker per stacked forward
 
 
 def test_sigmoid_matches_two_branch_form_bit_for_bit():

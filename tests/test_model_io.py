@@ -339,7 +339,15 @@ def test_writer_matches_one_call_json_dumps(tmp_path, build):
     assert v2.read_bytes() == _reference_bytes(model, 2)
     v1.write_bytes(_reference_bytes(model, 1))
     for path in (v2, v1):
-        _assert_loads_to_the_bits_of(path, model)
+        if isinstance(model, _GraspWithEmptyArray):
+            # no model uses a zero-size array, so its payload only decodes:
+            # load_model rejects the unused name before decoding anything
+            doc = json.loads(path.read_text())
+            assert _array_from_payload("empty", doc["arrays"]["empty"], doc["version"]).shape == (0, 4)
+            with pytest.raises(ValidationError, match="unexpected array 'empty'$"):
+                load_model(path)
+        else:
+            _assert_loads_to_the_bits_of(path, model)
 
 
 def test_writer_matches_one_call_json_dumps_after_training(tmp_path):
@@ -440,6 +448,45 @@ def test_load_names_the_file_of_a_shape_the_architecture_rejects(tmp_path, capsy
     code = main(["simulate", "--seed", "1", "--episodes", "2", "--out", str(tmp_path / "run"), flag, str(path)])
     assert code == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {path}: {problem}"]
+
+
+@pytest.mark.parametrize(
+    "model, edit, name",
+    [
+        (init_model(LstmArch(n_layers=2, hidden_size=8), seed=0), lambda doc: doc["arch"].update(n_layers=1),
+         "layer1.w_x"),
+        # a payload that cannot decode: the name is rejected before any payload is decoded
+        (_grasp(0), lambda doc: doc["arrays"].update(extra={"shape": [1], "data": "!"}), "extra"),
+    ],
+    ids=["slip-n-layers-edited", "grasp-extra-array"],
+)
+def test_load_rejects_arrays_the_architecture_does_not_use(tmp_path, capsys, model, edit, name):
+    # a 2x8 file with n_layers edited to 1 once loaded as a 1-layer network
+    # built from layer 0 and the head
+    path = tmp_path / "model.json"
+    save_model(path, model)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    problem = f"unexpected array {name!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {problem}')}$"):
+        load_model(path)
+    flag = "--grasp-model" if isinstance(model, GraspModel) else "--slip-model"
+    code = main(["simulate", "--seed", "1", "--episodes", "2", "--out", str(tmp_path / "run"), flag, str(path)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: {problem}"]
+
+
+@pytest.mark.parametrize("n_layers", [10**12, 2**62], ids=["10**12", "2**62"])
+def test_huge_n_layers_stops_at_the_first_missing_array(eval_inputs, tmp_path, n_layers):
+    # the expected names are listed lazily: naming every layer first would
+    # build billions of strings before the check could fail
+    data, docs = eval_inputs
+    doc = json.loads(json.dumps(docs[2]))
+    doc["arch"]["n_layers"] = n_layers
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert _eval_slip(data, path) == (1, [f"error: {path}: missing array 'layer1.w_x'"])
 
 
 @pytest.mark.parametrize("version", [1, 2])
