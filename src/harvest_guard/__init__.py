@@ -45,15 +45,13 @@ from .metrics import (
 )
 from .model_io import load_model, save_model
 from .fsm import (
-    DEFAULT_TIMING,
+    STAGE_TIMING,
     Event,
     HarvestEpisode,
     Outcome,
     Stage,
-    StageTiming,
     Variant,
     run_episode,
-    sample_stage_duration,
 )
 from .slip_decision import (
     RecoveryAction,

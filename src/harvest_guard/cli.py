@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ValidationError
-from .fsm import DEFAULT_TIMING, Stage, Variant, read_episode_log, write_episode_log
+from .fsm import Stage, Variant, read_episode_log, write_episode_log
 from .geometry import (
     CompensationMode,
     CompensationParams,
@@ -37,6 +37,8 @@ from .metrics import (
 )
 from .model_io import load_model, save_model
 from .slip_windows import (
+    LOOKAHEAD,
+    WINDOW_LEN,
     SlipLabel,
     class_counts,
     prepare_splits,
@@ -186,7 +188,7 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 def _cmd_train_slip(args: argparse.Namespace) -> int:
     windows = windows_from_slip_csv(args.data)
     if not windows:
-        raise ValidationError(f"{args.data}: no windows (episodes need at least 8 frames)")
+        raise ValidationError(f"{args.data}: no windows (episodes need at least {WINDOW_LEN + LOOKAHEAD} frames)")
     counts = class_counts(windows.y)
     log.info("loaded %d windows, counts %s", len(windows), {k.name: v for k, v in sorted(counts.items())})
     train, val = prepare_splits(windows, args.ratio, args.seed, oversample_first=args.oversample_first)
@@ -308,7 +310,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     slip_model = _load_model_of(args.slip_model, SlipModel) if args.slip_model else None
     grasp_model = _load_model_of(args.grasp_model, GraspModel) if args.grasp_model else None
     world = EpisodeWorld(config, slip_model=slip_model, grasp_model=grasp_model)
-    episodes = run_episodes(world, n, DEFAULT_TIMING, deterministic=args.deterministic, master_seed=args.seed)
+    episodes = run_episodes(world, n, deterministic=args.deterministic, master_seed=args.seed)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

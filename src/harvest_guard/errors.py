@@ -1,9 +1,11 @@
-"""Exception types shared across the package, and the UTF-8 opener every file reader uses."""
+"""Exception types shared across the package, the UTF-8 opener every file
+reader uses, and the record reader of the three CSV formats."""
 
+import csv
 import math
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterator, Sequence
 
 
 class ValidationError(ValueError):
@@ -27,3 +29,25 @@ def open_text(path: Path, newline: str | None = None) -> Iterator[IO[str]]:
             yield fh
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
+def csv_records(path: Path, columns: Sequence[str]) -> Iterator[tuple[int, dict[str, str]]]:
+    """(file line, record) for each data row of the CSV file at `path`.
+    Lines starting with '#' are comments and blank lines are skipped, but
+    line numbers count every line of the file. The header is the first
+    other line and must name every one of `columns`."""
+    with open_text(path, newline="") as fh:
+        lineno = 0
+
+        def uncommented() -> Iterator[str]:
+            nonlocal lineno
+            for lineno, line in enumerate(fh, start=1):
+                if not line.startswith("#"):
+                    yield line
+
+        reader = csv.DictReader(uncommented())
+        missing = [c for c in columns if c not in (reader.fieldnames or [])]
+        if missing:
+            raise ValidationError(f"{path}: missing columns {missing}")
+        for rec in reader:
+            yield lineno, rec

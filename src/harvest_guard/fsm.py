@@ -7,11 +7,13 @@ the grasp verifier can abort out of Deflating (skipping snap-off and
 placing), and the slip monitor can either abort out of SnapOff (skipping
 placing) or trigger one regrasp-and-resnap recovery.
 
-Stage durations are drawn per (stage, variant) from a truncated normal;
-fault responses replace the normal duration of their stage rather than
-adding to it, which is how the reference timings account for them. A
-slipping recovery spends one draw across two SnapOff records: the part
-before detection and the re-snap after it.
+Each stage record draws its duration from STAGE_TIMING, the paper's
+measured mean and std per (stage, variant): Normal(mean, std) floored at
+MIN_DURATION_S, or the mean exactly in deterministic mode. Fault
+responses replace the normal duration of their stage rather than adding
+to it, which is how the measured timings account for them. A slipping
+recovery spends one draw across two SnapOff records: the part before
+detection and the re-snap after it.
 """
 
 from __future__ import annotations
@@ -78,66 +80,23 @@ class Outcome(Enum):
 PLACING_OUTCOMES = frozenset({Outcome.PICKED_AND_PLACED, Outcome.RECOVERED_AFTER_SLIP})
 
 
-@dataclass(frozen=True)
-class StageTiming:
-    """Mean and std seconds per (stage, variant)."""
-
-    entries: tuple[tuple[Stage, Variant, float, float], ...]
-
-    def __post_init__(self) -> None:
-        table: dict[tuple[Stage, Variant], tuple[float, float]] = {}
-        for stage, variant, mean, std in self.entries:
-            if (stage, variant) in table:
-                raise ValidationError(f"duplicate timing entry for ({stage.value}, {variant.value})")
-            table[stage, variant] = (mean, std)
-            if mean <= 0:
-                raise ValidationError(f"mean for ({stage.value}, {variant.value}) must be > 0, got {mean}")
-            if std < 0:
-                raise ValidationError(f"std for ({stage.value}, {variant.value}) must be >= 0, got {std}")
-        object.__setattr__(self, "_table", table)
-
-    def lookup(self, stage: Stage, variant: Variant) -> tuple[float, float]:
-        try:
-            return self._table[stage, variant]
-        except KeyError:
-            raise ValidationError(f"no timing entry for ({stage.value}, {variant.value})") from None
-
-
-DEFAULT_TIMING = StageTiming(
-    (
-        (Stage.INFLATING_APPROACHING, Variant.NORMAL, 1.25, 0.01),
-        (Stage.COMPENSATION, Variant.NORMAL, 0.71, 0.07),
-        (Stage.SWALLOWING, Variant.NORMAL, 0.73, 0.00),
-        (Stage.DEFLATING, Variant.NORMAL, 0.99, 0.00),
-        (Stage.DEFLATING, Variant.EMPTY_GRASP_RESPONSE, 0.42, 0.04),
-        (Stage.DEFLATING, Variant.MISGRASP_RESPONSE, 0.39, 0.03),
-        (Stage.SNAP_OFF, Variant.NORMAL, 1.03, 0.00),
-        (Stage.SNAP_OFF, Variant.SLIPPING_RECOVERY, 1.81, 0.07),
-        (Stage.SNAP_OFF, Variant.SLIPPED_ABORT, 1.44, 0.07),
-        (Stage.DESCENDING, Variant.NORMAL, 0.98, 0.08),
-        (Stage.PLACING, Variant.NORMAL, 4.36, 0.01),
-        (Stage.HOMING, Variant.NORMAL, 1.88, 0.00),
-    )
-)
+# the paper's measured (mean, std) seconds of every (stage, variant) a cycle can record
+STAGE_TIMING: dict[tuple[Stage, Variant], tuple[float, float]] = {
+    (Stage.INFLATING_APPROACHING, Variant.NORMAL): (1.25, 0.01),
+    (Stage.COMPENSATION, Variant.NORMAL): (0.71, 0.07),
+    (Stage.SWALLOWING, Variant.NORMAL): (0.73, 0.00),
+    (Stage.DEFLATING, Variant.NORMAL): (0.99, 0.00),
+    (Stage.DEFLATING, Variant.EMPTY_GRASP_RESPONSE): (0.42, 0.04),
+    (Stage.DEFLATING, Variant.MISGRASP_RESPONSE): (0.39, 0.03),
+    (Stage.SNAP_OFF, Variant.NORMAL): (1.03, 0.00),
+    (Stage.SNAP_OFF, Variant.SLIPPING_RECOVERY): (1.81, 0.07),
+    (Stage.SNAP_OFF, Variant.SLIPPED_ABORT): (1.44, 0.07),
+    (Stage.DESCENDING, Variant.NORMAL): (0.98, 0.08),
+    (Stage.PLACING, Variant.NORMAL): (4.36, 0.01),
+    (Stage.HOMING, Variant.NORMAL): (1.88, 0.00),
+}
 
 MIN_DURATION_S = 0.01
-
-
-def sample_stage_duration(
-    timing: StageTiming,
-    stage: Stage,
-    variant: Variant,
-    rng: np.random.Generator | None = None,
-    deterministic: bool = False,
-) -> float:
-    """One duration draw: Normal(mean, std) floored at 0.01 s, or the
-    mean exactly in deterministic mode."""
-    mean, std = timing.lookup(stage, variant)
-    if deterministic:
-        return mean
-    if rng is None:
-        raise ValidationError("stochastic sampling needs an rng")
-    return max(MIN_DURATION_S, float(rng.normal(mean, std)))
 
 
 @dataclass(frozen=True)
@@ -227,7 +186,6 @@ def advance(cycle: Generator, labels: Sequence[SlipLabel] | None = None) -> Epis
 
 def run_episode(
     world: WorldLike,
-    timing: StageTiming = DEFAULT_TIMING,
     rng: np.random.Generator | None = None,
     deterministic: bool = False,
     episode_id: int = 0,
@@ -235,7 +193,7 @@ def run_episode(
     """Drive one full cycle; faults become outcomes, never exceptions."""
     if rng is None:
         rng = np.random.default_rng(0)
-    cycle = episode_cycle(world, timing, rng, deterministic, episode_id)
+    cycle = episode_cycle(world, rng, deterministic, episode_id)
     stop = advance(cycle)
     if isinstance(stop, EpisodeTruth):
         stop = advance(cycle, world.slip_stream(stop, rng))
@@ -243,14 +201,15 @@ def run_episode(
 
 
 def episode_cycle(
-    world: WorldLike, timing: StageTiming, rng: np.random.Generator, deterministic: bool, episode_id: int
+    world: WorldLike, rng: np.random.Generator, deterministic: bool, episode_id: int
 ) -> Generator[EpisodeTruth, Sequence[SlipLabel], HarvestEpisode]:
     """The eight-stage walk of one episode. Unless the grasp aborts, it
     suspends once, at snap-off, to yield the truth; the caller draws the
     slip perception from the same rng and sends back its labels."""
 
     def draw(stage: Stage, variant: Variant) -> float:
-        return sample_stage_duration(timing, stage, variant, rng, deterministic)
+        mean, std = STAGE_TIMING[stage, variant]
+        return mean if deterministic else max(MIN_DURATION_S, float(rng.normal(mean, std)))
 
     records: list[StageRecord] = []
 

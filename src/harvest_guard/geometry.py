@@ -16,7 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import ValidationError, open_text, require_finite
+from .errors import ValidationError, csv_records, require_finite
 
 
 @dataclass(frozen=True)
@@ -254,39 +254,32 @@ def read_alignment_csv(path: str | Path) -> list[AlignmentRow]:
     """
     path = Path(path)
     rows: list[AlignmentRow] = []
-    with open_text(path, newline="") as fh:
-        filtered = (line for line in fh if not line.startswith("#"))
-        reader = csv.DictReader(filtered)
-        fields = reader.fieldnames or []
-        missing = [c for c in _INPUT_COLUMNS if c not in fields]
-        if missing:
-            raise ValidationError(f"{path}: missing required columns {missing}")
 
-        def pair(rec: dict[str, str], a: str, b: str) -> tuple[float, float] | None:
-            if a in fields and b in fields and rec[a] != "" and rec[b] != "":
-                x, y = float(rec[a]), float(rec[b])
-                require_finite(**{a: x, b: y})
-                return (x, y)
-            return None
+    def pair(rec: dict[str, str], a: str, b: str) -> tuple[float, float] | None:
+        if rec.get(a, "") != "" and rec.get(b, "") != "":
+            x, y = float(rec[a]), float(rec[b])
+            require_finite(**{a: x, b: y})
+            return (x, y)
+        return None
 
-        for lineno, rec in enumerate(reader, start=2):
-            try:
-                picking = ArmPoint3(float(rec["xs"]), float(rec["ys"]), float(rec["zs"]))
-                effector = ArmPoint3(float(rec["xe"]), float(rec["ye"]), float(rec["ze"]))
-                visual = pair(rec, "dx", "dy")
-                physical = pair(rec, "dx_w", "dy_w")
-                residual = pair(rec, "e_x", "e_y")
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"{path}: bad row at line {lineno}: {exc}") from exc
-            rows.append(
-                AlignmentRow(
-                    picking=picking,
-                    effector=effector,
-                    visual_err=visual,
-                    physical_err=physical,
-                    measured_residual=residual,
-                )
+    for lineno, rec in csv_records(path, _INPUT_COLUMNS):
+        try:
+            picking = ArmPoint3(float(rec["xs"]), float(rec["ys"]), float(rec["zs"]))
+            effector = ArmPoint3(float(rec["xe"]), float(rec["ye"]), float(rec["ze"]))
+            visual = pair(rec, "dx", "dy")
+            physical = pair(rec, "dx_w", "dy_w")
+            residual = pair(rec, "e_x", "e_y")
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}: bad row at line {lineno}: {exc}") from exc
+        rows.append(
+            AlignmentRow(
+                picking=picking,
+                effector=effector,
+                visual_err=visual,
+                physical_err=physical,
+                measured_residual=residual,
             )
+        )
     return rows
 
 

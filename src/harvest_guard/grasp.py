@@ -16,7 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ValidationError, open_text, require_finite
+from .errors import ValidationError, csv_records, require_finite
 from .lstm import softmax
 from .slip_decision import StabilityState, stability_step
 
@@ -171,23 +171,19 @@ def read_grasp_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     path = Path(path)
     rows: list[list[float]] = []
     labels: list[GraspClass] = []
-    with open_text(path, newline="") as fh:
-        reader = csv.DictReader(line for line in fh if not line.startswith("#"))
-        fields = reader.fieldnames or []
-        missing = [c for c in GRASP_CSV_HEADER if c not in fields]
-        if missing:
-            raise ValidationError(f"{path}: missing columns {missing}")
-        for lineno, rec in enumerate(reader, start=2):
-            try:
-                row = [float(rec[name]) for name in GRASP_FEATURES[:3]] + [float(int(rec["fruit_present"]))]
-                label = GraspClass(int(rec["label"]))
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValidationError(f"{path}: bad row at line {lineno}: {exc}") from exc
-            rows.append(row)
-            labels.append(label)
+    linenos: list[int] = []
+    for lineno, rec in csv_records(path, GRASP_CSV_HEADER):
+        try:
+            row = [float(rec[name]) for name in GRASP_FEATURES[:3]] + [float(int(rec["fruit_present"]))]
+            label = GraspClass(int(rec["label"]))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"{path}: bad row at line {lineno}: {exc}") from exc
+        rows.append(row)
+        labels.append(label)
+        linenos.append(lineno)
     x = np.array(rows, dtype=np.float64).reshape(len(rows), len(GRASP_FEATURES))
     bad = first_bad_observation(x)
     if bad is not None:
         row_index, problem = bad
-        raise ValidationError(f"{path}: bad row at line {row_index + 2}: {problem}")
+        raise ValidationError(f"{path}: bad row at line {linenos[row_index]}: {problem}")
     return x, np.array(labels, dtype=np.int64)

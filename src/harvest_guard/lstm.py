@@ -20,7 +20,7 @@ one (B, 4H) buffer per layer with the pre-activation gradient. Inference
 (predict_proba) caches nothing across steps: every step writes into
 buffers allocated once per call. Only loss_and_grads keeps the per-step
 state that backpropagation needs. predict_proba runs the two halves of
-an (E, B, T, D) episode stack on two threads.
+an (E, B, T, D) episode stack on the calling thread and one worker.
 
 The kernel's bits are part of its contract: a seed must keep producing
 the same weights and labels. So the GEMM operand layouts, the batch
@@ -31,7 +31,7 @@ evaluates the overflow-free two-branch form, not the cheaper
 
 from __future__ import annotations
 
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any
 
@@ -386,12 +386,12 @@ def predict_proba(model: SlipModel, x: np.ndarray) -> np.ndarray:
     """(..., T, D) windows -> (..., C) class probabilities, no dropout.
 
     An (E, B, T, D) stack of two or more episodes runs episodes [E//2:] on
-    a worker thread while the calling thread runs [:E//2]; numpy and BLAS
+    a one-worker pool while the calling thread runs [:E//2]; numpy and BLAS
     release the GIL, so the halves overlap on two cores. Each episode keeps
     its own GEMMs and everything else is per element or per row, so the
     bits equal one call per episode. The calling thread allocates every
     buffer of both halves once, so the worker allocates next to nothing.
-    A worker exception is raised here."""
+    A worker exception is raised here, once, after the worker has ended."""
     _check_width(model, x)
     *lead, n_steps, _ = x.shape
     h_size = model.arch.hidden_size
@@ -402,24 +402,10 @@ def predict_proba(model: SlipModel, x: np.ndarray) -> np.ndarray:
     if x.ndim != 4 or len(x) < 2:
         return softmax(_forward_batch(model, x, None, buf=buf))
     half = len(x) // 2
-    x_upper, buf_upper = x[half:], {k: v[half:] for k, v in buf.items()}
-    upper: dict[str, Any] = {}
-
-    def run_upper() -> None:
-        try:
-            upper["logits"] = _forward_batch(model, x_upper, None, buf=buf_upper)
-        except BaseException as exc:  # re-raised below, never printed by threading.excepthook
-            upper["error"] = exc
-
-    worker = threading.Thread(target=run_upper)
-    worker.start()
-    try:
+    with ThreadPoolExecutor(max_workers=1) as pool:  # leaving the block joins the worker
+        upper = pool.submit(_forward_batch, model, x[half:], None, buf={k: v[half:] for k, v in buf.items()})
         lower = _forward_batch(model, x[:half], None, buf={k: v[:half] for k, v in buf.items()})
-    finally:
-        worker.join()
-    if "error" in upper:
-        raise upper["error"]
-    return softmax(np.concatenate([lower, upper["logits"]]))
+        return softmax(np.concatenate([lower, upper.result()]))
 
 
 def lstm_train(

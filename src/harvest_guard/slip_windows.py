@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, open_text
+from .errors import ValidationError, csv_records
 
 WINDOW_LEN = 5
 LOOKAHEAD = 3
@@ -222,34 +222,30 @@ def read_slip_csv(path: str | Path) -> list[tuple[int, np.ndarray, np.ndarray]]:
     labels: list[SlipLabel] = []
     starts: list[tuple[int, int]] = []  # (episode_id, index of its first row)
     seen: set[int] = set()
-    with open_text(path, newline="") as fh:
-        reader = csv.DictReader(line for line in fh if not line.startswith("#"))
-        fields = reader.fieldnames or []
-        missing = [c for c in SLIP_CSV_HEADER if c not in fields]
-        if missing:
-            raise ValidationError(f"{path}: missing columns {missing}")
-        for lineno, rec in enumerate(reader, start=2):
-            try:
-                episode_id = int(rec["episode_id"])
-                frame_id = int(rec["frame_id"])
-                row = [float(rec[name]) for name in FEATURE_ORDER]
-                label = SlipLabel(int(rec["label"]))
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"{path}: bad row at line {lineno}: {exc}") from exc
-            if not starts or episode_id != starts[-1][0]:
-                if episode_id in seen:
-                    raise ValidationError(f"{path}: episode {episode_id} is not contiguous (line {lineno})")
-                seen.add(episode_id)
-                starts.append((episode_id, len(rows)))
-            if frame_id != len(rows) - starts[-1][1]:
-                raise ValidationError(f"{path}: frame_id out of order in episode {episode_id} (line {lineno})")
-            rows.append(row)
-            labels.append(label)
+    linenos: list[int] = []
+    for lineno, rec in csv_records(path, SLIP_CSV_HEADER):
+        try:
+            episode_id = int(rec["episode_id"])
+            frame_id = int(rec["frame_id"])
+            row = [float(rec[name]) for name in FEATURE_ORDER]
+            label = SlipLabel(int(rec["label"]))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}: bad row at line {lineno}: {exc}") from exc
+        if not starts or episode_id != starts[-1][0]:
+            if episode_id in seen:
+                raise ValidationError(f"{path}: episode {episode_id} is not contiguous (line {lineno})")
+            seen.add(episode_id)
+            starts.append((episode_id, len(rows)))
+        if frame_id != len(rows) - starts[-1][1]:
+            raise ValidationError(f"{path}: frame_id out of order in episode {episode_id} (line {lineno})")
+        rows.append(row)
+        labels.append(label)
+        linenos.append(lineno)
     frames = np.array(rows, dtype=np.float64).reshape(len(rows), len(FEATURE_ORDER))
     bad = first_bad_frame(frames)
     if bad is not None:
         row_index, problem = bad
-        raise ValidationError(f"{path}: bad row at line {row_index + 2}: {problem}")
+        raise ValidationError(f"{path}: bad row at line {linenos[row_index]}: {problem}")
     y = np.array(labels, dtype=np.int64)
     ends = [first for _, first in starts[1:]] + [len(rows)]
     return [(episode_id, frames[a:b], y[a:b]) for (episode_id, a), b in zip(starts, ends)]

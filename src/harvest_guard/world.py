@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError, open_text, require_finite
-from .fsm import DEFAULT_TIMING, EpisodeTruth, HarvestEpisode, StageTiming, advance, episode_cycle
+from .fsm import EpisodeTruth, HarvestEpisode, advance, episode_cycle
 from .fsm import run_episode  # noqa: F401  not called here; perfbench traces world.run_episode
 from .geometry import (
     ArmPoint3,
@@ -562,7 +562,6 @@ EPISODE_CHUNK = 32  # episodes per stacked slip forward, half on each thread; 16
 def run_episodes(
     world: EpisodeWorld,
     n_episodes: int,
-    timing: StageTiming = DEFAULT_TIMING,
     deterministic: bool = False,
     master_seed: int | None = None,
 ) -> list[HarvestEpisode]:
@@ -574,7 +573,7 @@ def run_episodes(
     for start in range(0, n_episodes, EPISODE_CHUNK):
         ids = range(start, min(start + EPISODE_CHUNK, n_episodes))
         rngs = [episode_rng(seed, i) for i in ids]
-        cycles = [episode_cycle(world, timing, rng, deterministic, i) for i, rng in zip(ids, rngs)]
+        cycles = [episode_cycle(world, rng, deterministic, i) for i, rng in zip(ids, rngs)]
         stops = [advance(cycle) for cycle in cycles]
         waiting = [k for k, stop in enumerate(stops) if isinstance(stop, EpisodeTruth)]
         for k, slip in zip(waiting, world.slip_streams([(stops[k], rngs[k]) for k in waiting])):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from harvest_guard.cli import main
-from harvest_guard.grasp import GraspModel
+from harvest_guard.grasp import GRASP_CSV_HEADER, GraspModel
 from harvest_guard.lstm import LstmArch, init_model
 from harvest_guard.metrics import read_report
 from harvest_guard.model_io import save_model
@@ -149,6 +149,19 @@ def test_compensate_rejects_non_finite_values_before_writing(tmp_path, capsys, r
     assert main(["compensate", "--input", str(data), "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {data}: bad row at line 2: {problem}"]
     assert not out.exists()
+
+
+def _csv_with_bad_row_on_line_5(path, header, good, bad):
+    # a comment line and a blank line both count as file lines
+    path.write_text(f"# recorded on the test rig\n{header}\n{good}\n\n{bad}\n")
+
+
+def test_compensate_names_the_file_line_of_a_bad_row(tmp_path, capsys):
+    data, out = tmp_path / "trials.csv", tmp_path / "records.csv"
+    row = "709,221,706,686,225,647"
+    _csv_with_bad_row_on_line_5(data, "xs,ys,zs,xe,ye,ze,dx,dy", row + ",22,-4", row + ",inf,-4")
+    assert main(["compensate", "--input", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {data}: bad row at line 5: dx must be finite, got inf"]
 
 
 def test_simulate_writes_three_artifacts(tmp_path, capsys):
@@ -393,6 +406,34 @@ def test_train_grasp_rejects_a_fruit_present_flag_other_than_0_or_1(tmp_path, ca
     assert main(["train-grasp", "--data", str(data), "--out", str(model), "--seed", "1"]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {data}: bad row at line 4: fruit_present must be 0 or 1, got {flag}"]
     assert not model.exists()
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [
+        ("0.5,0.1,0.3,x,0", "invalid literal for int() with base 10: 'x'"),
+        ("0.5,0.1,0.3,2,0", "fruit_present must be 0 or 1, got 2"),
+    ],
+)
+def test_train_grasp_names_the_file_line_of_a_bad_row(tmp_path, capsys, row, problem):
+    data, model = tmp_path / "grasp.csv", tmp_path / "grasp.model.json"
+    _csv_with_bad_row_on_line_5(data, ",".join(GRASP_CSV_HEADER), "0.5,0.1,0.3,1,0", row)
+    assert main(["train-grasp", "--data", str(data), "--out", str(model), "--seed", "1"]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {data}: bad row at line 5: {problem}"]
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [
+        ("0,1,0.2,oops,0.5,0.1,0.15,0.03,0.5,0", "could not convert string to float: 'oops'"),
+        ("0,1,0.2,0.3,0.5,0.1,0.15,1.25,0.5,0", "x must lie in [0, 1], got 1.25"),
+    ],
+)
+def test_train_slip_names_the_file_line_of_a_bad_row(tmp_path, capsys, row, problem):
+    data, model = tmp_path / "slip.csv", tmp_path / "slip.model.json"
+    _csv_with_bad_row_on_line_5(data, ",".join(SLIP_CSV_HEADER), "0,0,0.2,0.3,0.5,0.1,0.15,0.03,0.5,0", row)
+    assert main(["train-slip", "--data", str(data), "--out", str(model), "--seed", "1"]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {data}: bad row at line 5: {problem}"]
 
 
 def test_simulate_bytes_are_pinned(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from harvest_guard.errors import ValidationError
 from harvest_guard.fsm import (
-    DEFAULT_TIMING,
+    STAGE_TIMING,
     EpisodeResponses,
     EpisodeTruth,
     Event,
@@ -17,13 +17,11 @@ from harvest_guard.fsm import (
     Outcome,
     Stage,
     StageRecord,
-    StageTiming,
     Variant,
     advance,
     episode_cycle,
     read_episode_log,
     run_episode,
-    sample_stage_duration,
     write_episode_log,
 )
 from harvest_guard.geometry import RelativeError
@@ -34,42 +32,39 @@ from harvest_guard.slip_windows import SlipLabel
 from conftest import ScriptedWorld
 
 
-def test_timing_table_validation():
-    with pytest.raises(ValidationError, match="duplicate"):
-        StageTiming(
-            (
-                (Stage.HOMING, Variant.NORMAL, 1.0, 0.0),
-                (Stage.HOMING, Variant.NORMAL, 2.0, 0.0),
-            )
-        )
-    with pytest.raises(ValidationError):
-        StageTiming(((Stage.HOMING, Variant.NORMAL, 0.0, 0.0),))
-    with pytest.raises(ValidationError):
-        StageTiming(((Stage.HOMING, Variant.NORMAL, 1.0, -0.1),))
+def test_timing_lookup_and_overrides(monkeypatch):
+    assert STAGE_TIMING[Stage.SNAP_OFF, Variant.SLIPPED_ABORT] == (1.44, 0.07)
+    assert (Stage.COMPENSATION, Variant.SLIPPED_ABORT) not in STAGE_TIMING
+    assert all(mean > 0 and std >= 0 for mean, std in STAGE_TIMING.values())
+
+    # an overridden entry is what the cycle draws from, floored at the minimum
+    monkeypatch.setitem(STAGE_TIMING, (Stage.HOMING, Variant.NORMAL), (0.02, 5.0))
+    homing = [run_episode(ScriptedWorld(), rng=np.random.default_rng(s)).records[-1].duration_s for s in range(200)]
+    assert min(homing) >= MIN_DURATION_S  # negative normals get floored
+    assert min(homing) == MIN_DURATION_S  # and with std 5.0 some certainly were
 
 
-def test_timing_lookup_and_overrides():
-    assert DEFAULT_TIMING.lookup(Stage.SNAP_OFF, Variant.SLIPPED_ABORT) == (1.44, 0.07)
-    with pytest.raises(ValidationError):
-        DEFAULT_TIMING.lookup(Stage.COMPENSATION, Variant.SLIPPED_ABORT)
-
-    # a custom table overrides the defaults and holds only its own rows
-    custom = StageTiming(((Stage.SNAP_OFF, Variant.NORMAL, 2.0, 0.1),))
-    assert custom.lookup(Stage.SNAP_OFF, Variant.NORMAL) == (2.0, 0.1)
-    with pytest.raises(ValidationError):
-        custom.lookup(Stage.HOMING, Variant.NORMAL)
+def test_timing_table_covers_exactly_the_recorded_stages():
+    # every fault script, at the stage means: the table has no dead entry
+    # and no (stage, variant) a cycle can record is missing from it
+    seen = set()
+    for misaligned, grasp, slip in itertools.product((False, True), GraspClass, SlipLabel):
+        ep = run_episode(ScriptedWorld(misaligned, grasp, slip), deterministic=True)
+        seen |= {(r.stage, r.variant) for r in ep.records}
+    assert seen == set(STAGE_TIMING)
 
 
 def test_duration_sampling():
-    assert sample_stage_duration(DEFAULT_TIMING, Stage.PLACING, Variant.NORMAL, deterministic=True) == 4.36
-    with pytest.raises(ValidationError):
-        sample_stage_duration(DEFAULT_TIMING, Stage.PLACING, Variant.NORMAL)
+    # deterministic mode takes each record's mean exactly
+    ep = run_episode(ScriptedWorld(misaligned=True), deterministic=True)
+    assert [r.duration_s for r in ep.records] == [STAGE_TIMING[r.stage, r.variant][0] for r in ep.records]
 
-    wild = StageTiming(((Stage.HOMING, Variant.NORMAL, 0.02, 5.0),))
-    rng = np.random.default_rng(0)
-    draws = [sample_stage_duration(wild, Stage.HOMING, Variant.NORMAL, rng) for _ in range(200)]
-    assert min(draws) >= MIN_DURATION_S  # negative normals get floored
-    assert min(draws) == MIN_DURATION_S  # and with std 5.0 some certainly were
+    # a stochastic draw lands near its mean, and exactly on it where the std is 0
+    ep = run_episode(ScriptedWorld(misaligned=True), rng=np.random.default_rng(3))
+    for r in ep.records:
+        mean, std = STAGE_TIMING[r.stage, r.variant]
+        assert abs(r.duration_s - mean) <= 6 * std
+    assert any(r.duration_s != STAGE_TIMING[r.stage, r.variant][0] for r in ep.records)
 
 
 def _run(world, **kwargs):
@@ -180,7 +175,7 @@ def test_slip_scan_matches_exhaustive_oracle():
     # a confirmed Normal is scanned past, not acted on
     world = ScriptedWorld()
     for stream in itertools.product(list(SlipLabel), repeat=8):
-        cycle = episode_cycle(world, DEFAULT_TIMING, np.random.default_rng(0), True, 0)
+        cycle = episode_cycle(world, np.random.default_rng(0), True, 0)
         assert isinstance(advance(cycle), EpisodeTruth)
         responses = advance(cycle, list(stream)).responses
         assert (responses.slip_action, responses.slip_detect_frame) == _slip_scan_oracle(stream)

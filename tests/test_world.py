@@ -5,7 +5,7 @@ import pytest
 
 from harvest_guard import world as world_module
 from harvest_guard.errors import ValidationError
-from harvest_guard.fsm import DEFAULT_TIMING, Outcome, Stage, run_episode
+from harvest_guard.fsm import Outcome, Stage, run_episode
 from harvest_guard.geometry import CompensationParams, RelativeError
 from harvest_guard.grasp import GraspClass, GraspModel
 from harvest_guard.lstm import LstmArch, TrainConfig, init_model, lstm_train
@@ -327,7 +327,7 @@ def slip_model(tmp_path_factory):
 
 
 def _one_at_a_time(world, n, seed):
-    return [run_episode(world, DEFAULT_TIMING, episode_rng(seed, i), episode_id=i) for i in range(n)]
+    return [run_episode(world, episode_rng(seed, i), episode_id=i) for i in range(n)]
 
 
 @pytest.mark.parametrize("with_models", [False, True], ids=["truth", "models"])
