@@ -55,7 +55,6 @@ from .fsm import (
 )
 from .slip_decision import (
     RecoveryAction,
-    StabilityState,
     classify_slip,
     first_action,
     time_stability_step,

@@ -317,20 +317,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     write_episode_log(out_dir / "episodes.jsonl", episodes)
     save_config(out_dir / "scenario.ini", config)
 
-    rows = _summary_rows([(ep.outcome.value, ep.total_s) for ep in episodes])
-    write_report(out_dir / "summary.csv", rows, fmt="csv")
-    for row in rows:
-        print(f"{row['outcome']}: n={row['n']} mean {row['mean_s']:.3f} s std {row['std_s']:.3f} s")
+    _write_summary([(ep.outcome.value, ep.total_s) for ep in episodes], out_dir / "summary.csv", "csv")
     print(f"episode log: {out_dir / 'episodes.jsonl'}")
     return 0
 
 
-def _summary_rows(outcome_totals: list[tuple[str, float]]) -> list[dict[str, object]]:
-    aggregates = aggregate_cycle_times(outcome_totals)
-    return [
+def _write_summary(outcome_totals: list[tuple[str, float]], path: str | Path, fmt: str) -> None:
+    """Per-outcome cycle-time rows, written to `path` and printed."""
+    rows = [
         {"outcome": outcome, "n": agg.n, "mean_s": agg.mean_s, "std_s": agg.std_s}
-        for outcome, agg in aggregates.items()
+        for outcome, agg in aggregate_cycle_times(outcome_totals).items()
     ]
+    write_report(path, rows, fmt=fmt)
+    for row in rows:
+        print(f"{row['outcome']}: n={row['n']} mean {row['mean_s']:.3f} s std {row['std_s']:.3f} s")
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -344,10 +344,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for _, records in sorted(by_episode.items(), key=lambda kv: kv[0]):
         total = sum(float(r["duration_s"]) for r in records)
         outcome_totals.append((_outcome_of(records), total))
-    rows = _summary_rows(outcome_totals)
-    write_report(args.out, rows, fmt=args.format)
-    for row in rows:
-        print(f"{row['outcome']}: n={row['n']} mean {row['mean_s']:.3f} s std {row['std_s']:.3f} s")
+    _write_summary(outcome_totals, args.out, args.format)
     return 0
 
 

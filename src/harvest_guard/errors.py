@@ -33,21 +33,26 @@ def open_text(path: Path, newline: str | None = None) -> Iterator[IO[str]]:
 
 def csv_records(path: Path, columns: Sequence[str]) -> Iterator[tuple[int, dict[str, str]]]:
     """(file line, record) for each data row of the CSV file at `path`.
-    Lines starting with '#' are comments and blank lines are skipped, but
-    line numbers count every line of the file. The header is the first
-    other line and must name every one of `columns`."""
+    Lines starting with '#' are comments and blank lines are skipped,
+    before the header too, but line numbers count every line of the file.
+    The header is the first other line and must name every one of
+    `columns`. A line the csv module cannot read, such as a field over
+    its size limit, raises ValidationError naming that line."""
     with open_text(path, newline="") as fh:
         lineno = 0
 
         def uncommented() -> Iterator[str]:
             nonlocal lineno
             for lineno, line in enumerate(fh, start=1):
-                if not line.startswith("#"):
+                if line[0] not in "#\r\n":
                     yield line
 
         reader = csv.DictReader(uncommented())
-        missing = [c for c in columns if c not in (reader.fieldnames or [])]
-        if missing:
-            raise ValidationError(f"{path}: missing columns {missing}")
-        for rec in reader:
-            yield lineno, rec
+        try:
+            missing = [c for c in columns if c not in (reader.fieldnames or [])]
+            if missing:
+                raise ValidationError(f"{path}: missing columns {missing}")
+            for rec in reader:
+                yield lineno, rec
+        except csv.Error as exc:
+            raise ValidationError(f"{path}: line {lineno}: {exc}") from exc

@@ -396,7 +396,7 @@ def read_episode_log(path: str | Path) -> list[dict[str, object]]:
                 continue
             try:
                 doc = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # ValueError also for ints over 4,300 digits
                 raise ValidationError(f"{path}: line {lineno}: not JSON: {exc}") from exc
             if not isinstance(doc, dict):
                 raise ValidationError(f"{path}: line {lineno}: not a JSON object")

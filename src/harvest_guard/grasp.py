@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError, csv_records, require_finite
 from .lstm import softmax
-from .slip_decision import StabilityState, stability_step
+from .slip_decision import stability_step
 
 GRASP_FEATURES = ("red_fraction", "green_fraction", "fruit_area", "fruit_present")
 GRASP_CSV_HEADER = (*GRASP_FEATURES, "label")
@@ -137,7 +137,7 @@ class GraspAction(Enum):
     ABORT_CYCLE = "abort-cycle"
 
 
-def grasp_decision_step(state: StabilityState, cls: GraspClass) -> tuple[StabilityState, GraspAction | None]:
+def grasp_decision_step(state: bool | None, cls: GraspClass) -> tuple[bool | None, GraspAction | None]:
     """One frame of the proceed-or-abort rule, keyed on the fault family.
 
     Two consecutive fault-family frames fire AbortCycle; Empty and

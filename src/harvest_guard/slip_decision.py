@@ -9,7 +9,6 @@ shared with the grasp monitor, which keys it on the fault family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Collection, Hashable, Iterable
 
@@ -51,37 +50,20 @@ ACTION_FOR_LABEL = {
 }
 
 
-@dataclass(frozen=True)
-class StabilityState:
-    """Running memory of the two-consecutive rule: the last key seen and
-    how many consecutive frames produced it. A key is any hashable value
-    other than None."""
-
-    last: Hashable | None = None
-    count: int = 0
-
-    def __post_init__(self) -> None:
-        if self.last is not None and self.count < 1:
-            raise ValidationError("count must be >= 1 while a key is held")
-        if self.last is None and self.count != 0:
-            raise ValidationError("count must be 0 with no held key")
-
-
-def stability_step(state: StabilityState, key: Hashable) -> tuple[StabilityState, bool]:
+def stability_step(last: Hashable | None, key: Hashable) -> tuple[Hashable | None, bool]:
     """One frame of the two-consecutive rule, shared by both monitors.
 
-    A repeated key increments the count, a change resets it to 1. The
-    moment a key is seen twice in a row the rule fires and the state
-    clears, so the next identical frame starts a fresh count.
+    The state is the last key seen, or None at the start. The moment a
+    key is seen twice in a row the rule fires and the state clears, so
+    the next identical frame starts a fresh pair.
     """
-    count = state.count + 1 if key == state.last else 1
-    if count >= 2:
-        return StabilityState(), True
-    return StabilityState(last=key, count=count), False
+    if key == last:
+        return None, True
+    return key, False
 
 
 def first_action(
-    step: Callable[[StabilityState, Any], tuple[StabilityState, Any]], stream: Iterable, ignore: Collection = ()
+    step: Callable[[Any, Any], tuple[Any, Any]], stream: Iterable, ignore: Collection = ()
 ) -> tuple[Any, int | None]:
     """Scan a stream with a monitor's step until it fires an action not in
     `ignore`; scanning goes on, from the cleared state, past one that is.
@@ -89,7 +71,7 @@ def first_action(
     Returns (action, index of the firing frame), or (None, None) when
     the stream ends first.
     """
-    state = StabilityState()
+    state = None
     for i, item in enumerate(stream):
         state, action = step(state, item)
         if action is not None and action not in ignore:
@@ -98,8 +80,8 @@ def first_action(
 
 
 def time_stability_step(
-    state: StabilityState, prediction: SlipLabel
-) -> tuple[StabilityState, RecoveryAction | None]:
+    state: SlipLabel | None, prediction: SlipLabel
+) -> tuple[SlipLabel | None, RecoveryAction | None]:
     """One slip window: the label is the key, and a confirmed label fires
     its ACTION_FOR_LABEL action."""
     state, fired = stability_step(state, prediction)

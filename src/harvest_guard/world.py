@@ -136,15 +136,6 @@ _CONFIG_SCHEMA: dict[str, dict[str, str]] = {
     },
 }
 
-_INT_FIELDS = {
-    "episodes",
-    "master_seed",
-    "grasp_frames",
-    "frames_normal",
-    "frames_slipping",
-    "frames_slipped",
-}
-
 
 def load_config(path: str | Path) -> ScenarioConfig:
     """Read an INI scenario file; missing keys keep their defaults,
@@ -169,7 +160,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
                 raise ValidationError(f"{path}: unknown key {key!r} in [{section}]")
             attr = _CONFIG_SCHEMA[section][key]
             try:
-                kwargs[attr] = int(raw) if attr in _INT_FIELDS else float(raw)
+                kwargs[attr] = int(raw) if isinstance(getattr(ScenarioConfig, attr), int) else float(raw)
             except ValueError as exc:
                 raise ValidationError(f"{path}: bad value for {section}.{key}: {raw!r}") from exc
     return ScenarioConfig(**kwargs)

@@ -17,14 +17,17 @@ from harvest_guard.geometry import CompensationParams, RelativeError
 from harvest_guard.grasp import GraspClass
 from harvest_guard.lstm import LstmArch, init_model, loss_and_grads
 from harvest_guard.slip_windows import SlipLabel, build_windows
-from harvest_guard.world import _CONFIG_SCHEMA, _INT_FIELDS, ScenarioConfig, gen_slip_trajectory, simulate_approach
+from harvest_guard.world import _CONFIG_SCHEMA, ScenarioConfig, gen_slip_trajectory, simulate_approach
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 ALIGNMENT_CSV = REPO_ROOT / "data" / "alignment_reference.csv"
 
-# every (section, key) of a scenario INI that holds a float
+# every (section, key) of a scenario INI that holds a float, by the type of its default
 FLOAT_KEYS = [
-    (section, key) for section, keys in _CONFIG_SCHEMA.items() for key, attr in keys.items() if attr not in _INT_FIELDS
+    (section, key)
+    for section, keys in _CONFIG_SCHEMA.items()
+    for key, attr in keys.items()
+    if isinstance(getattr(ScenarioConfig, attr), float)
 ]
 
 

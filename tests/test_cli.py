@@ -203,7 +203,12 @@ def test_report_aggregates_an_episode_log(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "line, problem",
-    [("{not json", "line 2: not JSON"), ("[1, 2, 3]", "line 2: not a JSON object")],
+    [
+        ("{not json", "line 2: not JSON"),
+        ("[1, 2, 3]", "line 2: not a JSON object"),
+        pytest.param("[" * 100_000, "line 2: not JSON: maximum recursion depth", id="deep-nesting"),
+        pytest.param("1" * 5_000, "line 2: not JSON: Exceeds the limit (4300 digits)", id="long-int"),
+    ],
 )
 def test_report_rejects_malformed_log_lines(tmp_path, capsys, line, problem):
     out_dir = tmp_path / "run"
@@ -434,6 +439,48 @@ def test_train_slip_names_the_file_line_of_a_bad_row(tmp_path, capsys, row, prob
     _csv_with_bad_row_on_line_5(data, ",".join(SLIP_CSV_HEADER), "0,0,0.2,0.3,0.5,0.1,0.15,0.03,0.5,0", row)
     assert main(["train-slip", "--data", str(data), "--out", str(model), "--seed", "1"]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {data}: bad row at line 5: {problem}"]
+
+
+def _csv_command(command, data, out):
+    """The argv that feeds `data` to one of the three CSV readers."""
+    if command == "compensate":
+        return ["compensate", "--input", str(data), "--out", str(out)]
+    extra = ["--epochs", "1", "--layers", "1", "--hidden", "2"] if command == "train-slip" else ["--epochs", "5"]
+    return [command, "--data", str(data), "--out", str(out), "--seed", "1", *extra]
+
+
+def _csv_for(command, path):
+    if command == "compensate":
+        path.write_text("xs,ys,zs,xe,ye,ze\n709,221,706,686,225,647\n")
+    else:
+        kind = command.removeprefix("train-")
+        assert main(["gen-data", "--kind", kind, "--counts", "3,3,3", "--out", str(path), "--seed", "1"]) == 0
+
+
+@pytest.mark.parametrize("command", ["compensate", "train-grasp", "train-slip"])
+def test_a_blank_line_before_the_header_is_skipped(tmp_path, capsys, command):
+    plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
+    _csv_for(command, plain)
+    padded.write_text("# audit\n\n" + plain.read_text())
+    capsys.readouterr()
+    assert main(_csv_command(command, plain, tmp_path / "plain.out")) == 0
+    assert main(_csv_command(command, padded, tmp_path / "padded.out")) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "padded.out").read_bytes() == (tmp_path / "plain.out").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["compensate", "train-grasp", "train-slip"])
+def test_an_oversized_field_is_one_error_line(tmp_path, capsys, command):
+    header, good = {
+        "compensate": ("xs,ys,zs,xe,ye,ze", "709,221,706,686,225,647"),
+        "train-grasp": (",".join(GRASP_CSV_HEADER), "0.5,0.1,0.3,1,0"),
+        "train-slip": (",".join(SLIP_CSV_HEADER), "0,0,0.2,0.3,0.5,0.1,0.15,0.03,0.5,0"),
+    }[command]
+    data, out = tmp_path / "data.csv", tmp_path / "out"
+    _csv_with_bad_row_on_line_5(data, header, good, "1" * 131_073 + good[1:])
+    assert main(_csv_command(command, data, out)) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {data}: line 5: field larger than field limit (131072)"]
+    assert not out.exists()
 
 
 def test_simulate_bytes_are_pinned(tmp_path, capsys):

@@ -20,7 +20,7 @@ from harvest_guard.grasp import (
     write_grasp_csv,
 )
 from harvest_guard.lstm import softmax
-from harvest_guard.slip_decision import StabilityState, first_action
+from harvest_guard.slip_decision import first_action
 from harvest_guard.world import episode_rng, gen_grasp_observations, sample_grasp_dataset
 
 RIPE, EMPTY, UNRIPE = GraspClass.RIPE_HELD, GraspClass.EMPTY, GraspClass.UNRIPE_HELD
@@ -120,15 +120,14 @@ def test_alternating_stream_stays_undecided():
 
 
 def test_fired_decision_clears_counters():
-    state = StabilityState()
-    state, action = grasp_decision_step(state, EMPTY)
+    state, action = grasp_decision_step(None, EMPTY)
     assert action is None
     state, action = grasp_decision_step(state, EMPTY)
     assert action is GraspAction.ABORT_CYCLE
-    assert state == StabilityState()
+    assert state is None
     # the very next frame starts a fresh run, keyed on the fault family
     state, action = grasp_decision_step(state, EMPTY)
-    assert action is None and state == StabilityState(last=True, count=1)
+    assert action is None and state is True
 
 
 def _bruteforce_decision(stream):

@@ -10,7 +10,6 @@ from harvest_guard.errors import ValidationError
 from harvest_guard.slip_decision import (
     ACTION_FOR_LABEL,
     RecoveryAction,
-    StabilityState,
     classify_slip,
     first_action,
     time_stability_step,
@@ -55,24 +54,14 @@ def test_policies_agree_with_direct_rules(pn, ps):
     assert classify_slip(np.array([[pn, ps, pd]])) == [expected]
 
 
-def test_stability_state_validation():
-    StabilityState()
-    StabilityState(last=SlipLabel.NORMAL, count=1)
-    with pytest.raises(ValidationError):
-        StabilityState(last=SlipLabel.NORMAL, count=0)
-    with pytest.raises(ValidationError):
-        StabilityState(last=None, count=1)
-
-
 def test_stability_step_counts_and_fires():
-    state = StabilityState()
-    state, action = time_stability_step(state, SlipLabel.SLIPPING)
-    assert action is None and state.count == 1
+    state, action = time_stability_step(None, SlipLabel.SLIPPING)
+    assert action is None and state is SlipLabel.SLIPPING
     state, action = time_stability_step(state, SlipLabel.NORMAL)
-    assert action is None and state.count == 1  # change resets the run
+    assert action is None and state is SlipLabel.NORMAL  # a change replaces the key
     state, action = time_stability_step(state, SlipLabel.NORMAL)
     assert action is RecoveryAction.CONTINUE_SNAP_OFF
-    assert state == StabilityState()  # cleared after firing
+    assert state is None  # cleared after firing
 
 
 def test_single_flicker_never_fires():
@@ -103,7 +92,7 @@ def test_exhaustive_streams_match_bruteforce():
 
 def test_cleared_state_requires_fresh_pair():
     # after a fire, a third identical frame must not fire alone
-    state = StabilityState()
+    state = None
     stream = [SlipLabel.SLIPPING] * 3
     fired = []
     for p in stream:
