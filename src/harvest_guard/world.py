@@ -15,6 +15,7 @@ across runs and independent of scheduling.
 from __future__ import annotations
 
 import configparser
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -226,6 +227,43 @@ _NOISY_HI = np.array([0.60, 0.60, 1.0, 1.0, 1.0, 1.0])
 _GONE_ROW = (_GONE_AREA, _GRIPPER_AREA, 0.0, 0.0, 0.0, 0.0)
 
 
+@functools.lru_cache(maxsize=64)
+def _slip_curve(
+    initial_area: float, decay_rate: float, phases: tuple[int, int, int], accel: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The noise-free (n_moving, 6) curve, one (s, g, w, h, x, y) row per
+    moving (normal or slipping) frame, and the (n,) int64 phase labels.
+
+    When a fault phase follows, the tail of the normal phase already
+    creeps (fractional area decay plus downward drift). Window labels
+    look ahead of the frames they cover, so the pre-onset cue is what
+    makes them predictable at all. `accel` scales the motion rate.
+    Both arrays are shared between calls and read-only.
+    """
+    n_normal, n_slipping, n_slipped = phases
+
+    def moved(area: float, y: float, frac: float) -> tuple[float, float]:
+        area = max(_MIN_AREA, area - decay_rate * accel * frac)
+        y = min(1.0, y + _Y_DRIFT_PER_FRAME * accel * frac)
+        return area, y
+
+    rows: list[tuple[float, ...]] = []
+    area, y = initial_area, _CENTER_Y
+    ramp = min(_PRE_SLIP_FRAMES, n_normal) if (n_slipping or n_slipped) else 0
+    for i in range(n_normal + n_slipping):
+        left = n_normal - i
+        if left <= 0:
+            area, y = moved(area, y, 1.0)
+        elif ramp and left <= ramp:
+            area, y = moved(area, y, (ramp - left + 1) / ramp)
+        scale = math.sqrt(max(area, 0.0) / initial_area)
+        rows.append((area, _GRIPPER_AREA, _BOX_W * scale, _BOX_H * scale, _CENTER_X, y))
+    curve = np.array(rows).reshape(len(rows), 6)
+    labels = np.repeat(np.arange(len(SlipLabel), dtype=np.int64), phases)
+    curve.flags.writeable = labels.flags.writeable = False
+    return curve, labels
+
+
 def _trajectory(
     config: ScenarioConfig,
     phases: tuple[int, int, int],
@@ -234,45 +272,21 @@ def _trajectory(
 ) -> SlipTrajectory:
     """Curve generator over (normal, slipping, slipped) phase lengths.
 
-    When a fault phase follows, the tail of the normal phase already
-    creeps (fractional area decay plus downward drift). Window labels
-    look ahead of the frames they cover, so the pre-onset cue is what
-    makes them predictable at all. `accel` scales the motion rate.
-
-    The moving (normal and slipping) frames take their feature noise from
-    one (n_moving, 6) normal draw in column order s, g, w, h, x, y;
-    slipped frames and zero noise draw nothing.
+    The noise-free curve comes from _slip_curve, computed once per
+    (config, phases, accel). The moving frames then take their feature
+    noise from one (n_moving, 6) normal draw in column order s, g, w, h,
+    x, y; slipped frames and zero noise draw nothing.
     """
-    n_normal, n_slipping, n_slipped = phases
+    curve, labels = _slip_curve(config.slip_initial_area, config.slip_decay_rate, phases, accel)
     noise = config.slip_noise_std
-    area0 = config.slip_initial_area
+    moving = curve + rng.normal(0.0, noise, size=curve.shape) if noise > 0 else curve
 
-    def moved(area: float, y: float, frac: float) -> tuple[float, float]:
-        area = max(_MIN_AREA, area - config.slip_decay_rate * accel * frac)
-        y = min(1.0, y + _Y_DRIFT_PER_FRAME * accel * frac)
-        return area, y
-
-    # the noise-free curve, one (s, g, w, h, x, y) row per moving frame
-    rows: list[tuple[float, ...]] = []
-    area, y = area0, _CENTER_Y
-    ramp = min(_PRE_SLIP_FRAMES, n_normal) if (n_slipping or n_slipped) else 0
-    for i in range(n_normal + n_slipping):
-        left = n_normal - i
-        if left <= 0:
-            area, y = moved(area, y, 1.0)
-        elif ramp and left <= ramp:
-            area, y = moved(area, y, (ramp - left + 1) / ramp)
-        scale = math.sqrt(max(area, 0.0) / area0)
-        rows.append((area, _GRIPPER_AREA, _BOX_W * scale, _BOX_H * scale, _CENTER_X, y))
-    moving = np.array(rows).reshape(len(rows), 6)
-    if noise > 0:
-        moving += rng.normal(0.0, noise, size=moving.shape)
-
-    features = np.empty((len(rows) + n_slipped, len(FEATURE_ORDER)))
-    features[: len(rows), _NOISY_COLS] = np.minimum(_NOISY_HI, np.maximum(_NOISY_LO, moving))
-    features[len(rows) :, _NOISY_COLS] = _GONE_ROW
+    n_moving = len(curve)
+    features = np.empty((len(labels), len(FEATURE_ORDER)))
+    features[:n_moving, _NOISY_COLS] = np.minimum(_NOISY_HI, np.maximum(_NOISY_LO, moving))
+    features[n_moving:, _NOISY_COLS] = _GONE_ROW
     features[:, 2] = 1.0 - features[:, 0] - features[:, 1]
-    return SlipTrajectory(features, np.repeat(np.arange(len(SlipLabel), dtype=np.int64), phases))
+    return SlipTrajectory(features, labels)
 
 
 def gen_slip_trajectory(
@@ -381,33 +395,22 @@ def simulate_approach(
     picking = NOMINAL_PICKING_POINT
     act = config.actuation_noise_std_mm
     vis = config.vision_noise_std_mm
-    a1x, a1y = rng.normal(0.0, act, size=2) if act > 0 else (0.0, 0.0)
-    e1 = ArmPoint3(
-        picking.x - injected_error.dx + a1x,
-        picking.y - injected_error.dy + a1y,
-        picking.z,
-    )
-    v_x, v_y = rng.normal(0.0, vis, size=2) if vis > 0 else (0.0, 0.0)
-    visual = RelativeError((picking.x - e1.x) + v_x, (picking.y - e1.y) + v_y)
+    a1x, a1y = rng.normal(0.0, act, size=2).tolist() if act > 0 else (0.0, 0.0)
+    e1x = picking.x - injected_error.dx + a1x
+    e1y = picking.y - injected_error.dy + a1y
+    require_finite(x=e1x, y=e1y)
+    v_x, v_y = rng.normal(0.0, vis, size=2).tolist() if vis > 0 else (0.0, 0.0)
+    visual = RelativeError((picking.x - e1x) + v_x, (picking.y - e1y) + v_y)
 
     if not needs_compensation(visual, params):
-        return ApproachOutcome(
-            visual,
-            False,
-            float(injected_error.dx - a1x),
-            float(injected_error.dy - a1y),
-        )
+        return ApproachOutcome(visual, False, injected_error.dx - a1x, injected_error.dy - a1y)
 
     target = compensated_point(picking, visual, params)
-    a2x, a2y = rng.normal(0.0, act, size=2) if act > 0 else (0.0, 0.0)
-    e2 = ArmPoint3(
-        target.x - injected_error.dx + a2x,
-        target.y - injected_error.dy + a2y,
-        target.z,
-    )
-    residual_x = picking.x - e2.x
-    residual_y = picking.y - e2.y
-    return ApproachOutcome(visual, True, float(residual_x), float(residual_y))
+    a2x, a2y = rng.normal(0.0, act, size=2).tolist() if act > 0 else (0.0, 0.0)
+    e2x = target.x - injected_error.dx + a2x
+    e2y = target.y - injected_error.dy + a2y
+    require_finite(x=e2x, y=e2y)
+    return ApproachOutcome(visual, True, picking.x - e2x, picking.y - e2y)
 
 
 # --- dataset generation ---------------------------------------------------
@@ -510,6 +513,8 @@ class EpisodeWorld:
         self.grasp_model = grasp_model
         self._grasp_cdf = _choice_cdf((config.p_ripe, config.p_empty, config.p_unripe))
         self._slip_cdf = _choice_cdf((config.p_slip_normal, config.p_slipping, config.p_slipped))
+        self._params = CompensationParams()
+        self._truth_windows: dict[SlipLabel, tuple[SlipLabel, ...]] = {}
 
     def sample_truth(self, rng: np.random.Generator) -> EpisodeTruth:
         ex = rng.normal(self.config.error_mean_x_mm, self.config.error_std_x_mm)
@@ -520,15 +525,22 @@ class EpisodeWorld:
         return EpisodeTruth(RelativeError(float(ex), float(ey)), grasp, slip)
 
     def approach(self, truth: EpisodeTruth, rng: np.random.Generator) -> ApproachOutcome:
-        return simulate_approach(
-            self.config, CompensationParams(), rng, truth.positional_error
-        )
+        return simulate_approach(self.config, self._params, rng, truth.positional_error)
 
     def grasp_stream(self, truth: EpisodeTruth, rng: np.random.Generator) -> list[GraspClass]:
         if self.grasp_model is None:
             return [truth.grasp_outcome] * self.config.grasp_frames
         x = gen_grasp_observations(truth.grasp_outcome, self.config.grasp_frames, rng, self.config.grasp_noise_scale)
         return classify_grasp(self.grasp_model, x)
+
+    def _truth_stream(self, outcome: SlipLabel, traj: SlipTrajectory) -> tuple[SlipLabel, ...]:
+        """The window labels a perfect predictor emits for an outcome. They
+        depend only on the trajectory's labels, which the outcome fixes, so
+        the first trajectory of each outcome computes them."""
+        if outcome not in self._truth_windows:
+            y = build_windows(traj.frames, traj.labels).y
+            self._truth_windows[outcome] = tuple(_SLIP_ORDER[v] for v in y.tolist())
+        return self._truth_windows[outcome]
 
     def slip_stream(self, truth: EpisodeTruth, rng: np.random.Generator) -> list[SlipLabel]:
         return self.slip_streams([(truth, rng)])[0]
@@ -540,7 +552,7 @@ class EpisodeWorld:
         their windows, which equal trajectory lengths make rectangular."""
         trajs = [gen_slip_trajectory(self.config, truth.slip_outcome, rng) for truth, rng in requests]
         if self.slip_model is None or not trajs:
-            return [[_SLIP_ORDER[v] for v in build_windows(t.frames, t.labels).y.tolist()] for t in trajs]
+            return [list(self._truth_stream(truth.slip_outcome, t)) for (truth, _), t in zip(requests, trajs)]
         n_windows = len(trajs[0].frames) - WINDOW_LEN + 1
         probs = predict_proba(self.slip_model, np.stack([frame_windows(t.frames, n_windows) for t in trajs]))
         labels = classify_slip(probs.reshape(-1, probs.shape[-1]))

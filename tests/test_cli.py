@@ -587,6 +587,17 @@ def test_simulate_rejects_a_frame_outside_the_feature_range(tmp_path, capsys):
     assert err == ["error: background_area must lie in [0, 1], got -0.004478998574600324"]
 
 
+def test_simulate_names_the_effector_axis_that_overflows(tmp_path, capsys):
+    # a 1e308 mm error plus 1e308 mm actuation noise lands the effector at
+    # infinity; the approach check names the landed coordinate, not the
+    # visual error derived from it
+    config = tmp_path / "overflow.ini"
+    config.write_text("[approach]\nerror_mean_x_mm = 1e308\nerror_std_x_mm = 0\nactuation_noise_std_mm = 1e308\n")
+    argv = ["simulate", "--seed", "1", "--episodes", "50", "--config", str(config), "--out", str(tmp_path / "run")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.strip().splitlines() == ["error: y must be finite, got inf"]
+
+
 @pytest.mark.parametrize("section,key", FLOAT_KEYS, ids=[f"{s}.{k}" for s, k in FLOAT_KEYS])
 def test_simulate_rejects_non_finite_config_values(tmp_path, capsys, section, key):
     config = tmp_path / "scenario.ini"

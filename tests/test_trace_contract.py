@@ -11,7 +11,7 @@ from harvest_guard import cli, fsm, world
 from harvest_guard.grasp import GraspAction, GraspModel
 from harvest_guard.lstm import LstmArch, init_model
 from harvest_guard.model_io import save_model
-from harvest_guard.slip_windows import LOOKAHEAD, WINDOW_LEN, windows_from_slip_csv
+from harvest_guard.slip_windows import LOOKAHEAD, WINDOW_LEN, SlipLabel, windows_from_slip_csv
 
 from conftest import REPO_ROOT
 
@@ -97,6 +97,27 @@ def test_simulate_calls_every_sim_trace_point(tmp_path, monkeypatch, capsys):
     assert len(runs) == 2 and slip_used > 0
     assert op.calls["grasp.grasp_decision_step"] == grasp_used
     assert op.calls["slip_decision.time_stability_step"] == slip_used
+
+
+def test_ground_truth_simulate_draws_one_trajectory_per_proceeding_grasp(tmp_path, monkeypatch, capsys):
+    episodes = []
+    run_episodes = cli.run_episodes
+
+    def keep_episodes(*args, **kwargs):
+        episodes.extend(run_episodes(*args, **kwargs))
+        return episodes
+
+    monkeypatch.setattr(cli, "run_episodes", keep_episodes)
+    tracer = _tracer(monkeypatch)
+    with tracer.active("op"):
+        assert cli.main(["simulate", "--seed", "3", "--episodes", "100", "--out", str(tmp_path / "run")]) == 0
+    op = tracer.phases["op"]
+    # every snap-off draws and checks its own trajectory, even though the
+    # window labels are computed once per slip outcome
+    proceeding = sum(ep.responses.grasp_action is GraspAction.PROCEED for ep in episodes)
+    assert len(episodes) == 100 and proceeding > 0
+    assert op.calls["world.gen_slip_trajectory"] == proceeding
+    assert op.calls["slip_windows.build_windows"] <= len(SlipLabel)
 
 
 def test_simulate_stacks_slip_inference_across_episodes(tmp_path, monkeypatch, capsys):

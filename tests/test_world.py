@@ -5,14 +5,16 @@ import pytest
 
 from harvest_guard import world as world_module
 from harvest_guard.errors import ValidationError
-from harvest_guard.fsm import Outcome, Stage, run_episode
-from harvest_guard.geometry import CompensationParams, RelativeError
+from harvest_guard.fsm import EpisodeTruth, Outcome, Stage, run_episode
+from harvest_guard.geometry import ArmPoint3, CompensationParams, RelativeError, compensated_point, needs_compensation
 from harvest_guard.grasp import GraspClass, GraspModel
 from harvest_guard.lstm import LstmArch, TrainConfig, init_model, lstm_train
-from harvest_guard.slip_windows import FEATURE_ORDER, SlipLabel, class_counts, windows_from_slip_csv
+from harvest_guard.slip_windows import FEATURE_ORDER, SlipLabel, build_windows, class_counts, windows_from_slip_csv
 from harvest_guard.world import (
     _CONFIG_SCHEMA,
     _DROP_ACCEL,
+    NOMINAL_PICKING_POINT,
+    _slip_curve,
     _trajectory,
     EpisodeWorld,
     ScenarioConfig,
@@ -522,3 +524,103 @@ def test_sample_truth_matches_choice_reference(mix):
         truth = world.sample_truth(rng)
         assert (truth.positional_error, truth.grasp_outcome, truth.slip_outcome) == _ref_sample_truth(config, ref_rng)
         assert rng.random() == ref_rng.random()
+
+
+def test_interleaved_worlds_keep_their_own_curves_and_truth_streams():
+    # two worlds whose cached curves and truth streams differ in every key
+    other = ScenarioConfig(frames_normal=7, frames_slipping=3, frames_slipped=5,
+                           slip_initial_area=0.25, slip_decay_rate=0.03)
+    worlds = [EpisodeWorld(ScenarioConfig()), EpisodeWorld(other)]
+    previous = None
+    for seed in range(6):
+        for world in worlds:
+            for outcome in SlipLabel:
+                traj = gen_slip_trajectory(world.config, outcome, episode_rng(seed, 0))
+                phases = tuple(int((traj.labels == label).sum()) for label in SlipLabel)
+                accel = _DROP_ACCEL if outcome is SlipLabel.SLIPPED else 1.0
+                ref_frames, ref_labels = _ref_trajectory(world.config, phases, episode_rng(seed, 0), accel)
+                assert traj.frames.tobytes() == np.array(ref_frames, dtype=np.float64).tobytes()
+                assert traj.labels.tolist() == list(ref_labels)
+
+                curve, labels = _slip_curve(world.config.slip_initial_area, world.config.slip_decay_rate,
+                                            phases, accel)
+                assert not curve.flags.writeable and not labels.flags.writeable
+                with pytest.raises(ValueError):
+                    curve[...] = 0.0
+                assert traj.labels is labels
+                assert traj.frames.flags.writeable and not np.shares_memory(traj.frames, curve)
+                if previous is not None:
+                    assert not np.shares_memory(traj.frames, previous.frames)
+                previous = traj
+
+                truth = EpisodeTruth(RelativeError(0.0, 0.0), GraspClass.RIPE_HELD, outcome)
+                fresh = gen_slip_trajectory(world.config, outcome, episode_rng(seed, 2))
+                expected = [SlipLabel(v) for v in build_windows(fresh.frames, fresh.labels).y.tolist()]
+                stream = world.slip_stream(truth, episode_rng(seed, 1))
+                assert stream == expected
+                stream.clear()  # each call returns its own list
+                assert world.slip_stream(truth, episode_rng(seed, 1)) == expected
+
+
+# --- approach oracle -------------------------------------------------------
+# Reference: the dataclass-based approach, verbatim apart from the name. The
+# float version must give the same bits and leave the generator in the same
+# state.
+
+def _ref_simulate_approach(config, params, rng, injected_error):
+    picking = NOMINAL_PICKING_POINT
+    act = config.actuation_noise_std_mm
+    vis = config.vision_noise_std_mm
+    a1x, a1y = rng.normal(0.0, act, size=2) if act > 0 else (0.0, 0.0)
+    e1 = ArmPoint3(
+        picking.x - injected_error.dx + a1x,
+        picking.y - injected_error.dy + a1y,
+        picking.z,
+    )
+    v_x, v_y = rng.normal(0.0, vis, size=2) if vis > 0 else (0.0, 0.0)
+    visual = RelativeError((picking.x - e1.x) + v_x, (picking.y - e1.y) + v_y)
+
+    if not needs_compensation(visual, params):
+        return visual, False, float(injected_error.dx - a1x), float(injected_error.dy - a1y)
+
+    target = compensated_point(picking, visual, params)
+    a2x, a2y = rng.normal(0.0, act, size=2) if act > 0 else (0.0, 0.0)
+    e2 = ArmPoint3(
+        target.x - injected_error.dx + a2x,
+        target.y - injected_error.dy + a2y,
+        target.z,
+    )
+    residual_x = picking.x - e2.x
+    residual_y = picking.y - e2.y
+    return visual, True, float(residual_x), float(residual_y)
+
+
+def _bits(*values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+APPROACH_CONFIGS = {
+    "default": ScenarioConfig(),
+    "no-actuation-noise": ScenarioConfig(actuation_noise_std_mm=0.0),
+    "no-vision-noise": ScenarioConfig(vision_noise_std_mm=0.0),
+}
+
+
+@pytest.mark.parametrize("config", APPROACH_CONFIGS.values(), ids=APPROACH_CONFIGS.keys())
+def test_approach_matches_dataclass_reference(config):
+    params = CompensationParams()
+    errors = np.random.default_rng(0).normal([12.0, 8.0], [10.0, 10.0], size=(1200, 2)).tolist()
+    compensated = 0
+    for seed, (dx, dy) in enumerate(errors):
+        injected = RelativeError(dx, dy)
+        rng, ref_rng = episode_rng(seed, 0), episode_rng(seed, 0)
+        out = simulate_approach(config, params, rng, injected)
+        visual, flag, res_x, res_y = _ref_simulate_approach(config, params, ref_rng, injected)
+        got = out.visual_error
+        assert _bits(got.dx, got.dy, got.dz) == _bits(visual.dx, visual.dy, visual.dz)
+        assert out.compensated is flag
+        assert _bits(out.residual_x, out.residual_y) == _bits(res_x, res_y)
+        assert type(out.residual_x) is type(out.residual_y) is float
+        assert rng.random() == ref_rng.random()  # the generator ends in the same state
+        compensated += flag
+    assert 300 < compensated < 1100  # both branches run often
