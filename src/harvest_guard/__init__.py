@@ -15,16 +15,11 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import ValidationError
 from .geometry import (
-    ArmPoint3,
     CompensationMode,
     CompensationParams,
-    CompensationRecord,
-    RelativeError,
-    compensate_rows,
     compensated_point,
     mean_abs_error,
     needs_compensation,
-    relative_error,
 )
 from .grasp import (
     GraspAction,

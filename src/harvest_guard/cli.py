@@ -21,7 +21,7 @@ from .fsm import Stage, Variant, read_episode_log, write_episode_log
 from .geometry import (
     CompensationMode,
     CompensationParams,
-    compensate_rows,
+    compensate_row,
     mean_abs_error,
     read_alignment_csv,
     write_records_csv,
@@ -263,25 +263,19 @@ def _cmd_compensate(args: argparse.Namespace) -> int:
     rows = read_alignment_csv(args.input)
     if not rows:
         raise ValidationError(f"{args.input}: no trials")
-    records = compensate_rows(rows, params)
+    records = [compensate_row(row, params) for row in rows]
     write_records_csv(records, args.out)
 
-    dx = [r.visual_err.dx for r in records]
-    dy = [r.visual_err.dy for r in records]
-    print(f"trials: {len(records)}  compensated: {sum(1 for r in records if r.compensated is not None)}")
-    print(f"mean |dx|: {mean_abs_error(dx):.2f} mm  mean |dy|: {mean_abs_error(dy):.2f} mm")
-    physical = [(r.physical_err_x, r.physical_err_y) for r in records if r.physical_err_x is not None]
-    if physical:
-        print(
-            f"mean |dx_w|: {mean_abs_error([p[0] for p in physical]):.2f} mm  "
-            f"mean |dy_w|: {mean_abs_error([p[1] for p in physical]):.2f} mm"
-        )
-    resid = [(r.residual_x, r.residual_y) for r in records if r.residual_x is not None]
-    if resid:
-        print(
-            f"mean |e_x|: {mean_abs_error([p[0] for p in resid]):.2f} mm  "
-            f"mean |e_y|: {mean_abs_error([p[1] for p in resid]):.2f} mm"
-        )
+    print(f"trials: {len(records)}  compensated: {sum(1 for r in records if r['x_ce'] is not None)}")
+    # dx,dy are in every record; the ground-truth offsets and residuals
+    # are summarised over the records that carry them
+    for a, b in (("dx", "dy"), ("dx_w", "dy_w"), ("e_x", "e_y")):
+        listed = [r for r in records if r[a] is not None]
+        if listed:
+            print(
+                f"mean |{a}|: {mean_abs_error([r[a] for r in listed]):.2f} mm  "
+                f"mean |{b}|: {mean_abs_error([r[b] for r in listed]):.2f} mm"
+            )
     log.info("wrote %d records to %s", len(records), args.out)
     return 0
 

@@ -28,7 +28,6 @@ from typing import Generator, Iterable, Protocol, Sequence
 import numpy as np
 
 from .errors import ValidationError, open_text
-from .geometry import RelativeError
 from .grasp import GraspAction, GraspClass, grasp_decision_step
 from .slip_decision import RecoveryAction, first_action, time_stability_step
 from .slip_windows import SlipLabel
@@ -112,7 +111,7 @@ class StageRecord:
 class EpisodeTruth:
     """What the simulator actually injected, independent of detection."""
 
-    positional_error: RelativeError
+    positional_error: tuple[float, float]  # injected (dx, dy), mm
     grasp_outcome: GraspClass
     slip_outcome: SlipLabel
 
@@ -158,7 +157,7 @@ class HarvestEpisode:
 
 
 class ApproachLike(Protocol):
-    visual_error: RelativeError
+    visual_error: tuple[float, float]  # measured (dx, dy), mm
     compensated: bool
     residual_x: float
     residual_y: float
@@ -224,7 +223,7 @@ def episode_cycle(
         Stage.INFLATING_APPROACHING,
         Variant.NORMAL,
         Event.MISALIGNED if approach.compensated else Event.ALIGNED,
-        f"visual error ({approach.visual_error.dx:.1f}, {approach.visual_error.dy:.1f}) mm",
+        "visual error ({:.1f}, {:.1f}) mm".format(*approach.visual_error),
     )
     if approach.compensated:
         record(

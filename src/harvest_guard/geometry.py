@@ -19,34 +19,6 @@ from typing import Iterable, Sequence
 from .errors import ValidationError, csv_records, require_finite
 
 
-@dataclass(frozen=True)
-class ArmPoint3:
-    """A 3D position in the robot-arm frame, in millimetres.
-
-    All geometry in this module lives in this single frame; the API never
-    mixes frames, so no frame tag is carried.
-    """
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self) -> None:
-        require_finite(x=self.x, y=self.y, z=self.z)
-
-
-@dataclass(frozen=True)
-class RelativeError:
-    """Componentwise offset picking-point minus end-effector, in mm."""
-
-    dx: float
-    dy: float
-    dz: float = 0.0
-
-    def __post_init__(self) -> None:
-        require_finite(dx=self.dx, dy=self.dy, dz=self.dz)
-
-
 class CompensationMode(Enum):
     """How the per-axis tolerance check gates the applied correction.
 
@@ -81,99 +53,35 @@ class CompensationParams:
             raise ValidationError("gains k_x, k_y must be non-negative")
 
 
-@dataclass(frozen=True)
-class CompensationRecord:
-    """One audited approach: measured errors plus the applied correction.
-
-    ``compensated`` is None exactly when no axis exceeded the tolerance
-    (per the active mode); residuals are present only when a correction
-    was applied. In a static audit the residuals are the predicted
-    remaining offset after the corrective move; the simulator overwrites
-    them with the offset it actually observes.
-    """
-
-    picking: ArmPoint3
-    effector: ArmPoint3
-    visual_err: RelativeError
-    physical_err_x: float | None = None
-    physical_err_y: float | None = None
-    compensated: ArmPoint3 | None = None
-    residual_x: float | None = None
-    residual_y: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.compensated is None and (self.residual_x is not None or self.residual_y is not None):
-            raise ValidationError("residuals are only defined when a correction was applied")
-
-
-@dataclass(frozen=True)
-class AlignmentRow:
-    """One input row for the compensation audit.
-
-    Beyond the two logged positions, a row may carry the values the
-    original log listed alongside them: the vision-measured offset
-    (``visual_err``, often logged at finer precision than the rounded
-    coordinates), the independently measured ground-truth offset before
-    compensation (``physical_err``), and the ground-truth offset measured
-    again after the corrective move (``measured_residual``). Listed
-    values are carried through to the record verbatim; only the
-    coordinates drive the correction rule itself.
-    """
-
-    picking: ArmPoint3
-    effector: ArmPoint3
-    visual_err: tuple[float, float] | None = None
-    physical_err: tuple[float, float] | None = None
-    measured_residual: tuple[float, float] | None = None
-
-
-def relative_error(picking: ArmPoint3, effector: ArmPoint3) -> RelativeError:
-    """Offset of the picking point relative to the end-effector.
-
-    Componentwise picking minus effector, both in the robot-arm frame.
-    """
-    return RelativeError(
-        dx=picking.x - effector.x,
-        dy=picking.y - effector.y,
-        dz=picking.z - effector.z,
-    )
-
-
-def needs_compensation(err: RelativeError, params: CompensationParams) -> bool:
-    """Whether the measured x/y offset exceeds the tolerance on either
-    axis, |dx| > T or |dy| > T. Both modes share this test; they differ
-    only in which axes compensated_point then corrects."""
-    return any(_axes_to_correct(err, params))
-
-
-def _axes_to_correct(err: RelativeError, params: CompensationParams) -> tuple[bool, bool]:
+def _axes_to_correct(dx: float, dy: float, params: CompensationParams) -> tuple[bool, bool]:
+    """The one compensation rule: which of x and y a measured offset
+    (dx, dy) corrects, given the tolerance and mode."""
     t = params.threshold_t
-    over_x = abs(err.dx) > t
-    over_y = abs(err.dy) > t
+    over_x = abs(dx) > t
+    over_y = abs(dy) > t
     if params.mode is CompensationMode.EITHER_AXIS_BOTH:
         trigger = over_x or over_y
         return trigger, trigger
     return over_x, over_y
 
 
-def _corrected(picking: ArmPoint3, err: RelativeError, params: CompensationParams, fix: tuple[bool, bool]) -> ArmPoint3:
-    fix_x, fix_y = fix
-    return ArmPoint3(
-        x=picking.x + params.k_x * err.dx if fix_x else picking.x,
-        y=picking.y + params.k_y * err.dy if fix_y else picking.y,
-        z=picking.z,
-    )
+def needs_compensation(dx: float, dy: float, params: CompensationParams) -> bool:
+    """Whether the measured x/y offset exceeds the tolerance on either
+    axis, |dx| > T or |dy| > T. Both modes share this test; they differ
+    only in which axes compensated_point then corrects."""
+    return any(_axes_to_correct(dx, dy, params))
 
 
-def compensated_point(picking: ArmPoint3, err: RelativeError, params: CompensationParams) -> ArmPoint3:
-    """The corrected picking point for a measured error.
+def compensated_point(x: float, y: float, dx: float, dy: float, params: CompensationParams) -> tuple[float, float]:
+    """The corrected picking point (x_c, y_c) for a measured offset.
 
-    Each corrected axis moves by its gain times the measured error:
-    x_c = x_p + k_x * dx (when the mode applies an x correction, else
-    x_p), y_c analogously with k_y. z is never touched. If no axis
-    triggers, the picking point is returned unchanged.
+    Each corrected axis moves by its gain times the measured offset:
+    x_c = x + k_x * dx when the mode applies an x correction, else x;
+    y_c analogously with k_y. z is never corrected, so it is not an
+    argument. If no axis triggers, (x, y) is returned unchanged.
     """
-    return _corrected(picking, err, params, _axes_to_correct(err, params))
+    fix_x, fix_y = _axes_to_correct(dx, dy, params)
+    return (x + params.k_x * dx if fix_x else x, y + params.k_y * dy if fix_y else y)
 
 
 def mean_abs_error(values: Sequence[float]) -> float:
@@ -184,103 +92,78 @@ def mean_abs_error(values: Sequence[float]) -> float:
     return sum(abs(v) for v in values) / len(values)
 
 
-def compensate_row(row: AlignmentRow, params: CompensationParams) -> CompensationRecord:
-    """Audit one approach: measure the error and apply the correction rule.
-
-    The error fed to the correction is the coordinate difference between
-    the logged picking point and effector position. The reported visual
-    error prefers the row's listed measurement (logged at finer precision
-    than the rounded coordinates) when one is present. Residuals come
-    from the row's post-correction measurement when available; otherwise
-    they are predicted as the best-known pre-correction error minus the
-    applied correction.
-    """
-    err = relative_error(row.picking, row.effector)
-    vis_x, vis_y = row.visual_err if row.visual_err is not None else (err.dx, err.dy)
-    reported = RelativeError(vis_x, vis_y)
-    phys_x, phys_y = row.physical_err if row.physical_err is not None else (None, None)
-
-    fix_x, fix_y = _axes_to_correct(err, params)
-    if not (fix_x or fix_y):
-        return CompensationRecord(
-            picking=row.picking,
-            effector=row.effector,
-            visual_err=reported,
-            physical_err_x=phys_x,
-            physical_err_y=phys_y,
-        )
-
-    corrected = _corrected(row.picking, err, params, (fix_x, fix_y))
-    if row.measured_residual is not None:
-        residual_x, residual_y = row.measured_residual
-    else:
-        base_x = phys_x if phys_x is not None else err.dx
-        base_y = phys_y if phys_y is not None else err.dy
-        residual_x = base_x - (params.k_x * err.dx if fix_x else 0.0)
-        residual_y = base_y - (params.k_y * err.dy if fix_y else 0.0)
-    return CompensationRecord(
-        picking=row.picking,
-        effector=row.effector,
-        visual_err=reported,
-        physical_err_x=phys_x,
-        physical_err_y=phys_y,
-        compensated=corrected,
-        residual_x=residual_x,
-        residual_y=residual_y,
-    )
-
-
-def compensate_rows(rows: Iterable[AlignmentRow], params: CompensationParams) -> list[CompensationRecord]:
-    return [compensate_row(row, params) for row in rows]
-
-
 # CSV layout shared by the audit input and output. Input needs the first
 # six columns; the paired optional columns carry listed log values.
-_INPUT_COLUMNS = ("xs", "ys", "zs", "xe", "ye", "ze")
+_PICKING = ("xs", "ys", "zs")
+_EFFECTOR = ("xe", "ye", "ze")
+_LISTED_PAIRS = (("dx", "dy"), ("dx_w", "dy_w"), ("e_x", "e_y"))
 RECORD_COLUMNS = (
-    "xs", "ys", "zs", "xe", "ye", "ze",
+    *_PICKING, *_EFFECTOR,
     "dx", "dy", "dx_w", "dy_w",
     "x_ce", "y_ce", "z_ce", "e_x", "e_y",
 )
 
 
-def read_alignment_csv(path: str | Path) -> list[AlignmentRow]:
-    """Read audit input rows.
+def read_alignment_csv(path: str | Path) -> list[dict[str, float | None]]:
+    """Read audit input rows, each a dict keyed by RECORD_COLUMNS.
 
-    Header must contain xs,ys,zs,xe,ye,ze; the pairs dx/dy, dx_w/dy_w and
-    e_x/e_y are picked up when present (empty cells mean not measured).
-    Every value read must be finite. Extra columns are ignored so a full
-    record file can be re-ingested. Lines starting with '#' are comments.
+    Header must contain xs,ys,zs,xe,ye,ze. Each of the pairs dx/dy
+    (listed visual offset), dx_w/dy_w (ground-truth offset) and e_x/e_y
+    (measured residual) is read only when both its cells are non-empty;
+    every column not read holds None, x_ce,y_ce,z_ce included, so a full
+    record file can be re-ingested. Every value read must be finite, and
+    so must the offsets xs - xe and ys - ye the rule is fed. Lines
+    starting with '#' are comments.
     """
     path = Path(path)
-    rows: list[AlignmentRow] = []
-
-    def pair(rec: dict[str, str], a: str, b: str) -> tuple[float, float] | None:
-        if rec.get(a, "") != "" and rec.get(b, "") != "":
-            x, y = float(rec[a]), float(rec[b])
-            require_finite(**{a: x, b: y})
-            return (x, y)
-        return None
-
-    for lineno, rec in csv_records(path, _INPUT_COLUMNS):
+    rows: list[dict[str, float | None]] = []
+    for lineno, rec in csv_records(path, (*_PICKING, *_EFFECTOR)):
+        row: dict[str, float | None] = dict.fromkeys(RECORD_COLUMNS)
         try:
-            picking = ArmPoint3(float(rec["xs"]), float(rec["ys"]), float(rec["zs"]))
-            effector = ArmPoint3(float(rec["xe"]), float(rec["ye"]), float(rec["ze"]))
-            visual = pair(rec, "dx", "dy")
-            physical = pair(rec, "dx_w", "dy_w")
-            residual = pair(rec, "e_x", "e_y")
+            for names in (_PICKING, _EFFECTOR, *_LISTED_PAIRS):
+                if names in _LISTED_PAIRS and "" in (rec.get(c, "") for c in names):
+                    continue  # a pair with an empty cell was not measured
+                values = {c: float(rec[c]) for c in names}
+                require_finite(**values)
+                row.update(values)
+            require_finite(**{"xs - xe": row["xs"] - row["xe"], "ys - ye": row["ys"] - row["ye"]})
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"{path}: bad row at line {lineno}: {exc}") from exc
-        rows.append(
-            AlignmentRow(
-                picking=picking,
-                effector=effector,
-                visual_err=visual,
-                physical_err=physical,
-                measured_residual=residual,
-            )
-        )
+        rows.append(row)
     return rows
+
+
+def compensate_row(row: dict[str, float | None], params: CompensationParams) -> dict[str, float | None]:
+    """Audit one approach: measure the offset and apply the correction rule.
+
+    Returns the row's record, a new dict over RECORD_COLUMNS. The offset
+    fed to the rule is the coordinate difference (xs - xe, ys - ye). The
+    reported dx,dy keep the row's listed values (logged at finer
+    precision than the rounded coordinates) and otherwise take that
+    difference. When no axis is corrected, x_ce,y_ce,z_ce and e_x,e_y
+    are None. Otherwise z_ce is zs, and the residuals come from the
+    row's listed e_x,e_y when present; else they are predicted as the
+    best-known pre-correction offset (dx_w,dy_w, or the difference)
+    minus the applied correction.
+    """
+    xs, ys = row["xs"], row["ys"]
+    dx, dy = xs - row["xe"], ys - row["ye"]
+    record = dict(row, x_ce=None, y_ce=None, z_ce=None, e_x=None, e_y=None)
+    if row["dx"] is None:
+        record["dx"], record["dy"] = dx, dy
+    fix_x, fix_y = _axes_to_correct(dx, dy, params)
+    if not (fix_x or fix_y):
+        return record
+    record["x_ce"], record["y_ce"] = compensated_point(xs, ys, dx, dy, params)
+    record["z_ce"] = row["zs"]
+    if row["e_x"] is not None:
+        record["e_x"], record["e_y"] = row["e_x"], row["e_y"]
+    else:
+        base_x = dx if row["dx_w"] is None else row["dx_w"]
+        base_y = dy if row["dy_w"] is None else row["dy_w"]
+        record["e_x"] = base_x - (params.k_x * dx if fix_x else 0.0)
+        record["e_y"] = base_y - (params.k_y * dy if fix_y else 0.0)
+    return record
 
 
 def _fmt(value: float | None) -> str:
@@ -289,24 +172,10 @@ def _fmt(value: float | None) -> str:
     return format(value, ".3f").rstrip("0").rstrip(".")
 
 
-def write_records_csv(records: Iterable[CompensationRecord], path: str | Path) -> None:
-    """Emit records with the full audit column set.
-
-    Rows that needed no correction leave the compensated-point and
-    residual fields empty.
-    """
+def write_records_csv(records: Iterable[dict[str, float | None]], path: str | Path) -> None:
+    """Emit records with the full audit column set; None is an empty cell."""
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RECORD_COLUMNS)
-        for r in records:
-            comp = r.compensated
-            writer.writerow([
-                _fmt(r.picking.x), _fmt(r.picking.y), _fmt(r.picking.z),
-                _fmt(r.effector.x), _fmt(r.effector.y), _fmt(r.effector.z),
-                _fmt(r.visual_err.dx), _fmt(r.visual_err.dy),
-                _fmt(r.physical_err_x), _fmt(r.physical_err_y),
-                _fmt(comp.x if comp else None), _fmt(comp.y if comp else None),
-                _fmt(comp.z if comp else None),
-                _fmt(r.residual_x), _fmt(r.residual_y),
-            ])
+        writer.writerows([_fmt(r[c]) for c in RECORD_COLUMNS] for r in records)

@@ -25,13 +25,7 @@ import numpy as np
 from .errors import ValidationError, open_text, require_finite
 from .fsm import EpisodeTruth, HarvestEpisode, advance, episode_cycle
 from .fsm import run_episode  # noqa: F401  not called here; perfbench traces world.run_episode
-from .geometry import (
-    ArmPoint3,
-    CompensationParams,
-    RelativeError,
-    compensated_point,
-    needs_compensation,
-)
+from .geometry import CompensationParams, compensated_point, needs_compensation
 from .grasp import GRASP_FEATURES, GraspClass, GraspModel, classify_grasp, write_grasp_csv
 from .lstm import SlipModel, predict_proba
 from .slip_decision import classify_slip
@@ -365,14 +359,14 @@ def sample_grasp_dataset(
 
 # --- approach simulation --------------------------------------------------
 
-# nominal picking point in arm coordinates, mm; residuals do not depend
-# on its location
-NOMINAL_PICKING_POINT = ArmPoint3(400.0, 300.0, 250.0)
+# nominal picking point (x, y) in arm coordinates, mm; residuals do not
+# depend on its location
+NOMINAL_PICKING_POINT = (400.0, 300.0)
 
 
 @dataclass(frozen=True)
 class ApproachOutcome:
-    visual_error: RelativeError
+    visual_error: tuple[float, float]  # measured (dx, dy), mm
     compensated: bool
     residual_x: float
     residual_y: float
@@ -382,7 +376,7 @@ def simulate_approach(
     config: ScenarioConfig,
     params: CompensationParams,
     rng: np.random.Generator,
-    injected_error: RelativeError,
+    injected_error: tuple[float, float],
 ) -> ApproachOutcome:
     """One noisy approach with optional correction.
 
@@ -390,27 +384,30 @@ def simulate_approach(
     error plus actuation noise; vision measures the offset with its own
     noise; if the measured error trips the threshold the arm re-aims at
     the compensated point (fresh actuation noise). The residual is the
-    true point minus where the effector finally sits, per axis.
+    true point minus where the effector finally sits, per axis. Errors
+    are (dx, dy) pairs, picking point minus effector.
     """
-    picking = NOMINAL_PICKING_POINT
+    px, py = NOMINAL_PICKING_POINT
+    ex, ey = injected_error
     act = config.actuation_noise_std_mm
     vis = config.vision_noise_std_mm
     a1x, a1y = rng.normal(0.0, act, size=2).tolist() if act > 0 else (0.0, 0.0)
-    e1x = picking.x - injected_error.dx + a1x
-    e1y = picking.y - injected_error.dy + a1y
+    e1x = px - ex + a1x
+    e1y = py - ey + a1y
     require_finite(x=e1x, y=e1y)
     v_x, v_y = rng.normal(0.0, vis, size=2).tolist() if vis > 0 else (0.0, 0.0)
-    visual = RelativeError((picking.x - e1x) + v_x, (picking.y - e1y) + v_y)
+    dx, dy = (px - e1x) + v_x, (py - e1y) + v_y
+    require_finite(dx=dx, dy=dy)
 
-    if not needs_compensation(visual, params):
-        return ApproachOutcome(visual, False, injected_error.dx - a1x, injected_error.dy - a1y)
+    if not needs_compensation(dx, dy, params):
+        return ApproachOutcome((dx, dy), False, ex - a1x, ey - a1y)
 
-    target = compensated_point(picking, visual, params)
+    tx, ty = compensated_point(px, py, dx, dy, params)
     a2x, a2y = rng.normal(0.0, act, size=2).tolist() if act > 0 else (0.0, 0.0)
-    e2x = target.x - injected_error.dx + a2x
-    e2y = target.y - injected_error.dy + a2y
+    e2x = tx - ex + a2x
+    e2y = ty - ey + a2y
     require_finite(x=e2x, y=e2y)
-    return ApproachOutcome(visual, True, picking.x - e2x, picking.y - e2y)
+    return ApproachOutcome((dx, dy), True, px - e2x, py - e2y)
 
 
 # --- dataset generation ---------------------------------------------------
@@ -517,12 +514,13 @@ class EpisodeWorld:
         self._truth_windows: dict[SlipLabel, tuple[SlipLabel, ...]] = {}
 
     def sample_truth(self, rng: np.random.Generator) -> EpisodeTruth:
-        ex = rng.normal(self.config.error_mean_x_mm, self.config.error_std_x_mm)
-        ey = rng.normal(self.config.error_mean_y_mm, self.config.error_std_y_mm)
+        ex = float(rng.normal(self.config.error_mean_x_mm, self.config.error_std_x_mm))
+        ey = float(rng.normal(self.config.error_mean_y_mm, self.config.error_std_y_mm))
+        require_finite(dx=ex, dy=ey)
         # one uniform per class, searched as Generator.choice(3, p=...) does
         grasp = _GRASP_ORDER[self._grasp_cdf.searchsorted(rng.random(), side="right")]
         slip = _SLIP_ORDER[self._slip_cdf.searchsorted(rng.random(), side="right")]
-        return EpisodeTruth(RelativeError(float(ex), float(ey)), grasp, slip)
+        return EpisodeTruth((ex, ey), grasp, slip)
 
     def approach(self, truth: EpisodeTruth, rng: np.random.Generator) -> ApproachOutcome:
         return simulate_approach(self.config, self._params, rng, truth.positional_error)

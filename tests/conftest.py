@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from harvest_guard.fsm import EpisodeTruth
-from harvest_guard.geometry import CompensationParams, RelativeError
+from harvest_guard.geometry import CompensationParams
 from harvest_guard.grasp import GraspClass
 from harvest_guard.lstm import LstmArch, init_model, loss_and_grads
 from harvest_guard.slip_windows import SlipLabel, build_windows
@@ -96,7 +96,7 @@ class ScriptedWorld:
         self.slip = slip
 
     def sample_truth(self, rng) -> EpisodeTruth:
-        err = RelativeError(20.0, 15.0) if self.misaligned else RelativeError(0.0, 0.0)
+        err = (20.0, 15.0) if self.misaligned else (0.0, 0.0)
         return EpisodeTruth(positional_error=err, grasp_outcome=self.grasp, slip_outcome=self.slip)
 
     def approach(self, truth, rng):

@@ -12,7 +12,7 @@ import numpy as np
 
 from harvest_guard.cli import main as cli_main
 from harvest_guard.fsm import Outcome, Stage, Variant, run_episode
-from harvest_guard.geometry import CompensationParams, compensate_rows, mean_abs_error, read_alignment_csv
+from harvest_guard.geometry import CompensationParams, compensate_row, mean_abs_error, read_alignment_csv
 from harvest_guard.grasp import (
     FAULT_CLASSES,
     GraspAction,
@@ -48,27 +48,28 @@ def _csv_targets():
 
 def test_acceptance_01_alignment_audit_replay():
     t0 = time.perf_counter()
-    records = compensate_rows(read_alignment_csv(ALIGNMENT_CSV), CompensationParams())
+    params = CompensationParams()
+    records = [compensate_row(row, params) for row in read_alignment_csv(ALIGNMENT_CSV)]
     listed = _csv_targets()
 
     point_ok = True
     for rec, target in zip(records, listed):
         if target is None:
-            point_ok &= rec.compensated is None
+            point_ok &= rec["x_ce"] is None
         else:
             point_ok &= (
-                rec.compensated is not None
-                and abs(rec.compensated.x - target[0]) <= 1.0
-                and abs(rec.compensated.y - target[1]) <= 1.0
+                rec["x_ce"] is not None
+                and abs(rec["x_ce"] - target[0]) <= 1.0
+                and abs(rec["y_ce"] - target[1]) <= 1.0
             )
 
     means = (
-        mean_abs_error([r.visual_err.dx for r in records]),
-        mean_abs_error([r.visual_err.dy for r in records]),
-        mean_abs_error([r.physical_err_x for r in records]),
-        mean_abs_error([r.physical_err_y for r in records]),
-        mean_abs_error([r.residual_x for r in records if r.residual_x is not None]),
-        mean_abs_error([r.residual_y for r in records if r.residual_y is not None]),
+        mean_abs_error([r["dx"] for r in records]),
+        mean_abs_error([r["dy"] for r in records]),
+        mean_abs_error([r["dx_w"] for r in records]),
+        mean_abs_error([r["dy_w"] for r in records]),
+        mean_abs_error([r["e_x"] for r in records if r["e_x"] is not None]),
+        mean_abs_error([r["e_y"] for r in records if r["e_y"] is not None]),
     )
     wanted = (14.07, 8.64, 11.52, 5.15, 3.12, 4.11)
     means_ok = all(abs(m - w) <= 0.01 for m, w in zip(means, wanted))

@@ -140,7 +140,9 @@ def test_compensate_of_a_header_only_file_has_no_trials(tmp_path, capsys):
     [
         ("709,221,706,686,225,647,22,-4,nan,4.2", "dx_w must be finite, got nan"),
         ("709,221,706,686,225,647,inf,-4,,", "dx must be finite, got inf"),
-        ("nan,221,706,686,225,647,,,,", "x must be finite, got nan"),
+        ("nan,221,706,686,225,647,,,,", "xs must be finite, got nan"),
+        ("709,221,706,nan,225,647,,,,", "xe must be finite, got nan"),
+        ("1e308,221,706,-1e308,225,647,,,,", "xs - xe must be finite, got inf"),
     ],
 )
 def test_compensate_rejects_non_finite_values_before_writing(tmp_path, capsys, row, problem):
@@ -596,6 +598,15 @@ def test_simulate_names_the_effector_axis_that_overflows(tmp_path, capsys):
     argv = ["simulate", "--seed", "1", "--episodes", "50", "--config", str(config), "--out", str(tmp_path / "run")]
     assert main(argv) == 1
     assert capsys.readouterr().err.strip().splitlines() == ["error: y must be finite, got inf"]
+
+
+def test_simulate_names_the_injected_error_that_overflows(tmp_path, capsys):
+    # a 1e308 mm mean plus a 1e308 mm spread draws an infinite injected error
+    config = tmp_path / "overflow.ini"
+    config.write_text("[approach]\nerror_mean_x_mm = 1e308\nerror_std_x_mm = 1e308\n")
+    argv = ["simulate", "--seed", "1", "--episodes", "50", "--config", str(config), "--out", str(tmp_path / "run")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: dx must be finite, got inf"]
 
 
 @pytest.mark.parametrize("section,key", FLOAT_KEYS, ids=[f"{s}.{k}" for s, k in FLOAT_KEYS])

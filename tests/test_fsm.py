@@ -24,7 +24,6 @@ from harvest_guard.fsm import (
     run_episode,
     write_episode_log,
 )
-from harvest_guard.geometry import RelativeError
 from harvest_guard.grasp import GraspAction, GraspClass
 from harvest_guard.slip_decision import ACTION_FOR_LABEL
 from harvest_guard.slip_windows import SlipLabel
@@ -198,7 +197,7 @@ def _records(stages):
     return tuple(out)
 
 
-_TRUTH = EpisodeTruth(RelativeError(0.0, 0.0), GraspClass.RIPE_HELD, SlipLabel.NORMAL)
+_TRUTH = EpisodeTruth((0.0, 0.0), GraspClass.RIPE_HELD, SlipLabel.NORMAL)
 _RESPONSES = EpisodeResponses(False, None, None, GraspAction.PROCEED, None, None, None, None)
 
 _FULL = [

@@ -1,19 +1,20 @@
 """Synthetic-world tests: config files, trajectories, approaches, episodes."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from harvest_guard import world as world_module
-from harvest_guard.errors import ValidationError
+from harvest_guard.errors import ValidationError, require_finite
 from harvest_guard.fsm import EpisodeTruth, Outcome, Stage, run_episode
-from harvest_guard.geometry import ArmPoint3, CompensationParams, RelativeError, compensated_point, needs_compensation
+from harvest_guard.geometry import CompensationMode, CompensationParams
 from harvest_guard.grasp import GraspClass, GraspModel
 from harvest_guard.lstm import LstmArch, TrainConfig, init_model, lstm_train
 from harvest_guard.slip_windows import FEATURE_ORDER, SlipLabel, build_windows, class_counts, windows_from_slip_csv
 from harvest_guard.world import (
     _CONFIG_SCHEMA,
     _DROP_ACCEL,
-    NOMINAL_PICKING_POINT,
     _slip_curve,
     _trajectory,
     EpisodeWorld,
@@ -214,7 +215,7 @@ def test_grasp_dataset_counts_and_determinism():
 
 def test_quiet_approach_with_unit_gains_cancels_the_error():
     params = CompensationParams(k_x=1.0, k_y=1.0)
-    out = simulate_approach(QUIET, params, episode_rng(0, 0), injected_error=RelativeError(20.0, 15.0))
+    out = simulate_approach(QUIET, params, episode_rng(0, 0), injected_error=(20.0, 15.0))
     assert out.compensated
     assert out.residual_x == pytest.approx(0.0, abs=1e-12)
     assert out.residual_y == pytest.approx(0.0, abs=1e-12)
@@ -222,17 +223,17 @@ def test_quiet_approach_with_unit_gains_cancels_the_error():
 
 def test_quiet_approach_default_gains_halve_y():
     out = simulate_approach(
-        QUIET, CompensationParams(), episode_rng(0, 0), injected_error=RelativeError(0.0, -20.0)
+        QUIET, CompensationParams(), episode_rng(0, 0), injected_error=(0.0, -20.0)
     )
     assert out.compensated
-    assert out.visual_error.dy == pytest.approx(-20.0)
+    assert out.visual_error[1] == pytest.approx(-20.0)
     assert out.residual_x == pytest.approx(0.0, abs=1e-12)
     assert out.residual_y == pytest.approx(-10.0, abs=1e-12)
 
 
 def test_quiet_approach_below_threshold_skips_correction():
     out = simulate_approach(
-        QUIET, CompensationParams(), episode_rng(0, 0), injected_error=RelativeError(3.0, 2.0)
+        QUIET, CompensationParams(), episode_rng(0, 0), injected_error=(3.0, 2.0)
     )
     assert not out.compensated
     assert out.residual_x == pytest.approx(3.0)
@@ -468,7 +469,7 @@ def _ref_sample_truth(config, rng):
     ey = rng.normal(config.error_mean_y_mm, config.error_std_y_mm)
     grasp = _GRASP_ORDER[rng.choice(3, p=[config.p_ripe, config.p_empty, config.p_unripe])]
     slip = _SLIP_ORDER[rng.choice(3, p=[config.p_slip_normal, config.p_slipping, config.p_slipped])]
-    return RelativeError(float(ex), float(ey)), grasp, slip
+    return (float(ex), float(ey)), grasp, slip
 
 
 ORACLE_CONFIGS = {"default": ScenarioConfig(), "quiet": QUIET, "noiseless-slip": ScenarioConfig(slip_noise_std=0.0)}
@@ -553,7 +554,7 @@ def test_interleaved_worlds_keep_their_own_curves_and_truth_streams():
                     assert not np.shares_memory(traj.frames, previous.frames)
                 previous = traj
 
-                truth = EpisodeTruth(RelativeError(0.0, 0.0), GraspClass.RIPE_HELD, outcome)
+                truth = EpisodeTruth((0.0, 0.0), GraspClass.RIPE_HELD, outcome)
                 fresh = gen_slip_trajectory(world.config, outcome, episode_rng(seed, 2))
                 expected = [SlipLabel(v) for v in build_windows(fresh.frames, fresh.labels).y.tolist()]
                 stream = world.slip_stream(truth, episode_rng(seed, 1))
@@ -563,29 +564,75 @@ def test_interleaved_worlds_keep_their_own_curves_and_truth_streams():
 
 
 # --- approach oracle -------------------------------------------------------
-# Reference: the dataclass-based approach, verbatim apart from the name. The
-# float version must give the same bits and leave the generator in the same
-# state.
+# Reference: the dataclass-based approach and the dataclass compensation rule
+# it called, verbatim apart from the names. The float version must give the
+# same bits and leave the generator in the same state.
+
+@dataclass(frozen=True)
+class _RefArmPoint3:
+    x: float
+    y: float
+    z: float
+
+    def __post_init__(self) -> None:
+        require_finite(x=self.x, y=self.y, z=self.z)
+
+
+@dataclass(frozen=True)
+class _RefRelativeError:
+    dx: float
+    dy: float
+    dz: float = 0.0
+
+    def __post_init__(self) -> None:
+        require_finite(dx=self.dx, dy=self.dy, dz=self.dz)
+
+
+_REF_NOMINAL_PICKING_POINT = _RefArmPoint3(400.0, 300.0, 250.0)
+
+
+def _ref_axes_to_correct(err, params):
+    t = params.threshold_t
+    over_x = abs(err.dx) > t
+    over_y = abs(err.dy) > t
+    if params.mode is CompensationMode.EITHER_AXIS_BOTH:
+        trigger = over_x or over_y
+        return trigger, trigger
+    return over_x, over_y
+
+
+def _ref_needs_compensation(err, params):
+    return any(_ref_axes_to_correct(err, params))
+
+
+def _ref_compensated_point(picking, err, params):
+    fix_x, fix_y = _ref_axes_to_correct(err, params)
+    return _RefArmPoint3(
+        x=picking.x + params.k_x * err.dx if fix_x else picking.x,
+        y=picking.y + params.k_y * err.dy if fix_y else picking.y,
+        z=picking.z,
+    )
+
 
 def _ref_simulate_approach(config, params, rng, injected_error):
-    picking = NOMINAL_PICKING_POINT
+    picking = _REF_NOMINAL_PICKING_POINT
     act = config.actuation_noise_std_mm
     vis = config.vision_noise_std_mm
     a1x, a1y = rng.normal(0.0, act, size=2) if act > 0 else (0.0, 0.0)
-    e1 = ArmPoint3(
+    e1 = _RefArmPoint3(
         picking.x - injected_error.dx + a1x,
         picking.y - injected_error.dy + a1y,
         picking.z,
     )
     v_x, v_y = rng.normal(0.0, vis, size=2) if vis > 0 else (0.0, 0.0)
-    visual = RelativeError((picking.x - e1.x) + v_x, (picking.y - e1.y) + v_y)
+    visual = _RefRelativeError((picking.x - e1.x) + v_x, (picking.y - e1.y) + v_y)
 
-    if not needs_compensation(visual, params):
+    if not _ref_needs_compensation(visual, params):
         return visual, False, float(injected_error.dx - a1x), float(injected_error.dy - a1y)
 
-    target = compensated_point(picking, visual, params)
+    target = _ref_compensated_point(picking, visual, params)
     a2x, a2y = rng.normal(0.0, act, size=2) if act > 0 else (0.0, 0.0)
-    e2 = ArmPoint3(
+    e2 = _RefArmPoint3(
         target.x - injected_error.dx + a2x,
         target.y - injected_error.dy + a2y,
         target.z,
@@ -612,12 +659,11 @@ def test_approach_matches_dataclass_reference(config):
     errors = np.random.default_rng(0).normal([12.0, 8.0], [10.0, 10.0], size=(1200, 2)).tolist()
     compensated = 0
     for seed, (dx, dy) in enumerate(errors):
-        injected = RelativeError(dx, dy)
         rng, ref_rng = episode_rng(seed, 0), episode_rng(seed, 0)
-        out = simulate_approach(config, params, rng, injected)
-        visual, flag, res_x, res_y = _ref_simulate_approach(config, params, ref_rng, injected)
-        got = out.visual_error
-        assert _bits(got.dx, got.dy, got.dz) == _bits(visual.dx, visual.dy, visual.dz)
+        out = simulate_approach(config, params, rng, (dx, dy))
+        visual, flag, res_x, res_y = _ref_simulate_approach(config, params, ref_rng, _RefRelativeError(dx, dy))
+        assert _bits(*out.visual_error) == _bits(visual.dx, visual.dy)
+        assert all(type(v) is float for v in out.visual_error)
         assert out.compensated is flag
         assert _bits(out.residual_x, out.residual_y) == _bits(res_x, res_y)
         assert type(out.residual_x) is type(out.residual_y) is float
