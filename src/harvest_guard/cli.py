@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ValidationError
-from .fsm import Stage, Variant, read_episode_log, write_episode_log
+from .fsm import outcome_of, read_episode_log, write_episode_log
 from .geometry import (
     CompensationMode,
     CompensationParams,
@@ -280,22 +280,6 @@ def _cmd_compensate(args: argparse.Namespace) -> int:
     return 0
 
 
-# outcome names reconstructed from a log's structure: abort markers beat
-# recovery markers beat the default
-def _outcome_of(records: list[dict[str, object]]) -> str:
-    variants = {(r["stage"], r["variant"]) for r in records}
-    if (Stage.SNAP_OFF.value, Variant.SLIPPED_ABORT.value) in variants:
-        return "aborted-slipped"
-    if (Stage.DEFLATING.value, Variant.EMPTY_GRASP_RESPONSE.value) in variants or (
-        Stage.DEFLATING.value,
-        Variant.MISGRASP_RESPONSE.value,
-    ) in variants:
-        return "aborted-empty-or-misgrasp"
-    if (Stage.SNAP_OFF.value, Variant.SLIPPING_RECOVERY.value) in variants:
-        return "recovered-after-slip"
-    return "picked-and-placed"
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_scenario(args.config)
     n = args.episodes if args.episodes is not None else config.episodes
@@ -328,17 +312,12 @@ def _write_summary(outcome_totals: list[tuple[str, float]], path: str | Path, fm
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    lines = read_episode_log(args.episodes)
-    if not lines:
+    episodes = read_episode_log(args.episodes)
+    if not episodes:
         raise ValidationError(f"{args.episodes}: empty log")
-    by_episode: dict[object, list[dict[str, object]]] = {}
-    for rec in lines:
-        by_episode.setdefault(rec["episode_id"], []).append(rec)
-    outcome_totals = []
-    for _, records in sorted(by_episode.items(), key=lambda kv: kv[0]):
-        total = sum(float(r["duration_s"]) for r in records)
-        outcome_totals.append((_outcome_of(records), total))
-    _write_summary(outcome_totals, args.out, args.format)
+    # by episode id, which the reader keeps unique
+    totals = [(outcome_of(records).value, sum(r.duration_s for r in records)) for _, records in sorted(episodes)]
+    _write_summary(totals, args.out, args.format)
     return 0
 
 

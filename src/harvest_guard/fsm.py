@@ -14,12 +14,16 @@ responses replace the normal duration of their stage rather than adding
 to it, which is how the measured timings account for them. A slipping
 recovery spends one draw across two SnapOff records: the part before
 detection and the re-snap after it.
+
+outcome_of(records) decides an episode's outcome, for a run and for a
+log read back as StageRecords by read_episode_log, which accepts only
+the (stage, variant) keys of STAGE_TIMING.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -107,6 +111,20 @@ class StageRecord:
     detail: str = ""
 
 
+def outcome_of(records: Iterable[StageRecord]) -> Outcome:
+    """The outcome of an episode's records: a slipped abort beats a grasp
+    abort, which beats the slipping recovery, which beats picked-and-placed.
+    Each fault variant has one stage in STAGE_TIMING, so variants suffice."""
+    variants = {r.variant for r in records}
+    if Variant.SLIPPED_ABORT in variants:
+        return Outcome.ABORTED_SLIPPED
+    if Variant.EMPTY_GRASP_RESPONSE in variants or Variant.MISGRASP_RESPONSE in variants:
+        return Outcome.ABORTED_EMPTY_OR_MISGRASP
+    if Variant.SLIPPING_RECOVERY in variants:
+        return Outcome.RECOVERED_AFTER_SLIP
+    return Outcome.PICKED_AND_PLACED
+
+
 @dataclass(frozen=True)
 class EpisodeTruth:
     """What the simulator actually injected, independent of detection."""
@@ -136,7 +154,6 @@ class HarvestEpisode:
     records: tuple[StageRecord, ...]
     truth: EpisodeTruth
     responses: EpisodeResponses
-    outcome: Outcome
 
     def __post_init__(self) -> None:
         if not self.records or self.records[-1].stage is not Stage.HOMING:
@@ -150,6 +167,10 @@ class HarvestEpisode:
             raise ValidationError("snap-off may occur at most twice per cycle")
         if (Stage.PLACING in stages) != (self.outcome in PLACING_OUTCOMES):
             raise ValidationError(f"placing presence inconsistent with outcome {self.outcome.value}")
+
+    @property
+    def outcome(self) -> Outcome:
+        return outcome_of(self.records)
 
     @property
     def total_s(self) -> float:
@@ -254,7 +275,6 @@ def episode_cycle(
             else Variant.MISGRASP_RESPONSE
         )
         record(Stage.DEFLATING, response, Event.GRASP_ABORT, f"detected {grasp_detected.name.lower()}")
-        outcome = Outcome.ABORTED_EMPTY_OR_MISGRASP
     else:
         record(Stage.DEFLATING, Variant.NORMAL, Event.GRASP_OK)
 
@@ -265,7 +285,6 @@ def episode_cycle(
             time_stability_step, predictions, ignore=(RecoveryAction.CONTINUE_SNAP_OFF,)
         )
 
-        outcome = Outcome.PICKED_AND_PLACED
         if slip_action is RecoveryAction.ABORT_CYCLE:
             record(
                 Stage.SNAP_OFF,
@@ -273,7 +292,6 @@ def episode_cycle(
                 Event.TWO_CONSECUTIVE_SLIPPED,
                 f"slip confirmed at window {detect_idx}",
             )
-            outcome = Outcome.ABORTED_SLIPPED
         elif slip_action is RecoveryAction.REGRASP_AND_RESNAP:
             # one recovery draw covers the whole snap-off phase, split at the
             # detection point across the interrupted and re-snap records
@@ -298,11 +316,10 @@ def episode_cycle(
                     "regrasped and re-snapped",
                 )
             )
-            outcome = Outcome.RECOVERED_AFTER_SLIP
         else:
             record(Stage.SNAP_OFF, Variant.NORMAL, Event.SNAP_OK)
 
-    with_fruit = outcome in PLACING_OUTCOMES
+    with_fruit = outcome_of(records) in PLACING_OUTCOMES
     record(
         Stage.DESCENDING,
         Variant.NORMAL,
@@ -322,7 +339,7 @@ def episode_cycle(
         slip_action=slip_action,
         slip_detect_frame=detect_idx,
     )
-    return HarvestEpisode(episode_id, tuple(records), truth, responses, outcome)
+    return HarvestEpisode(episode_id, tuple(records), truth, responses)
 
 
 LOG_FIELDS = ("episode_id", "seq", "stage", "variant", "duration_s", "event", "detail")
@@ -347,11 +364,10 @@ def write_episode_log(path: str | Path, episodes: Iterable[HarvestEpisode]) -> N
                 fh.write(json.dumps(doc) + "\n")
 
 
-_LOG_ENUM_VALUES = {
-    "stage": {m.value for m in Stage},
-    "variant": {m.value for m in Variant},
-    "event": {m.value for m in Event},
-}
+# each enum-valued log field: its members by value
+_LOG_ENUMS = {key: {m.value: m for m in enum} for key, enum in (("stage", Stage), ("variant", Variant), ("event", Event))}
+# the (stage, variant) values a cycle records
+_LOG_PAIRS = {(stage.value, variant.value) for stage, variant in STAGE_TIMING}
 
 
 def _log_value_problem(doc: dict[str, object]) -> str | None:
@@ -360,35 +376,40 @@ def _log_value_problem(doc: dict[str, object]) -> str | None:
         if isinstance(doc[key], bool) or not isinstance(doc[key], int):
             return f"{key} must be an integer, got {doc[key]!r}"
     d = doc["duration_s"]
-    if isinstance(d, bool) or not isinstance(d, (int, float)) or not math.isfinite(d):
+    # abs(d) <= max fails for NaN, the infinities and ints past the float range
+    if isinstance(d, bool) or not isinstance(d, (int, float)) or not abs(d) <= sys.float_info.max:
         return f"duration_s must be a finite number, got {d!r}"
-    for key, values in _LOG_ENUM_VALUES.items():
-        if not isinstance(doc[key], str) or doc[key] not in values:
+    for key, members in _LOG_ENUMS.items():
+        if not isinstance(doc[key], str) or doc[key] not in members:
             return f"unknown {key} {doc[key]!r}"
     if not isinstance(doc["detail"], str):
         return f"detail must be a string, got {doc['detail']!r}"
+    if (doc["stage"], doc["variant"]) not in _LOG_PAIRS:
+        return f"stage {doc['stage']!r} has no variant {doc['variant']!r}"
     return None
 
 
-def _order_problem(prev: dict[str, object] | None, doc: dict[str, object], seen: set[object]) -> str | None:
+def _order_problem(episodes: dict[int, list[StageRecord]], doc: dict[str, object]) -> str | None:
     """What is wrong with where a well-formed log line sits, if anything:
     an episode runs seq 0, 1, 2, ... to its one homing record, then the
     next episode starts."""
-    homed = prev is None or prev["stage"] == Stage.HOMING.value
-    if homed and doc["episode_id"] in seen:
+    last_id, last = next(reversed(episodes.items()), (None, None))
+    homed = last is None or last[-1].stage is Stage.HOMING
+    if homed and doc["episode_id"] in episodes:
         return f"episode {doc['episode_id']} already ended"
-    if not homed and doc["episode_id"] != prev["episode_id"]:
-        return f"episode {prev['episode_id']} ends in {prev['stage']}, not homing"
-    expected = 0 if homed else prev["seq"] + 1
+    if not homed and doc["episode_id"] != last_id:
+        return f"episode {last_id} ends in {last[-1].stage.value}, not homing"
+    expected = 0 if homed else len(last)
     if doc["seq"] != expected:
         return f"episode {doc['episode_id']} has seq {doc['seq']}, expected {expected}"
     return None
 
 
-def read_episode_log(path: str | Path) -> list[dict[str, object]]:
+def read_episode_log(path: str | Path) -> list[tuple[int, list[StageRecord]]]:
+    """The episodes of a log in file order, as (episode_id, records). The
+    first line that is not a well-formed record in its place is an error."""
     path = Path(path)
-    out: list[dict[str, object]] = []
-    seen: set[object] = set()
+    episodes: dict[int, list[StageRecord]] = {}
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -401,13 +422,14 @@ def read_episode_log(path: str | Path) -> list[dict[str, object]]:
                 raise ValidationError(f"{path}: line {lineno}: not a JSON object")
             if list(doc.keys()) != list(LOG_FIELDS):
                 raise ValidationError(f"{path}: line {lineno}: unexpected log fields {list(doc.keys())}")
-            problem = _log_value_problem(doc) or _order_problem(out[-1] if out else None, doc, seen)
+            problem = _log_value_problem(doc) or _order_problem(episodes, doc)
             if problem:
                 raise ValidationError(f"{path}: line {lineno}: {problem}")
-            seen.add(doc["episode_id"])
-            out.append(doc)
+            stage, variant, event = (_LOG_ENUMS[key][doc[key]] for key in _LOG_ENUMS)
+            record = StageRecord(stage, variant, float(doc["duration_s"]), event, doc["detail"])
+            episodes.setdefault(doc["episode_id"], []).append(record)
             last_lineno = lineno
-    last = out[-1] if out else None
-    if last is not None and last["stage"] != Stage.HOMING.value:
-        raise ValidationError(f"{path}: line {last_lineno}: episode {last['episode_id']} ends in {last['stage']}, not homing")
-    return out
+    last_id, last = next(reversed(episodes.items()), (None, None))
+    if last is not None and last[-1].stage is not Stage.HOMING:
+        raise ValidationError(f"{path}: line {last_lineno}: episode {last_id} ends in {last[-1].stage.value}, not homing")
+    return list(episodes.items())

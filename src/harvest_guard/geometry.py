@@ -11,6 +11,7 @@ deliberately overshoots in z, so the vertical offset is left alone.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -86,10 +87,15 @@ def compensated_point(x: float, y: float, dx: float, dy: float, params: Compensa
 
 def mean_abs_error(values: Sequence[float]) -> float:
     """Arithmetic mean of absolute values. Rejects an empty sequence."""
-    if len(values) == 0:
+    n = len(values)
+    if n == 0:
         raise ValidationError("mean_abs_error needs at least one value")
     require_finite(**{f"values[{i}]": v for i, v in enumerate(values)})
-    return sum(abs(v) for v in values) / len(values)
+    total = sum(abs(v) for v in values)
+    if math.isinf(total):  # the sum overflows: add the values scaled by 2^-k < 1/n instead
+        k = n.bit_length()
+        return math.ldexp(sum(math.ldexp(abs(v), -k) for v in values) / n, k)
+    return total / n
 
 
 # CSV layout shared by the audit input and output. Input needs the first

@@ -13,6 +13,10 @@ Gate layout inside the stacked weight matrices is i, f, g, o:
     c' = sigmoid(f) * c + sigmoid(i) * tanh(g)
     h' = sigmoid(o) * tanh(c')
 
+array_layout(arch) is the one list of the weight arrays: their names,
+shapes and order. SlipModel checks its arrays against it, init_model
+draws them in its order, and model files name them by it.
+
 Each time step keeps its gates in one packed (B, 4H) buffer: one sigmoid
 pass over all of z, then tanh written over the g slice in place; the
 backward pass copies i, f, g, o out of it as contiguous blocks and fills
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -84,72 +88,55 @@ class TrainConfig:
             raise ValidationError(f"batch size must be positive, got {self.batch_size}")
 
 
+def array_layout(arch: LstmArch) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every weight array, in parameter order: per layer,
+    bottom-up, layer<i>.w_x (4H, D_i), layer<i>.w_h (4H, H) and
+    layer<i>.b (4H,), then head.w (C, H) and head.b (C,). Lazy, so a check
+    can stop at the arrays it holds however large n_layers is."""
+    gates = 4 * arch.hidden_size
+    for layer in range(arch.n_layers):
+        yield f"layer{layer}.w_x", (gates, arch.input_size if layer == 0 else arch.hidden_size)
+        yield f"layer{layer}.w_h", (gates, arch.hidden_size)
+        yield f"layer{layer}.b", (gates,)
+    yield "head.w", (arch.n_classes, arch.hidden_size)
+    yield "head.b", (arch.n_classes,)
+
+
 class SlipModel:
     """Weights of the stacked LSTM plus the metadata needed to rerun it.
 
-    w_x[l]: (4H, D_l) input weights, w_h[l]: (4H, H) recurrent weights,
-    b[l]: (4H,) bias; w_out: (C, H), b_out: (C,). metadata records the
-    seed, the feature order (always FEATURE_ORDER, which load_model
-    enforces), and the training hyperparameters.
+    arrays maps every array_layout name, in layout order, to an array of
+    its shape. The kernel reads them through w_x[l], w_h[l], b[l], w_out
+    and b_out, which are the same arrays. metadata records the seed, the
+    feature order (always FEATURE_ORDER, which load_model enforces), and
+    the training hyperparameters.
     """
 
-    def __init__(
-        self,
-        arch: LstmArch,
-        w_x: list[np.ndarray],
-        w_h: list[np.ndarray],
-        b: list[np.ndarray],
-        w_out: np.ndarray,
-        b_out: np.ndarray,
-        metadata: dict[str, Any] | None = None,
-    ) -> None:
+    def __init__(self, arch: LstmArch, arrays: dict[str, np.ndarray], metadata: dict[str, Any] | None = None) -> None:
+        layout = array_layout(arch)
+        # one layout entry per array given: a huge n_layers is never listed in full
+        for name, a in arrays.items():
+            want_name, want = next(layout, (None, None))
+            if name != want_name:
+                raise ValidationError(f"unexpected array {name!r}" + (f", expected {want_name!r}" if want_name else ""))
+            if a.shape != want:
+                raise ValidationError(f"{name} shape {a.shape}, expected {want}")
+        for name, _ in layout:  # the first entry left is missing
+            raise ValidationError(f"missing array {name!r}")
         self.arch = arch
-        self.w_x = w_x
-        self.w_h = w_h
-        self.b = b
-        self.w_out = w_out
-        self.b_out = b_out
+        self._arrays = arrays
+        params, n = list(arrays.values()), 3 * arch.n_layers
+        self.w_x, self.w_h, self.b = params[0:n:3], params[1:n:3], params[2:n:3]
+        self.w_out, self.b_out = params[n:]
         self.metadata: dict[str, Any] = dict(metadata or {})
         self.metadata.setdefault("feature_order", list(FEATURE_ORDER))
-        self._check_shapes()
-
-    def _check_shapes(self) -> None:
-        a = self.arch
-        if not (len(self.w_x) == len(self.w_h) == len(self.b) == a.n_layers):
-            raise ValidationError("per-layer array count does not match layer count")
-        for layer in range(a.n_layers):
-            d_in = a.input_size if layer == 0 else a.hidden_size
-            expect = {
-                "w_x": (4 * a.hidden_size, d_in),
-                "w_h": (4 * a.hidden_size, a.hidden_size),
-                "b": (4 * a.hidden_size,),
-            }
-            for name, want in expect.items():
-                got = getattr(self, name)[layer].shape
-                if got != want:
-                    raise ValidationError(f"layer {layer} {name} shape {got}, expected {want}")
-        if self.w_out.shape != (a.n_classes, a.hidden_size):
-            raise ValidationError(f"w_out shape {self.w_out.shape}, expected {(a.n_classes, a.hidden_size)}")
-        if self.b_out.shape != (a.n_classes,):
-            raise ValidationError(f"b_out shape {self.b_out.shape}, expected {(a.n_classes,)}")
 
     def parameters(self) -> list[np.ndarray]:
-        """All weight arrays in a fixed order (layers bottom-up, then head)."""
-        params: list[np.ndarray] = []
-        for layer in range(self.arch.n_layers):
-            params.extend((self.w_x[layer], self.w_h[layer], self.b[layer]))
-        params.extend((self.w_out, self.b_out))
-        return params
+        """All weight arrays in array_layout order."""
+        return list(self._arrays.values())
 
     def named_arrays(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for layer in range(self.arch.n_layers):
-            out[f"layer{layer}.w_x"] = self.w_x[layer]
-            out[f"layer{layer}.w_h"] = self.w_h[layer]
-            out[f"layer{layer}.b"] = self.b[layer]
-        out["head.w"] = self.w_out
-        out["head.b"] = self.b_out
-        return out
+        return self._arrays
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
@@ -168,23 +155,24 @@ def _orthogonal_gates(rng: np.random.Generator, h: int) -> np.ndarray:
 
 
 def init_model(arch: LstmArch = LstmArch(), seed: int = 0, rng: np.random.Generator | None = None) -> SlipModel:
-    """Fresh model: glorot-uniform input weights, orthogonal recurrent
-    blocks, biases zero except the forget gate's, which starts at 1 so
-    early training does not forget everything."""
+    """Fresh model: glorot-uniform input and head weights, orthogonal
+    recurrent blocks, biases zero except each layer's forget gate, which
+    starts at 1 so early training does not forget everything. The draws
+    run in array_layout order."""
     if rng is None:
         rng = np.random.default_rng(seed)
     h = arch.hidden_size
-    w_x, w_h, b = [], [], []
-    for layer in range(arch.n_layers):
-        d_in = arch.input_size if layer == 0 else h
-        w_x.append(_glorot(rng, (4 * h, d_in)))
-        w_h.append(_orthogonal_gates(rng, h))
-        bias = np.zeros(4 * h)
-        bias[h : 2 * h] = 1.0
-        b.append(bias)
-    w_out = _glorot(rng, (arch.n_classes, h))
-    b_out = np.zeros(arch.n_classes)
-    return SlipModel(arch, w_x, w_h, b, w_out, b_out, metadata={"seed": seed})
+    arrays: dict[str, np.ndarray] = {}
+    for name, shape in array_layout(arch):
+        if name.endswith(".w_h"):
+            arrays[name] = _orthogonal_gates(rng, h)
+        elif len(shape) == 2:  # layer w_x and head.w
+            arrays[name] = _glorot(rng, shape)
+        else:
+            arrays[name] = np.zeros(shape)
+            if name != "head.b":
+                arrays[name][h : 2 * h] = 1.0
+    return SlipModel(arch, arrays, metadata={"seed": seed})
 
 
 def _sigmoid(

@@ -2,7 +2,8 @@
 
 A model file is `json.dumps(doc, indent=1)` plus a newline: a format tag,
 a version, a kind, the architecture (slip models only), metadata, and
-every weight array as `{"shape": [...], "data": ...}`. Version 2 stores
+every weight array as `{"shape": [...], "data": ...}`. A slip model's
+arrays are the names of lstm.array_layout. Version 2 stores
 `data` as the base64 (RFC 4648) of the array's little-endian float64
 bytes in C order, so a load returns the saved bits by construction.
 load_model also reads version 1, whose `data` is a flat JSON list of
@@ -18,7 +19,6 @@ import base64
 import json
 import math
 from dataclasses import asdict
-from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ValidationError, open_text
 from .grasp import GraspModel
-from .lstm import LstmArch, SlipModel
+from .lstm import LstmArch, SlipModel, array_layout
 from .slip_windows import FEATURE_ORDER, SlipLabel
 
 FORMAT_NAME = "harvest-guard-model"
@@ -105,7 +105,7 @@ def _model_from(doc: Any) -> SlipModel | GraspModel:
         raise ValidationError("arrays must be a JSON object")
 
     if kind == KIND_GRASP:
-        names, build = ("weights", "bias"), GraspModel
+        names, build = ("weights", "bias"), lambda arrays: GraspModel(arrays["weights"], arrays["bias"], metadata)
     elif kind == KIND_SLIP:
         try:
             arch = LstmArch(**doc["arch"])
@@ -116,12 +116,8 @@ def _model_from(doc: Any) -> SlipModel | GraspModel:
             raise ValidationError(f"slip model maps {arch.input_size} features to {arch.n_classes} classes")
         if metadata.get("feature_order", list(FEATURE_ORDER)) != list(FEATURE_ORDER):
             raise ValidationError(f"feature_order must be {list(FEATURE_ORDER)}")
-        n = arch.n_layers
         # lazy: n_layers has no upper bound, and the first missing name ends the check
-        names = chain((f"layer{i}.{part}" for part in ("w_x", "w_h", "b") for i in range(n)), ("head.w", "head.b"))
-
-        def build(*a: Any) -> SlipModel:
-            return SlipModel(arch, list(a[:n]), list(a[n : 2 * n]), list(a[2 * n : 3 * n]), *a[3 * n :])
+        names, build = (name for name, _ in array_layout(arch)), lambda arrays: SlipModel(arch, arrays, metadata)
     else:
         raise ValidationError(f"unknown model kind {kind!r}")
     # by name only, before any payload is decoded: a file whose arch was
@@ -136,4 +132,4 @@ def _model_from(doc: Any) -> SlipModel | GraspModel:
         if name not in known:
             raise ValidationError(f"unexpected array {name!r}")
     arrays = {name: _array_from_payload(name, p, version) for name, p in payloads.items()}
-    return build(*(arrays[name] for name in expected), metadata)
+    return build({name: arrays[name] for name in expected})

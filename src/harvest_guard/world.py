@@ -222,19 +222,19 @@ _GONE_ROW = (_GONE_AREA, _GRIPPER_AREA, 0.0, 0.0, 0.0, 0.0)
 
 
 @functools.lru_cache(maxsize=64)
-def _slip_curve(
-    initial_area: float, decay_rate: float, phases: tuple[int, int, int], accel: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _slip_curve(initial_area: float, decay_rate: float, phases: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
     """The noise-free (n_moving, 6) curve, one (s, g, w, h, x, y) row per
     moving (normal or slipping) frame, and the (n,) int64 phase labels.
 
     When a fault phase follows, the tail of the normal phase already
     creeps (fractional area decay plus downward drift). Window labels
     look ahead of the frames they cover, so the pre-onset cue is what
-    makes them predictable at all. `accel` scales the motion rate.
-    Both arrays are shared between calls and read-only.
+    makes them predictable at all. A curve that ends in slipped frames
+    moves _DROP_ACCEL times as fast. Both arrays are shared between calls
+    and read-only.
     """
     n_normal, n_slipping, n_slipped = phases
+    accel = _DROP_ACCEL if n_slipped else 1.0
 
     def moved(area: float, y: float, frac: float) -> tuple[float, float]:
         area = max(_MIN_AREA, area - decay_rate * accel * frac)
@@ -258,20 +258,15 @@ def _slip_curve(
     return curve, labels
 
 
-def _trajectory(
-    config: ScenarioConfig,
-    phases: tuple[int, int, int],
-    rng: np.random.Generator,
-    accel: float = 1.0,
-) -> SlipTrajectory:
+def _trajectory(config: ScenarioConfig, phases: tuple[int, int, int], rng: np.random.Generator) -> SlipTrajectory:
     """Curve generator over (normal, slipping, slipped) phase lengths.
 
     The noise-free curve comes from _slip_curve, computed once per
-    (config, phases, accel). The moving frames then take their feature
+    (config, phases). The moving frames then take their feature
     noise from one (n_moving, 6) normal draw in column order s, g, w, h,
     x, y; slipped frames and zero noise draw nothing.
     """
-    curve, labels = _slip_curve(config.slip_initial_area, config.slip_decay_rate, phases, accel)
+    curve, labels = _slip_curve(config.slip_initial_area, config.slip_decay_rate, phases)
     noise = config.slip_noise_std
     moving = curve + rng.normal(0.0, noise, size=curve.shape) if noise > 0 else curve
 
@@ -291,7 +286,7 @@ def gen_slip_trajectory(
     """One snap-off observation sequence for the requested outcome class.
 
     All outcomes share the same total length, so downstream window counts
-    match. A slipped outcome passes through at most one slipping frame,
+    match. A slipped outcome passes through exactly one slipping frame,
     reflecting how abruptly an actual drop shows up at the frame rate.
     """
     total = config.frames_normal + config.frames_slipping + config.frames_slipped
@@ -300,13 +295,7 @@ def gen_slip_trajectory(
     if outcome is SlipLabel.SLIPPING:
         return _trajectory(config, (config.frames_normal, total - config.frames_normal, 0), rng)
     if outcome is SlipLabel.SLIPPED:
-        bridge = min(1, config.frames_slipping)
-        return _trajectory(
-            config,
-            (config.frames_normal, bridge, total - config.frames_normal - bridge),
-            rng,
-            accel=_DROP_ACCEL,
-        )
+        return _trajectory(config, (config.frames_normal, 1, total - config.frames_normal - 1), rng)
     raise ValidationError(f"unknown slip outcome {outcome!r}")
 
 
@@ -454,8 +443,7 @@ def gen_slip_dataset(
     plans = plan_slip_trajectories(config, targets)
     episodes = []
     for i, phases in enumerate(plans):
-        accel = _DROP_ACCEL if phases[2] else 1.0
-        traj = _trajectory(config, phases, episode_rng(seed, i), accel=accel)
+        traj = _trajectory(config, phases, episode_rng(seed, i))
         episodes.append((i, traj.frames, traj.labels))
     write_slip_csv(path, episodes)
 
@@ -564,16 +552,16 @@ def run_episodes(
     world: EpisodeWorld,
     n_episodes: int,
     deterministic: bool = False,
-    master_seed: int | None = None,
+    *,
+    master_seed: int,
 ) -> list[HarvestEpisode]:
     """n episodes with per-episode derived seeds; order-independent. Equal
     to run_episode per episode, but each chunk's cycles walk to snap-off,
     one slip_streams call perceives them all, then each cycle finishes."""
-    seed = world.config.master_seed if master_seed is None else master_seed
     episodes: list[HarvestEpisode] = []
     for start in range(0, n_episodes, EPISODE_CHUNK):
         ids = range(start, min(start + EPISODE_CHUNK, n_episodes))
-        rngs = [episode_rng(seed, i) for i in ids]
+        rngs = [episode_rng(master_seed, i) for i in ids]
         cycles = [episode_cycle(world, rng, deterministic, i) for i, rng in zip(ids, rngs)]
         stops = [advance(cycle) for cycle in cycles]
         waiting = [k for k, stop in enumerate(stops) if isinstance(stop, EpisodeTruth)]

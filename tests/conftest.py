@@ -12,10 +12,11 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 import pytest
 
-from harvest_guard.fsm import EpisodeTruth
+from harvest_guard.fsm import EpisodeResponses, EpisodeTruth, Outcome
 from harvest_guard.geometry import CompensationParams
-from harvest_guard.grasp import GraspClass
+from harvest_guard.grasp import GraspAction, GraspClass
 from harvest_guard.lstm import LstmArch, init_model, loss_and_grads
+from harvest_guard.slip_decision import RecoveryAction
 from harvest_guard.slip_windows import SlipLabel, build_windows
 from harvest_guard.world import _CONFIG_SCHEMA, ScenarioConfig, gen_slip_trajectory, simulate_approach
 
@@ -73,6 +74,18 @@ def fd_max_rel_err(seed: int) -> float:
             rel = abs(flat_g[i] - numeric) / max(1e-6, abs(flat_g[i]) + abs(numeric))
             worst = max(worst, rel)
     return worst
+
+
+def implied_outcome(responses: EpisodeResponses) -> Outcome:
+    """The outcome the monitors' decisions lead to: a grasp abort ends the
+    cycle before snap-off, where the slip monitor may abort or regrasp."""
+    if responses.grasp_action is GraspAction.ABORT_CYCLE:
+        return Outcome.ABORTED_EMPTY_OR_MISGRASP
+    if responses.slip_action is RecoveryAction.ABORT_CYCLE:
+        return Outcome.ABORTED_SLIPPED
+    if responses.slip_action is RecoveryAction.REGRASP_AND_RESNAP:
+        return Outcome.RECOVERED_AFTER_SLIP
+    return Outcome.PICKED_AND_PLACED
 
 
 class ScriptedWorld:

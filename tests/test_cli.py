@@ -127,6 +127,16 @@ def test_compensate_replays_the_bundled_audit(tmp_path, capsys):
     assert out.exists()
 
 
+def test_compensate_means_of_huge_offsets_stay_finite(tmp_path, capsys):
+    data, out = tmp_path / "trials.csv", tmp_path / "records.csv"
+    row = "709,221,706,686,225,647,22,-4,1.7e308,3"
+    data.write_text(f"xs,ys,zs,xe,ye,ze,dx,dy,dx_w,dy_w\n{row}\n{row}\n")
+    assert main(["compensate", "--input", str(data), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert f"mean |dx_w|: {1.7e308:.2f} mm  mean |dy_w|: 3.00 mm" in printed.splitlines()
+    assert "inf" not in printed
+
+
 def test_compensate_of_a_header_only_file_has_no_trials(tmp_path, capsys):
     data, out = tmp_path / "empty.csv", tmp_path / "records.csv"
     data.write_text("xs,ys,zs,xe,ye,ze\n")
@@ -230,6 +240,7 @@ def test_report_rejects_malformed_log_lines(tmp_path, capsys, line, problem):
         ("duration_s", '"x"', "duration_s must be a finite number, got 'x'"),
         ("duration_s", "NaN", "duration_s must be a finite number, got nan"),
         ("duration_s", "true", "duration_s must be a finite number, got True"),
+        pytest.param("duration_s", "1" + "0" * 400, f"duration_s must be a finite number, got {10**400}", id="huge-int"),
         ("episode_id", '"a"', "episode_id must be an integer, got 'a'"),
         ("episode_id", "[1]", "episode_id must be an integer, got [1]"),
         ("seq", "1.0", "seq must be an integer, got 1.0"),
@@ -253,6 +264,24 @@ def test_report_rejects_log_values_of_the_wrong_kind(tmp_path, capsys, field, va
     report = tmp_path / "s.csv"
     assert main(["report", "--episodes", str(log), "--out", str(report)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {log}: line 2: {problem}"]
+    assert not report.exists()
+
+
+def test_report_rejects_a_stage_variant_pair_the_cycle_never_records(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    assert main(["simulate", "--seed", "2", "--episodes", "1", "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    log = out_dir / "episodes.jsonl"
+    lines = log.read_text().splitlines()
+    homing = json.loads(lines[-1])
+    assert homing["stage"] == "homing"
+    homing["variant"] = "slipped-abort"
+    lines[-1] = json.dumps(homing)
+    log.write_text("\n".join(lines) + "\n")
+    report = tmp_path / "s.csv"
+    assert main(["report", "--episodes", str(log), "--out", str(report)]) == 1
+    problem = f"line {len(lines)}: stage 'homing' has no variant 'slipped-abort'"
+    assert capsys.readouterr().err.splitlines() == [f"error: {log}: {problem}"]
     assert not report.exists()
 
 

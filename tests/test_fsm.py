@@ -1,6 +1,7 @@
 """Cycle state machine: timing, anchor episodes, logs."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from harvest_guard.grasp import GraspAction, GraspClass
 from harvest_guard.slip_decision import ACTION_FOR_LABEL
 from harvest_guard.slip_windows import SlipLabel
 
-from conftest import ScriptedWorld
+from conftest import ScriptedWorld, implied_outcome
 
 
 def test_timing_lookup_and_overrides(monkeypatch):
@@ -51,6 +52,15 @@ def test_timing_table_covers_exactly_the_recorded_stages():
         ep = run_episode(ScriptedWorld(misaligned, grasp, slip), deterministic=True)
         seen |= {(r.stage, r.variant) for r in ep.records}
     assert seen == set(STAGE_TIMING)
+
+
+def test_outcome_is_what_the_responses_imply():
+    outcomes = set()
+    for misaligned, grasp, slip in itertools.product((False, True), GraspClass, SlipLabel):
+        ep = run_episode(ScriptedWorld(misaligned, grasp, slip), deterministic=True)
+        assert ep.outcome is implied_outcome(ep.responses)
+        outcomes.add(ep.outcome)
+    assert outcomes == set(Outcome)
 
 
 def test_duration_sampling():
@@ -180,7 +190,7 @@ def test_slip_scan_matches_exhaustive_oracle():
         assert (responses.slip_action, responses.slip_detect_frame) == _slip_scan_oracle(stream)
 
 
-def _records(stages):
+def _records(stages, snap_off=Variant.NORMAL):
     out = []
     for stage in stages:
         event = {
@@ -193,7 +203,7 @@ def _records(stages):
             Stage.PLACING: Event.PLACED,
             Stage.HOMING: Event.HOMED,
         }[stage]
-        out.append(StageRecord(stage, Variant.NORMAL, 1.0, event))
+        out.append(StageRecord(stage, snap_off if stage is Stage.SNAP_OFF else Variant.NORMAL, 1.0, event))
     return tuple(out)
 
 
@@ -211,26 +221,28 @@ _FULL = [
 ]
 
 
-def _episode(stages, outcome):
-    return HarvestEpisode(0, _records(stages), _TRUTH, _RESPONSES, outcome)
+def _episode(stages, snap_off=Variant.NORMAL):
+    return HarvestEpisode(0, _records(stages, snap_off), _TRUTH, _RESPONSES)
 
 
 def test_episode_structure_validation():
-    _episode(_FULL, Outcome.PICKED_AND_PLACED)  # the happy path is legal
+    assert _episode(_FULL).outcome is Outcome.PICKED_AND_PLACED  # the happy path is legal
 
     with pytest.raises(ValidationError, match="homing"):
-        _episode(_FULL[:-1], Outcome.PICKED_AND_PLACED)
+        _episode(_FULL[:-1])
     with pytest.raises(ValidationError, match="compensation"):
-        _episode([Stage.COMPENSATION, Stage.COMPENSATION] + _FULL, Outcome.PICKED_AND_PLACED)
+        _episode([Stage.COMPENSATION, Stage.COMPENSATION] + _FULL)
     with pytest.raises(ValidationError, match="placing"):
-        _episode(_FULL + [Stage.PLACING, Stage.HOMING], Outcome.PICKED_AND_PLACED)
+        _episode(_FULL + [Stage.PLACING, Stage.HOMING])
     with pytest.raises(ValidationError, match="snap-off"):
-        _episode([Stage.SNAP_OFF, Stage.SNAP_OFF] + _FULL, Outcome.PICKED_AND_PLACED)
-    # placing must match the outcome in both directions
-    with pytest.raises(ValidationError, match="placing presence"):
-        _episode([s for s in _FULL if s is not Stage.PLACING], Outcome.PICKED_AND_PLACED)
-    with pytest.raises(ValidationError, match="placing presence"):
-        _episode(_FULL, Outcome.ABORTED_SLIPPED)
+        _episode([Stage.SNAP_OFF, Stage.SNAP_OFF] + _FULL)
+    # placing must match the outcome the records imply, in both directions
+    unplaced = [s for s in _FULL if s is not Stage.PLACING]
+    assert _episode(unplaced, Variant.SLIPPED_ABORT).outcome is Outcome.ABORTED_SLIPPED
+    with pytest.raises(ValidationError, match="placing presence inconsistent with outcome picked-and-placed"):
+        _episode(unplaced)
+    with pytest.raises(ValidationError, match="placing presence inconsistent with outcome aborted-slipped"):
+        _episode(_FULL, Variant.SLIPPED_ABORT)
 
 
 def test_stochastic_runs_are_reproducible_and_sane():
@@ -250,11 +262,10 @@ def test_episode_log_round_trip(tmp_path):
     ]
     path = tmp_path / "episodes.jsonl"
     write_episode_log(path, episodes)
-    rows = read_episode_log(path)
-    assert len(rows) == sum(len(ep.records) for ep in episodes)
-    assert list(rows[0].keys()) == list(LOG_FIELDS)
-    assert rows[0]["stage"] == "inflating-approaching"
-    assert {r["episode_id"] for r in rows} == {0, 1}
+    assert read_episode_log(path) == [(ep.episode_id, list(ep.records)) for ep in episodes]
+    first = json.loads(path.read_text().splitlines()[0])
+    assert list(first) == list(LOG_FIELDS)
+    assert first["stage"] == "inflating-approaching"
 
     again = tmp_path / "episodes2.jsonl"
     write_episode_log(again, episodes)
@@ -265,8 +276,6 @@ def test_episode_log_rejects_reordered_keys(tmp_path):
     path = tmp_path / "episodes.jsonl"
     write_episode_log(path, [run_episode(ScriptedWorld(), deterministic=True)])
     lines = path.read_text().splitlines()
-    import json
-
     doc = json.loads(lines[0])
     scrambled = {k: doc[k] for k in reversed(list(doc))}
     lines[0] = json.dumps(scrambled)

@@ -71,6 +71,15 @@ def test_mean_abs_error():
         mean_abs_error([])
 
 
+def test_mean_abs_error_of_values_whose_sum_overflows():
+    # the plain sum of these is inf; the mean is finite
+    assert mean_abs_error([1.7e308, -1.7e308]) == 1.7e308
+    assert mean_abs_error([1.7976931348623157e308] * 3) == 1.7976931348623157e308
+    # sums that stay in range keep the plain sum's bits, subnormals included
+    assert mean_abs_error([5e-324]) == 5e-324
+    assert mean_abs_error([5.1, 5.19]) == (5.1 + 5.19) / 2
+
+
 def test_non_finite_values_are_rejected_by_name(tmp_path):
     nan, inf = float("nan"), float("inf")
     trials = tmp_path / "trials.csv"

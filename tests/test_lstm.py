@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from harvest_guard.lstm import (
     LstmArch,
     SlipModel,
     TrainConfig,
+    array_layout,
     evaluate,
     init_model,
     loss_and_grads,
@@ -51,11 +53,7 @@ def _dataset(rng, n_per_class=8):
 
 
 def _zero_model(arch=SMALL):
-    h, c = arch.hidden_size, arch.n_classes
-    w_x = [np.zeros((4 * h, arch.input_size if i == 0 else h)) for i in range(arch.n_layers)]
-    w_h = [np.zeros((4 * h, h)) for i in range(arch.n_layers)]
-    b = [np.zeros(4 * h) for _ in range(arch.n_layers)]
-    return SlipModel(arch, w_x, w_h, b, np.zeros((c, h)), np.zeros(c))
+    return SlipModel(arch, {name: np.zeros(shape) for name, shape in array_layout(arch)})
 
 
 def test_zero_model_is_uniform():
@@ -201,11 +199,42 @@ def test_config_and_arch_validation():
 
 def test_model_shape_validation():
     arch = LstmArch(n_layers=1, hidden_size=4)
-    good = _zero_model(arch)
-    with pytest.raises(ValidationError):
-        SlipModel(arch, good.w_x, good.w_h, good.b, np.zeros((3, 5)), good.b_out)
-    with pytest.raises(ValidationError):
-        SlipModel(arch, [], [], [], good.w_out, good.b_out)
+    good = _zero_model(arch).named_arrays()
+    with pytest.raises(ValidationError, match=r"^head\.w shape \(3, 5\), expected \(3, 4\)$"):
+        SlipModel(arch, {**good, "head.w": np.zeros((3, 5))})
+    with pytest.raises(ValidationError, match="^unexpected array 'head.w', expected 'layer0.w_x'$"):
+        SlipModel(arch, {"head.w": good["head.w"], "head.b": good["head.b"]})
+    with pytest.raises(ValidationError, match="^missing array 'head.b'$"):
+        SlipModel(arch, {k: v for k, v in good.items() if k != "head.b"})
+    with pytest.raises(ValidationError, match="^unexpected array 'extra'$"):
+        SlipModel(arch, {**good, "extra": np.zeros(1)})
+    with pytest.raises(ValidationError, match="^unexpected array 'layer0.b', expected 'layer0.w_h'$"):
+        SlipModel(arch, {k: good[k] for k in ("layer0.w_x", "layer0.b", "layer0.w_h", "head.w", "head.b")})
+
+
+def test_model_check_is_bounded_by_the_arrays_given():
+    # listing a billion layers would take minutes and gigabytes; the check
+    # stops at the first name past the arrays it holds
+    arch = LstmArch(n_layers=10**9, hidden_size=4)
+    one_layer = _zero_model(LstmArch(n_layers=1, hidden_size=4)).named_arrays()
+    layer0 = {k: v for k, v in one_layer.items() if k.startswith("layer0.")}
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="^missing array 'layer1.w_x'$"):
+        SlipModel(arch, layer0)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_array_layout_names_every_array_in_parameter_order():
+    arch = LstmArch(n_layers=2, hidden_size=3)
+    assert list(array_layout(arch)) == [
+        ("layer0.w_x", (12, 7)), ("layer0.w_h", (12, 3)), ("layer0.b", (12,)),
+        ("layer1.w_x", (12, 3)), ("layer1.w_h", (12, 3)), ("layer1.b", (12,)),
+        ("head.w", (3, 3)), ("head.b", (3,)),
+    ]
+    model = init_model(arch, seed=0)
+    assert list(model.named_arrays()) == [name for name, _ in array_layout(arch)]
+    expected = [a for layer in range(2) for a in (model.w_x[layer], model.w_h[layer], model.b[layer])]
+    assert all(p is a for p, a in zip(model.parameters(), [*expected, model.w_out, model.b_out], strict=True))
 
 
 def test_wrong_feature_width_rejected():

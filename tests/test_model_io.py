@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from harvest_guard.cli import main
 from harvest_guard.errors import ValidationError
 from harvest_guard.grasp import GraspModel
-from harvest_guard.lstm import LstmArch, SlipModel, init_model
+from harvest_guard.lstm import LstmArch, SlipModel, array_layout, init_model
 from harvest_guard.slip_windows import FEATURE_ORDER
 from harvest_guard.model_io import (
     FORMAT_NAME,
@@ -41,6 +41,18 @@ def test_slip_model_round_trip(tmp_path):
     assert loaded.metadata["seed"] == 4
     for a, b in zip(model.parameters(), loaded.parameters()):
         assert a.tobytes() == b.tobytes()  # the payload is the float64 bytes
+
+
+def test_saved_slip_arrays_follow_the_layout(tmp_path):
+    path = tmp_path / "slip.model.json"
+    save_model(path, init_model(ARCH, seed=0))
+    doc = json.loads(path.read_text())
+    names = [name for name, _ in array_layout(ARCH)]
+    assert list(doc["arrays"]) == names
+    # a file may list its arrays in any order; they load in layout order
+    doc["arrays"] = dict(reversed(doc["arrays"].items()))
+    path.write_text(json.dumps(doc))
+    assert list(load_model(path).named_arrays()) == names
 
 
 def test_grasp_model_round_trip(tmp_path):
@@ -431,7 +443,7 @@ def test_version_must_be_the_int_1_or_2(eval_inputs, tmp_path, version):
     "model, edit, problem",
     [
         (init_model(LstmArch(n_layers=1, hidden_size=2), seed=0), lambda doc: doc["arch"].update(hidden_size=1_000_000),
-         "layer 0 w_x shape (8, 7), expected (4000000, 7)"),
+         "layer0.w_x shape (8, 7), expected (4000000, 7)"),
         (_grasp(0), lambda doc: doc["arrays"]["weights"].update(shape=[4, 3]), "weights shape (4, 3), expected (3, 4)"),
     ],
     ids=["slip-hidden-size", "grasp-weights-shape"],
