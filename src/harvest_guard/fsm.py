@@ -15,9 +15,11 @@ to it, which is how the measured timings account for them. A slipping
 recovery spends one draw across two SnapOff records: the part before
 detection and the re-snap after it.
 
-outcome_of(records) decides an episode's outcome, for a run and for a
-log read back as StageRecords by read_episode_log, which accepts only
-the (stage, variant) keys of STAGE_TIMING.
+outcome_of(records) decides an episode's outcome, and episode_problem(records)
+checks that the stages are the walk that outcome fixes. Both hold for a
+run and for a log read back as StageRecords by read_episode_log, which
+accepts only the (stage, variant) keys of STAGE_TIMING and checks each
+episode's walk at its homing line.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import json
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product, zip_longest
 from pathlib import Path
 from typing import Generator, Iterable, Protocol, Sequence
 
@@ -125,6 +128,31 @@ def outcome_of(records: Iterable[StageRecord]) -> Outcome:
     return Outcome.PICKED_AND_PLACED
 
 
+# the stages of each walk a cycle takes, by (outcome, compensated): a grasp
+# abort skips snap-off, and a slipping recovery records it twice
+_WALKS = {
+    (outcome, compensated): (Stage.INFLATING_APPROACHING,) + (Stage.COMPENSATION,) * compensated
+    + (Stage.SWALLOWING, Stage.DEFLATING)
+    + (Stage.SNAP_OFF,) * {Outcome.ABORTED_EMPTY_OR_MISGRASP: 0, Outcome.RECOVERED_AFTER_SLIP: 2}.get(outcome, 1)
+    + (Stage.DESCENDING,) + (Stage.PLACING,) * (outcome in PLACING_OUTCOMES) + (Stage.HOMING,)
+    for outcome, compensated in product(Outcome, (False, True))
+}
+
+
+def episode_problem(records: Sequence[StageRecord]) -> str | None:
+    """What keeps an episode's records from being the walk their outcome
+    fixes, if anything: the first seq whose stage differs from it."""
+    outcome = outcome_of(records)
+    stages = tuple(r.stage for r in records)
+    walk = _WALKS[outcome, stages[1:2] == (Stage.COMPENSATION,)]
+    if stages == walk:
+        return None
+    pairs = list(zip_longest(stages, walk))
+    seq = next(i for i, (got, want) in enumerate(pairs) if got is not want)
+    got, want = (stage.value if stage is not None else "no record" for stage in pairs[seq])
+    return f"{outcome.value} walk has {got} at seq {seq}, expected {want}"
+
+
 @dataclass(frozen=True)
 class EpisodeTruth:
     """What the simulator actually injected, independent of detection."""
@@ -156,17 +184,9 @@ class HarvestEpisode:
     responses: EpisodeResponses
 
     def __post_init__(self) -> None:
-        if not self.records or self.records[-1].stage is not Stage.HOMING:
-            raise ValidationError("every episode must end with the homing stage")
-        stages = [r.stage for r in self.records]
-        if stages.count(Stage.COMPENSATION) > 1:
-            raise ValidationError("compensation may occur at most once per cycle")
-        if stages.count(Stage.PLACING) > 1:
-            raise ValidationError("placing may occur at most once per cycle")
-        if stages.count(Stage.SNAP_OFF) > 2:
-            raise ValidationError("snap-off may occur at most twice per cycle")
-        if (Stage.PLACING in stages) != (self.outcome in PLACING_OUTCOMES):
-            raise ValidationError(f"placing presence inconsistent with outcome {self.outcome.value}")
+        problem = episode_problem(self.records)
+        if problem:
+            raise ValidationError(problem)
 
     @property
     def outcome(self) -> Outcome:
@@ -177,7 +197,8 @@ class HarvestEpisode:
         return sum(r.duration_s for r in self.records)
 
 
-class ApproachLike(Protocol):
+@dataclass(frozen=True)
+class ApproachOutcome:
     visual_error: tuple[float, float]  # measured (dx, dy), mm
     compensated: bool
     residual_x: float
@@ -189,7 +210,7 @@ class WorldLike(Protocol):
 
     def sample_truth(self, rng: np.random.Generator) -> EpisodeTruth: ...
 
-    def approach(self, truth: EpisodeTruth, rng: np.random.Generator) -> ApproachLike: ...
+    def approach(self, truth: EpisodeTruth, rng: np.random.Generator) -> ApproachOutcome: ...
 
     def grasp_stream(self, truth: EpisodeTruth, rng: np.random.Generator) -> Sequence[GraspClass]: ...
 
@@ -233,8 +254,9 @@ def episode_cycle(
 
     records: list[StageRecord] = []
 
-    def record(stage: Stage, variant: Variant, event: Event, detail: str = "") -> None:
-        records.append(StageRecord(stage, variant, draw(stage, variant), event, detail))
+    def record(stage: Stage, variant: Variant, event: Event, detail: str = "", duration_s: float | None = None) -> None:
+        duration_s = draw(stage, variant) if duration_s is None else duration_s
+        records.append(StageRecord(stage, variant, duration_s, event, detail))
 
     truth = world.sample_truth(rng)
 
@@ -298,24 +320,10 @@ def episode_cycle(
             phase = draw(Stage.SNAP_OFF, Variant.SLIPPING_RECOVERY)
             frames_seen = detect_idx + 1
             fraction = frames_seen / max(len(predictions), frames_seen)
-            records.append(
-                StageRecord(
-                    Stage.SNAP_OFF,
-                    Variant.SLIPPING_RECOVERY,
-                    phase * fraction,
-                    Event.TWO_CONSECUTIVE_SLIPPING,
-                    f"slipping confirmed at window {detect_idx}",
-                )
-            )
-            records.append(
-                StageRecord(
-                    Stage.SNAP_OFF,
-                    Variant.SLIPPING_RECOVERY,
-                    phase * (1.0 - fraction),
-                    Event.SNAP_OK,
-                    "regrasped and re-snapped",
-                )
-            )
+            detail = f"slipping confirmed at window {detect_idx}"
+            record(Stage.SNAP_OFF, Variant.SLIPPING_RECOVERY, Event.TWO_CONSECUTIVE_SLIPPING, detail, phase * fraction)
+            resnapped = phase * (1.0 - fraction)
+            record(Stage.SNAP_OFF, Variant.SLIPPING_RECOVERY, Event.SNAP_OK, "regrasped and re-snapped", resnapped)
         else:
             record(Stage.SNAP_OFF, Variant.NORMAL, Event.SNAP_OK)
 
@@ -379,6 +387,8 @@ def _log_value_problem(doc: dict[str, object]) -> str | None:
     # abs(d) <= max fails for NaN, the infinities and ints past the float range
     if isinstance(d, bool) or not isinstance(d, (int, float)) or not abs(d) <= sys.float_info.max:
         return f"duration_s must be a finite number, got {d!r}"
+    if d < 0:
+        return f"duration_s must be non-negative, got {d!r}"
     for key, members in _LOG_ENUMS.items():
         if not isinstance(doc[key], str) or doc[key] not in members:
             return f"unknown {key} {doc[key]!r}"
@@ -407,7 +417,8 @@ def _order_problem(episodes: dict[int, list[StageRecord]], doc: dict[str, object
 
 def read_episode_log(path: str | Path) -> list[tuple[int, list[StageRecord]]]:
     """The episodes of a log in file order, as (episode_id, records). The
-    first line that is not a well-formed record in its place is an error."""
+    first line that is not a well-formed record in its place is an error,
+    and so is a homing line that ends a walk episode_problem rejects."""
     path = Path(path)
     episodes: dict[int, list[StageRecord]] = {}
     with open_text(path) as fh:
@@ -427,7 +438,10 @@ def read_episode_log(path: str | Path) -> list[tuple[int, list[StageRecord]]]:
                 raise ValidationError(f"{path}: line {lineno}: {problem}")
             stage, variant, event = (_LOG_ENUMS[key][doc[key]] for key in _LOG_ENUMS)
             record = StageRecord(stage, variant, float(doc["duration_s"]), event, doc["detail"])
-            episodes.setdefault(doc["episode_id"], []).append(record)
+            episode = episodes.setdefault(doc["episode_id"], [])
+            episode.append(record)
+            if stage is Stage.HOMING and (problem := episode_problem(episode)):
+                raise ValidationError(f"{path}: line {lineno}: episode {doc['episode_id']}: {problem}")
             last_lineno = lineno
     last_id, last = next(reversed(episodes.items()), (None, None))
     if last is not None and last[-1].stage is not Stage.HOMING:

@@ -183,26 +183,16 @@ def _parse_value(text: str) -> object:
         return text
 
 
-def write_report(
-    path: str | Path,
-    rows: Sequence[Mapping[str, object]],
-    fmt: str = "csv",
-    fields: Sequence[str] | None = None,
-) -> None:
-    """Write rows to csv or jsonlines with fixed field order.
-
-    Field order comes from `fields`, or the first row's key order. Empty
-    rows with fields given produce a header-only csv / empty jsonlines
-    file.
-    """
+def write_report(path: str | Path, rows: Sequence[Mapping[str, object]], fmt: str = "csv") -> None:
+    """Write rows to csv or jsonlines in the first row's field order,
+    which every row must share."""
     path = Path(path)
     if fmt not in ("csv", "jsonlines"):
         raise ValidationError(f"format must be 'csv' or 'jsonlines', got {fmt!r}")
-    if fields is None:
-        fields = list(rows[0].keys()) if rows else []
+    fields = list(rows[0].keys()) if rows else []
     for i, row in enumerate(rows):
-        if list(row.keys()) != list(fields):
-            raise ValidationError(f"row {i} fields {list(row.keys())} differ from {list(fields)}")
+        if list(row.keys()) != fields:
+            raise ValidationError(f"row {i} fields {list(row.keys())} differ from {fields}")
     try:
         with path.open("w", newline="") as fh:
             if fmt == "csv":

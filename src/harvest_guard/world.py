@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError, open_text, require_finite
-from .fsm import EpisodeTruth, HarvestEpisode, advance, episode_cycle
+from .fsm import ApproachOutcome, EpisodeTruth, HarvestEpisode, advance, episode_cycle
 from .fsm import run_episode  # noqa: F401  not called here; perfbench traces world.run_episode
 from .geometry import CompensationParams, compensated_point, needs_compensation
 from .grasp import GRASP_FEATURES, GraspClass, GraspModel, classify_grasp, write_grasp_csv
@@ -351,14 +351,6 @@ def sample_grasp_dataset(
 # nominal picking point (x, y) in arm coordinates, mm; residuals do not
 # depend on its location
 NOMINAL_PICKING_POINT = (400.0, 300.0)
-
-
-@dataclass(frozen=True)
-class ApproachOutcome:
-    visual_error: tuple[float, float]  # measured (dx, dy), mm
-    compensated: bool
-    residual_x: float
-    residual_y: float
 
 
 def simulate_approach(

@@ -1,6 +1,7 @@
 """Shared test fixtures: repo data paths, scripted episode worlds, and the
 frozen finite-difference gradient-check procedure."""
 
+import json
 import logging
 import os
 from pathlib import Path
@@ -86,6 +87,15 @@ def implied_outcome(responses: EpisodeResponses) -> Outcome:
     if responses.slip_action is RecoveryAction.REGRASP_AND_RESNAP:
         return Outcome.RECOVERED_AFTER_SLIP
     return Outcome.PICKED_AND_PLACED
+
+
+def renumbered(docs: list[dict]) -> list[str]:
+    """Episode log lines of record `docs` with each episode's seq
+    renumbered 0, 1, 2, ... in file order."""
+    seqs: dict[object, int] = {}
+    for doc in docs:
+        doc["seq"] = seqs[doc["episode_id"]] = seqs.get(doc["episode_id"], -1) + 1
+    return [json.dumps(doc) for doc in docs]
 
 
 class ScriptedWorld:

@@ -17,7 +17,7 @@ from harvest_guard.model_io import save_model
 from harvest_guard.slip_windows import SLIP_CSV_HEADER, windows_from_slip_csv
 from harvest_guard.world import _CONFIG_SCHEMA, ScenarioConfig, load_config, save_config
 
-from conftest import ALIGNMENT_CSV, FLOAT_KEYS, REPO_ROOT
+from conftest import ALIGNMENT_CSV, FLOAT_KEYS, REPO_ROOT, renumbered
 
 
 def test_help_exits_zero():
@@ -241,6 +241,7 @@ def test_report_rejects_malformed_log_lines(tmp_path, capsys, line, problem):
         ("duration_s", "NaN", "duration_s must be a finite number, got nan"),
         ("duration_s", "true", "duration_s must be a finite number, got True"),
         pytest.param("duration_s", "1" + "0" * 400, f"duration_s must be a finite number, got {10**400}", id="huge-int"),
+        pytest.param("duration_s", "-100.0", "duration_s must be non-negative, got -100.0", id="negative"),
         ("episode_id", '"a"', "episode_id must be an integer, got 'a'"),
         ("episode_id", "[1]", "episode_id must be an integer, got [1]"),
         ("seq", "1.0", "seq must be an integer, got 1.0"),
@@ -321,6 +322,45 @@ def test_report_rejects_a_log_whose_records_do_not_form_episodes(tmp_path, capsy
     report = tmp_path / "s.csv"
     assert main(["report", "--episodes", str(log), "--out", str(report)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {log}: {problem}"]
+    assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "case, homing_line, problem",
+    [
+        # a grasp abort's swallowing edited to placing once counted as an abort
+        ("placed", 5, "episode 0: aborted-empty-or-misgrasp walk has placing at seq 1, expected swallowing"),
+        ("dropped", 19, "episode 2: picked-and-placed walk has snap-off at seq 3, expected deflating"),
+        ("three-dropped", 17, "episode 2: picked-and-placed walk has descending at seq 2, expected swallowing"),
+        ("swapped", 12, "episode 1: aborted-slipped walk has descending at seq 4, expected snap-off"),
+    ],
+    ids=["placed", "dropped", "three-dropped", "swapped"],
+)
+def test_report_rejects_an_episode_the_cycle_cannot_walk(tmp_path, capsys, case, homing_line, problem):
+    out_dir = tmp_path / "run"
+    assert main(["simulate", "--seed", "2", "--episodes", "3", "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    log = out_dir / "episodes.jsonl"
+    docs = [json.loads(line) for line in log.read_text().splitlines()]
+    # episode 0 is a grasp abort, 1 a slipped abort and 2 a compensated pick
+    assert [doc["event"] for doc in docs if doc["stage"] in ("deflating", "snap-off")] == [
+        "grasp-abort", "grasp-ok", "two-consecutive-slipped", "grasp-ok", "snap-ok"
+    ]
+    if case == "placed":
+        assert docs[1]["stage"] == "swallowing"
+        docs[1].update(stage="placing", event="placed")
+    elif case == "dropped":
+        del docs[15]  # episode 2's deflating
+    elif case == "three-dropped":
+        del docs[14:17]  # episode 2's swallowing, deflating and snap-off
+    else:
+        docs[9], docs[10] = docs[10], docs[9]  # episode 1's snap-off and descending
+    lines = renumbered(docs)
+    assert json.loads(lines[homing_line - 1])["stage"] == "homing"
+    log.write_text("\n".join(lines) + "\n")
+    report = tmp_path / "s.csv"
+    assert main(["report", "--episodes", str(log), "--out", str(report)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {log}: line {homing_line}: {problem}"]
     assert not report.exists()
 
 

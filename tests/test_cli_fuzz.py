@@ -1,17 +1,22 @@
 """Mutation fuzzers of two CLI file readers, run in-process: whatever the
 input, `compensate` and `report` exit 0, 1 or 2 with at most one stderr
-line, never a traceback."""
+line, never a traceback. A third fuzzer reorders and relabels the records
+of a valid episode log and holds `report` to the walks the cycle takes."""
 
 import contextlib
 import io
+import itertools
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from harvest_guard.cli import main
+from harvest_guard.fsm import Event, Stage, Variant, run_episode
+from harvest_guard.grasp import GraspClass
+from harvest_guard.slip_windows import SlipLabel
 
-from conftest import ALIGNMENT_CSV
+from conftest import ALIGNMENT_CSV, ScriptedWorld, renumbered
 
 FUZZ = settings(derandomize=True, max_examples=200, deadline=None, database=None)
 
@@ -121,3 +126,45 @@ def test_report_survives_any_edit_of_a_log(fuzz_dir, episode_log, case):
     code, err = _run(["report", "--episodes", str(log), "--out", str(fuzz_dir / "summary.csv")])
     assert code in (0, 1, 2)
     assert len(err) <= 1
+
+
+# the stage sequences the cycle walks, one per fault script
+_WALKS = {
+    tuple(r.stage.value for r in run_episode(ScriptedWorld(misaligned, grasp, slip), deterministic=True).records)
+    for misaligned, grasp, slip in itertools.product((False, True), GraspClass, SlipLabel)
+}
+_LABELS = {"stage": Stage, "variant": Variant, "event": Event}
+
+
+@pytest.fixture(scope="module")
+def longer_log(fuzz_dir):
+    out = fuzz_dir / "longer"
+    assert _run(["simulate", "--seed", "2", "--episodes", "8", "--out", str(out)]) == (0, [])
+    return out / "episodes.jsonl"
+
+
+@FUZZ
+@given(case=st.data())
+def test_report_accepts_only_the_walks_of_the_cycle(fuzz_dir, longer_log, case):
+    lines = longer_log.read_text().splitlines()
+    for _ in range(case.draw(st.integers(1, 3), label="edits")):
+        if case.draw(st.booleans(), label="relabel"):
+            i = case.draw(st.integers(0, len(lines) - 1), label="line")
+            doc = json.loads(lines[i])
+            key = case.draw(st.sampled_from(sorted(_LABELS)), label="field")
+            doc[key] = case.draw(st.sampled_from([m.value for m in _LABELS[key] if m.value != doc[key]]), label="value")
+            lines[i] = json.dumps(doc)
+        else:
+            _edit_lines(case, lines, st.sampled_from(list(lines)))  # an inserted line repeats a record
+    # renumbered seqs get most edits past the order check to the walk rule
+    docs = [json.loads(line) for line in lines]
+    log = fuzz_dir / "relabelled.jsonl"
+    log.write_text("".join(line + "\n" for line in renumbered(docs)))
+    code, err = _run(["report", "--episodes", str(log), "--out", str(fuzz_dir / "walks.csv")])
+    assert code in (0, 1)
+    assert len(err) <= 1
+    if code == 0:
+        episodes = {}
+        for doc in docs:
+            episodes.setdefault(doc["episode_id"], []).append(doc["stage"])
+        assert all(tuple(stages) in _WALKS for stages in episodes.values())

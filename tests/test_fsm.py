@@ -21,6 +21,7 @@ from harvest_guard.fsm import (
     Variant,
     advance,
     episode_cycle,
+    episode_problem,
     read_episode_log,
     run_episode,
     write_episode_log,
@@ -55,12 +56,16 @@ def test_timing_table_covers_exactly_the_recorded_stages():
 
 
 def test_outcome_is_what_the_responses_imply():
-    outcomes = set()
+    outcomes, walks = set(), set()
     for misaligned, grasp, slip in itertools.product((False, True), GraspClass, SlipLabel):
         ep = run_episode(ScriptedWorld(misaligned, grasp, slip), deterministic=True)
         assert ep.outcome is implied_outcome(ep.responses)
+        assert episode_problem(ep.records) is None
         outcomes.add(ep.outcome)
+        walks.add(tuple(r.stage for r in ep.records))
     assert outcomes == set(Outcome)
+    # each outcome with and without compensation
+    assert len(walks) == 8
 
 
 def test_duration_sampling():
@@ -228,21 +233,28 @@ def _episode(stages, snap_off=Variant.NORMAL):
 def test_episode_structure_validation():
     assert _episode(_FULL).outcome is Outcome.PICKED_AND_PLACED  # the happy path is legal
 
-    with pytest.raises(ValidationError, match="homing"):
-        _episode(_FULL[:-1])
-    with pytest.raises(ValidationError, match="compensation"):
-        _episode([Stage.COMPENSATION, Stage.COMPENSATION] + _FULL)
-    with pytest.raises(ValidationError, match="placing"):
-        _episode(_FULL + [Stage.PLACING, Stage.HOMING])
-    with pytest.raises(ValidationError, match="snap-off"):
-        _episode([Stage.SNAP_OFF, Stage.SNAP_OFF] + _FULL)
+    def problem(stages, snap_off=Variant.NORMAL):
+        with pytest.raises(ValidationError) as exc:
+            _episode(stages, snap_off)
+        return str(exc.value)
+
+    assert problem(_FULL[:-1]) == "picked-and-placed walk has no record at seq 6, expected homing"
+    assert problem([]) == "picked-and-placed walk has no record at seq 0, expected inflating-approaching"
+    full_compensated = _FULL[:1] + [Stage.COMPENSATION] + _FULL[1:]
+    assert problem(full_compensated[:2] + full_compensated[1:]) == (
+        "picked-and-placed walk has compensation at seq 2, expected swallowing"
+    )
+    assert problem(_FULL + [Stage.PLACING, Stage.HOMING]) == (
+        "picked-and-placed walk has placing at seq 7, expected no record"
+    )
+    assert problem([Stage.SNAP_OFF, Stage.SNAP_OFF] + _FULL) == (
+        "picked-and-placed walk has snap-off at seq 0, expected inflating-approaching"
+    )
     # placing must match the outcome the records imply, in both directions
     unplaced = [s for s in _FULL if s is not Stage.PLACING]
     assert _episode(unplaced, Variant.SLIPPED_ABORT).outcome is Outcome.ABORTED_SLIPPED
-    with pytest.raises(ValidationError, match="placing presence inconsistent with outcome picked-and-placed"):
-        _episode(unplaced)
-    with pytest.raises(ValidationError, match="placing presence inconsistent with outcome aborted-slipped"):
-        _episode(_FULL, Variant.SLIPPED_ABORT)
+    assert problem(unplaced) == "picked-and-placed walk has homing at seq 5, expected placing"
+    assert problem(_FULL, Variant.SLIPPED_ABORT) == "aborted-slipped walk has placing at seq 5, expected homing"
 
 
 def test_stochastic_runs_are_reproducible_and_sane():

@@ -170,13 +170,6 @@ def test_report_field_order_is_enforced(tmp_path):
         write_report(tmp_path / "r.csv", rows)
 
 
-def test_report_empty_with_fields_writes_header(tmp_path):
-    path = tmp_path / "empty.csv"
-    write_report(path, [], fmt="csv", fields=["outcome", "n"])
-    assert path.read_bytes() == b"outcome,n\r\n"
-    assert read_report(path) == []
-
-
 def test_report_rejects_unknown_format(tmp_path):
     with pytest.raises(ValidationError):
         write_report(tmp_path / "r.x", [], fmt="xml")

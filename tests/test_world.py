@@ -7,7 +7,9 @@ import pytest
 
 from harvest_guard import world as world_module
 from harvest_guard.errors import ValidationError, require_finite
-from harvest_guard.fsm import EpisodeTruth, Outcome, Stage, outcome_of, read_episode_log, run_episode, write_episode_log
+from harvest_guard.fsm import (
+    EpisodeTruth, Outcome, Stage, episode_problem, outcome_of, read_episode_log, run_episode, write_episode_log
+)
 from harvest_guard.geometry import CompensationMode, CompensationParams
 from harvest_guard.grasp import GraspClass, GraspModel
 from harvest_guard.lstm import LstmArch, TrainConfig, init_model, lstm_train
@@ -341,6 +343,7 @@ def test_phased_runner_equals_one_episode_at_a_time(with_models, n, slip_model):
     assert len(phased) == n
     for episode, alone in zip(phased, _one_at_a_time(world, n, 5)):
         assert episode == alone
+        assert episode_problem(episode.records) is None
     if n:
         assert {e.outcome for e in phased} == set(Outcome)
 
@@ -375,6 +378,7 @@ def test_outcome_frequencies_match_the_mix():
     # structural invariants hold across the batch
     for ep in episodes:
         assert ep.outcome is implied_outcome(ep.responses)
+        assert episode_problem(ep.records) is None
         stages = [r.stage for r in ep.records]
         assert stages[-1] is Stage.HOMING
         if ep.outcome in (Outcome.ABORTED_SLIPPED, Outcome.ABORTED_EMPTY_OR_MISGRASP):
