@@ -15,11 +15,14 @@ to it, which is how the measured timings account for them. A slipping
 recovery spends one draw across two SnapOff records: the part before
 detection and the re-snap after it.
 
-outcome_of(records) decides an episode's outcome, and episode_problem(records)
-checks that the stages are the walk that outcome fixes. Both hold for a
-run and for a log read back as StageRecords by read_episode_log, which
-accepts only the (stage, variant) keys of STAGE_TIMING and checks each
-episode's walk at its homing line.
+outcome_of(records) decides an episode's outcome. _WALKS holds the walk
+each outcome fixes, with and without compensation, as the (stage, event)
+of every record, and is the one place events are defined: the cycle
+takes the stages after snap-off from it, write_episode_log each record's
+event, and episode_problem(records, events) checks records, and any
+logged events, against it. read_episode_log accepts only the
+(stage, variant) keys of STAGE_TIMING and runs that check on each
+episode at its homing line.
 """
 
 from __future__ import annotations
@@ -82,10 +85,6 @@ class Outcome(Enum):
     RECOVERED_AFTER_SLIP = "recovered-after-slip"
 
 
-# outcomes that end with the fruit placed, so the cycle runs the placing stage
-PLACING_OUTCOMES = frozenset({Outcome.PICKED_AND_PLACED, Outcome.RECOVERED_AFTER_SLIP})
-
-
 # the paper's measured (mean, std) seconds of every (stage, variant) a cycle can record
 STAGE_TIMING: dict[tuple[Stage, Variant], tuple[float, float]] = {
     (Stage.INFLATING_APPROACHING, Variant.NORMAL): (1.25, 0.01),
@@ -110,7 +109,6 @@ class StageRecord:
     stage: Stage
     variant: Variant
     duration_s: float
-    event: Event  # the event that closed this stage
     detail: str = ""
 
 
@@ -128,29 +126,51 @@ def outcome_of(records: Iterable[StageRecord]) -> Outcome:
     return Outcome.PICKED_AND_PLACED
 
 
-# the stages of each walk a cycle takes, by (outcome, compensated): a grasp
-# abort skips snap-off, and a slipping recovery records it twice
-_WALKS = {
-    (outcome, compensated): (Stage.INFLATING_APPROACHING,) + (Stage.COMPENSATION,) * compensated
-    + (Stage.SWALLOWING, Stage.DEFLATING)
-    + (Stage.SNAP_OFF,) * {Outcome.ABORTED_EMPTY_OR_MISGRASP: 0, Outcome.RECOVERED_AFTER_SLIP: 2}.get(outcome, 1)
-    + (Stage.DESCENDING,) + (Stage.PLACING,) * (outcome in PLACING_OUTCOMES) + (Stage.HOMING,)
-    for outcome, compensated in product(Outcome, (False, True))
-}
+def _make_walk(outcome: Outcome, compensated: bool) -> tuple[tuple[Stage, Event], ...]:
+    """The (stage, event) of each record a cycle writes: a grasp abort skips
+    snap-off and placing, a slipped abort placing, and a slipping recovery
+    records snap-off twice."""
+    snap_off = {
+        Outcome.PICKED_AND_PLACED: [Event.SNAP_OK],
+        Outcome.ABORTED_EMPTY_OR_MISGRASP: [],
+        Outcome.ABORTED_SLIPPED: [Event.TWO_CONSECUTIVE_SLIPPED],
+        Outcome.RECOVERED_AFTER_SLIP: [Event.TWO_CONSECUTIVE_SLIPPING, Event.SNAP_OK],
+    }[outcome]
+    placed = outcome in (Outcome.PICKED_AND_PLACED, Outcome.RECOVERED_AFTER_SLIP)
+    return tuple(
+        [(Stage.INFLATING_APPROACHING, Event.MISALIGNED if compensated else Event.ALIGNED)]
+        + [(Stage.COMPENSATION, Event.COMPENSATED)] * compensated
+        + [(Stage.SWALLOWING, Event.SWALLOWED)]
+        + [(Stage.DEFLATING, Event.GRASP_OK if snap_off else Event.GRASP_ABORT)]
+        + [(Stage.SNAP_OFF, event) for event in snap_off]
+        + [(Stage.DESCENDING, Event.DESCENDED_WITH_FRUIT if placed else Event.DESCENDED_EMPTY)]
+        + [(Stage.PLACING, Event.PLACED)] * placed
+        + [(Stage.HOMING, Event.HOMED)]
+    )
 
 
-def episode_problem(records: Sequence[StageRecord]) -> str | None:
+# every walk a cycle takes, by (outcome, compensated)
+_WALKS = {key: _make_walk(*key) for key in product(Outcome, (False, True))}
+
+
+def _walk_of(records: Sequence[StageRecord]) -> tuple[tuple[Stage, Event], ...]:
+    """The walk the records' outcome fixes, compensated when their second stage is."""
+    return _WALKS[outcome_of(records), len(records) > 1 and records[1].stage is Stage.COMPENSATION]
+
+
+def episode_problem(records: Sequence[StageRecord], events: Sequence[Event] = ()) -> str | None:
     """What keeps an episode's records from being the walk their outcome
-    fixes, if anything: the first seq whose stage differs from it."""
-    outcome = outcome_of(records)
-    stages = tuple(r.stage for r in records)
-    walk = _WALKS[outcome, stages[1:2] == (Stage.COMPENSATION,)]
-    if stages == walk:
-        return None
-    pairs = list(zip_longest(stages, walk))
-    seq = next(i for i, (got, want) in enumerate(pairs) if got is not want)
-    got, want = (stage.value if stage is not None else "no record" for stage in pairs[seq])
-    return f"{outcome.value} walk has {got} at seq {seq}, expected {want}"
+    fixes, if anything: the first seq whose stage differs from it, or else
+    the first seq whose given event does."""
+    walk = _walk_of(records)
+    for seq, (got, want) in enumerate(zip_longest((r.stage for r in records), (stage for stage, _ in walk))):
+        if got is not want:
+            got, want = (stage.value if stage is not None else "no record" for stage in (got, want))
+            return f"{outcome_of(records).value} walk has {got} at seq {seq}, expected {want}"
+    for seq, (event, (stage, want)) in enumerate(zip(events, walk)):
+        if event is not want:
+            return f"{stage.value} at seq {seq} has event {event.value}, expected {want.value}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -254,28 +274,19 @@ def episode_cycle(
 
     records: list[StageRecord] = []
 
-    def record(stage: Stage, variant: Variant, event: Event, detail: str = "", duration_s: float | None = None) -> None:
+    def record(stage: Stage, variant: Variant, detail: str = "", duration_s: float | None = None) -> None:
         duration_s = draw(stage, variant) if duration_s is None else duration_s
-        records.append(StageRecord(stage, variant, duration_s, event, detail))
+        records.append(StageRecord(stage, variant, duration_s, detail))
 
     truth = world.sample_truth(rng)
 
     # approach; the visual check decides whether a compensation move runs
     approach = world.approach(truth, rng)
-    record(
-        Stage.INFLATING_APPROACHING,
-        Variant.NORMAL,
-        Event.MISALIGNED if approach.compensated else Event.ALIGNED,
-        "visual error ({:.1f}, {:.1f}) mm".format(*approach.visual_error),
-    )
+    record(Stage.INFLATING_APPROACHING, Variant.NORMAL, "visual error ({:.1f}, {:.1f}) mm".format(*approach.visual_error))
     if approach.compensated:
-        record(
-            Stage.COMPENSATION,
-            Variant.NORMAL,
-            Event.COMPENSATED,
-            f"residual ({approach.residual_x:.1f}, {approach.residual_y:.1f}) mm",
-        )
-    record(Stage.SWALLOWING, Variant.NORMAL, Event.SWALLOWED)
+        residual = f"residual ({approach.residual_x:.1f}, {approach.residual_y:.1f}) mm"
+        record(Stage.COMPENSATION, Variant.NORMAL, residual)
+    record(Stage.SWALLOWING, Variant.NORMAL)
 
     # deflating: the grasp verifier watches frames until a verdict or the
     # stream ends
@@ -296,9 +307,9 @@ def episode_cycle(
             if grasp_detected is GraspClass.EMPTY
             else Variant.MISGRASP_RESPONSE
         )
-        record(Stage.DEFLATING, response, Event.GRASP_ABORT, f"detected {grasp_detected.name.lower()}")
+        record(Stage.DEFLATING, response, f"detected {grasp_detected.name.lower()}")
     else:
-        record(Stage.DEFLATING, Variant.NORMAL, Event.GRASP_OK)
+        record(Stage.DEFLATING, Variant.NORMAL)
 
         # snap-off: the slip monitor scans window predictions past any
         # confirmed normal; the first regrasp or abort action decides the path
@@ -308,12 +319,7 @@ def episode_cycle(
         )
 
         if slip_action is RecoveryAction.ABORT_CYCLE:
-            record(
-                Stage.SNAP_OFF,
-                Variant.SLIPPED_ABORT,
-                Event.TWO_CONSECUTIVE_SLIPPED,
-                f"slip confirmed at window {detect_idx}",
-            )
+            record(Stage.SNAP_OFF, Variant.SLIPPED_ABORT, f"slip confirmed at window {detect_idx}")
         elif slip_action is RecoveryAction.REGRASP_AND_RESNAP:
             # one recovery draw covers the whole snap-off phase, split at the
             # detection point across the interrupted and re-snap records
@@ -321,21 +327,15 @@ def episode_cycle(
             frames_seen = detect_idx + 1
             fraction = frames_seen / max(len(predictions), frames_seen)
             detail = f"slipping confirmed at window {detect_idx}"
-            record(Stage.SNAP_OFF, Variant.SLIPPING_RECOVERY, Event.TWO_CONSECUTIVE_SLIPPING, detail, phase * fraction)
-            resnapped = phase * (1.0 - fraction)
-            record(Stage.SNAP_OFF, Variant.SLIPPING_RECOVERY, Event.SNAP_OK, "regrasped and re-snapped", resnapped)
+            record(Stage.SNAP_OFF, Variant.SLIPPING_RECOVERY, detail, phase * fraction)
+            record(Stage.SNAP_OFF, Variant.SLIPPING_RECOVERY, "regrasped and re-snapped", phase * (1.0 - fraction))
         else:
-            record(Stage.SNAP_OFF, Variant.NORMAL, Event.SNAP_OK)
+            record(Stage.SNAP_OFF, Variant.NORMAL)
 
-    with_fruit = outcome_of(records) in PLACING_OUTCOMES
-    record(
-        Stage.DESCENDING,
-        Variant.NORMAL,
-        Event.DESCENDED_WITH_FRUIT if with_fruit else Event.DESCENDED_EMPTY,
-    )
-    if with_fruit:
-        record(Stage.PLACING, Variant.NORMAL, Event.PLACED)
-    record(Stage.HOMING, Variant.NORMAL, Event.HOMED)
+    # the rest of the walk the outcome fixes: descending, placing when the
+    # fruit is held, homing
+    for stage, _ in _walk_of(records)[len(records):]:
+        record(stage, Variant.NORMAL)
 
     responses = EpisodeResponses(
         compensated=approach.compensated,
@@ -359,14 +359,14 @@ def write_episode_log(path: str | Path, episodes: Iterable[HarvestEpisode]) -> N
     path = Path(path)
     with path.open("w") as fh:
         for ep in episodes:
-            for seq, rec in enumerate(ep.records):
+            for seq, (rec, (_, event)) in enumerate(zip(ep.records, _walk_of(ep.records))):
                 doc = {
                     "episode_id": ep.episode_id,
                     "seq": seq,
                     "stage": rec.stage.value,
                     "variant": rec.variant.value,
                     "duration_s": rec.duration_s,
-                    "event": rec.event.value,
+                    "event": event.value,
                     "detail": rec.detail,
                 }
                 fh.write(json.dumps(doc) + "\n")
@@ -421,6 +421,7 @@ def read_episode_log(path: str | Path) -> list[tuple[int, list[StageRecord]]]:
     and so is a homing line that ends a walk episode_problem rejects."""
     path = Path(path)
     episodes: dict[int, list[StageRecord]] = {}
+    events: list[Event] = []  # those of the current episode
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -437,11 +438,13 @@ def read_episode_log(path: str | Path) -> list[tuple[int, list[StageRecord]]]:
             if problem:
                 raise ValidationError(f"{path}: line {lineno}: {problem}")
             stage, variant, event = (_LOG_ENUMS[key][doc[key]] for key in _LOG_ENUMS)
-            record = StageRecord(stage, variant, float(doc["duration_s"]), event, doc["detail"])
             episode = episodes.setdefault(doc["episode_id"], [])
-            episode.append(record)
-            if stage is Stage.HOMING and (problem := episode_problem(episode)):
-                raise ValidationError(f"{path}: line {lineno}: episode {doc['episode_id']}: {problem}")
+            episode.append(StageRecord(stage, variant, float(doc["duration_s"]), doc["detail"]))
+            events.append(event)
+            if stage is Stage.HOMING:
+                if problem := episode_problem(episode, events):
+                    raise ValidationError(f"{path}: line {lineno}: episode {doc['episode_id']}: {problem}")
+                events.clear()
             last_lineno = lineno
     last_id, last = next(reversed(episodes.items()), (None, None))
     if last is not None and last[-1].stage is not Stage.HOMING:

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, open_text
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -208,20 +208,3 @@ def write_report(path: str | Path, rows: Sequence[Mapping[str, object]], fmt: st
     except OSError as exc:
         raise OSError(f"cannot write report {path}: {exc}") from exc
 
-
-def read_report(path: str | Path, fmt: str = "csv") -> list[dict[str, object]]:
-    """Parse a report back; numbers come back as int/float at the
-    precision they were written with."""
-    path = Path(path)
-    if fmt == "csv":
-        with open_text(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            return [{k: _parse_value(v) for k, v in row.items()} for row in reader]
-    if fmt == "jsonlines":
-        out = []
-        with open_text(path) as fh:
-            for line in fh:
-                if line.strip():
-                    out.append(json.loads(line))
-        return out
-    raise ValidationError(f"format must be 'csv' or 'jsonlines', got {fmt!r}")

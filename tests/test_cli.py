@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, determinism, file outputs."""
 
+import csv
 import hashlib
 import json
 import os
@@ -12,7 +13,6 @@ import pytest
 from harvest_guard.cli import main
 from harvest_guard.grasp import GRASP_CSV_HEADER, GraspModel
 from harvest_guard.lstm import LstmArch, init_model
-from harvest_guard.metrics import read_report
 from harvest_guard.model_io import save_model
 from harvest_guard.slip_windows import SLIP_CSV_HEADER, windows_from_slip_csv
 from harvest_guard.world import _CONFIG_SCHEMA, ScenarioConfig, load_config, save_config
@@ -183,7 +183,9 @@ def test_simulate_writes_three_artifacts(tmp_path, capsys):
     assert (out_dir / "scenario.ini").exists()
     assert (out_dir / "summary.csv").exists()
     assert load_config(out_dir / "scenario.ini") == ScenarioConfig()
-    rows = read_report(out_dir / "summary.csv")
+    with (out_dir / "summary.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["outcome", "n", "mean_s", "std_s"]
     assert sum(int(r["n"]) for r in rows) == 20
     assert "episode log:" in capsys.readouterr().out
 
@@ -333,8 +335,14 @@ def test_report_rejects_a_log_whose_records_do_not_form_episodes(tmp_path, capsy
         ("dropped", 19, "episode 2: picked-and-placed walk has snap-off at seq 3, expected deflating"),
         ("three-dropped", 17, "episode 2: picked-and-placed walk has descending at seq 2, expected swallowing"),
         ("swapped", 12, "episode 1: aborted-slipped walk has descending at seq 4, expected snap-off"),
+        # once the stages pass, the first event the walk does not write; the
+        # two edits of "events" once left report's exit code and summary unchanged
+        ("events", 5, "episode 0: swallowing at seq 1 has event placed, expected swallowed"),
+        ("homing-event", 20, "episode 2: homing at seq 7 has event grasp-abort, expected homed"),
+        ("aligned", 20, "episode 2: inflating-approaching at seq 0 has event aligned, expected misaligned"),
+        ("with-fruit", 12, "episode 1: descending at seq 5 has event descended-with-fruit, expected descended-empty"),
     ],
-    ids=["placed", "dropped", "three-dropped", "swapped"],
+    ids=["placed", "dropped", "three-dropped", "swapped", "events", "homing-event", "aligned", "with-fruit"],
 )
 def test_report_rejects_an_episode_the_cycle_cannot_walk(tmp_path, capsys, case, homing_line, problem):
     out_dir = tmp_path / "run"
@@ -342,10 +350,16 @@ def test_report_rejects_an_episode_the_cycle_cannot_walk(tmp_path, capsys, case,
     capsys.readouterr()
     log = out_dir / "episodes.jsonl"
     docs = [json.loads(line) for line in log.read_text().splitlines()]
-    # episode 0 is a grasp abort, 1 a slipped abort and 2 a compensated pick
-    assert [doc["event"] for doc in docs if doc["stage"] in ("deflating", "snap-off")] == [
-        "grasp-abort", "grasp-ok", "two-consecutive-slipped", "grasp-ok", "snap-ok"
+    # episode 0 is a grasp abort, 1 a compensated slipped abort and 2 a compensated pick
+    assert [doc["event"] for doc in docs if doc["stage"] in ("inflating-approaching", "deflating", "snap-off")] == [
+        "aligned", "grasp-abort", "misaligned", "grasp-ok", "two-consecutive-slipped", "misaligned", "grasp-ok", "snap-ok"
     ]
+    event_edits = {
+        "events": {19: "grasp-abort", 1: "placed"},
+        "homing-event": {19: "grasp-abort"},
+        "aligned": {12: "aligned"},  # episode 2's approach, which a compensation follows
+        "with-fruit": {10: "descended-with-fruit"},  # episode 1's descending, after a slipped abort
+    }
     if case == "placed":
         assert docs[1]["stage"] == "swallowing"
         docs[1].update(stage="placing", event="placed")
@@ -353,8 +367,11 @@ def test_report_rejects_an_episode_the_cycle_cannot_walk(tmp_path, capsys, case,
         del docs[15]  # episode 2's deflating
     elif case == "three-dropped":
         del docs[14:17]  # episode 2's swallowing, deflating and snap-off
-    else:
+    elif case == "swapped":
         docs[9], docs[10] = docs[10], docs[9]  # episode 1's snap-off and descending
+    else:
+        for i, event in event_edits[case].items():
+            docs[i]["event"] = event
     lines = renumbered(docs)
     assert json.loads(lines[homing_line - 1])["stage"] == "homing"
     log.write_text("\n".join(lines) + "\n")

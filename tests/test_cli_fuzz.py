@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from harvest_guard.cli import main
-from harvest_guard.fsm import Event, Stage, Variant, run_episode
+from harvest_guard.fsm import Event, Stage, Variant, run_episode, write_episode_log
 from harvest_guard.grasp import GraspClass
 from harvest_guard.slip_windows import SlipLabel
 
@@ -128,12 +128,25 @@ def test_report_survives_any_edit_of_a_log(fuzz_dir, episode_log, case):
     assert len(err) <= 1
 
 
-# the stage sequences the cycle walks, one per fault script
-_WALKS = {
-    tuple(r.stage.value for r in run_episode(ScriptedWorld(misaligned, grasp, slip), deterministic=True).records)
-    for misaligned, grasp, slip in itertools.product((False, True), GraspClass, SlipLabel)
-}
 _LABELS = {"stage": Stage, "variant": Variant, "event": Event}
+
+
+def _labelled_walks(docs):
+    """Each episode's (stage, variant, event) sequence in log record `docs`."""
+    walks = {}
+    for doc in docs:
+        walks.setdefault(doc["episode_id"], []).append(tuple(doc[key] for key in _LABELS))
+    return [tuple(walk) for walk in walks.values()]
+
+
+@pytest.fixture(scope="module")
+def cycle_walks(fuzz_dir):
+    """The labelled walks of the log the cycle writes for each fault script."""
+    scripts = itertools.product((False, True), GraspClass, SlipLabel)
+    log = fuzz_dir / "scripts.jsonl"
+    episodes = [run_episode(ScriptedWorld(*script), deterministic=True, episode_id=i) for i, script in enumerate(scripts)]
+    write_episode_log(log, episodes)
+    return set(_labelled_walks(json.loads(line) for line in log.read_text().splitlines()))
 
 
 @pytest.fixture(scope="module")
@@ -145,7 +158,7 @@ def longer_log(fuzz_dir):
 
 @FUZZ
 @given(case=st.data())
-def test_report_accepts_only_the_walks_of_the_cycle(fuzz_dir, longer_log, case):
+def test_report_accepts_only_the_walks_of_the_cycle(fuzz_dir, longer_log, cycle_walks, case):
     lines = longer_log.read_text().splitlines()
     for _ in range(case.draw(st.integers(1, 3), label="edits")):
         if case.draw(st.booleans(), label="relabel"):
@@ -164,7 +177,4 @@ def test_report_accepts_only_the_walks_of_the_cycle(fuzz_dir, longer_log, case):
     assert code in (0, 1)
     assert len(err) <= 1
     if code == 0:
-        episodes = {}
-        for doc in docs:
-            episodes.setdefault(doc["episode_id"], []).append(doc["stage"])
-        assert all(tuple(stages) in _WALKS for stages in episodes.values())
+        assert set(_labelled_walks(docs)) <= cycle_walks

@@ -101,7 +101,7 @@ def test_no_fault_cycle_takes_11_22_seconds():
     assert not ep.responses.compensated
 
 
-def test_compensated_recovery_cycle_takes_12_71_seconds():
+def test_compensated_recovery_cycle_takes_12_71_seconds(tmp_path):
     ep = _run(ScriptedWorld(misaligned=True, slip=SlipLabel.SLIPPING))
     assert ep.outcome is Outcome.RECOVERED_AFTER_SLIP
     assert ep.total_s == pytest.approx(12.71, abs=1e-9)
@@ -115,9 +115,14 @@ def test_compensated_recovery_cycle_takes_12_71_seconds():
     assert len(recovery) == 2
     assert recovery[0].duration_s + recovery[1].duration_s == pytest.approx(1.81, abs=1e-12)
     assert recovery[0].duration_s == pytest.approx(1.81 * 2 / 7, abs=1e-12)
-    assert recovery[0].event is Event.TWO_CONSECUTIVE_SLIPPING
-    assert recovery[1].event is Event.SNAP_OK
     assert ep.responses.slip_detect_frame == 1
+
+    # the log names the monitor that closed each stage
+    write_episode_log(tmp_path / "episodes.jsonl", [ep])
+    assert [json.loads(line)["event"] for line in (tmp_path / "episodes.jsonl").read_text().splitlines()] == [
+        "misaligned", "compensated", "swallowed", "grasp-ok", "two-consecutive-slipping", "snap-ok",
+        "descended-with-fruit", "placed", "homed",
+    ]
 
 
 def test_slipped_abort_takes_7_27_seconds():
@@ -196,20 +201,7 @@ def test_slip_scan_matches_exhaustive_oracle():
 
 
 def _records(stages, snap_off=Variant.NORMAL):
-    out = []
-    for stage in stages:
-        event = {
-            Stage.INFLATING_APPROACHING: Event.ALIGNED,
-            Stage.COMPENSATION: Event.COMPENSATED,
-            Stage.SWALLOWING: Event.SWALLOWED,
-            Stage.DEFLATING: Event.GRASP_OK,
-            Stage.SNAP_OFF: Event.SNAP_OK,
-            Stage.DESCENDING: Event.DESCENDED_WITH_FRUIT,
-            Stage.PLACING: Event.PLACED,
-            Stage.HOMING: Event.HOMED,
-        }[stage]
-        out.append(StageRecord(stage, snap_off if stage is Stage.SNAP_OFF else Variant.NORMAL, 1.0, event))
-    return tuple(out)
+    return tuple(StageRecord(stage, snap_off if stage is Stage.SNAP_OFF else Variant.NORMAL, 1.0) for stage in stages)
 
 
 _TRUTH = EpisodeTruth((0.0, 0.0), GraspClass.RIPE_HELD, SlipLabel.NORMAL)
@@ -255,6 +247,16 @@ def test_episode_structure_validation():
     assert _episode(unplaced, Variant.SLIPPED_ABORT).outcome is Outcome.ABORTED_SLIPPED
     assert problem(unplaced) == "picked-and-placed walk has homing at seq 5, expected placing"
     assert problem(_FULL, Variant.SLIPPED_ABORT) == "aborted-slipped walk has placing at seq 5, expected homing"
+
+    # given events, the first that differs from the walk's is the problem
+    walk_events = [Event.ALIGNED, Event.SWALLOWED, Event.GRASP_OK, Event.SNAP_OK, Event.DESCENDED_WITH_FRUIT,
+                   Event.PLACED, Event.HOMED]
+    assert episode_problem(_records(_FULL), walk_events) is None
+    assert episode_problem(_records(_FULL), [Event.ALIGNED, Event.PLACED]) == (
+        "swallowing at seq 1 has event placed, expected swallowed"
+    )
+    # a wrong stage is named before any event
+    assert episode_problem(_records(unplaced), [Event.HOMED]) == "picked-and-placed walk has homing at seq 5, expected placing"
 
 
 def test_stochastic_runs_are_reproducible_and_sane():
