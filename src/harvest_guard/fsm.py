@@ -15,14 +15,15 @@ to it, which is how the measured timings account for them. A slipping
 recovery spends one draw across two SnapOff records: the part before
 detection and the re-snap after it.
 
-outcome_of(records) decides an episode's outcome. _WALKS holds the walk
-each outcome fixes, with and without compensation, as the (stage, event)
-of every record, and is the one place events are defined: the cycle
-takes the stages after snap-off from it, write_episode_log each record's
-event, and episode_problem(records, events) checks records, and any
-logged events, against it. read_episode_log accepts only the
-(stage, variant) keys of STAGE_TIMING and runs that check on each
-episode at its homing line.
+An episode's fault is its one variant other than NORMAL, or NORMAL, and
+outcome_of(records) is the outcome it fixes. _WALKS holds each fault's
+walk, with and without compensation, as the (stage, variant, event) of
+every record; _make_walk alone orders the stages and gives records their
+variant and event. The cycle appends the next record of the walk its
+monitors have fixed so far, write_episode_log takes events from it, and
+episode_problem(records, events) checks records and logged events
+against it. read_episode_log accepts only the (stage, variant) keys of
+STAGE_TIMING and runs that check on each episode at its homing line.
 """
 
 from __future__ import annotations
@@ -112,64 +113,72 @@ class StageRecord:
     detail: str = ""
 
 
+# the outcome each fault fixes, most severe first: an episode's fault is
+# its first variant in this order
+_FAULT_OUTCOMES = {
+    Variant.SLIPPED_ABORT: Outcome.ABORTED_SLIPPED,
+    Variant.EMPTY_GRASP_RESPONSE: Outcome.ABORTED_EMPTY_OR_MISGRASP,
+    Variant.MISGRASP_RESPONSE: Outcome.ABORTED_EMPTY_OR_MISGRASP,
+    Variant.SLIPPING_RECOVERY: Outcome.RECOVERED_AFTER_SLIP,
+    Variant.NORMAL: Outcome.PICKED_AND_PLACED,
+}
+_SEVERITY = {variant: rank for rank, variant in enumerate(_FAULT_OUTCOMES)}
+
+
+def _fault_of(records: Iterable[StageRecord]) -> Variant:
+    return min((r.variant for r in records), key=_SEVERITY.__getitem__, default=Variant.NORMAL)
+
+
 def outcome_of(records: Iterable[StageRecord]) -> Outcome:
-    """The outcome of an episode's records: a slipped abort beats a grasp
-    abort, which beats the slipping recovery, which beats picked-and-placed.
-    Each fault variant has one stage in STAGE_TIMING, so variants suffice."""
-    variants = {r.variant for r in records}
-    if Variant.SLIPPED_ABORT in variants:
-        return Outcome.ABORTED_SLIPPED
-    if Variant.EMPTY_GRASP_RESPONSE in variants or Variant.MISGRASP_RESPONSE in variants:
-        return Outcome.ABORTED_EMPTY_OR_MISGRASP
-    if Variant.SLIPPING_RECOVERY in variants:
-        return Outcome.RECOVERED_AFTER_SLIP
-    return Outcome.PICKED_AND_PLACED
+    """The outcome of an episode's records: that of their most severe variant."""
+    return _FAULT_OUTCOMES[_fault_of(records)]
 
 
-def _make_walk(outcome: Outcome, compensated: bool) -> tuple[tuple[Stage, Event], ...]:
-    """The (stage, event) of each record a cycle writes: a grasp abort skips
-    snap-off and placing, a slipped abort placing, and a slipping recovery
-    records snap-off twice."""
+def _make_walk(fault: Variant, compensated: bool) -> tuple[tuple[Stage, Variant, Event], ...]:
+    """The (stage, variant, event) of each record a cycle writes: a grasp
+    abort takes deflating and skips snap-off and placing, a slipped abort
+    takes snap-off and skips placing, and a slipping recovery takes two."""
+    normal = Variant.NORMAL
     snap_off = {
-        Outcome.PICKED_AND_PLACED: [Event.SNAP_OK],
-        Outcome.ABORTED_EMPTY_OR_MISGRASP: [],
-        Outcome.ABORTED_SLIPPED: [Event.TWO_CONSECUTIVE_SLIPPED],
-        Outcome.RECOVERED_AFTER_SLIP: [Event.TWO_CONSECUTIVE_SLIPPING, Event.SNAP_OK],
-    }[outcome]
-    placed = outcome in (Outcome.PICKED_AND_PLACED, Outcome.RECOVERED_AFTER_SLIP)
+        Variant.NORMAL: [Event.SNAP_OK],
+        Variant.SLIPPED_ABORT: [Event.TWO_CONSECUTIVE_SLIPPED],
+        Variant.SLIPPING_RECOVERY: [Event.TWO_CONSECUTIVE_SLIPPING, Event.SNAP_OK],
+    }.get(fault, [])
+    placed = fault in (Variant.NORMAL, Variant.SLIPPING_RECOVERY)
     return tuple(
-        [(Stage.INFLATING_APPROACHING, Event.MISALIGNED if compensated else Event.ALIGNED)]
-        + [(Stage.COMPENSATION, Event.COMPENSATED)] * compensated
-        + [(Stage.SWALLOWING, Event.SWALLOWED)]
-        + [(Stage.DEFLATING, Event.GRASP_OK if snap_off else Event.GRASP_ABORT)]
-        + [(Stage.SNAP_OFF, event) for event in snap_off]
-        + [(Stage.DESCENDING, Event.DESCENDED_WITH_FRUIT if placed else Event.DESCENDED_EMPTY)]
-        + [(Stage.PLACING, Event.PLACED)] * placed
-        + [(Stage.HOMING, Event.HOMED)]
+        [(Stage.INFLATING_APPROACHING, normal, Event.MISALIGNED if compensated else Event.ALIGNED)]
+        + [(Stage.COMPENSATION, normal, Event.COMPENSATED)] * compensated
+        + [(Stage.SWALLOWING, normal, Event.SWALLOWED)]
+        + [(Stage.DEFLATING, normal, Event.GRASP_OK) if snap_off else (Stage.DEFLATING, fault, Event.GRASP_ABORT)]
+        + [(Stage.SNAP_OFF, fault, event) for event in snap_off]
+        + [(Stage.DESCENDING, normal, Event.DESCENDED_WITH_FRUIT if placed else Event.DESCENDED_EMPTY)]
+        + [(Stage.PLACING, normal, Event.PLACED)] * placed
+        + [(Stage.HOMING, normal, Event.HOMED)]
     )
 
 
-# every walk a cycle takes, by (outcome, compensated)
-_WALKS = {key: _make_walk(*key) for key in product(Outcome, (False, True))}
+# every walk a cycle takes, by (fault, compensated)
+_WALKS = {key: _make_walk(*key) for key in product(Variant, (False, True))}
 
 
-def _walk_of(records: Sequence[StageRecord]) -> tuple[tuple[Stage, Event], ...]:
-    """The walk the records' outcome fixes, compensated when their second stage is."""
-    return _WALKS[outcome_of(records), len(records) > 1 and records[1].stage is Stage.COMPENSATION]
+def _walk_of(records: Sequence[StageRecord]) -> tuple[tuple[Stage, Variant, Event], ...]:
+    """The walk the records' fault fixes, compensated when their second stage is."""
+    return _WALKS[_fault_of(records), len(records) > 1 and records[1].stage is Stage.COMPENSATION]
 
 
 def episode_problem(records: Sequence[StageRecord], events: Sequence[Event] = ()) -> str | None:
-    """What keeps an episode's records from being the walk their outcome
+    """What keeps an episode's records from being the walk their fault
     fixes, if anything: the first seq whose stage differs from it, or else
-    the first seq whose given event does."""
+    the first whose variant does, or else the first whose given event does."""
     walk = _walk_of(records)
-    for seq, (got, want) in enumerate(zip_longest((r.stage for r in records), (stage for stage, _ in walk))):
+    for seq, (got, want) in enumerate(zip_longest((r.stage for r in records), (stage for stage, _, _ in walk))):
         if got is not want:
             got, want = (stage.value if stage is not None else "no record" for stage in (got, want))
             return f"{outcome_of(records).value} walk has {got} at seq {seq}, expected {want}"
-    for seq, (event, (stage, want)) in enumerate(zip(events, walk)):
-        if event is not want:
-            return f"{stage.value} at seq {seq} has event {event.value}, expected {want.value}"
+    for i, name, labels in ((1, "variant", [r.variant for r in records]), (2, "event", events)):
+        for seq, (got, want) in enumerate(zip(labels, walk)):
+            if got is not want[i]:
+                return f"{want[0].value} at seq {seq} has {name} {got.value}, expected {want[i].value}"
     return None
 
 
@@ -273,8 +282,10 @@ def episode_cycle(
         return mean if deterministic else max(MIN_DURATION_S, float(rng.normal(mean, std)))
 
     records: list[StageRecord] = []
+    fault = Variant.NORMAL  # each monitor sets it before the record it decides
 
-    def record(stage: Stage, variant: Variant, detail: str = "", duration_s: float | None = None) -> None:
+    def record(detail: str = "", duration_s: float | None = None) -> None:
+        stage, variant, _ = _WALKS[fault, approach.compensated][len(records)]
         duration_s = draw(stage, variant) if duration_s is None else duration_s
         records.append(StageRecord(stage, variant, duration_s, detail))
 
@@ -282,11 +293,10 @@ def episode_cycle(
 
     # approach; the visual check decides whether a compensation move runs
     approach = world.approach(truth, rng)
-    record(Stage.INFLATING_APPROACHING, Variant.NORMAL, "visual error ({:.1f}, {:.1f}) mm".format(*approach.visual_error))
+    record("visual error ({:.1f}, {:.1f}) mm".format(*approach.visual_error))
     if approach.compensated:
-        residual = f"residual ({approach.residual_x:.1f}, {approach.residual_y:.1f}) mm"
-        record(Stage.COMPENSATION, Variant.NORMAL, residual)
-    record(Stage.SWALLOWING, Variant.NORMAL)
+        record(f"residual ({approach.residual_x:.1f}, {approach.residual_y:.1f}) mm")
+    record()  # swallowing
 
     # deflating: the grasp verifier watches frames until a verdict or the
     # stream ends
@@ -302,14 +312,10 @@ def episode_cycle(
     if grasp_action is GraspAction.ABORT_CYCLE:
         # fault response replaces the normal deflating duration and folds
         # in the re-inflation move
-        response = (
-            Variant.EMPTY_GRASP_RESPONSE
-            if grasp_detected is GraspClass.EMPTY
-            else Variant.MISGRASP_RESPONSE
-        )
-        record(Stage.DEFLATING, response, f"detected {grasp_detected.name.lower()}")
+        fault = Variant.EMPTY_GRASP_RESPONSE if grasp_detected is GraspClass.EMPTY else Variant.MISGRASP_RESPONSE
+        record(f"detected {grasp_detected.name.lower()}")
     else:
-        record(Stage.DEFLATING, Variant.NORMAL)
+        record()  # deflating
 
         # snap-off: the slip monitor scans window predictions past any
         # confirmed normal; the first regrasp or abort action decides the path
@@ -319,23 +325,23 @@ def episode_cycle(
         )
 
         if slip_action is RecoveryAction.ABORT_CYCLE:
-            record(Stage.SNAP_OFF, Variant.SLIPPED_ABORT, f"slip confirmed at window {detect_idx}")
+            fault = Variant.SLIPPED_ABORT
+            record(f"slip confirmed at window {detect_idx}")
         elif slip_action is RecoveryAction.REGRASP_AND_RESNAP:
             # one recovery draw covers the whole snap-off phase, split at the
             # detection point across the interrupted and re-snap records
-            phase = draw(Stage.SNAP_OFF, Variant.SLIPPING_RECOVERY)
+            fault = Variant.SLIPPING_RECOVERY
+            phase = draw(Stage.SNAP_OFF, fault)
             frames_seen = detect_idx + 1
             fraction = frames_seen / max(len(predictions), frames_seen)
-            detail = f"slipping confirmed at window {detect_idx}"
-            record(Stage.SNAP_OFF, Variant.SLIPPING_RECOVERY, detail, phase * fraction)
-            record(Stage.SNAP_OFF, Variant.SLIPPING_RECOVERY, "regrasped and re-snapped", phase * (1.0 - fraction))
+            record(f"slipping confirmed at window {detect_idx}", phase * fraction)
+            record("regrasped and re-snapped", phase * (1.0 - fraction))
         else:
-            record(Stage.SNAP_OFF, Variant.NORMAL)
+            record()  # snap-off
 
-    # the rest of the walk the outcome fixes: descending, placing when the
-    # fruit is held, homing
-    for stage, _ in _walk_of(records)[len(records):]:
-        record(stage, Variant.NORMAL)
+    # the rest of the walk: descending, placing when the fruit is held, homing
+    for _ in _WALKS[fault, approach.compensated][len(records):]:
+        record()
 
     responses = EpisodeResponses(
         compensated=approach.compensated,
@@ -359,7 +365,7 @@ def write_episode_log(path: str | Path, episodes: Iterable[HarvestEpisode]) -> N
     path = Path(path)
     with path.open("w") as fh:
         for ep in episodes:
-            for seq, (rec, (_, event)) in enumerate(zip(ep.records, _walk_of(ep.records))):
+            for seq, (rec, (_, _, event)) in enumerate(zip(ep.records, _walk_of(ep.records))):
                 doc = {
                     "episode_id": ep.episode_id,
                     "seq": seq,

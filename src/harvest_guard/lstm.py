@@ -396,6 +396,8 @@ def predict_proba(model: SlipModel, x: np.ndarray) -> np.ndarray:
         return softmax(np.concatenate([lower, upper.result()]))
 
 
+# a diverging run overflows; the checks after each epoch report it once
+@np.errstate(over="ignore", invalid="ignore")
 def lstm_train(
     train_windows: SlipWindows,
     val_windows: SlipWindows | None = None,
@@ -449,6 +451,11 @@ def lstm_train(
                 b += (1.0 - ADAM_BETA2) * g * g
                 p -= config.learning_rate * (a / bias1) / (np.sqrt(b / bias2) + ADAM_EPS)
         losses.append(epoch_loss / n)
+        if not np.isfinite(losses[-1]):
+            raise ValidationError(f"training diverged in epoch {epoch + 1}: the loss is {losses[-1]}")
+        for name, p in model.named_arrays().items():
+            if not np.isfinite(p).all():
+                raise ValidationError(f"training diverged in epoch {epoch + 1}: array {name!r} holds non-finite values")
         if x_val is not None:
             pred = severity_argmax(predict_proba(model, x_val))
             acc = float((pred == y_val).mean())

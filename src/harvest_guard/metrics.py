@@ -2,16 +2,16 @@
 
 Pure functions over counts and sequences: confusion-matrix metrics,
 cycle-time aggregates, success rates. Degenerate denominators never
-raise; they produce 0 plus an explicit flag so batch reports survive
-empty classes. Report writing fixes field order and numeric
-formatting, so identical results give byte-identical files.
+raise; they produce 0.0 so batch reports survive empty classes. Report
+writing fixes field order and numeric formatting, so identical results
+give byte-identical files.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -57,34 +57,20 @@ class ClassMetrics:
     precision: float
     recall: float
     f1: float
-    # names of quantities whose denominator was zero (forced to 0)
-    zero_denominators: frozenset[str] = field(default_factory=frozenset)
 
 
 def confusion_metrics(cm: ConfusionMatrix) -> dict[str, ClassMetrics]:
-    """Per-class precision, recall, F1 with zero-denominator flags."""
+    """Per-class precision, recall and F1; each is 0.0 where its denominator is."""
     k = len(cm.labels)
     out: dict[str, ClassMetrics] = {}
     for i, label in enumerate(cm.labels):
         tp = cm.counts[i][i]
         fp = sum(cm.counts[r][i] for r in range(k)) - tp
         fn = sum(cm.counts[i]) - tp
-        flags = set()
-        if tp + fp == 0:
-            precision, flags = 0.0, flags | {"precision"}
-        else:
-            precision = tp / (tp + fp)
-        if tp + fn == 0:
-            recall = 0.0
-            flags |= {"recall"}
-        else:
-            recall = tp / (tp + fn)
-        if precision + recall == 0.0:
-            f1 = 0.0
-            flags |= {"f1"}
-        else:
-            f1 = 2 * precision * recall / (precision + recall)
-        out[label] = ClassMetrics(precision, recall, f1, frozenset(flags))
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        out[label] = ClassMetrics(precision, recall, f1)
     return out
 
 

@@ -341,24 +341,35 @@ def test_report_rejects_a_log_whose_records_do_not_form_episodes(tmp_path, capsy
         ("homing-event", 20, "episode 2: homing at seq 7 has event grasp-abort, expected homed"),
         ("aligned", 20, "episode 2: inflating-approaching at seq 0 has event aligned, expected misaligned"),
         ("with-fruit", 12, "episode 1: descending at seq 5 has event descended-with-fruit, expected descended-empty"),
+        # once the stages pass, the first variant the walk does not write;
+        # the cycle writes a fault variant on one stage only
+        ("abort-variant", 12, "episode 1: deflating at seq 3 has variant empty-grasp-response, expected normal"),
+        ("recovery-variant", 44, "episode 5: snap-off at seq 4 has variant normal, expected slipping-recovery"),
     ],
-    ids=["placed", "dropped", "three-dropped", "swapped", "events", "homing-event", "aligned", "with-fruit"],
+    ids=["placed", "dropped", "three-dropped", "swapped", "events", "homing-event", "aligned", "with-fruit",
+         "abort-variant", "recovery-variant"],
 )
 def test_report_rejects_an_episode_the_cycle_cannot_walk(tmp_path, capsys, case, homing_line, problem):
     out_dir = tmp_path / "run"
-    assert main(["simulate", "--seed", "2", "--episodes", "3", "--out", str(out_dir)]) == 0
+    assert main(["simulate", "--seed", "2", "--episodes", "8", "--out", str(out_dir)]) == 0
     capsys.readouterr()
     log = out_dir / "episodes.jsonl"
     docs = [json.loads(line) for line in log.read_text().splitlines()]
-    # episode 0 is a grasp abort, 1 a compensated slipped abort and 2 a compensated pick
-    assert [doc["event"] for doc in docs if doc["stage"] in ("inflating-approaching", "deflating", "snap-off")] == [
+    # episode 0 is a grasp abort, 1 a compensated slipped abort, 2 a
+    # compensated pick and 5 a compensated recovery
+    assert [doc["event"] for doc in docs[:20] if doc["stage"] in ("inflating-approaching", "deflating", "snap-off")] == [
         "aligned", "grasp-abort", "misaligned", "grasp-ok", "two-consecutive-slipped", "misaligned", "grasp-ok", "snap-ok"
     ]
-    event_edits = {
-        "events": {19: "grasp-abort", 1: "placed"},
-        "homing-event": {19: "grasp-abort"},
-        "aligned": {12: "aligned"},  # episode 2's approach, which a compensation follows
-        "with-fruit": {10: "descended-with-fruit"},  # episode 1's descending, after a slipped abort
+    assert [(doc["episode_id"], doc["stage"], doc["variant"]) for doc in docs[35:44:4]] == [
+        (5, "inflating-approaching", "normal"), (5, "snap-off", "slipping-recovery"), (5, "homing", "normal")
+    ]
+    field_edits = {
+        "events": {19: {"event": "grasp-abort"}, 1: {"event": "placed"}},
+        "homing-event": {19: {"event": "grasp-abort"}},
+        "aligned": {12: {"event": "aligned"}},  # episode 2's approach, which a compensation follows
+        "with-fruit": {10: {"event": "descended-with-fruit"}},  # episode 1's descending, after a slipped abort
+        "abort-variant": {8: {"variant": "empty-grasp-response"}},  # episode 1's deflating
+        "recovery-variant": {39: {"variant": "normal"}},  # episode 5's first snap-off
     }
     if case == "placed":
         assert docs[1]["stage"] == "swallowing"
@@ -370,8 +381,8 @@ def test_report_rejects_an_episode_the_cycle_cannot_walk(tmp_path, capsys, case,
     elif case == "swapped":
         docs[9], docs[10] = docs[10], docs[9]  # episode 1's snap-off and descending
     else:
-        for i, event in event_edits[case].items():
-            docs[i]["event"] = event
+        for i, fields in field_edits[case].items():
+            docs[i].update(fields)
     lines = renumbered(docs)
     assert json.loads(lines[homing_line - 1])["stage"] == "homing"
     log.write_text("\n".join(lines) + "\n")
@@ -411,51 +422,69 @@ def test_train_and_eval_slip_round_trip(tmp_path, capsys):
     assert "macro-F1:" in capsys.readouterr().out
 
 
+# (BLAS threads, one CPU): 4 threads on one CPU time-share it
+_BLAS_SETTINGS = [("1", False), ("2", False), ("4", False), ("4", True)]
+
+
+def _cli_subprocess(argv, threads="1", one_cpu=False):
+    """The CLI run in a child process with `threads` BLAS threads, pinned
+    to one of this process's CPUs when `one_cpu` is set."""
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": threads,
+        "OMP_NUM_THREADS": threads,
+        "PYTHONPATH": os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]),
+    }
+    # the child pins itself before numpy starts its BLAS threads
+    pin = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); " if one_cpu else ""
+    run_cli = pin + "import runpy; runpy.run_module('harvest_guard.cli', run_name='__main__')"
+    return subprocess.run([sys.executable, "-c", run_cli, *argv],
+                          capture_output=True, text=True, env=env, check=False, timeout=120)
+
+
 def test_train_slip_bytes_do_not_depend_on_blas_threads(tmp_path):
     # hidden 64 at batch 32 makes the gate GEMMs big enough for OpenBLAS
     # to split them across threads; smaller ones always run on one
     data = tmp_path / "slip.csv"
     assert main(["gen-data", "--kind", "slip", "--counts", "120,40,40", "--out", str(data), "--seed", "0"]) == 0
     models = {}
-    for threads in ("1", "2"):
-        env = {
-            **os.environ,
-            "OPENBLAS_NUM_THREADS": threads,
-            "OMP_NUM_THREADS": threads,
-            "PYTHONPATH": os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]),
-        }
-        out = tmp_path / f"threads{threads}.json"
+    for threads, one_cpu in _BLAS_SETTINGS:
+        out = tmp_path / f"threads{threads}-{one_cpu}.json"
         argv = ["train-slip", "--data", str(data), "--out", str(out), "--seed", "0", "--epochs", "1",
                 "--layers", "2", "--hidden", "64"]
-        proc = subprocess.run([sys.executable, "-m", "harvest_guard.cli", *argv],
-                              capture_output=True, text=True, env=env, check=False, timeout=120)
+        proc = _cli_subprocess(argv, threads, one_cpu)
         assert proc.returncode == 0, proc.stderr
-        models[threads] = out.read_bytes()
-    assert models["1"] == models["2"]
+        models[threads, one_cpu] = out.read_bytes()
+    assert len(set(models.values())) == 1
 
 
 def test_learned_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
     # each stacked slip forward runs its two episode halves on two threads,
-    # so at 2 BLAS threads each episode thread may also run BLAS threads
+    # so at 2 or more BLAS threads each episode thread may also run BLAS threads
     slip, grasp = tmp_path / "slip.json", tmp_path / "grasp.json"
     save_model(slip, init_model(LstmArch(n_layers=2, hidden_size=64), seed=0))
     save_model(grasp, GraspModel(np.zeros((3, 4)), np.zeros(3)))  # every episode reaches snap-off
     logs = {}
-    for threads in ("1", "2"):
-        env = {
-            **os.environ,
-            "OPENBLAS_NUM_THREADS": threads,
-            "OMP_NUM_THREADS": threads,
-            "PYTHONPATH": os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]),
-        }
-        run = tmp_path / f"threads{threads}"
+    for threads, one_cpu in _BLAS_SETTINGS:
+        run = tmp_path / f"threads{threads}-{one_cpu}"
         argv = ["simulate", "--seed", "7", "--episodes", "200", "--out", str(run), "--slip-model", str(slip),
                 "--grasp-model", str(grasp)]
-        proc = subprocess.run([sys.executable, "-m", "harvest_guard.cli", *argv],
-                              capture_output=True, text=True, env=env, check=False, timeout=120)
+        proc = _cli_subprocess(argv, threads, one_cpu)
         assert proc.returncode == 0, proc.stderr
-        logs[threads] = (run / "episodes.jsonl").read_bytes()
-    assert logs["1"] == logs["2"]
+        logs[threads, one_cpu] = (run / "episodes.jsonl").read_bytes()
+    assert len(set(logs.values())) == 1
+
+
+def test_train_slip_that_diverges_exits_1_and_writes_no_model(tmp_path):
+    # a child process, so that a numpy warning would reach its real stderr
+    data, model = tmp_path / "slip.csv", tmp_path / "m.json"
+    assert main(["gen-data", "--kind", "slip", "--counts", "30,12,12", "--out", str(data), "--seed", "0"]) == 0
+    argv = ["train-slip", "--data", str(data), "--out", str(model), "--seed", "0", "--lr", "1e308",
+            "--layers", "1", "--hidden", "4", "--epochs", "2"]
+    proc = _cli_subprocess(argv)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: training diverged in epoch 1: the loss is nan"]
+    assert not model.exists()
 
 
 def test_eval_slip_split_flags_must_pair(tmp_path, capsys):

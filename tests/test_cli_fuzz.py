@@ -1,7 +1,9 @@
 """Mutation fuzzers of two CLI file readers, run in-process: whatever the
 input, `compensate` and `report` exit 0, 1 or 2 with at most one stderr
 line, never a traceback. A third fuzzer reorders and relabels the records
-of a valid episode log and holds `report` to the walks the cycle takes."""
+of a valid episode log and holds `report` to the walks the cycle takes. A
+fourth writes scenario files for `simulate` and holds `report` to the
+summary `simulate` wrote."""
 
 import contextlib
 import io
@@ -15,6 +17,7 @@ from harvest_guard.cli import main
 from harvest_guard.fsm import Event, Stage, Variant, run_episode, write_episode_log
 from harvest_guard.grasp import GraspClass
 from harvest_guard.slip_windows import SlipLabel
+from harvest_guard.world import _CONFIG_SCHEMA, ScenarioConfig
 
 from conftest import ALIGNMENT_CSV, ScriptedWorld, renumbered
 
@@ -178,3 +181,52 @@ def test_report_accepts_only_the_walks_of_the_cycle(fuzz_dir, longer_log, cycle_
     assert len(err) <= 1
     if code == 0:
         assert set(_labelled_walks(docs)) <= cycle_walks
+
+
+# the int keys that size a per-frame array; larger counts only cost time
+_FRAME_ATTRS = {"grasp_frames", "frames_normal", "frames_slipping", "frames_slipped"}
+_NOT_NUMBERS = st.sampled_from(["", "abc", "nan", "inf", "-inf", "1e400", "0x10", "1_0", "%(x)s", "1.5"])
+
+
+def _ini_value(case, attr):
+    """A drawn value for a scenario key: a number, in range or not, or text
+    that is no number."""
+    if isinstance(getattr(ScenarioConfig, attr), float):
+        number = st.one_of(st.sampled_from([0.0, -1.0, 0.5, 1e308, -1e308, 5e-324]), st.floats(allow_nan=False))
+    elif attr in _FRAME_ATTRS:
+        number = st.integers(-2, 64)
+    else:
+        number = st.one_of(st.integers(-3, 10), st.sampled_from([2**63, -(2**63), 10**30]))
+    return case.draw(st.one_of(number.map(str), _NOT_NUMBERS), label=attr)
+
+
+@settings(FUZZ, max_examples=100)
+@given(case=st.data())
+def test_simulated_scenarios_round_trip_through_report(fuzz_dir, case):
+    # some keys of some sections at their defaults, then a few drawn values
+    # and perhaps a repeated line
+    lines, values = [], []
+    for section, keys in _CONFIG_SCHEMA.items():
+        if case.draw(st.booleans(), label=f"[{section}]"):
+            lines.append(f"[{section}]")
+            for key, attr in keys.items():
+                if case.draw(st.booleans(), label=f"{section}.{key}"):
+                    values.append((len(lines), key, attr))
+                    lines.append(f"{key} = {getattr(ScenarioConfig, attr)}")
+    for _ in range(case.draw(st.integers(0, 2), label="drawn values")) if values else ():
+        i, key, attr = case.draw(st.sampled_from(values), label="key")
+        lines[i] = f"{key} = {_ini_value(case, attr)}"
+    if lines and case.draw(st.integers(0, 3), label="repeat") == 3:
+        i = case.draw(st.integers(0, len(lines) - 1), label="repeated line")
+        lines.insert(i + 1, lines[i])
+    ini = fuzz_dir / "scenario.ini"
+    ini.write_text("".join(line + "\n" for line in lines))
+    out = fuzz_dir / "scenario-run"
+    seed = str(case.draw(st.integers(0, 3), label="seed"))
+    code, err = _run(["simulate", "--config", str(ini), "--seed", seed, "--episodes", "8", "--out", str(out)])
+    assert code in (0, 1, 2)
+    assert len(err) <= 1
+    if code == 0:
+        summary = fuzz_dir / "scenario-summary.csv"
+        assert _run(["report", "--episodes", str(out / "episodes.jsonl"), "--out", str(summary)]) == (0, [])
+        assert summary.read_bytes() == (out / "summary.csv").read_bytes()

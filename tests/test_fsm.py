@@ -258,6 +258,12 @@ def test_episode_structure_validation():
     # a wrong stage is named before any event
     assert episode_problem(_records(unplaced), [Event.HOMED]) == "picked-and-placed walk has homing at seq 5, expected placing"
 
+    # once the stages pass, the first variant that differs from the walk's,
+    # before any event: a slipped abort's deflating is normal
+    slipped = list(_records(unplaced, Variant.SLIPPED_ABORT))
+    slipped[2] = StageRecord(Stage.DEFLATING, Variant.EMPTY_GRASP_RESPONSE, 1.0)
+    assert episode_problem(slipped, [Event.PLACED]) == "deflating at seq 2 has variant empty-grasp-response, expected normal"
+
 
 def test_stochastic_runs_are_reproducible_and_sane():
     world = ScriptedWorld(misaligned=True, slip=SlipLabel.SLIPPING)
