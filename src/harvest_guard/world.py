@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import configparser
 import functools
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -34,55 +36,59 @@ from .slip_windows import (
 )
 
 PROB_SUM_TOL = 1e-9
+MAX_FRAMES = 1000  # per frame count; a huge count would exhaust memory building per-frame lists
+
+
+def _ini(section: str, default: float, *, key: str | None = None, least: int | None = None, most: int | None = None) -> Any:
+    """A ScenarioConfig field: its default, the INI [section] and key (the
+    field name unless given) it loads from, and its inclusive bounds."""
+    return field(default=default, metadata={"section": section, "key": key, "least": least, "most": most})
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Knobs of the synthetic world; defaults give a plausible orchard."""
+    """Knobs of the synthetic world; defaults give a plausible orchard.
+    Fields are in INI file order."""
 
-    episodes: int = 100
-    master_seed: int = 1
+    episodes: int = _ini("simulation", 100)
+    master_seed: int = _ini("simulation", 1)
 
     # approach: injected positional error and the two noise sources, mm
-    error_mean_x_mm: float = 12.0
-    error_mean_y_mm: float = 8.0
-    error_std_x_mm: float = 6.0
-    error_std_y_mm: float = 5.0
-    actuation_noise_std_mm: float = 3.0
-    vision_noise_std_mm: float = 2.0
+    error_mean_x_mm: float = _ini("approach", 12.0)
+    error_mean_y_mm: float = _ini("approach", 8.0)
+    error_std_x_mm: float = _ini("approach", 6.0, least=0)
+    error_std_y_mm: float = _ini("approach", 5.0, least=0)
+    actuation_noise_std_mm: float = _ini("approach", 3.0, least=0)
+    vision_noise_std_mm: float = _ini("approach", 2.0, least=0)
 
     # grasp outcome mix and observation noise
-    p_ripe: float = 0.8
-    p_empty: float = 0.1
-    p_unripe: float = 0.1
-    grasp_noise_scale: float = 1.0
-    grasp_frames: int = 4
+    p_ripe: float = _ini("grasp", 0.8)
+    p_empty: float = _ini("grasp", 0.1)
+    p_unripe: float = _ini("grasp", 0.1)
+    grasp_noise_scale: float = _ini("grasp", 1.0, key="noise_scale", least=0)
+    grasp_frames: int = _ini("grasp", 4, key="frames", least=1, most=MAX_FRAMES)
 
     # slip outcome mix and trajectory shape
-    p_slip_normal: float = 0.7
-    p_slipping: float = 0.15
-    p_slipped: float = 0.15
-    slip_initial_area: float = 0.30
-    slip_decay_rate: float = 0.02
-    frames_normal: int = 6
-    frames_slipping: int = 4
-    frames_slipped: int = 4
-    slip_noise_std: float = 0.004
+    p_slip_normal: float = _ini("slip", 0.7, key="p_normal")
+    p_slipping: float = _ini("slip", 0.15)
+    p_slipped: float = _ini("slip", 0.15)
+    slip_initial_area: float = _ini("slip", 0.30, key="initial_area")
+    slip_decay_rate: float = _ini("slip", 0.02, key="decay_rate")
+    frames_normal: int = _ini("slip", 6, least=1, most=MAX_FRAMES)
+    frames_slipping: int = _ini("slip", 4, least=1, most=MAX_FRAMES)
+    frames_slipped: int = _ini("slip", 4, least=1, most=MAX_FRAMES)
+    slip_noise_std: float = _ini("slip", 0.004, key="feature_noise_std", least=0)
 
     def __post_init__(self) -> None:
         require_finite(**{k: v for k, v in vars(self).items() if isinstance(v, float)})
         if self.episodes < 0:
             raise ValidationError(f"episodes must be non-negative, got {self.episodes}")
-        for name in (
-            "error_std_x_mm",
-            "error_std_y_mm",
-            "actuation_noise_std_mm",
-            "vision_noise_std_mm",
-            "grasp_noise_scale",
-            "slip_noise_std",
-        ):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for f in fields(self):
+            value, least, most = getattr(self, f.name), f.metadata["least"], f.metadata["most"]
+            if least is not None and value < least:
+                raise ValidationError(f"{f.name} must be >= {least}, got {value}")
+            if most is not None and value > most:
+                raise ValidationError(f"{f.name} must be <= {most}, got {value}")
         for triple, names in (
             ((self.p_ripe, self.p_empty, self.p_unripe), "grasp probabilities"),
             ((self.p_slip_normal, self.p_slipping, self.p_slipped), "slip probabilities"),
@@ -95,40 +101,13 @@ class ScenarioConfig:
             raise ValidationError(f"slip_initial_area must lie in (0, 0.5], got {self.slip_initial_area}")
         if self.slip_decay_rate <= 0:
             raise ValidationError(f"slip_decay_rate must be > 0, got {self.slip_decay_rate}")
-        for name in ("frames_normal", "frames_slipping", "frames_slipped", "grasp_frames"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
-# INI layout: section -> {key: attribute}
+# INI layout: section -> {key: attribute}, in field order; each section's
+# fields are adjacent, so one groupby pass finds them
 _CONFIG_SCHEMA: dict[str, dict[str, str]] = {
-    "simulation": {"episodes": "episodes", "master_seed": "master_seed"},
-    "approach": {
-        "error_mean_x_mm": "error_mean_x_mm",
-        "error_mean_y_mm": "error_mean_y_mm",
-        "error_std_x_mm": "error_std_x_mm",
-        "error_std_y_mm": "error_std_y_mm",
-        "actuation_noise_std_mm": "actuation_noise_std_mm",
-        "vision_noise_std_mm": "vision_noise_std_mm",
-    },
-    "grasp": {
-        "p_ripe": "p_ripe",
-        "p_empty": "p_empty",
-        "p_unripe": "p_unripe",
-        "noise_scale": "grasp_noise_scale",
-        "frames": "grasp_frames",
-    },
-    "slip": {
-        "p_normal": "p_slip_normal",
-        "p_slipping": "p_slipping",
-        "p_slipped": "p_slipped",
-        "initial_area": "slip_initial_area",
-        "decay_rate": "slip_decay_rate",
-        "frames_normal": "frames_normal",
-        "frames_slipping": "frames_slipping",
-        "frames_slipped": "frames_slipped",
-        "feature_noise_std": "slip_noise_std",
-    },
+    section: {f.metadata["key"] or f.name: f.name for f in group}
+    for section, group in itertools.groupby(fields(ScenarioConfig), lambda f: f.metadata["section"])
 }
 
 
@@ -275,7 +254,11 @@ def _trajectory(config: ScenarioConfig, phases: tuple[int, int, int], rng: np.ra
     features[:n_moving, _NOISY_COLS] = np.minimum(_NOISY_HI, np.maximum(_NOISY_LO, moving))
     features[n_moving:, _NOISY_COLS] = _GONE_ROW
     features[:, 2] = 1.0 - features[:, 0] - features[:, 1]
-    return SlipTrajectory(features, labels)
+    try:
+        return SlipTrajectory(features, labels)
+    except ValidationError as exc:
+        # noise-free frames always pass (s <= 0.5 and g = 0.35 leave b >= 0.15)
+        raise ValidationError(f"slip.feature_noise_std = {noise} pushes a frame out of the feature range: {exc}") from exc
 
 
 def gen_slip_trajectory(

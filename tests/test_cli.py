@@ -693,15 +693,54 @@ def test_grasp_bytes_are_pinned(tmp_path, capsys):
     }
 
 
+_CROWDED = "error: slip.feature_noise_std = 0.2 pushes a frame out of the feature range: background_area must lie in [0, 1], got "
+
+
 def test_simulate_rejects_a_frame_outside_the_feature_range(tmp_path, capsys):
     # a large fruit plus heavy noise can push strawberry and gripper areas
-    # past the whole image; the frame check stops the run
+    # past the whole image; the frame check stops the run and names the key
     config = tmp_path / "crowded.ini"
     config.write_text("[slip]\ninitial_area = 0.5\nfeature_noise_std = 0.2\n")
     argv = ["simulate", "--seed", "1", "--episodes", "100", "--config", str(config), "--out", str(tmp_path / "run")]
     assert main(argv) == 1
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["error: background_area must lie in [0, 1], got -0.004478998574600324"]
+    assert err == [_CROWDED + "-0.004478998574600324"]
+    assert not (tmp_path / "run").exists()
+
+
+def test_gen_data_rejects_a_frame_outside_the_feature_range(tmp_path, capsys):
+    config = tmp_path / "crowded.ini"
+    config.write_text("[slip]\ninitial_area = 0.5\nfeature_noise_std = 0.2\n")
+    data = tmp_path / "slip.csv"
+    argv = ["gen-data", "--kind", "slip", "--counts", "20,10,10", "--seed", "1", "--config", str(config), "--out", str(data)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [_CROWDED + "-0.08344046711318887"]
+    assert not data.exists()
+
+
+def test_a_noise_free_large_fruit_stays_in_the_feature_range(tmp_path):
+    # s <= 0.5 and g = 0.35 leave background_area >= 0.15 on every clean frame
+    config = tmp_path / "large.ini"
+    config.write_text("[slip]\ninitial_area = 0.5\nfeature_noise_std = 0\n")
+    assert main(["simulate", "--seed", "1", "--episodes", "100", "--config", str(config),
+                 "--out", str(tmp_path / "run")]) == 0
+    assert main(["gen-data", "--kind", "slip", "--counts", "20,10,10", "--seed", "1", "--config", str(config),
+                 "--out", str(tmp_path / "slip.csv")]) == 0
+
+
+@pytest.mark.parametrize("command,section,key,attr", [
+    (["simulate", "--episodes", "5"], "grasp", "frames", "grasp_frames"),
+    (["gen-data", "--kind", "slip", "--counts", "3,3,3"], "slip", "frames_normal", "frames_normal"),
+], ids=["simulate-grasp", "gen-data-slip"])
+def test_a_huge_frame_count_is_one_error_line(tmp_path, capsys, command, section, key, attr):
+    # 10^12 grasp frames would build a 10^12-item list and 10^12 normal
+    # frames a 10^12-step curve loop; the config check stops both first
+    config = tmp_path / "huge.ini"
+    config.write_text(f"[{section}]\n{key} = {10**12}\n")
+    out = tmp_path / "out"
+    assert main(command + ["--seed", "1", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {attr} must be <= 1000, got {10**12}"]
+    assert not out.exists()
 
 
 def test_simulate_names_the_effector_axis_that_overflows(tmp_path, capsys):

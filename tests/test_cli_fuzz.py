@@ -1,23 +1,27 @@
-"""Mutation fuzzers of two CLI file readers, run in-process: whatever the
-input, `compensate` and `report` exit 0, 1 or 2 with at most one stderr
-line, never a traceback. A third fuzzer reorders and relabels the records
-of a valid episode log and holds `report` to the walks the cycle takes. A
-fourth writes scenario files for `simulate` and holds `report` to the
-summary `simulate` wrote."""
+"""Mutation fuzzers of the CLI file readers, run in-process: whatever the
+input, `compensate`, `report`, `train-slip`, `eval-slip` and `train-grasp`
+exit 0, 1 or 2 with at most one stderr line, never a traceback, and a
+model a training command writes loads back. Another fuzzer reorders and
+relabels the records of a valid episode log and holds `report` to the
+walks the cycle takes. The last writes scenario files for `simulate` and
+holds `report` to the summary `simulate` wrote."""
 
 import contextlib
 import io
 import itertools
 import json
+import shutil
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from harvest_guard.cli import main
 from harvest_guard.fsm import Event, Stage, Variant, run_episode, write_episode_log
-from harvest_guard.grasp import GraspClass
+from harvest_guard.grasp import GraspClass, GraspModel
+from harvest_guard.lstm import SlipModel
+from harvest_guard.model_io import load_model
 from harvest_guard.slip_windows import SlipLabel
-from harvest_guard.world import _CONFIG_SCHEMA, ScenarioConfig
+from harvest_guard.world import _CONFIG_SCHEMA, MAX_FRAMES, ScenarioConfig
 
 from conftest import ALIGNMENT_CSV, ScriptedWorld, renumbered
 
@@ -66,6 +70,15 @@ def _edit_lines(case, lines, new_line):
         lines.insert(i, case.draw(new_line, label="new line"))
 
 
+def _edit_cell(case, lines, first=0, values=_CELLS):
+    """Replace one cell of one CSV line, from line `first` on, with a drawn
+    value."""
+    i = case.draw(st.integers(first, len(lines) - 1), label="line")
+    cells = lines[i].split(",")
+    cells[case.draw(st.integers(0, len(cells) - 1), label="cell")] = case.draw(values, label="value")
+    lines[i] = ",".join(cells)
+
+
 def _edit_bytes(case, raw):
     """Insert a few bytes somewhere, or cut the file short."""
     at = case.draw(st.integers(0, len(raw)), label="at")
@@ -84,10 +97,7 @@ def test_compensate_survives_any_edit_of_the_audit(fuzz_dir, case):
     lines = ALIGNMENT_CSV.read_text().splitlines()
     for _ in range(case.draw(st.integers(1, 4), label="edits")):
         if case.draw(st.booleans(), label="cell edit") and lines:
-            i = case.draw(st.integers(0, len(lines) - 1), label="line")
-            cells = lines[i].split(",")
-            cells[case.draw(st.integers(0, len(cells) - 1), label="cell")] = case.draw(_CELLS, label="value")
-            lines[i] = ",".join(cells)
+            _edit_cell(case, lines)
         else:
             _edit_lines(case, lines, _LINES)
     raw = "".join(line + "\n" for line in lines).encode()
@@ -98,6 +108,104 @@ def test_compensate_survives_any_edit_of_the_audit(fuzz_dir, case):
     code, err = _run(["compensate", "--input", str(data), "--out", str(fuzz_dir / "records.csv")])
     assert code in (0, 1, 2)
     assert len(err) <= 1
+
+
+# cells a dataset reader accepts alone: labels, in-range features, a flag
+_DATA_CELLS = st.sampled_from(["0", "1", "2", "0.5", "5e-324", "1.0"])
+
+
+def _edit_dataset(case, lines, orders):
+    """Cell, header and line edits to a dataset's CSV lines; with `orders`,
+    also episode_id and frame_id edits: renumber one row, or move one
+    episode's rows to the end."""
+    kinds = ["cell", "line"] + (["order"] if orders else []) + ["header"]
+    for _ in range(case.draw(st.integers(0, 3), label="edits")):
+        how = case.draw(st.sampled_from(kinds), label="edit")
+        if how == "cell" and len(lines) > 1:
+            _edit_cell(case, lines, first=1, values=st.one_of(_DATA_CELLS, _CELLS))
+        elif how == "header" and lines:
+            names = lines[0].split(",")
+            i = case.draw(st.integers(0, len(names) - 1), label="column")
+            name = case.draw(st.one_of(st.none(), st.sampled_from(names), _CELLS), label="name")  # None drops it
+            names[i:i + 1] = [] if name is None else [name]
+            lines[0] = ",".join(names)
+        elif how == "order" and len(lines) > 1:
+            i = case.draw(st.integers(1, len(lines) - 1), label="row")
+            cells = lines[i].split(",")
+            if case.draw(st.booleans(), label="renumber"):
+                cells[case.draw(st.integers(0, 1), label="id column")] = str(case.draw(st.integers(-1, 16), label="id"))
+                lines[i] = ",".join(cells)
+            else:
+                moved = [line for line in lines[1:] if line.split(",")[0] == cells[0]]
+                lines[1:] = [line for line in lines[1:] if line.split(",")[0] != cells[0]] + moved
+        else:
+            _edit_lines(case, lines, _LINES)
+
+
+def _edited_dataset(case, data, orders):
+    """The file at `data`, edited, written next to it."""
+    lines = data.read_text().splitlines()
+    _edit_dataset(case, lines, orders)
+    raw = "".join(line + "\n" for line in lines).encode()
+    if case.draw(st.integers(0, 3), label="byte edit") == 3:
+        raw = _edit_bytes(case, raw)
+    edited = data.with_name("edited-" + data.name)
+    edited.write_bytes(raw)
+    return edited
+
+
+def _train(argv, model, kind):
+    """Run a training command that writes `model`: exit 0, 1 or 2 with at
+    most one stderr line, and a model file, one `load_model` accepts, only
+    on exit 0."""
+    model.unlink(missing_ok=True)
+    code, err = _run(argv + ["--out", str(model), "--seed", "0"])
+    assert code in (0, 1, 2)
+    assert len(err) <= 1
+    assert model.exists() == (code == 0)
+    if code == 0:
+        assert isinstance(load_model(model), kind)
+    return code
+
+
+# a 1x4 LSTM trained for one epoch: the readers and the training loop, not the fit
+_SMALL_SLIP = ["--epochs", "1", "--layers", "1", "--hidden", "4"]
+
+
+@pytest.fixture(scope="module")
+def slip_data(fuzz_dir):
+    """A small SlipData file and a model trained on it."""
+    data, model = fuzz_dir / "slip.csv", fuzz_dir / "slip.json"
+    assert _run(["gen-data", "--kind", "slip", "--counts", "12,6,6", "--seed", "0", "--out", str(data)])[0] == 0
+    assert _train(["train-slip", "--data", str(data), *_SMALL_SLIP], model, SlipModel) == 0
+    return data, model
+
+
+@settings(FUZZ, max_examples=100)
+@given(case=st.data())
+def test_slip_training_survives_any_edit_of_a_dataset(slip_data, case):
+    data, clean_model = slip_data
+    edited = _edited_dataset(case, data, orders=True)
+    model = data.with_name("edited-slip.json")
+    code = _train(["train-slip", "--data", str(edited), *_SMALL_SLIP], model, SlipModel)
+    for slip_model in [clean_model] + ([model] if code == 0 else []):
+        code, err = _run(["eval-slip", "--data", str(edited), "--model", str(slip_model)])
+        assert code in (0, 1, 2)
+        assert len(err) <= 1
+
+
+@pytest.fixture(scope="module")
+def grasp_data(fuzz_dir):
+    data = fuzz_dir / "grasp.csv"
+    assert _run(["gen-data", "--kind", "grasp", "--counts", "6,4,4", "--seed", "0", "--out", str(data)])[0] == 0
+    return data
+
+
+@settings(FUZZ, max_examples=100)
+@given(case=st.data())
+def test_grasp_training_survives_any_edit_of_a_dataset(grasp_data, case):
+    edited = _edited_dataset(case, grasp_data, orders=False)
+    _train(["train-grasp", "--data", str(edited)], grasp_data.with_name("edited-grasp.json"), GraspModel)
 
 
 @pytest.fixture(scope="module")
@@ -183,7 +291,8 @@ def test_report_accepts_only_the_walks_of_the_cycle(fuzz_dir, longer_log, cycle_
         assert set(_labelled_walks(docs)) <= cycle_walks
 
 
-# the int keys that size a per-frame array; larger counts only cost time
+# the int keys that size a per-frame array; counts up to 64 only cost time,
+# and the larger ones must fail the config check before anything is built
 _FRAME_ATTRS = {"grasp_frames", "frames_normal", "frames_slipping", "frames_slipped"}
 _NOT_NUMBERS = st.sampled_from(["", "abc", "nan", "inf", "-inf", "1e400", "0x10", "1_0", "%(x)s", "1.5"])
 
@@ -194,7 +303,7 @@ def _ini_value(case, attr):
     if isinstance(getattr(ScenarioConfig, attr), float):
         number = st.one_of(st.sampled_from([0.0, -1.0, 0.5, 1e308, -1e308, 5e-324]), st.floats(allow_nan=False))
     elif attr in _FRAME_ATTRS:
-        number = st.integers(-2, 64)
+        number = st.one_of(st.integers(-2, 64), st.sampled_from([MAX_FRAMES + 1, 2**63, 10**30]))
     else:
         number = st.one_of(st.integers(-3, 10), st.sampled_from([2**63, -(2**63), 10**30]))
     return case.draw(st.one_of(number.map(str), _NOT_NUMBERS), label=attr)
@@ -216,16 +325,25 @@ def test_simulated_scenarios_round_trip_through_report(fuzz_dir, case):
     for _ in range(case.draw(st.integers(0, 2), label="drawn values")) if values else ():
         i, key, attr = case.draw(st.sampled_from(values), label="key")
         lines[i] = f"{key} = {_ini_value(case, attr)}"
+    too_many_frames = any(
+        attr in _FRAME_ATTRS and value.isdecimal() and int(value) > MAX_FRAMES
+        for i, _, attr in values
+        for value in [lines[i].split(" = ")[1]]
+    )
     if lines and case.draw(st.integers(0, 3), label="repeat") == 3:
         i = case.draw(st.integers(0, len(lines) - 1), label="repeated line")
         lines.insert(i + 1, lines[i])
     ini = fuzz_dir / "scenario.ini"
     ini.write_text("".join(line + "\n" for line in lines))
     out = fuzz_dir / "scenario-run"
+    shutil.rmtree(out, ignore_errors=True)
     seed = str(case.draw(st.integers(0, 3), label="seed"))
     code, err = _run(["simulate", "--config", str(ini), "--seed", seed, "--episodes", "8", "--out", str(out)])
     assert code in (0, 1, 2)
     assert len(err) <= 1
+    assert out.exists() == (code == 0)
+    if too_many_frames:
+        assert code == 1 and len(err) == 1
     if code == 0:
         summary = fuzz_dir / "scenario-summary.csv"
         assert _run(["report", "--episodes", str(out / "episodes.jsonl"), "--out", str(summary)]) == (0, [])

@@ -1,9 +1,11 @@
-"""README examples run against the package, so the documented API and the
-code cannot drift apart."""
+"""README examples and the documented scenario schema run against the
+package, so the documentation and the code cannot drift apart."""
 
 import contextlib
 import io
 import re
+
+from harvest_guard.world import ScenarioConfig, save_config
 
 from conftest import REPO_ROOT
 
@@ -22,3 +24,13 @@ def test_library_use_example_runs():
         exec(compile(_library_use_block(), "README.md#library-use", "exec"), {"__name__": "readme_example"})
     count, mean = out.getvalue().split()
     assert int(count) > 0 and float(mean) > 0
+
+
+def test_scenario_ini_block_is_what_save_config_writes(tmp_path):
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Scenario configuration\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```ini\n(.*?)^```$", section, flags=re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    documented = "".join(line for line in blocks[0].splitlines(keepends=True) if not line.startswith(";"))
+    save_config(tmp_path / "scenario.ini", ScenarioConfig())
+    assert documented.strip() == (tmp_path / "scenario.ini").read_text().strip()

@@ -1,6 +1,6 @@
 """Synthetic-world tests: config files, trajectories, approaches, episodes."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -56,6 +56,47 @@ def test_config_validation():
         ScenarioConfig(frames_normal=0)
     with pytest.raises(ValidationError):
         ScenarioConfig(grasp_frames=0)
+
+
+# (field, "least" or "most", value one past that bound), from the field table
+PAST_BOUNDS = [
+    (f, end, type(f.default)(f.metadata[end] + step))
+    for f in fields(ScenarioConfig)
+    for end, step in (("least", -1), ("most", 1))
+    if f.metadata[end] is not None
+]
+
+
+def test_the_field_table_bounds_the_noise_and_the_frame_counts():
+    assert {(f.name, end, value) for f, end, value in PAST_BOUNDS} == {
+        *((name, "least", -1.0) for name in (
+            "error_std_x_mm", "error_std_y_mm", "actuation_noise_std_mm", "vision_noise_std_mm", "grasp_noise_scale",
+            "slip_noise_std",
+        )),
+        *((name, "least", 0) for name in ("grasp_frames", "frames_normal", "frames_slipping", "frames_slipped")),
+        *((name, "most", 1001) for name in ("grasp_frames", "frames_normal", "frames_slipping", "frames_slipped")),
+    }
+
+
+@pytest.mark.parametrize("f,end,value", PAST_BOUNDS, ids=[f"{f.name}-{end}" for f, end, _ in PAST_BOUNDS])
+def test_config_rejects_a_value_one_past_its_bound(tmp_path, f, end, value):
+    path = tmp_path / "scenario.ini"
+    path.write_text(f"[{f.metadata['section']}]\n{f.metadata['key'] or f.name} = {value}\n")
+    op = ">=" if end == "least" else "<="
+    with pytest.raises(ValidationError) as info:
+        load_config(path)
+    assert str(info.value) == f"{f.name} must be {op} {f.metadata[end]}, got {value}"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[slip]\nframes_normal = 0\n[grasp]\nframes = 2000\n", "grasp_frames must be <= 1000, got 2000"),
+    ("[slip]\nframes_slipped = 5000\nframes_slipping = -1\n", "frames_slipping must be >= 1, got -1"),
+], ids=["grasp-before-slip", "slipping-before-slipped"])
+def test_config_names_the_first_bad_bound_in_field_order(tmp_path, text, message):
+    path = tmp_path / "scenario.ini"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=rf"^{message}$"):
+        load_config(path)
 
 
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
