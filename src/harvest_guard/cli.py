@@ -79,6 +79,10 @@ def _setup_logging() -> None:
     logging.basicConfig(stream=sys.stderr, level=levels[level_name], format="%(levelname)s %(message)s")
 
 
+# the most windows or rows gen-data writes per class; the acceptance set needs 2,158
+_MAX_COUNT = 1_000_000
+
+
 def _parse_counts(text: str) -> tuple[int, int, int]:
     parts = text.split(",")
     if len(parts) != 3:
@@ -87,6 +91,8 @@ def _parse_counts(text: str) -> tuple[int, int, int]:
         a, b, c = (int(p) for p in parts)
     except ValueError:
         raise UsageError(f"--counts needs integers, got {text!r}") from None
+    if max(a, b, c) > _MAX_COUNT:
+        raise UsageError(f"--counts allows at most {_MAX_COUNT} per class, got {text!r}")
     return a, b, c
 
 
@@ -115,7 +121,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen-data", help="generate a SlipData or GraspData CSV")
     p.add_argument("--kind", choices=("slip", "grasp"), required=True)
-    p.add_argument("--counts", required=True, help="slip: window labels normal,slipping,slipped; grasp: rows ripe,empty,unripe")
+    p.add_argument(
+        "--counts",
+        required=True,
+        help=f"slip: window labels normal,slipping,slipped; grasp: rows ripe,empty,unripe; each at most {_MAX_COUNT}",
+    )
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--config", help="scenario INI file (defaults used when omitted)")

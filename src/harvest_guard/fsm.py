@@ -20,15 +20,19 @@ outcome_of(records) is the outcome it fixes. _WALKS holds each fault's
 walk, with and without compensation, as the (stage, variant, event) of
 every record; _make_walk alone orders the stages and gives records their
 variant and event. The cycle appends the next record of the walk its
-monitors have fixed so far, write_episode_log takes events from it, and
-episode_problem(records, events) checks records and logged events
-against it. read_episode_log accepts only the (stage, variant) keys of
+monitors have fixed so far, and episode_problem(records, events) checks
+records and logged events against it. write_episode_log writes each
+record as exactly json.dumps of its LOG_FIELDS dict: _LINE_TEXT holds,
+per walk entry, the text json.dumps gives around the episode_id,
+duration_s and detail values, and only those three are encoded per
+record. read_episode_log accepts only the (stage, variant) keys of
 STAGE_TIMING and runs that check on each episode at its homing line.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -161,16 +165,17 @@ def _make_walk(fault: Variant, compensated: bool) -> tuple[tuple[Stage, Variant,
 _WALKS = {key: _make_walk(*key) for key in product(Variant, (False, True))}
 
 
-def _walk_of(records: Sequence[StageRecord]) -> tuple[tuple[Stage, Variant, Event], ...]:
-    """The walk the records' fault fixes, compensated when their second stage is."""
-    return _WALKS[_fault_of(records), len(records) > 1 and records[1].stage is Stage.COMPENSATION]
+def _walk_key(records: Sequence[StageRecord]) -> tuple[Variant, bool]:
+    """The _WALKS key of the walk the records' fault fixes, compensated
+    when their second stage is."""
+    return _fault_of(records), len(records) > 1 and records[1].stage is Stage.COMPENSATION
 
 
 def episode_problem(records: Sequence[StageRecord], events: Sequence[Event] = ()) -> str | None:
     """What keeps an episode's records from being the walk their fault
     fixes, if anything: the first seq whose stage differs from it, or else
     the first whose variant does, or else the first whose given event does."""
-    walk = _walk_of(records)
+    walk = _WALKS[_walk_key(records)]
     for seq, (got, want) in enumerate(zip_longest((r.stage for r in records), (stage for stage, _, _ in walk))):
         if got is not want:
             got, want = (stage.value if stage is not None else "no record" for stage in (got, want))
@@ -359,23 +364,43 @@ def episode_cycle(
 LOG_FIELDS = ("episode_id", "seq", "stage", "variant", "duration_s", "event", "detail")
 
 
+# json.dumps writes it as "\u0000", which no key or enum value holds
+_SLOT = "\0"
+
+
+def _line_text(seq: int, stage: Stage, variant: Variant, event: Event) -> tuple[str, ...]:
+    """json.dumps of a record's log line, cut at its episode_id, duration_s
+    and detail values: the four pieces of text around them."""
+    doc = dict(zip(LOG_FIELDS, (_SLOT, seq, stage.value, variant.value, _SLOT, event.value, _SLOT)))
+    return tuple(json.dumps(doc).split(json.dumps(_SLOT)))
+
+
+# the fixed text of each record's log line, by walk and seq
+_LINE_TEXT = {key: tuple(_line_text(seq, *entry) for seq, entry in enumerate(walk)) for key, walk in _WALKS.items()}
+
+
+def _json_number(value: object) -> str:
+    """json.dumps(value): json writes an int or a finite float as its repr."""
+    if (type(value) is float and math.isfinite(value)) or type(value) is int:
+        return repr(value)
+    return json.dumps(value)
+
+
 def write_episode_log(path: str | Path, episodes: Iterable[HarvestEpisode]) -> None:
-    """One structured line per stage record, fixed key order, byte-stable
-    for identical inputs."""
+    """One line per stage record, exactly json.dumps of its dict of
+    LOG_FIELDS, so byte-stable for identical inputs. Each line is its walk
+    entry's fixed text around the record's episode_id, duration_s and
+    detail; each episode is one write."""
     path = Path(path)
     with path.open("w") as fh:
         for ep in episodes:
-            for seq, (rec, (_, _, event)) in enumerate(zip(ep.records, _walk_of(ep.records))):
-                doc = {
-                    "episode_id": ep.episode_id,
-                    "seq": seq,
-                    "stage": rec.stage.value,
-                    "variant": rec.variant.value,
-                    "duration_s": rec.duration_s,
-                    "event": event.value,
-                    "detail": rec.detail,
-                }
-                fh.write(json.dumps(doc) + "\n")
+            eid = _json_number(ep.episode_id)
+            fh.write(
+                "".join(
+                    f"{head}{eid}{to_duration}{_json_number(rec.duration_s)}{to_detail}{json.dumps(rec.detail)}{tail}\n"
+                    for rec, (head, to_duration, to_detail, tail) in zip(ep.records, _LINE_TEXT[_walk_key(ep.records)])
+                )
+            )
 
 
 # each enum-valued log field: its members by value

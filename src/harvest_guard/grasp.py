@@ -91,6 +91,8 @@ def classify_grasp(model: GraspModel, x: np.ndarray) -> list[GraspClass]:
     return [GraspClass(i) for i in probs.argmax(axis=1).tolist()]
 
 
+# a diverging run overflows; the check after each epoch reports it once
+@np.errstate(over="ignore", invalid="ignore")
 def train_grasp_classifier(
     x: np.ndarray,
     y: np.ndarray,
@@ -123,12 +125,15 @@ def train_grasp_classifier(
     n = len(y)
     w = rng.uniform(-0.1, 0.1, size=(len(GraspClass), len(GRASP_FEATURES)))
     b = np.zeros(len(GraspClass))
-    for _ in range(epochs):
+    for epoch in range(epochs):
         probs = softmax(x @ w.T + b)
         probs[np.arange(n), y] -= 1.0
         probs /= n
         w -= learning_rate * (probs.T @ x)
         b -= learning_rate * probs.sum(axis=0)
+        for name, p in (("weights", w), ("bias", b)):
+            if not np.isfinite(p).all():
+                raise ValidationError(f"training diverged in epoch {epoch + 1}: array {name!r} holds non-finite values")
     return GraspModel(w, b, metadata={"seed": seed, "learning_rate": learning_rate, "epochs": epochs})
 
 

@@ -56,6 +56,16 @@ def test_bad_counts_is_usage_error(tmp_path, capsys):
     assert "three comma-separated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["slip", "grasp"])
+def test_counts_over_the_cap_are_usage_errors(tmp_path, capsys, kind):
+    out = tmp_path / "x.csv"
+    assert main(["gen-data", "--kind", kind, "--counts", "1000001,0,0", "--out", str(out), "--seed", "0"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --counts allows at most 1000000 per class, got '1000001,0,0'"
+    ]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -484,6 +494,14 @@ def test_train_slip_that_diverges_exits_1_and_writes_no_model(tmp_path):
     proc = _cli_subprocess(argv)
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == ["error: training diverged in epoch 1: the loss is nan"]
+    assert not model.exists()
+
+    # the grasp classifier's softmax overflows the same way
+    data = tmp_path / "grasp.csv"
+    assert main(["gen-data", "--kind", "grasp", "--counts", "50,20,80", "--out", str(data), "--seed", "0"]) == 0
+    proc = _cli_subprocess(["train-grasp", "--data", str(data), "--out", str(model), "--seed", "0", "--lr", "1.7e308"])
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: training diverged in epoch 3: array 'weights' holds non-finite values"]
     assert not model.exists()
 
 

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from harvest_guard import fsm
 from harvest_guard.errors import ValidationError
 from harvest_guard.fsm import (
     STAGE_TIMING,
@@ -290,6 +291,39 @@ def test_episode_log_round_trip(tmp_path):
     again = tmp_path / "episodes2.jsonl"
     write_episode_log(again, episodes)
     assert path.read_bytes() == again.read_bytes()
+
+
+# details and durations whose JSON text takes escapes or the shortest float repr
+_LOG_DETAILS = ("", '"\\', "\t\n\x00", "é 中", "\u2028", "\U0001f353")
+_LOG_DURATIONS = (0.0, 0.01, 1e-05, 0.1 + 0.2, 1e16, 5e-324, 1.7976931348623157e308, 2, np.float64(1.25))
+
+
+def test_episode_log_lines_are_json_dumps_of_each_record(tmp_path):
+    # the oracle is the per-record json.dumps of the seven-key dict
+    values = itertools.count()
+    episodes, expected = [], []
+    for episode_id, walk in enumerate(fsm._WALKS.values()):
+        records = []
+        for seq, (stage, variant, event) in enumerate(walk):
+            i = next(values)
+            detail, duration = _LOG_DETAILS[i % len(_LOG_DETAILS)], _LOG_DURATIONS[i % len(_LOG_DURATIONS)]
+            records.append(StageRecord(stage, variant, duration, detail))
+            doc = {
+                "episode_id": episode_id,
+                "seq": seq,
+                "stage": stage.value,
+                "variant": variant.value,
+                "duration_s": duration,
+                "event": event.value,
+                "detail": detail,
+            }
+            expected.append(json.dumps(doc))
+        episodes.append(HarvestEpisode(episode_id, tuple(records), _TRUTH, _RESPONSES))
+    assert len(episodes) == 10 and next(values) > len(_LOG_DURATIONS)  # every walk, every value
+    path = tmp_path / "episodes.jsonl"
+    write_episode_log(path, episodes)
+    assert path.read_text(encoding="ascii").split("\n") == expected + [""]
+    assert read_episode_log(path) == [(ep.episode_id, list(ep.records)) for ep in episodes]
 
 
 def test_episode_log_rejects_reordered_keys(tmp_path):
