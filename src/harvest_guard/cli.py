@@ -46,6 +46,7 @@ from .slip_windows import (
     windows_from_slip_csv,
 )
 from .world import (
+    MAX_EPISODES,
     EpisodeWorld,
     ScenarioConfig,
     gen_grasp_dataset,
@@ -169,7 +170,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="run fault-injection harvest episodes")
     p.add_argument("--config", help="scenario INI file")
     p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--episodes", type=int, help="override episode count from the config")
+    p.add_argument("--episodes", type=int, help=f"override episode count from the config; at most {MAX_EPISODES}")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--deterministic", action="store_true", help="stage durations at their means")
     p.add_argument("--slip-model", help="use this slip model instead of ground-truth monitoring")
@@ -295,6 +296,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     n = args.episodes if args.episodes is not None else config.episodes
     if n < 1:
         raise ValidationError(f"need at least one episode, got {n}")
+    if n > MAX_EPISODES:
+        raise UsageError(f"--episodes allows at most {MAX_EPISODES}, got {n}")
     slip_model = _load_model_of(args.slip_model, SlipModel) if args.slip_model else None
     grasp_model = _load_model_of(args.grasp_model, GraspModel) if args.grasp_model else None
     world = EpisodeWorld(config, slip_model=slip_model, grasp_model=grasp_model)

@@ -19,14 +19,18 @@ An episode's fault is its one variant other than NORMAL, or NORMAL, and
 outcome_of(records) is the outcome it fixes. _WALKS holds each fault's
 walk, with and without compensation, as the (stage, variant, event) of
 every record; _make_walk alone orders the stages and gives records their
-variant and event. The cycle appends the next record of the walk its
-monitors have fixed so far, and episode_problem(records, events) checks
-records and logged events against it. write_episode_log writes each
-record as exactly json.dumps of its LOG_FIELDS dict: _LINE_TEXT holds,
-per walk entry, the text json.dumps gives around the episode_id,
-duration_s and detail values, and only those three are encoded per
-record. read_episode_log accepts only the (stage, variant) keys of
-STAGE_TIMING and runs that check on each episode at its homing line.
+variant and event. The cycle looks up its walk once per monitor decision
+and appends the next record of the walk its monitors have fixed so far.
+episode_problem(records, events) checks records and logged events
+against it: a valid walk passes on one comparison with the whole walk,
+and only an invalid one is scanned for its first problem. The four enums
+hash by identity, as their members are singletons. write_episode_log
+writes each record as exactly json.dumps of its LOG_FIELDS dict:
+_LINE_TEXT holds, per walk entry, the text json.dumps gives around the
+episode_id, duration_s and detail values, and only those three are
+encoded per record. read_episode_log accepts only the (stage, variant)
+keys of STAGE_TIMING and runs that check on each episode at its homing
+line.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product, zip_longest
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Generator, Iterable, Protocol, Sequence
 
@@ -48,7 +53,15 @@ from .slip_decision import RecoveryAction, first_action, time_stability_step
 from .slip_windows import SlipLabel
 
 
-class Stage(Enum):
+class _Label(Enum):
+    """An enum that hashes by identity. Its members are singletons that
+    compare by identity, so dict lookups find what Enum.__hash__ would
+    find, without a Python call per lookup."""
+
+    __hash__ = object.__hash__
+
+
+class Stage(_Label):
     INFLATING_APPROACHING = "inflating-approaching"
     COMPENSATION = "compensation"
     SWALLOWING = "swallowing"
@@ -59,7 +72,7 @@ class Stage(Enum):
     HOMING = "homing"
 
 
-class Variant(Enum):
+class Variant(_Label):
     NORMAL = "normal"
     EMPTY_GRASP_RESPONSE = "empty-grasp-response"
     MISGRASP_RESPONSE = "misgrasp-response"
@@ -67,7 +80,7 @@ class Variant(Enum):
     SLIPPED_ABORT = "slipped-abort"
 
 
-class Event(Enum):
+class Event(_Label):
     ALIGNED = "aligned"
     MISALIGNED = "misaligned"
     COMPENSATED = "compensated"
@@ -83,7 +96,7 @@ class Event(Enum):
     HOMED = "homed"
 
 
-class Outcome(Enum):
+class Outcome(_Label):
     PICKED_AND_PLACED = "picked-and-placed"
     ABORTED_EMPTY_OR_MISGRASP = "aborted-empty-or-misgrasp"
     ABORTED_SLIPPED = "aborted-slipped"
@@ -109,7 +122,7 @@ STAGE_TIMING: dict[tuple[Stage, Variant], tuple[float, float]] = {
 MIN_DURATION_S = 0.01
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StageRecord:
     stage: Stage
     variant: Variant
@@ -126,11 +139,14 @@ _FAULT_OUTCOMES = {
     Variant.SLIPPING_RECOVERY: Outcome.RECOVERED_AFTER_SLIP,
     Variant.NORMAL: Outcome.PICKED_AND_PLACED,
 }
-_SEVERITY = {variant: rank for rank, variant in enumerate(_FAULT_OUTCOMES)}
 
 
 def _fault_of(records: Iterable[StageRecord]) -> Variant:
-    return min((r.variant for r in records), key=_SEVERITY.__getitem__, default=Variant.NORMAL)
+    variants = [r.variant for r in records]
+    for variant in _FAULT_OUTCOMES:
+        if variant in variants:
+            return variant
+    return Variant.NORMAL
 
 
 def outcome_of(records: Iterable[StageRecord]) -> Outcome:
@@ -163,6 +179,9 @@ def _make_walk(fault: Variant, compensated: bool) -> tuple[tuple[Stage, Variant,
 
 # every walk a cycle takes, by (fault, compensated)
 _WALKS = {key: _make_walk(*key) for key in product(Variant, (False, True))}
+# each walk's (stage, variant) pairs and events, which a valid episode matches as a whole
+_WALK_PAIRS = {key: [(stage, variant) for stage, variant, _ in walk] for key, walk in _WALKS.items()}
+_WALK_EVENTS = {key: [event for _, _, event in walk] for key, walk in _WALKS.items()}
 
 
 def _walk_key(records: Sequence[StageRecord]) -> tuple[Variant, bool]:
@@ -175,7 +194,11 @@ def episode_problem(records: Sequence[StageRecord], events: Sequence[Event] = ()
     """What keeps an episode's records from being the walk their fault
     fixes, if anything: the first seq whose stage differs from it, or else
     the first whose variant does, or else the first whose given event does."""
-    walk = _WALKS[_walk_key(records)]
+    key = _walk_key(records)
+    pairs_match = [(r.stage, r.variant) for r in records] == _WALK_PAIRS[key]
+    if pairs_match and (not events or list(events) == _WALK_EVENTS[key]):
+        return None
+    walk = _WALKS[key]
     for seq, (got, want) in enumerate(zip_longest((r.stage for r in records), (stage for stage, _, _ in walk))):
         if got is not want:
             got, want = (stage.value if stage is not None else "no record" for stage in (got, want))
@@ -187,7 +210,7 @@ def episode_problem(records: Sequence[StageRecord], events: Sequence[Event] = ()
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EpisodeTruth:
     """What the simulator actually injected, independent of detection."""
 
@@ -196,7 +219,7 @@ class EpisodeTruth:
     slip_outcome: SlipLabel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EpisodeResponses:
     """What the monitors decided."""
 
@@ -210,7 +233,7 @@ class EpisodeResponses:
     slip_detect_frame: int | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HarvestEpisode:
     episode_id: int
     records: tuple[StageRecord, ...]
@@ -231,7 +254,7 @@ class HarvestEpisode:
         return sum(r.duration_s for r in self.records)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ApproachOutcome:
     visual_error: tuple[float, float]  # measured (dx, dy), mm
     compensated: bool
@@ -287,10 +310,9 @@ def episode_cycle(
         return mean if deterministic else max(MIN_DURATION_S, float(rng.normal(mean, std)))
 
     records: list[StageRecord] = []
-    fault = Variant.NORMAL  # each monitor sets it before the record it decides
 
     def record(detail: str = "", duration_s: float | None = None) -> None:
-        stage, variant, _ = _WALKS[fault, approach.compensated][len(records)]
+        stage, variant, _ = walk[len(records)]
         duration_s = draw(stage, variant) if duration_s is None else duration_s
         records.append(StageRecord(stage, variant, duration_s, detail))
 
@@ -298,6 +320,8 @@ def episode_cycle(
 
     # approach; the visual check decides whether a compensation move runs
     approach = world.approach(truth, rng)
+    # each monitor sets the walk of its fault before the record it decides
+    walk = _WALKS[Variant.NORMAL, approach.compensated]
     record("visual error ({:.1f}, {:.1f}) mm".format(*approach.visual_error))
     if approach.compensated:
         record(f"residual ({approach.residual_x:.1f}, {approach.residual_y:.1f}) mm")
@@ -318,6 +342,7 @@ def episode_cycle(
         # fault response replaces the normal deflating duration and folds
         # in the re-inflation move
         fault = Variant.EMPTY_GRASP_RESPONSE if grasp_detected is GraspClass.EMPTY else Variant.MISGRASP_RESPONSE
+        walk = _WALKS[fault, approach.compensated]
         record(f"detected {grasp_detected.name.lower()}")
     else:
         record()  # deflating
@@ -330,13 +355,13 @@ def episode_cycle(
         )
 
         if slip_action is RecoveryAction.ABORT_CYCLE:
-            fault = Variant.SLIPPED_ABORT
+            walk = _WALKS[Variant.SLIPPED_ABORT, approach.compensated]
             record(f"slip confirmed at window {detect_idx}")
         elif slip_action is RecoveryAction.REGRASP_AND_RESNAP:
             # one recovery draw covers the whole snap-off phase, split at the
             # detection point across the interrupted and re-snap records
-            fault = Variant.SLIPPING_RECOVERY
-            phase = draw(Stage.SNAP_OFF, fault)
+            walk = _WALKS[Variant.SLIPPING_RECOVERY, approach.compensated]
+            phase = draw(Stage.SNAP_OFF, Variant.SLIPPING_RECOVERY)
             frames_seen = detect_idx + 1
             fraction = frames_seen / max(len(predictions), frames_seen)
             record(f"slipping confirmed at window {detect_idx}", phase * fraction)
@@ -345,7 +370,7 @@ def episode_cycle(
             record()  # snap-off
 
     # the rest of the walk: descending, placing when the fruit is held, homing
-    for _ in _WALKS[fault, approach.compensated][len(records):]:
+    for _ in walk[len(records):]:
         record()
 
     responses = EpisodeResponses(
@@ -386,6 +411,11 @@ def _json_number(value: object) -> str:
     return json.dumps(value)
 
 
+def _json_str(value: object) -> str:
+    """json.dumps(value): with its defaults, json encodes a str with encode_basestring_ascii."""
+    return encode_basestring_ascii(value) if type(value) is str else json.dumps(value)
+
+
 def write_episode_log(path: str | Path, episodes: Iterable[HarvestEpisode]) -> None:
     """One line per stage record, exactly json.dumps of its dict of
     LOG_FIELDS, so byte-stable for identical inputs. Each line is its walk
@@ -397,7 +427,7 @@ def write_episode_log(path: str | Path, episodes: Iterable[HarvestEpisode]) -> N
             eid = _json_number(ep.episode_id)
             fh.write(
                 "".join(
-                    f"{head}{eid}{to_duration}{_json_number(rec.duration_s)}{to_detail}{json.dumps(rec.detail)}{tail}\n"
+                    f"{head}{eid}{to_duration}{_json_number(rec.duration_s)}{to_detail}{_json_str(rec.detail)}{tail}\n"
                     for rec, (head, to_duration, to_detail, tail) in zip(ep.records, _LINE_TEXT[_walk_key(ep.records)])
                 )
             )

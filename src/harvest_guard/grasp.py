@@ -125,8 +125,9 @@ def train_grasp_classifier(
     n = len(y)
     w = rng.uniform(-0.1, 0.1, size=(len(GraspClass), len(GRASP_FEATURES)))
     b = np.zeros(len(GraspClass))
+    logits = x @ w.T + b
     for epoch in range(epochs):
-        probs = softmax(x @ w.T + b)
+        probs = softmax(logits)
         probs[np.arange(n), y] -= 1.0
         probs /= n
         w -= learning_rate * (probs.T @ x)
@@ -134,6 +135,10 @@ def train_grasp_classifier(
         for name, p in (("weights", w), ("bias", b)):
             if not np.isfinite(p).all():
                 raise ValidationError(f"training diverged in epoch {epoch + 1}: array {name!r} holds non-finite values")
+        # finite weights can still give logits whose spread overflows softmax
+        logits = x @ w.T + b
+        if not np.isfinite(np.ptp(logits, axis=1)).all():
+            raise ValidationError(f"training diverged in epoch {epoch + 1}: logits overflow")
     return GraspModel(w, b, metadata={"seed": seed, "learning_rate": learning_rate, "epochs": epochs})
 
 

@@ -37,6 +37,7 @@ from .slip_windows import (
 
 PROB_SUM_TOL = 1e-9
 MAX_FRAMES = 1000  # per frame count; a huge count would exhaust memory building per-frame lists
+MAX_EPISODES = 1_000_000  # per simulate run, which holds every episode in memory; gen-data caps its counts alike
 
 
 def _ini(section: str, default: float, *, key: str | None = None, least: int | None = None, most: int | None = None) -> Any:
@@ -50,7 +51,7 @@ class ScenarioConfig:
     """Knobs of the synthetic world; defaults give a plausible orchard.
     Fields are in INI file order."""
 
-    episodes: int = _ini("simulation", 100)
+    episodes: int = _ini("simulation", 100, most=MAX_EPISODES)
     master_seed: int = _ini("simulation", 1)
 
     # approach: injected positional error and the two noise sources, mm
@@ -191,13 +192,12 @@ _PRE_SLIP_FRAMES = 3
 _DROP_ACCEL = 3.0
 
 
-# the jittered features, in draw order s, g, w, h, x, y: their columns in
-# FEATURE_ORDER and their clamp bounds; background_area is derived
-_NOISY_COLS = [0, 1, 3, 4, 5, 6]
+# the clamp bounds of the jittered features, in draw order s, g, w, h, x,
+# y: FEATURE_ORDER without background_area (column 2), which is derived
 _NOISY_LO = np.array([0.001, 0.05, 0.0, 0.0, 0.0, 0.0])
 _NOISY_HI = np.array([0.60, 0.60, 1.0, 1.0, 1.0, 1.0])
-# a slipped frame: the fruit is gone and nothing is jittered
-_GONE_ROW = (_GONE_AREA, _GRIPPER_AREA, 0.0, 0.0, 0.0, 0.0)
+# a slipped frame in FEATURE_ORDER: the fruit is gone and nothing is jittered
+_GONE_ROW = (_GONE_AREA, _GRIPPER_AREA, 1.0 - _GONE_AREA - _GRIPPER_AREA, 0.0, 0.0, 0.0, 0.0)
 
 
 @functools.lru_cache(maxsize=64)
@@ -250,10 +250,13 @@ def _trajectory(config: ScenarioConfig, phases: tuple[int, int, int], rng: np.ra
     moving = curve + rng.normal(0.0, noise, size=curve.shape) if noise > 0 else curve
 
     n_moving = len(curve)
+    clamped = np.minimum(_NOISY_HI, np.maximum(_NOISY_LO, moving))
     features = np.empty((len(labels), len(FEATURE_ORDER)))
-    features[:n_moving, _NOISY_COLS] = np.minimum(_NOISY_HI, np.maximum(_NOISY_LO, moving))
-    features[n_moving:, _NOISY_COLS] = _GONE_ROW
-    features[:, 2] = 1.0 - features[:, 0] - features[:, 1]
+    moved = features[:n_moving]
+    moved[:, :2] = clamped[:, :2]
+    moved[:, 3:] = clamped[:, 2:]
+    moved[:, 2] = 1.0 - clamped[:, 0] - clamped[:, 1]
+    features[n_moving:] = _GONE_ROW
     try:
         return SlipTrajectory(features, labels)
     except ValidationError as exc:

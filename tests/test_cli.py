@@ -66,6 +66,23 @@ def test_counts_over_the_cap_are_usage_errors(tmp_path, capsys, kind):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_episodes_over_the_cap_are_rejected(tmp_path, capsys, source):
+    out = tmp_path / "run"
+    argv = ["simulate", "--seed", "1", "--out", str(out)]
+    if source == "flag":
+        argv += ["--episodes", "1000001"]
+        message = "error: --episodes allows at most 1000000, got 1000001"
+    else:
+        config = tmp_path / "scenario.ini"
+        config.write_text("[simulation]\nepisodes = 1000001\n")
+        argv += ["--config", str(config)]
+        message = "error: episodes must be <= 1000000, got 1000001"
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -496,13 +513,15 @@ def test_train_slip_that_diverges_exits_1_and_writes_no_model(tmp_path):
     assert proc.stderr.splitlines() == ["error: training diverged in epoch 1: the loss is nan"]
     assert not model.exists()
 
-    # the grasp classifier's softmax overflows the same way
-    data = tmp_path / "grasp.csv"
-    assert main(["gen-data", "--kind", "grasp", "--counts", "50,20,80", "--out", str(data), "--seed", "0"]) == 0
-    proc = _cli_subprocess(["train-grasp", "--data", str(data), "--out", str(model), "--seed", "0", "--lr", "1.7e308"])
-    assert proc.returncode == 1
-    assert proc.stderr.splitlines() == ["error: training diverged in epoch 3: array 'weights' holds non-finite values"]
-    assert not model.exists()
+    # the grasp classifier's logits overflow in the same way: the first
+    # set's weights would turn non-finite in epoch 3, the second's stay finite
+    for counts, data_seed, seed, epoch in (("50,20,80", "0", "0", 1), ("40,40,40", "2", "1", 3)):
+        data = tmp_path / f"grasp-{counts}.csv"
+        assert main(["gen-data", "--kind", "grasp", "--counts", counts, "--out", str(data), "--seed", data_seed]) == 0
+        proc = _cli_subprocess(["train-grasp", "--data", str(data), "--out", str(model), "--seed", seed, "--lr", "1.7e308"])
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [f"error: training diverged in epoch {epoch}: logits overflow"]
+        assert not model.exists()
 
 
 def test_eval_slip_split_flags_must_pair(tmp_path, capsys):

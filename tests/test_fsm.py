@@ -266,6 +266,84 @@ def test_episode_structure_validation():
     assert episode_problem(slipped, [Event.PLACED]) == "deflating at seq 2 has variant empty-grasp-response, expected normal"
 
 
+# the scan that decided every episode before the whole-walk fast path,
+# kept as its oracle: the fault by a min over severity ranks, then the
+# first stage, variant or event that differs from the fault's walk
+_SEVERITY = {variant: rank for rank, variant in enumerate(fsm._FAULT_OUTCOMES)}
+
+
+def _scan_fault(records):
+    return min((r.variant for r in records), key=_SEVERITY.__getitem__, default=Variant.NORMAL)
+
+
+def _scan_problem(records, events=()):
+    fault = _scan_fault(records)
+    walk = fsm._WALKS[fault, len(records) > 1 and records[1].stage is Stage.COMPENSATION]
+    for seq, (got, want) in enumerate(itertools.zip_longest((r.stage for r in records), (s for s, _, _ in walk))):
+        if got is not want:
+            got, want = (stage.value if stage is not None else "no record" for stage in (got, want))
+            return f"{fsm._FAULT_OUTCOMES[fault].value} walk has {got} at seq {seq}, expected {want}"
+    for i, name, labels in ((1, "variant", [r.variant for r in records]), (2, "event", events)):
+        for seq, (got, want) in enumerate(zip(labels, walk)):
+            if got is not want[i]:
+                return f"{want[0].value} at seq {seq} has {name} {got.value}, expected {want[i].value}"
+    return None
+
+
+def _edits(walk):
+    """(records, events) of a walk and of every single-record drop,
+    duplicate, adjacent swap, stage change, variant change and event
+    change of it, and every prefix of its events. A record edit comes
+    with no events, with the walk's, and with the walk's edited alike
+    (a drop, duplicate or swap moves the events too)."""
+    records = [StageRecord(stage, variant, 1.0) for stage, variant, _ in walk]
+    events = [event for _, _, event in walk]
+    yield records, events
+    for i, rec in enumerate(records):
+        edits = [(records[:i] + records[i + 1:], events[:i] + events[i + 1:]),
+                 (records[:i] + [rec] + records[i:], events[:i] + [events[i]] + events[i:])]
+        if i + 1 < len(records):
+            swap = [i + 1, i]
+            edits.append((records[:i] + [records[j] for j in swap] + records[i + 2:],
+                          events[:i] + [events[j] for j in swap] + events[i + 2:]))
+        edits += [(records[:i] + [StageRecord(stage, rec.variant, 1.0)] + records[i + 1:], events)
+                  for stage in Stage if stage is not rec.stage]
+        edits += [(records[:i] + [StageRecord(rec.stage, variant, 1.0)] + records[i + 1:], events)
+                  for variant in Variant if variant is not rec.variant]
+        for edited, edited_events in edits:
+            yield edited, ()
+            yield edited, events
+            yield edited, edited_events
+        for event in Event:
+            if event is not events[i]:
+                yield records, events[:i] + [event] + events[i + 1:]
+    for n in range(len(events)):
+        yield records, events[:n]
+
+
+def test_episode_problem_matches_the_full_scan():
+    problems = set()
+    for walk in fsm._WALKS.values():
+        for records, events in _edits(walk):
+            expected = _scan_problem(records, events)
+            assert episode_problem(records, events) == expected, (records, events)
+            assert episode_problem(tuple(records), tuple(events)) == expected
+            problems.add(expected)
+    # every walk passes, and the edits reach all three kinds of message
+    assert None in problems
+    assert {kind for p in problems if p for kind in ("walk has", "has variant", "has event") if kind in p} == {
+        "walk has", "has variant", "has event"
+    }
+
+
+def test_fault_of_is_the_most_severe_variant():
+    for n in range(4):
+        for variants in itertools.product(Variant, repeat=n):
+            records = [StageRecord(Stage.HOMING, v, 1.0) for v in variants]
+            assert fsm._fault_of(records) is _scan_fault(records)
+            assert fsm._fault_of(iter(records)) is _scan_fault(records)
+
+
 def test_stochastic_runs_are_reproducible_and_sane():
     world = ScriptedWorld(misaligned=True, slip=SlipLabel.SLIPPING)
     a = run_episode(world, rng=np.random.default_rng(42))

@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from harvest_guard.errors import ValidationError
 from harvest_guard.slip_windows import (
+    AREA_SUM_TOL,
+    FEATURE_ORDER,
     SlipLabel,
     SlipWindows,
     build_windows,
@@ -279,3 +281,60 @@ def test_slip_csv_names_the_first_bad_frame_by_line(tmp_path, row, problem):
     with pytest.raises(ValidationError) as err:
         read_slip_csv(path)
     assert str(err.value) == f"{path}: bad row at line 5: {problem}"
+
+
+def _scan_bad_frame(frames):
+    """first_bad_frame's row scan alone, kept as the oracle of its
+    whole-array fast path."""
+    in_range = (frames >= 0.0) & (frames <= 1.0)
+    area_sum = frames[:, 0] + frames[:, 1] + frames[:, 2]
+    bad = ~in_range.all(axis=1) | (np.abs(area_sum - 1.0) > AREA_SUM_TOL)
+    if not bad.any():
+        return None
+    row = int(bad.argmax())
+    for col, name in enumerate(FEATURE_ORDER):
+        if not in_range[row, col]:
+            return row, f"{name} must lie in [0, 1], got {frames[row, col].item()}"
+    return row, f"area fractions must sum to 1 +/- {AREA_SUM_TOL}, got {area_sum[row].item()}"
+
+
+def _area_sums_at_the_tolerance():
+    """background_area values that put 0.2 + 0.3 + b at 1 +/- AREA_SUM_TOL
+    and a few steps to either side of it."""
+    for edge in (1.0 - 0.2 - 0.3 - AREA_SUM_TOL, 1.0 - 0.2 - 0.3 + AREA_SUM_TOL):
+        b = edge
+        for _ in range(4):
+            b = np.nextafter(b, -1.0)
+        for _ in range(9):
+            yield b
+            b = np.nextafter(b, 2.0)
+
+
+def test_first_bad_frame_matches_the_row_scan():
+    values = (np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, 1.0 + 2.0**-52, np.nextafter(0.0, -1.0), 0.5)
+    frames, _ = _labeled([0] * 8)
+    cases = [frames, np.empty((0, 7)), frames[:1]]
+    for row in (0, 5, 7):
+        for col in range(7):
+            for value in values:
+                bad = frames.copy()
+                bad[row, col] = value
+                cases.append(bad)
+        edges = []
+        for b in _area_sums_at_the_tolerance():
+            edges.append(frames.copy())
+            edges[-1][row, 2] = b
+        # the steps cross the tolerance, so both verdicts occur among them
+        assert {_scan_bad_frame(edge) is None for edge in edges} == {True, False}
+        cases += edges
+    # two bad rows: the first is named
+    two = frames.copy()
+    two[6, 3], two[2, 2] = np.nan, 0.6
+    cases.append(two)
+    results = []
+    for case in cases:
+        expected = _scan_bad_frame(case)
+        assert first_bad_frame(case) == expected, case
+        results.append(expected)
+    # every column fails somewhere
+    assert {r[1].split(" ")[0] for r in results if r} >= set(FEATURE_ORDER)

@@ -75,6 +75,7 @@ def test_the_field_table_bounds_the_noise_and_the_frame_counts():
         )),
         *((name, "least", 0) for name in ("grasp_frames", "frames_normal", "frames_slipping", "frames_slipped")),
         *((name, "most", 1001) for name in ("grasp_frames", "frames_normal", "frames_slipping", "frames_slipped")),
+        ("episodes", "most", 1_000_001),
     }
 
 
