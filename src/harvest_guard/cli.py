@@ -10,6 +10,7 @@ environment variable (error, info, debug) sets stderr log verbosity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -46,7 +47,7 @@ from .slip_windows import (
     windows_from_slip_csv,
 )
 from .world import (
-    MAX_EPISODES,
+    MAX_COUNT,
     EpisodeWorld,
     ScenarioConfig,
     gen_grasp_dataset,
@@ -59,15 +60,11 @@ from .world import (
 log = logging.getLogger("harvest_guard")
 
 
-class UsageError(ValidationError):
-    """Bad command line; maps to exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad flags; route through the
     # validation path instead so 2 stays reserved for I/O failures
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise UsageError(f"{self.prog}: {message}")
+        raise ValidationError(f"{self.prog}: {message}")
 
 
 def _setup_logging() -> None:
@@ -80,21 +77,21 @@ def _setup_logging() -> None:
     logging.basicConfig(stream=sys.stderr, level=levels[level_name], format="%(levelname)s %(message)s")
 
 
-# the most windows or rows gen-data writes per class; the acceptance set needs 2,158
-_MAX_COUNT = 1_000_000
-
-
 def _parse_counts(text: str) -> tuple[int, int, int]:
     parts = text.split(",")
     if len(parts) != 3:
-        raise UsageError(f"--counts needs three comma-separated integers, got {text!r}")
+        raise ValidationError(f"--counts needs three comma-separated integers, got {text!r}")
     try:
         a, b, c = (int(p) for p in parts)
     except ValueError:
-        raise UsageError(f"--counts needs integers, got {text!r}") from None
-    if max(a, b, c) > _MAX_COUNT:
-        raise UsageError(f"--counts allows at most {_MAX_COUNT} per class, got {text!r}")
+        raise ValidationError(f"--counts needs integers, got {text!r}") from None
+    if max(a, b, c) > MAX_COUNT:
+        raise ValidationError(f"--counts allows at most {MAX_COUNT} per class, got {text!r}")
     return a, b, c
+
+
+# train-slip's largest stack: about 8 M parameters, 65 MB per copy of the weights
+_MAX_LAYERS, _MAX_HIDDEN = 16, 256
 
 
 def _seed(text: str) -> int:
@@ -125,7 +122,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--counts",
         required=True,
-        help=f"slip: window labels normal,slipping,slipped; grasp: rows ripe,empty,unripe; each at most {_MAX_COUNT}",
+        help=f"slip: window labels normal,slipping,slipped; grasp: rows ripe,empty,unripe; each at most {MAX_COUNT}",
     )
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_seed, required=True)
@@ -140,8 +137,8 @@ def build_parser() -> _Parser:
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--ratio", type=float, default=0.7, help="train fraction of the stratified split")
     p.add_argument("--oversample-first", action="store_true", help="oversample before splitting instead of after")
-    p.add_argument("--layers", type=int, default=LstmArch.n_layers)
-    p.add_argument("--hidden", type=int, default=LstmArch.hidden_size)
+    p.add_argument("--layers", type=int, default=LstmArch.n_layers, help=f"LSTM layers, at most {_MAX_LAYERS}")
+    p.add_argument("--hidden", type=int, default=LstmArch.hidden_size, help=f"units per layer, at most {_MAX_HIDDEN}")
 
     p = sub.add_parser("eval-slip", help="evaluate a slip model on a SlipData CSV")
     p.add_argument("--data", required=True)
@@ -170,7 +167,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="run fault-injection harvest episodes")
     p.add_argument("--config", help="scenario INI file")
     p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--episodes", type=int, help=f"override episode count from the config; at most {MAX_EPISODES}")
+    p.add_argument("--episodes", type=int, help=f"override episode count from the config; at most {MAX_COUNT}")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--deterministic", action="store_true", help="stage durations at their means")
     p.add_argument("--slip-model", help="use this slip model instead of ground-truth monitoring")
@@ -197,6 +194,9 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def _cmd_train_slip(args: argparse.Namespace) -> int:
+    for flag, value, cap in (("--layers", args.layers, _MAX_LAYERS), ("--hidden", args.hidden, _MAX_HIDDEN)):
+        if value > cap:
+            raise ValidationError(f"{flag} allows at most {cap}, got {value}")
     windows = windows_from_slip_csv(args.data)
     if not windows:
         raise ValidationError(f"{args.data}: no windows (episodes need at least {WINDOW_LEN + LOOKAHEAD} frames)")
@@ -230,7 +230,7 @@ def _cmd_eval_slip(args: argparse.Namespace) -> int:
     model = _load_model_of(args.model, SlipModel)
     windows = windows_from_slip_csv(args.data)
     if (args.split_ratio is None) != (args.split_seed is None):
-        raise UsageError("--split-ratio and --split-seed go together")
+        raise ValidationError("--split-ratio and --split-seed go together")
     if args.split_ratio is not None:
         # the validation side of train-slip's default split; nothing is oversampled
         windows = windows.take(stratified_split(windows.y, args.split_ratio, args.split_seed)[1])
@@ -293,11 +293,10 @@ def _cmd_compensate(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_scenario(args.config)
-    n = args.episodes if args.episodes is not None else config.episodes
+    # the flag passes the config's own bound; scenario.ini records the loaded config
+    n = config.episodes if args.episodes is None else dataclasses.replace(config, episodes=args.episodes).episodes
     if n < 1:
         raise ValidationError(f"need at least one episode, got {n}")
-    if n > MAX_EPISODES:
-        raise UsageError(f"--episodes allows at most {MAX_EPISODES}, got {n}")
     slip_model = _load_model_of(args.slip_model, SlipModel) if args.slip_model else None
     grasp_model = _load_model_of(args.grasp_model, GraspModel) if args.grasp_model else None
     world = EpisodeWorld(config, slip_model=slip_model, grasp_model=grasp_model)

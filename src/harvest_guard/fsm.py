@@ -437,6 +437,9 @@ def write_episode_log(path: str | Path, episodes: Iterable[HarvestEpisode]) -> N
 _LOG_ENUMS = {key: {m.value: m for m in enum} for key, enum in (("stage", Stage), ("variant", Variant), ("event", Event))}
 # the (stage, variant) values a cycle records
 _LOG_PAIRS = {(stage.value, variant.value) for stage, variant in STAGE_TIMING}
+# the longest stage a log may record: one day lies far above any stage the
+# cycle draws and keeps every episode total, mean and std finite
+MAX_LOG_DURATION_S = 86_400
 
 
 def _log_value_problem(doc: dict[str, object]) -> str | None:
@@ -450,6 +453,8 @@ def _log_value_problem(doc: dict[str, object]) -> str | None:
         return f"duration_s must be a finite number, got {d!r}"
     if d < 0:
         return f"duration_s must be non-negative, got {d!r}"
+    if d > MAX_LOG_DURATION_S:
+        return f"duration_s must be <= {MAX_LOG_DURATION_S}, got {d!r}"
     for key, members in _LOG_ENUMS.items():
         if not isinstance(doc[key], str) or doc[key] not in members:
             return f"unknown {key} {doc[key]!r}"

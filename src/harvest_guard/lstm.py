@@ -418,9 +418,6 @@ def lstm_train(
     rng = np.random.default_rng(config.seed)
     model = init_model(arch, seed=config.seed, rng=rng)
     x_train, y_train = windows_to_arrays(train_windows)
-    x_val, y_val = (None, None)
-    if val_windows:
-        x_val, y_val = windows_to_arrays(val_windows)
 
     params = model.parameters()
     # Adam moment buffers; the depth of the stack shrinks raw gradients
@@ -456,9 +453,9 @@ def lstm_train(
         for name, p in model.named_arrays().items():
             if not np.isfinite(p).all():
                 raise ValidationError(f"training diverged in epoch {epoch + 1}: array {name!r} holds non-finite values")
-        if x_val is not None:
-            pred = severity_argmax(predict_proba(model, x_val))
-            acc = float((pred == y_val).mean())
+        if val_windows:
+            pred, true = evaluate(model, val_windows)
+            acc = float((pred == true).mean())
             val_acc.append(acc)
             if acc > best_acc:
                 best_acc = acc

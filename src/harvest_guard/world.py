@@ -37,13 +37,16 @@ from .slip_windows import (
 
 PROB_SUM_TOL = 1e-9
 MAX_FRAMES = 1000  # per frame count; a huge count would exhaust memory building per-frame lists
-MAX_EPISODES = 1_000_000  # per simulate run, which holds every episode in memory; gen-data caps its counts alike
+# the most items one command generates: simulate's episodes (all held in memory), gen-data's per-class counts
+MAX_COUNT = 1_000_000
 
 
-def _ini(section: str, default: float, *, key: str | None = None, least: int | None = None, most: int | None = None) -> Any:
+def _ini(section: str, default: float, *, key: str | None = None, least: float | None = None,
+         above: float | None = None, most: float | None = None) -> Any:
     """A ScenarioConfig field: its default, the INI [section] and key (the
-    field name unless given) it loads from, and its inclusive bounds."""
-    return field(default=default, metadata={"section": section, "key": key, "least": least, "most": most})
+    field name unless given) it loads from, and its bounds: `least` and
+    `most` inclusive, `above` exclusive."""
+    return field(default=default, metadata={"section": section, "key": key, "least": least, "above": above, "most": most})
 
 
 @dataclass(frozen=True)
@@ -51,7 +54,7 @@ class ScenarioConfig:
     """Knobs of the synthetic world; defaults give a plausible orchard.
     Fields are in INI file order."""
 
-    episodes: int = _ini("simulation", 100, most=MAX_EPISODES)
+    episodes: int = _ini("simulation", 100, least=0, most=MAX_COUNT)
     master_seed: int = _ini("simulation", 1)
 
     # approach: injected positional error and the two noise sources, mm
@@ -63,18 +66,18 @@ class ScenarioConfig:
     vision_noise_std_mm: float = _ini("approach", 2.0, least=0)
 
     # grasp outcome mix and observation noise
-    p_ripe: float = _ini("grasp", 0.8)
-    p_empty: float = _ini("grasp", 0.1)
-    p_unripe: float = _ini("grasp", 0.1)
+    p_ripe: float = _ini("grasp", 0.8, least=0)
+    p_empty: float = _ini("grasp", 0.1, least=0)
+    p_unripe: float = _ini("grasp", 0.1, least=0)
     grasp_noise_scale: float = _ini("grasp", 1.0, key="noise_scale", least=0)
     grasp_frames: int = _ini("grasp", 4, key="frames", least=1, most=MAX_FRAMES)
 
     # slip outcome mix and trajectory shape
-    p_slip_normal: float = _ini("slip", 0.7, key="p_normal")
-    p_slipping: float = _ini("slip", 0.15)
-    p_slipped: float = _ini("slip", 0.15)
-    slip_initial_area: float = _ini("slip", 0.30, key="initial_area")
-    slip_decay_rate: float = _ini("slip", 0.02, key="decay_rate")
+    p_slip_normal: float = _ini("slip", 0.7, key="p_normal", least=0)
+    p_slipping: float = _ini("slip", 0.15, least=0)
+    p_slipped: float = _ini("slip", 0.15, least=0)
+    slip_initial_area: float = _ini("slip", 0.30, key="initial_area", above=0, most=0.5)
+    slip_decay_rate: float = _ini("slip", 0.02, key="decay_rate", above=0)
     frames_normal: int = _ini("slip", 6, least=1, most=MAX_FRAMES)
     frames_slipping: int = _ini("slip", 4, least=1, most=MAX_FRAMES)
     frames_slipped: int = _ini("slip", 4, least=1, most=MAX_FRAMES)
@@ -82,26 +85,20 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         require_finite(**{k: v for k, v in vars(self).items() if isinstance(v, float)})
-        if self.episodes < 0:
-            raise ValidationError(f"episodes must be non-negative, got {self.episodes}")
         for f in fields(self):
-            value, least, most = getattr(self, f.name), f.metadata["least"], f.metadata["most"]
-            if least is not None and value < least:
-                raise ValidationError(f"{f.name} must be >= {least}, got {value}")
-            if most is not None and value > most:
-                raise ValidationError(f"{f.name} must be <= {most}, got {value}")
+            value, bounds = getattr(self, f.name), f.metadata
+            if bounds["least"] is not None and value < bounds["least"]:
+                raise ValidationError(f"{f.name} must be >= {bounds['least']}, got {value}")
+            if bounds["above"] is not None and value <= bounds["above"]:
+                raise ValidationError(f"{f.name} must be > {bounds['above']}, got {value}")
+            if bounds["most"] is not None and value > bounds["most"]:
+                raise ValidationError(f"{f.name} must be <= {bounds['most']}, got {value}")
         for triple, names in (
             ((self.p_ripe, self.p_empty, self.p_unripe), "grasp probabilities"),
             ((self.p_slip_normal, self.p_slipping, self.p_slipped), "slip probabilities"),
         ):
-            if any(p < 0 for p in triple):
-                raise ValidationError(f"{names} must be non-negative, got {triple}")
             if abs(sum(triple) - 1.0) > PROB_SUM_TOL:
                 raise ValidationError(f"{names} must sum to 1 +/- {PROB_SUM_TOL}, got {sum(triple)}")
-        if not (0.0 < self.slip_initial_area <= 0.5):
-            raise ValidationError(f"slip_initial_area must lie in (0, 0.5], got {self.slip_initial_area}")
-        if self.slip_decay_rate <= 0:
-            raise ValidationError(f"slip_decay_rate must be > 0, got {self.slip_decay_rate}")
 
 
 # INI layout: section -> {key: attribute}, in field order; each section's

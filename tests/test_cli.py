@@ -66,18 +66,21 @@ def test_counts_over_the_cap_are_usage_errors(tmp_path, capsys, kind):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_episodes_over_the_cap_are_rejected(tmp_path, capsys, source):
+@pytest.mark.parametrize("source, episodes, message", [
+    ("flag", "1000001", "error: episodes must be <= 1000000, got 1000001"),
+    ("config", "1000001", "error: episodes must be <= 1000000, got 1000001"),
+    ("flag", "-1", "error: episodes must be >= 0, got -1"),
+], ids=["flag", "config", "flag-negative"])
+def test_episodes_over_the_cap_are_rejected(tmp_path, capsys, source, episodes, message):
+    # the flag goes through the same field-table bound as the INI key
     out = tmp_path / "run"
     argv = ["simulate", "--seed", "1", "--out", str(out)]
     if source == "flag":
-        argv += ["--episodes", "1000001"]
-        message = "error: --episodes allows at most 1000000, got 1000001"
+        argv += ["--episodes", episodes]
     else:
         config = tmp_path / "scenario.ini"
-        config.write_text("[simulation]\nepisodes = 1000001\n")
+        config.write_text(f"[simulation]\nepisodes = {episodes}\n")
         argv += ["--config", str(config)]
-        message = "error: episodes must be <= 1000000, got 1000001"
     assert main(argv) == 1
     assert capsys.readouterr().err.splitlines() == [message]
     assert not out.exists()
@@ -271,6 +274,7 @@ def test_report_rejects_malformed_log_lines(tmp_path, capsys, line, problem):
         ("duration_s", "true", "duration_s must be a finite number, got True"),
         pytest.param("duration_s", "1" + "0" * 400, f"duration_s must be a finite number, got {10**400}", id="huge-int"),
         pytest.param("duration_s", "-100.0", "duration_s must be non-negative, got -100.0", id="negative"),
+        pytest.param("duration_s", "86400.001", "duration_s must be <= 86400, got 86400.001", id="over-a-day"),
         ("episode_id", '"a"', "episode_id must be an integer, got 'a'"),
         ("episode_id", "[1]", "episode_id must be an integer, got [1]"),
         ("seq", "1.0", "seq must be an integer, got 1.0"),
@@ -294,6 +298,27 @@ def test_report_rejects_log_values_of_the_wrong_kind(tmp_path, capsys, field, va
     report = tmp_path / "s.csv"
     assert main(["report", "--episodes", str(log), "--out", str(report)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {log}: line 2: {problem}"]
+    assert not report.exists()
+
+
+def test_report_rejects_durations_whose_totals_would_overflow(tmp_path, capsys):
+    # each 1.7e308 is finite, but an episode's two of them sum past the
+    # float range, and the report would hold inf and nan
+    out_dir = tmp_path / "run"
+    assert main(["simulate", "--seed", "1", "--episodes", "3", "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    log = out_dir / "episodes.jsonl"
+    docs = [json.loads(line) for line in log.read_text().splitlines()]
+    for doc in docs:
+        if doc["stage"] in ("swallowing", "homing"):
+            doc["duration_s"] = 1.7e308
+    log.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    lineno = next(i for i, doc in enumerate(docs, 1) if doc["stage"] == "swallowing")
+    report = tmp_path / "s.csv"
+    assert main(["report", "--episodes", str(log), "--out", str(report)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {log}: line {lineno}: duration_s must be <= 86400, got 1.7e+308"
+    ]
     assert not report.exists()
 
 
@@ -522,6 +547,16 @@ def test_train_slip_that_diverges_exits_1_and_writes_no_model(tmp_path):
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [f"error: training diverged in epoch {epoch}: logits overflow"]
         assert not model.exists()
+
+
+@pytest.mark.parametrize("flag, value, cap", [("--layers", "17", 16), ("--hidden", "257", 256)])
+def test_train_slip_rejects_an_architecture_over_its_cap(tmp_path, capsys, flag, value, cap):
+    data, model = tmp_path / "slip.csv", tmp_path / "m.json"
+    assert main(["gen-data", "--kind", "slip", "--counts", "10,5,5", "--out", str(data), "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert main(["train-slip", "--data", str(data), "--out", str(model), "--seed", "0", flag, value]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {flag} allows at most {cap}, got {value}"]
+    assert not model.exists()
 
 
 def test_eval_slip_split_flags_must_pair(tmp_path, capsys):

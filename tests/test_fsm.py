@@ -401,7 +401,19 @@ def test_episode_log_lines_are_json_dumps_of_each_record(tmp_path):
     path = tmp_path / "episodes.jsonl"
     write_episode_log(path, episodes)
     assert path.read_text(encoding="ascii").split("\n") == expected + [""]
-    assert read_episode_log(path) == [(ep.episode_id, list(ep.records)) for ep in episodes]
+    # the reader names the first duration past its one-day ceiling, and
+    # reads every record back once durations are capped there
+    first_over = _LOG_DURATIONS.index(1e16) + 1
+    with pytest.raises(ValidationError, match=rf": line {first_over}: duration_s must be <= 86400, got 1e\+16$"):
+        read_episode_log(path)
+    capped = [
+        HarvestEpisode(ep.episode_id, tuple(
+            StageRecord(r.stage, r.variant, min(r.duration_s, fsm.MAX_LOG_DURATION_S), r.detail) for r in ep.records
+        ), _TRUTH, _RESPONSES)
+        for ep in episodes
+    ]
+    write_episode_log(path, capped)
+    assert read_episode_log(path) == [(ep.episode_id, list(ep.records)) for ep in capped]
 
 
 def test_episode_log_rejects_reordered_keys(tmp_path):

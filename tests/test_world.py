@@ -58,11 +58,12 @@ def test_config_validation():
         ScenarioConfig(grasp_frames=0)
 
 
-# (field, "least" or "most", value one past that bound), from the field table
+# (field, "least", "above" or "most", the first value that bound rejects:
+# one past an inclusive bound, an exclusive bound itself), from the field table
 PAST_BOUNDS = [
     (f, end, type(f.default)(f.metadata[end] + step))
     for f in fields(ScenarioConfig)
-    for end, step in (("least", -1), ("most", 1))
+    for end, step in (("least", -1), ("above", 0), ("most", 1))
     if f.metadata[end] is not None
 ]
 
@@ -71,11 +72,15 @@ def test_the_field_table_bounds_the_noise_and_the_frame_counts():
     assert {(f.name, end, value) for f, end, value in PAST_BOUNDS} == {
         *((name, "least", -1.0) for name in (
             "error_std_x_mm", "error_std_y_mm", "actuation_noise_std_mm", "vision_noise_std_mm", "grasp_noise_scale",
-            "slip_noise_std",
+            "slip_noise_std", "p_ripe", "p_empty", "p_unripe", "p_slip_normal", "p_slipping", "p_slipped",
         )),
         *((name, "least", 0) for name in ("grasp_frames", "frames_normal", "frames_slipping", "frames_slipped")),
         *((name, "most", 1001) for name in ("grasp_frames", "frames_normal", "frames_slipping", "frames_slipped")),
+        ("episodes", "least", -1),
         ("episodes", "most", 1_000_001),
+        ("slip_initial_area", "above", 0.0),
+        ("slip_initial_area", "most", 1.5),
+        ("slip_decay_rate", "above", 0.0),
     }
 
 
@@ -83,7 +88,7 @@ def test_the_field_table_bounds_the_noise_and_the_frame_counts():
 def test_config_rejects_a_value_one_past_its_bound(tmp_path, f, end, value):
     path = tmp_path / "scenario.ini"
     path.write_text(f"[{f.metadata['section']}]\n{f.metadata['key'] or f.name} = {value}\n")
-    op = ">=" if end == "least" else "<="
+    op = {"least": ">=", "above": ">", "most": "<="}[end]
     with pytest.raises(ValidationError) as info:
         load_config(path)
     assert str(info.value) == f"{f.name} must be {op} {f.metadata[end]}, got {value}"
@@ -92,7 +97,9 @@ def test_config_rejects_a_value_one_past_its_bound(tmp_path, f, end, value):
 @pytest.mark.parametrize("text,message", [
     ("[slip]\nframes_normal = 0\n[grasp]\nframes = 2000\n", "grasp_frames must be <= 1000, got 2000"),
     ("[slip]\nframes_slipped = 5000\nframes_slipping = -1\n", "frames_slipping must be >= 1, got -1"),
-], ids=["grasp-before-slip", "slipping-before-slipped"])
+    ("[slip]\nframes_normal = 0\n[grasp]\np_empty = -0.1\n", "p_empty must be >= 0, got -0.1"),
+    ("[slip]\np_normal = 0.5\nframes_normal = 1000\n", r"slip probabilities must sum to 1 \+/- 1e-09, got 0.8"),
+], ids=["grasp-before-slip", "slipping-before-slipped", "probability-before-frames", "sums-after-bounds"])
 def test_config_names_the_first_bad_bound_in_field_order(tmp_path, text, message):
     path = tmp_path / "scenario.ini"
     path.write_text(text)
