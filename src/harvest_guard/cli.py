@@ -269,12 +269,16 @@ def _cmd_train_grasp(args: argparse.Namespace) -> int:
 
 
 def _cmd_compensate(args: argparse.Namespace) -> int:
-    mode = CompensationMode.EITHER_AXIS_BOTH if args.mode == "either" else CompensationMode.PER_AXIS
-    params = CompensationParams(threshold_t=args.threshold, k_x=args.kx, k_y=args.ky, mode=mode)
-    rows = read_alignment_csv(args.input)
-    if not rows:
+    params = CompensationParams(threshold_t=args.threshold, k_x=args.kx, k_y=args.ky, mode=CompensationMode(args.mode))
+    trials = read_alignment_csv(args.input)
+    if not trials:
         raise ValidationError(f"{args.input}: no trials")
-    records = [compensate_row(row, params) for row in rows]
+    records = []
+    for lineno, row in trials:
+        try:
+            records.append(compensate_row(row, params))
+        except ValidationError as exc:
+            raise ValidationError(f"{args.input}: line {lineno}: {exc}") from exc
     write_records_csv(records, args.out)
 
     print(f"trials: {len(records)}  compensated: {sum(1 for r in records if r['x_ce'] is not None)}")

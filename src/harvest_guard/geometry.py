@@ -110,8 +110,9 @@ RECORD_COLUMNS = (
 )
 
 
-def read_alignment_csv(path: str | Path) -> list[dict[str, float | None]]:
-    """Read audit input rows, each a dict keyed by RECORD_COLUMNS.
+def read_alignment_csv(path: str | Path) -> list[tuple[int, dict[str, float | None]]]:
+    """Read audit input rows as (file line, row), each row a dict keyed by
+    RECORD_COLUMNS.
 
     Header must contain xs,ys,zs,xe,ye,ze. Each of the pairs dx/dy
     (listed visual offset), dx_w/dy_w (ground-truth offset) and e_x/e_y
@@ -122,7 +123,7 @@ def read_alignment_csv(path: str | Path) -> list[dict[str, float | None]]:
     starting with '#' are comments.
     """
     path = Path(path)
-    rows: list[dict[str, float | None]] = []
+    rows: list[tuple[int, dict[str, float | None]]] = []
     for lineno, rec in csv_records(path, (*_PICKING, *_EFFECTOR)):
         row: dict[str, float | None] = dict.fromkeys(RECORD_COLUMNS)
         try:
@@ -135,7 +136,7 @@ def read_alignment_csv(path: str | Path) -> list[dict[str, float | None]]:
             require_finite(**{"xs - xe": row["xs"] - row["xe"], "ys - ye": row["ys"] - row["ye"]})
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"{path}: bad row at line {lineno}: {exc}") from exc
-        rows.append(row)
+        rows.append((lineno, row))
     return rows
 
 
@@ -150,7 +151,8 @@ def compensate_row(row: dict[str, float | None], params: CompensationParams) -> 
     are None. Otherwise z_ce is zs, and the residuals come from the
     row's listed e_x,e_y when present; else they are predicted as the
     best-known pre-correction offset (dx_w,dy_w, or the difference)
-    minus the applied correction.
+    minus the applied correction. A corrected point or residual that
+    overflows raises ValidationError naming its column.
     """
     xs, ys = row["xs"], row["ys"]
     dx, dy = xs - row["xe"], ys - row["ye"]
@@ -169,6 +171,7 @@ def compensate_row(row: dict[str, float | None], params: CompensationParams) -> 
         base_y = dy if row["dy_w"] is None else row["dy_w"]
         record["e_x"] = base_x - (params.k_x * dx if fix_x else 0.0)
         record["e_y"] = base_y - (params.k_y * dy if fix_y else 0.0)
+    require_finite(**{c: record[c] for c in ("x_ce", "y_ce", "e_x", "e_y")})
     return record
 
 

@@ -57,7 +57,7 @@ class LstmArch:
     head_dropout: float = 0.3
 
     def __post_init__(self) -> None:
-        if not all(isinstance(n, int) for n in (self.n_layers, self.hidden_size, self.input_size, self.n_classes)):
+        if not all(type(n) is int for n in (self.n_layers, self.hidden_size, self.input_size, self.n_classes)):
             raise ValidationError(f"architecture sizes must be integers: {self}")
         if self.n_layers < 1 or self.hidden_size < 1 or self.input_size < 1 or self.n_classes < 2:
             raise ValidationError(f"degenerate architecture: {self}")

@@ -49,7 +49,7 @@ def _csv_targets():
 def test_acceptance_01_alignment_audit_replay():
     t0 = time.perf_counter()
     params = CompensationParams()
-    records = [compensate_row(row, params) for row in read_alignment_csv(ALIGNMENT_CSV)]
+    records = [compensate_row(row, params) for _, row in read_alignment_csv(ALIGNMENT_CSV)]
     listed = _csv_targets()
 
     point_ok = True

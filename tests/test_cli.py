@@ -193,6 +193,22 @@ def test_compensate_rejects_non_finite_values_before_writing(tmp_path, capsys, r
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags,rows,problem", [
+    (["--kx", "1e308"], None, "line 10: x_ce must be finite, got inf"),
+    ([], ["1e308,0,0,-7e307,0,0"], "line 2: x_ce must be finite, got inf"),
+    (["--kx", "1e308"], ["400,300,0,380,300,0"], "line 2: x_ce must be finite, got inf"),
+], ids=["reference-audit-huge-gain", "huge-offset", "plain-row-huge-gain"])
+def test_compensate_rejects_a_correction_that_overflows_before_writing(tmp_path, capsys, flags, rows, problem):
+    data, out = tmp_path / "trials.csv", tmp_path / "records.csv"
+    if rows is None:
+        data = ALIGNMENT_CSV
+    else:
+        data.write_text("xs,ys,zs,xe,ye,ze\n" + "".join(row + "\n" for row in rows))
+    assert main(["compensate", "--input", str(data), "--out", str(out), *flags]) == 1
+    assert capsys.readouterr() == ("", f"error: {data}: {problem}\n")
+    assert not out.exists()
+
+
 def _csv_with_bad_row_on_line_5(path, header, good, bad):
     # a comment line and a blank line both count as file lines
     path.write_text(f"# recorded on the test rig\n{header}\n{good}\n\n{bad}\n")
@@ -816,23 +832,42 @@ def test_a_huge_frame_count_is_one_error_line(tmp_path, capsys, command, section
 
 
 def test_simulate_names_the_effector_axis_that_overflows(tmp_path, capsys):
-    # a 1e308 mm error plus 1e308 mm actuation noise lands the effector at
-    # infinity; the approach check names the landed coordinate, not the
-    # visual error derived from it
+    # a 1e308 mm error plus 1e308 mm actuation noise would land the effector
+    # at infinity; the scenario bound stops the error first
     config = tmp_path / "overflow.ini"
     config.write_text("[approach]\nerror_mean_x_mm = 1e308\nerror_std_x_mm = 0\nactuation_noise_std_mm = 1e308\n")
-    argv = ["simulate", "--seed", "1", "--episodes", "50", "--config", str(config), "--out", str(tmp_path / "run")]
-    assert main(argv) == 1
-    assert capsys.readouterr().err.strip().splitlines() == ["error: y must be finite, got inf"]
+    out = tmp_path / "run"
+    assert main(["simulate", "--seed", "1", "--episodes", "50", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: error_mean_x_mm must be <= 1000, got 1e+308"]
+    assert not out.exists()
 
 
 def test_simulate_names_the_injected_error_that_overflows(tmp_path, capsys):
-    # a 1e308 mm mean plus a 1e308 mm spread draws an infinite injected error
+    # a 1e308 mm mean plus a 1e308 mm spread would draw an infinite injected
+    # error; the scenario bound stops the mean first
     config = tmp_path / "overflow.ini"
     config.write_text("[approach]\nerror_mean_x_mm = 1e308\nerror_std_x_mm = 1e308\n")
-    argv = ["simulate", "--seed", "1", "--episodes", "50", "--config", str(config), "--out", str(tmp_path / "run")]
-    assert main(argv) == 1
-    assert capsys.readouterr().err.splitlines() == ["error: dx must be finite, got inf"]
+    out = tmp_path / "run"
+    assert main(["simulate", "--seed", "1", "--episodes", "50", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: error_mean_x_mm must be <= 1000, got 1e+308"]
+    assert not out.exists()
+
+
+_APPROACH_KEYS = ("error_mean_x_mm", "error_mean_y_mm", "error_std_x_mm", "error_std_y_mm",
+                  "actuation_noise_std_mm", "vision_noise_std_mm")
+
+
+@pytest.mark.parametrize("key", _APPROACH_KEYS)
+def test_simulate_bounds_each_approach_key_at_one_metre(tmp_path, capsys, key):
+    config, out = tmp_path / "scenario.ini", tmp_path / "run"
+    past, bound = (-1000.5, ">= -1000") if key == "error_mean_y_mm" else (1000.5, "<= 1000")
+    config.write_text(f"[approach]\n{key} = {past}\n")
+    assert main(["simulate", "--seed", "1", "--episodes", "5", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {key} must be {bound}, got {past}"]
+    assert not out.exists()
+    config.write_text(f"[approach]\n{key} = {past:.0f}\n")
+    assert main(["simulate", "--seed", "1", "--episodes", "5", "--config", str(config), "--out", str(out)]) == 0
+    assert (out / "episodes.jsonl").exists()
 
 
 @pytest.mark.parametrize("section,key", FLOAT_KEYS, ids=[f"{s}.{k}" for s, k in FLOAT_KEYS])

@@ -98,6 +98,17 @@ def test_non_finite_values_are_rejected_by_name(tmp_path):
         mean_abs_error([1.0, -inf])
 
 
+@pytest.mark.parametrize("row,params,problem", [
+    (_row(xs=400.0, ys=300.0, zs=0.0, xe=380.0, ye=300.0, ze=0.0), CompensationParams(k_x=1e308),
+     "x_ce must be finite, got inf"),
+    (_row(xs=0.0, ys=0.0, zs=0.0, xe=-20.0, ye=0.0, ze=0.0, dx_w=-1.7e308, dy_w=0.0), CompensationParams(k_x=2.5e306),
+     "e_x must be finite, got -inf"),
+], ids=["corrected-point", "residual"])
+def test_a_correction_that_overflows_names_its_column(row, params, problem):
+    with pytest.raises(ValidationError, match=f"^{problem}$"):
+        compensate_row(row, params)
+
+
 def test_validation_rejects_bad_inputs():
     with pytest.raises(ValidationError):
         CompensationParams(threshold_t=0.0)
@@ -150,8 +161,8 @@ def _listed_targets():
 
 def test_alignment_log_replay_matches_listed_points():
     rows = read_alignment_csv(ALIGNMENT_CSV)
-    assert len(rows) == 20
-    records = [compensate_row(row, CompensationParams()) for row in rows]
+    assert [lineno for lineno, _ in rows] == list(range(10, 30))
+    records = [compensate_row(row, CompensationParams()) for _, row in rows]
     listed = _listed_targets()
 
     compensated = [r for r in records if r["x_ce"] is not None]
@@ -169,7 +180,7 @@ def test_alignment_log_replay_matches_listed_points():
 
 
 def test_alignment_log_error_means():
-    records = [compensate_row(row, CompensationParams()) for row in read_alignment_csv(ALIGNMENT_CSV)]
+    records = [compensate_row(row, CompensationParams()) for _, row in read_alignment_csv(ALIGNMENT_CSV)]
     dx = mean_abs_error([r["dx"] for r in records])
     dy = mean_abs_error([r["dy"] for r in records])
     dx_w = mean_abs_error([r["dx_w"] for r in records])
@@ -185,7 +196,7 @@ def test_alignment_log_error_means():
 
 
 def test_records_csv_round_trip(tmp_path):
-    records = [compensate_row(row, CompensationParams()) for row in read_alignment_csv(ALIGNMENT_CSV)]
+    records = [compensate_row(row, CompensationParams()) for _, row in read_alignment_csv(ALIGNMENT_CSV)]
     out = tmp_path / "records.csv"
     write_records_csv(records, out)
     with out.open(newline="") as fh:
@@ -202,7 +213,7 @@ def test_records_csv_round_trip(tmp_path):
     # a record file carries every input column, so it re-ingests cleanly
     reread = read_alignment_csv(out)
     assert len(reread) == 20
-    assert compensate_row(reread[0], CompensationParams())["x_ce"] is not None
+    assert compensate_row(reread[0][1], CompensationParams())["x_ce"] is not None
 
 
 def test_read_alignment_csv_rejects_missing_columns(tmp_path):
@@ -427,12 +438,12 @@ def test_compensate_matches_dataclass_reference(tmp_path):
     for params in _AUDIT_PARAMS:
         first = tmp_path / "records.csv"
         _assert_audit_matches(
-            [compensate_row(row, params) for row in read_alignment_csv(ALIGNMENT_CSV)],
+            [compensate_row(row, params) for _, row in read_alignment_csv(ALIGNMENT_CSV)],
             [_ref_compensate_row(row, params) for row in _ref_read_alignment_csv(ALIGNMENT_CSV)],
             first,
         )
         for again in _AUDIT_PARAMS:
-            rows = read_alignment_csv(first)
+            rows = [row for _, row in read_alignment_csv(first)]
             records = [compensate_row(row, again) for row in rows]
             _assert_audit_matches(
                 records,

@@ -206,6 +206,8 @@ def test_load_rejects_non_finite_weights(tmp_path, capsys, model, array, bad, ve
         ({"n_layers": 0}, "degenerate architecture"),
         ({"inter_dropout": "x"}, "not supported between"),
         ({"depth": 3}, "unexpected keyword argument 'depth'"),
+        ({"n_layers": True}, "architecture sizes must be integers"),
+        ({"hidden_size": True}, "architecture sizes must be integers"),
     ],
 )
 def test_load_names_the_file_of_a_bad_architecture_block(tmp_path, edit, problem):

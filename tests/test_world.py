@@ -4,6 +4,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from harvest_guard import world as world_module
 from harvest_guard.errors import ValidationError, require_finite
@@ -21,7 +22,6 @@ from harvest_guard.world import (
     _trajectory,
     EpisodeWorld,
     ScenarioConfig,
-    SlipTrajectory,
     episode_rng,
     gen_grasp_observations,
     gen_slip_dataset,
@@ -76,6 +76,13 @@ def test_the_field_table_bounds_the_noise_and_the_frame_counts():
         )),
         *((name, "least", 0) for name in ("grasp_frames", "frames_normal", "frames_slipping", "frames_slipped")),
         *((name, "most", 1001) for name in ("grasp_frames", "frames_normal", "frames_slipping", "frames_slipped")),
+        ("error_mean_x_mm", "least", -1001.0),
+        ("error_mean_x_mm", "most", 1001.0),
+        ("error_mean_y_mm", "least", -1001.0),
+        ("error_mean_y_mm", "most", 1001.0),
+        *((name, "most", 1001.0) for name in (
+            "error_std_x_mm", "error_std_y_mm", "actuation_noise_std_mm", "vision_noise_std_mm",
+        )),
         ("episodes", "least", -1),
         ("episodes", "most", 1_000_001),
         ("slip_initial_area", "above", 0.0),
@@ -194,12 +201,27 @@ def test_trajectory_lengths_and_labels():
     )
 
 
-def test_severity_never_decreases():
-    traj = gen_slip_trajectory(QUIET, SlipLabel.SLIPPING, episode_rng(0, 0))
-    with pytest.raises(ValidationError, match="severity may never decrease"):
-        SlipTrajectory(traj.frames, traj.labels[::-1])
-    with pytest.raises(ValidationError, match=r"frames must have shape \(14, 7\)"):
-        SlipTrajectory(traj.frames[1:], traj.labels)
+_FRAME_COUNT = st.integers(1, 12)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(
+    frames=st.tuples(_FRAME_COUNT, _FRAME_COUNT, _FRAME_COUNT),
+    targets=st.tuples(*[st.integers(0, 30)] * 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_severity_never_decreases(frames, targets, seed):
+    # every trajectory the generator builds: one per episode outcome, one per dataset plan
+    config = ScenarioConfig(frames_normal=frames[0], frames_slipping=frames[1], frames_slipped=frames[2])
+    built = [(sum(frames), gen_slip_trajectory(config, outcome, episode_rng(seed, i))) for i, outcome in enumerate(SlipLabel)]
+    for i, phases in enumerate(plan_slip_trajectories(config, targets)):
+        traj = _trajectory(config, phases, episode_rng(seed, i))
+        assert np.bincount(traj.labels, minlength=len(SlipLabel)).tolist() == list(phases)
+        built.append((sum(phases), traj))
+    for n, traj in built:
+        assert traj.frames.shape == (n, len(FEATURE_ORDER)) and traj.frames.dtype == np.float64
+        assert traj.labels.shape == (n,) and traj.labels.dtype == np.int64
+        assert (np.diff(traj.labels) >= 0).all()
 
 
 def _column(traj, name):
@@ -289,6 +311,17 @@ def test_quiet_approach_below_threshold_skips_correction():
     assert not out.compensated
     assert out.residual_x == pytest.approx(3.0)
     assert out.residual_y == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("params,injected,message", [
+    (CompensationParams(), (float("inf"), 0.0), "x must be finite, got -inf"),
+    (CompensationParams(k_x=1e308), (20.0, 0.0), "x must be finite, got inf"),
+], ids=["injected-error", "corrected-aim"])
+def test_approach_names_the_effector_axis_that_overflows(params, injected, message):
+    # library callers pass their own error and gains, which the scenario bounds do not cover
+    for config in (QUIET, ScenarioConfig()):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            simulate_approach(config, params, episode_rng(0, 0), injected_error=injected)
 
 
 def test_noisy_approach_residuals_match_field_scale():
