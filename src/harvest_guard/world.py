@@ -32,7 +32,7 @@ from .grasp import GRASP_FEATURES, GraspClass, GraspModel, classify_grasp, write
 from .lstm import SlipModel, predict_proba
 from .slip_decision import classify_slip
 from .slip_windows import (
-    FEATURE_ORDER, LOOKAHEAD, WINDOW_LEN, SlipLabel, build_windows, first_bad_frame, frame_windows, write_slip_csv
+    FEATURE_ORDER, LOOKAHEAD, WINDOW_LEN, SlipLabel, build_windows, frame_windows, write_slip_csv
 )
 
 PROB_SUM_TOL = 1e-9
@@ -224,52 +224,55 @@ def _slip_curve(initial_area: float, decay_rate: float, phases: tuple[int, int, 
     return curve, labels
 
 
-def _trajectory(config: ScenarioConfig, phases: tuple[int, int, int], rng: np.random.Generator) -> SlipTrajectory:
-    """Curve generator over (normal, slipping, slipped) phase lengths.
-
-    The noise-free curve comes from _slip_curve, computed once per
-    (config, phases). The moving frames then take their feature
-    noise from one (n_moving, 6) normal draw in column order s, g, w, h,
-    x, y; slipped frames and zero noise draw nothing.
-    """
-    curve, labels = _slip_curve(config.slip_initial_area, config.slip_decay_rate, phases)
+def _jittered(config: ScenarioConfig, plans: list[tuple[tuple[int, int, int], np.random.Generator]]) -> np.ndarray:
+    """The clamped (s, g, w, h, x, y) moving rows of (phases, rng) plans, in
+    plan order; each plan's _slip_curve takes one (n_moving, 6) normal draw
+    of its own generator (none at zero noise). The clamp leaves s, g <= 0.60,
+    so only background_area = 1 - s - g can leave [0, 1], an error at its
+    first row; noise-free curves pass (s <= 0.5, g = 0.35 leave b >= 0.15)."""
+    curves = [_slip_curve(config.slip_initial_area, config.slip_decay_rate, phases)[0] for phases, _ in plans]
     noise = config.slip_noise_std
-    moving = curve + rng.normal(0.0, noise, size=curve.shape) if noise > 0 else curve
-
-    n_moving = len(curve)
+    moving = np.concatenate(curves)
+    if noise > 0:
+        moving = moving + np.concatenate([rng.normal(0.0, noise, size=c.shape) for c, (_, rng) in zip(curves, plans)])
     clamped = np.minimum(_NOISY_HI, np.maximum(_NOISY_LO, moving))
-    features = np.empty((len(labels), len(FEATURE_ORDER)))
-    moved = features[:n_moving]
-    moved[:, :2] = clamped[:, :2]
-    moved[:, 3:] = clamped[:, 2:]
+    background = 1.0 - clamped[:, 0] - clamped[:, 1]
+    low = background < 0.0
+    if low.any():
+        raise ValidationError(f"slip.feature_noise_std = {noise} pushes a frame out of the feature range: "
+                              f"{FEATURE_ORDER[2]} must lie in [0, 1], got {background[low.argmax()].item()}")
+    return clamped
+
+
+def _frames(clamped: np.ndarray, n: int) -> np.ndarray:
+    """(n, 7) frames in FEATURE_ORDER: the clamped rows, then slipped ones."""
+    features = np.empty((n, len(FEATURE_ORDER)))
+    moved = features[: len(clamped)]
+    moved[:, :2], moved[:, 3:] = clamped[:, :2], clamped[:, 2:]
     moved[:, 2] = 1.0 - clamped[:, 0] - clamped[:, 1]
-    features[n_moving:] = _GONE_ROW
-    # noise-free frames always pass (s <= 0.5 and g = 0.35 leave b >= 0.15)
-    bad = first_bad_frame(features)
-    if bad is not None:
-        raise ValidationError(f"slip.feature_noise_std = {noise} pushes a frame out of the feature range: {bad[1]}")
-    return SlipTrajectory(features, labels)
+    features[len(clamped) :] = _GONE_ROW
+    return features
 
 
-def gen_slip_trajectory(
-    config: ScenarioConfig,
-    outcome: SlipLabel,
-    rng: np.random.Generator,
-) -> SlipTrajectory:
-    """One snap-off observation sequence for the requested outcome class.
+def _trajectory(config: ScenarioConfig, phases: tuple[int, int, int], rng: np.random.Generator) -> SlipTrajectory:
+    """The frames of one (normal, slipping, slipped) plan; _jittered's check keeps them in the feature range."""
+    labels = _slip_curve(config.slip_initial_area, config.slip_decay_rate, phases)[1]
+    return SlipTrajectory(_frames(_jittered(config, [(phases, rng)]), len(labels)), labels)
 
-    All outcomes share the same total length, so downstream window counts
-    match. A slipped outcome passes through exactly one slipping frame,
-    reflecting how abruptly an actual drop shows up at the frame rate.
-    """
-    total = config.frames_normal + config.frames_slipping + config.frames_slipped
-    if outcome is SlipLabel.NORMAL:
-        return _trajectory(config, (total, 0, 0), rng)
-    if outcome is SlipLabel.SLIPPING:
-        return _trajectory(config, (config.frames_normal, total - config.frames_normal, 0), rng)
-    if outcome is SlipLabel.SLIPPED:
-        return _trajectory(config, (config.frames_normal, 1, total - config.frames_normal - 1), rng)
-    raise ValidationError(f"unknown slip outcome {outcome!r}")
+
+def _phases(config: ScenarioConfig, outcome: SlipLabel) -> tuple[int, int, int]:
+    """An outcome's (normal, slipping, slipped) frame counts. All share one
+    total, so window counts match; a drop shows as abruptly as an actual one
+    at the frame rate, with exactly one slipping frame."""
+    if not isinstance(outcome, SlipLabel):
+        raise ValidationError(f"unknown slip outcome {outcome!r}")
+    n, total = config.frames_normal, config.frames_normal + config.frames_slipping + config.frames_slipped
+    return ((total, 0, 0), (n, total - n, 0), (n, 1, total - n - 1))[outcome]
+
+
+def gen_slip_trajectory(config: ScenarioConfig, outcome: SlipLabel, rng: np.random.Generator) -> SlipTrajectory:
+    """One snap-off observation sequence for the requested outcome class."""
+    return _trajectory(config, _phases(config, outcome), rng)
 
 
 # --- grasp observations --------------------------------------------------
@@ -398,19 +401,10 @@ def plan_slip_trajectories(
     return plans
 
 
-def gen_slip_dataset(
-    path: str | Path,
-    config: ScenarioConfig,
-    targets: tuple[int, int, int],
-    seed: int,
-) -> None:
+def gen_slip_dataset(path: str | Path, config: ScenarioConfig, targets: tuple[int, int, int], seed: int) -> None:
     """SlipData CSV whose per-label window counts equal `targets` exactly."""
     plans = plan_slip_trajectories(config, targets)
-    episodes = []
-    for i, phases in enumerate(plans):
-        traj = _trajectory(config, phases, episode_rng(seed, i))
-        episodes.append((i, traj.frames, traj.labels))
-    write_slip_csv(path, episodes)
+    write_slip_csv(path, [(i, *_trajectory(config, phases, episode_rng(seed, i))) for i, phases in enumerate(plans)])
 
 
 def gen_grasp_dataset(
@@ -441,8 +435,9 @@ class EpisodeWorld:
 
     Without models, the monitors see ground truth: the grasp stream
     repeats the injected class and the slip stream replays the window
-    labels a perfect predictor would emit. With models attached, streams
-    come from the classifiers instead.
+    labels a perfect predictor would emit, from the noise-free curve, while
+    each snap-off still draws its noise and checks its background area.
+    With models attached, streams come from the classifiers instead.
 
     The slip phases must yield a window, or the slip monitor never fires:
     WINDOW_LEN + LOOKAHEAD frames for ground truth, WINDOW_LEN for a model.
@@ -483,12 +478,13 @@ class EpisodeWorld:
         x = gen_grasp_observations(truth.grasp_outcome, self.config.grasp_frames, rng, self.config.grasp_noise_scale)
         return classify_grasp(self.grasp_model, x)
 
-    def _truth_stream(self, outcome: SlipLabel, traj: SlipTrajectory) -> tuple[SlipLabel, ...]:
-        """The window labels a perfect predictor emits for an outcome. They
-        depend only on the trajectory's labels, which the outcome fixes, so
-        the first trajectory of each outcome computes them."""
+    def _truth_stream(self, outcome: SlipLabel) -> tuple[SlipLabel, ...]:
+        """The window labels a perfect predictor emits for an outcome; they depend
+        only on its phase labels, so its first request builds them, drawing nothing."""
         if outcome not in self._truth_windows:
-            y = build_windows(traj.frames, traj.labels).y
+            cfg = self.config
+            curve, labels = _slip_curve(cfg.slip_initial_area, cfg.slip_decay_rate, _phases(cfg, outcome))
+            y = build_windows(_frames(curve, len(labels)), labels).y
             self._truth_windows[outcome] = tuple(_SLIP_ORDER[v] for v in y.tolist())
         return self._truth_windows[outcome]
 
@@ -497,12 +493,16 @@ class EpisodeWorld:
 
     def slip_streams(self, requests: list[tuple[EpisodeTruth, np.random.Generator]]) -> list[list[SlipLabel]]:
         """The slip labels of many episodes at snap-off. Each request draws
-        its trajectory from its own generator, in order; a model then runs
-        one forward (none for no requests) over the (E, B, T, D) stack of
-        their windows, which equal trajectory lengths make rectangular."""
+        its noise from its own generator, in order: ground truth in one
+        _jittered call that builds no frames; a model over whole
+        trajectories, then one forward over the (E, B, T, D) stack of their
+        windows, which equal trajectory lengths make rectangular."""
+        if not requests:
+            return []
+        if self.slip_model is None:
+            _jittered(self.config, [(_phases(self.config, truth.slip_outcome), rng) for truth, rng in requests])
+            return [list(self._truth_stream(truth.slip_outcome)) for truth, _ in requests]
         trajs = [gen_slip_trajectory(self.config, truth.slip_outcome, rng) for truth, rng in requests]
-        if self.slip_model is None or not trajs:
-            return [list(self._truth_stream(truth.slip_outcome, t)) for (truth, _), t in zip(requests, trajs)]
         n_windows = len(trajs[0].frames) - WINDOW_LEN + 1
         probs = predict_proba(self.slip_model, np.stack([frame_windows(t.frames, n_windows) for t in trajs]))
         labels = classify_slip(probs.reshape(-1, probs.shape[-1]))

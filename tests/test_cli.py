@@ -781,6 +781,46 @@ def test_grasp_bytes_are_pinned(tmp_path, capsys):
     }
 
 
+_NOISY = "[slip]\ninitial_area = 0.3\nfeature_noise_std = 0.05\n"
+
+
+def test_noisy_simulate_bytes_are_pinned(tmp_path, capsys):
+    # ground truth at twelve times the default feature noise: a snap-off's
+    # noise draw comes before the stage-time draws of the rest of its cycle,
+    # so skipping, resizing or reordering it moves the log
+    config = tmp_path / "noisy.ini"
+    config.write_text(_NOISY)
+    out = tmp_path / "run"
+    assert main(["simulate", "--seed", "7", "--episodes", "300", "--config", str(config), "--out", str(out)]) == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("episodes.jsonl", "summary.csv", "scenario.ini")
+    }
+    assert digests == {
+        "episodes.jsonl": "d9e78af4391be5eff38cd8542da93a491d1af26fd5dd1c4006d43528bfbab045",
+        "summary.csv": "067005a69e4b0d4e6eb0e38d948b74c6d9a0e2bc1c3dd62e7d761b347c886e50",
+        "scenario.ini": "d0b6e7f9f255a2b54783dfe64cdcfc965f52a0d208fcc2c6cd86fd5bd630b4d7",
+    }
+
+
+def test_noisy_gen_data_slip_bytes_are_pinned(tmp_path, capsys):
+    # the jittered, clamped and assembled frames; with a small fruit the
+    # strawberry_area clamp at 0.001 binds on many frames
+    digests = {}
+    for name, text in (("noisy", _NOISY), ("small", _NOISY.replace("0.3", "0.05"))):
+        config, data = tmp_path / f"{name}.ini", tmp_path / f"{name}.csv"
+        config.write_text(text)
+        argv = ["gen-data", "--kind", "slip", "--counts", "300,120,120", "--seed", "3", "--config", str(config)]
+        assert main(argv + ["--out", str(data)]) == 0
+        digests[name] = hashlib.sha256(data.read_bytes()).hexdigest()
+    with (tmp_path / "small.csv").open() as fh:
+        assert sum(row["strawberry_area"] == "0.001" for row in csv.DictReader(fh)) > 100
+    assert digests == {
+        "noisy": "cc34a83d35f7b742fc5027db7c47dd4208ba15ed04b51342f1cbb62643ee6a26",
+        "small": "ce217fe0e741491db6235a1be7613be41309827e0018e0d4dd0f3acd60e67dce",
+    }
+
+
 _CROWDED = "error: slip.feature_noise_std = 0.2 pushes a frame out of the feature range: background_area must lie in [0, 1], got "
 
 

@@ -100,23 +100,32 @@ def test_simulate_calls_every_sim_trace_point(tmp_path, monkeypatch, capsys):
 
 
 def test_ground_truth_simulate_draws_one_trajectory_per_proceeding_grasp(tmp_path, monkeypatch, capsys):
-    episodes = []
-    run_episodes = cli.run_episodes
+    episodes, plans = [], []
+    run_episodes, jittered = cli.run_episodes, world._jittered
 
     def keep_episodes(*args, **kwargs):
         episodes.extend(run_episodes(*args, **kwargs))
         return episodes
 
+    def keep_plans(config, chunk):
+        plans.extend(chunk)
+        return jittered(config, chunk)
+
     monkeypatch.setattr(cli, "run_episodes", keep_episodes)
+    monkeypatch.setattr(world, "_jittered", keep_plans)
     tracer = _tracer(monkeypatch)
     with tracer.active("op"):
         assert cli.main(["simulate", "--seed", "3", "--episodes", "100", "--out", str(tmp_path / "run")]) == 0
     op = tracer.phases["op"]
-    # every snap-off draws and checks its own trajectory, even though the
+    # every snap-off draws and checks its own trajectory noise, from its own
+    # generator and in episode order, although no frames are built and the
     # window labels are computed once per slip outcome
-    proceeding = sum(ep.responses.grasp_action is GraspAction.PROCEED for ep in episodes)
-    assert len(episodes) == 100 and proceeding > 0
-    assert op.calls["world.gen_slip_trajectory"] == proceeding
+    proceeding = [ep for ep in episodes if ep.responses.grasp_action is GraspAction.PROCEED]
+    assert len(episodes) == 100 and proceeding
+    config = world.ScenarioConfig()
+    assert [phases for phases, _ in plans] == [world._phases(config, ep.truth.slip_outcome) for ep in proceeding]
+    assert len({id(rng) for _, rng in plans}) == len(plans)
+    assert op.calls["world.gen_slip_trajectory"] == 0
     assert op.calls["slip_windows.build_windows"] <= len(SlipLabel)
 
 

@@ -14,10 +14,14 @@ from harvest_guard.fsm import (
 from harvest_guard.geometry import CompensationMode, CompensationParams
 from harvest_guard.grasp import GraspClass, GraspModel
 from harvest_guard.lstm import LstmArch, TrainConfig, init_model, lstm_train
-from harvest_guard.slip_windows import FEATURE_ORDER, SlipLabel, build_windows, class_counts, windows_from_slip_csv
+from harvest_guard.slip_windows import (
+    FEATURE_ORDER, SlipLabel, build_windows, class_counts, first_bad_frame, windows_from_slip_csv
+)
 from harvest_guard.world import (
     _CONFIG_SCHEMA,
     _DROP_ACCEL,
+    _jittered,
+    _phases,
     _slip_curve,
     _trajectory,
     EpisodeWorld,
@@ -441,6 +445,16 @@ def test_phased_runner_makes_no_slip_forward_when_every_grasp_aborts(grasp_model
     assert episodes == _one_at_a_time(world, 40, 5)
 
 
+def test_no_slip_requests_draw_nothing(monkeypatch):
+    calls = []
+    for name in ("_jittered", "gen_slip_trajectory", "build_windows", "predict_proba"):
+        monkeypatch.setattr(world_module, name, lambda *args, name=name: calls.append(name))
+    model = init_model(LstmArch(n_layers=1, hidden_size=2), seed=0)
+    for world in (EpisodeWorld(ScenarioConfig()), EpisodeWorld(ScenarioConfig(), slip_model=model)):
+        assert world.slip_streams([]) == []
+    assert calls == []
+
+
 def test_outcome_frequencies_match_the_mix():
     world = EpisodeWorld(ScenarioConfig())
     episodes = run_episodes(world, 2000, master_seed=11)
@@ -603,6 +617,50 @@ def test_phase_plans_match_scalar_reference(config):
     for seed, phases in enumerate(plans):
         # a plan that ends in slipped frames is a drop
         _assert_trajectory_matches_reference(config, phases, seed, _DROP_ACCEL if phases[2] else 1.0)
+
+
+def _chunks(config):
+    """Derandomised chunks of phase plans: every dataset plan alone and all
+    together, plans without moving frames, and episode chunks of mixed
+    outcomes in several orders."""
+    plans = plan_slip_trajectories(config, (20, 9, 10))
+    normal, slipping, slipped = (_phases(config, outcome) for outcome in SlipLabel)
+    return [
+        *([p] for p in plans), plans, [(0, 0, 4)], [(0, 0, 4), (0, 3, 0), (0, 0, 2)],
+        [normal, slipped, slipping, normal, normal, slipped], [slipped, slipping, normal] * 4, [slipping] * 9,
+    ]
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.05, 0.2, 3.0, 1e308])
+@pytest.mark.parametrize("area", [0.3, 0.45, 0.5])
+def test_jittered_chunks_match_scalar_reference(area, noise):
+    # one draw-and-check call over a chunk of plans must raise exactly when
+    # the scalar reference of some plan, in order, builds a frame that
+    # first_bad_frame rejects, naming that frame; every plan's generator
+    # ends where the reference twin's does, failing or not
+    config = ScenarioConfig(slip_initial_area=area, slip_noise_std=noise)
+    failed = []  # the failing plan's place in its chunk
+    for seed, chunk in enumerate(_chunks(config) * 3):
+        rngs = [episode_rng(seed, i) for i in range(len(chunk))]
+        twins = [episode_rng(seed, i) for i in range(len(chunk))]
+        refs = [np.array(_ref_trajectory(config, phases, twin, _DROP_ACCEL if phases[2] else 1.0)[0]).reshape(-1, 7)
+                for phases, twin in zip(chunk, twins)]
+        bad = next(((k, b[1]) for k, b in enumerate(map(first_bad_frame, refs)) if b is not None), None)
+        if bad is None:
+            got = _jittered(config, list(zip(chunk, rngs)))
+            moving = np.concatenate([ref[: phases[0] + phases[1]] for phases, ref in zip(chunk, refs)])
+            assert got.tobytes() == moving[:, [0, 1, 3, 4, 5, 6]].tobytes()
+        else:
+            with pytest.raises(ValidationError) as info:
+                _jittered(config, list(zip(chunk, rngs)))
+            message = f"slip.feature_noise_std = {noise} pushes a frame out of the feature range: {bad[1]}"
+            assert str(info.value) == message
+            failed.append(bad[0])
+        assert [rng.bit_generator.state for rng in rngs] == [twin.bit_generator.state for twin in twins]
+    # noise-free curves always pass; where a scenario fails, some chunk
+    # fails past its first plan, so the plan order is checked too
+    assert bool(failed) == (noise >= 0.2 or (area, noise) == (0.5, 0.05))
+    assert any(failed) == bool(failed)
 
 
 @pytest.mark.parametrize(
