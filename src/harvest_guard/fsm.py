@@ -13,24 +13,28 @@ MIN_DURATION_S, or the mean exactly in deterministic mode. Fault
 responses replace the normal duration of their stage rather than adding
 to it, which is how the measured timings account for them. A slipping
 recovery spends one draw across two SnapOff records: the part before
-detection and the re-snap after it.
+detection and the re-snap after it. The records between two monitor
+decisions draw their durations as one standard_normal block, mean + std
+* z each, which is bit for bit the rng.normal(mean, std) of one draw per
+record, in the same order.
 
 An episode's fault is its one variant other than NORMAL, or NORMAL, and
-outcome_of(records) is the outcome it fixes. _WALKS holds each fault's
-walk, with and without compensation, as the (stage, variant, event) of
-every record; _make_walk alone orders the stages and gives records their
-variant and event. The cycle looks up its walk once per monitor decision
-and appends the next record of the walk its monitors have fixed so far.
-episode_problem(records, events) checks records and logged events
-against it: a valid walk passes on one comparison with the whole walk,
-and only an invalid one is scanned for its first problem. The four enums
-hash by identity, as their members are singletons. write_episode_log
-writes each record as exactly json.dumps of its LOG_FIELDS dict:
-_LINE_TEXT holds, per walk entry, the text json.dumps gives around the
-episode_id, duration_s and detail values, and only those three are
-encoded per record. read_episode_log accepts only the (stage, variant)
-keys of STAGE_TIMING and runs that check on each episode at its homing
-line.
+outcome_of(records) is the outcome it fixes; a HarvestEpisode keeps the
+walk key its check found, for its outcome and its log lines. _WALKS
+holds each fault's walk, with and without compensation, as the (stage,
+variant, event) of every record; _make_walk alone orders the stages and
+gives records their variant and event. The cycle looks up its walk once
+per monitor decision and appends the records of the walk its monitors
+have fixed so far, up to the next decision. episode_problem(records,
+events) checks records and logged events against it: a valid walk passes
+on one comparison with the whole walk, and only an invalid one is
+scanned for its first problem. The four enums hash by identity, as their
+members are singletons. write_episode_log writes each record as exactly
+json.dumps of its LOG_FIELDS dict: _LINE_TEXT holds, per walk entry, the
+text json.dumps gives around the episode_id, duration_s and detail
+values, and only those three are encoded per record. read_episode_log
+accepts only the (stage, variant) keys of STAGE_TIMING and runs that
+check on each episode at its homing line.
 """
 
 from __future__ import annotations
@@ -38,12 +42,12 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product, zip_longest
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Generator, Iterable, Protocol, Sequence
+from typing import Generator, Iterable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -122,8 +126,7 @@ STAGE_TIMING: dict[tuple[Stage, Variant], tuple[float, float]] = {
 MIN_DURATION_S = 0.01
 
 
-@dataclass(frozen=True, slots=True)
-class StageRecord:
+class StageRecord(NamedTuple):
     stage: Stage
     variant: Variant
     duration_s: float
@@ -179,6 +182,8 @@ def _make_walk(fault: Variant, compensated: bool) -> tuple[tuple[Stage, Variant,
 
 # every walk a cycle takes, by (fault, compensated)
 _WALKS = {key: _make_walk(*key) for key in product(Variant, (False, True))}
+# each key itself: an episode keeps one of these ten, not a tuple of its own
+_WALK_KEYS = {key: key for key in _WALKS}
 # each walk's (stage, variant) pairs and events, which a valid episode matches as a whole
 _WALK_PAIRS = {key: [(stage, variant) for stage, variant, _ in walk] for key, walk in _WALKS.items()}
 _WALK_EVENTS = {key: [event for _, _, event in walk] for key, walk in _WALKS.items()}
@@ -187,14 +192,18 @@ _WALK_EVENTS = {key: [event for _, _, event in walk] for key, walk in _WALKS.ite
 def _walk_key(records: Sequence[StageRecord]) -> tuple[Variant, bool]:
     """The _WALKS key of the walk the records' fault fixes, compensated
     when their second stage is."""
-    return _fault_of(records), len(records) > 1 and records[1].stage is Stage.COMPENSATION
+    return _WALK_KEYS[_fault_of(records), len(records) > 1 and records[1].stage is Stage.COMPENSATION]
 
 
 def episode_problem(records: Sequence[StageRecord], events: Sequence[Event] = ()) -> str | None:
     """What keeps an episode's records from being the walk their fault
     fixes, if anything: the first seq whose stage differs from it, or else
     the first whose variant does, or else the first whose given event does."""
-    key = _walk_key(records)
+    return _walk_problem(_walk_key(records), records, events)
+
+
+def _walk_problem(key: tuple[Variant, bool], records: Sequence[StageRecord], events: Sequence[Event] = ()) -> str | None:
+    """episode_problem of records whose _walk_key is `key`."""
     pairs_match = [(r.stage, r.variant) for r in records] == _WALK_PAIRS[key]
     if pairs_match and (not events or list(events) == _WALK_EVENTS[key]):
         return None
@@ -202,7 +211,7 @@ def episode_problem(records: Sequence[StageRecord], events: Sequence[Event] = ()
     for seq, (got, want) in enumerate(zip_longest((r.stage for r in records), (stage for stage, _, _ in walk))):
         if got is not want:
             got, want = (stage.value if stage is not None else "no record" for stage in (got, want))
-            return f"{outcome_of(records).value} walk has {got} at seq {seq}, expected {want}"
+            return f"{_FAULT_OUTCOMES[key[0]].value} walk has {got} at seq {seq}, expected {want}"
     for i, name, labels in ((1, "variant", [r.variant for r in records]), (2, "event", events)):
         for seq, (got, want) in enumerate(zip(labels, walk)):
             if got is not want[i]:
@@ -210,8 +219,7 @@ def episode_problem(records: Sequence[StageRecord], events: Sequence[Event] = ()
     return None
 
 
-@dataclass(frozen=True, slots=True)
-class EpisodeTruth:
+class EpisodeTruth(NamedTuple):
     """What the simulator actually injected, independent of detection."""
 
     positional_error: tuple[float, float]  # injected (dx, dy), mm
@@ -219,8 +227,7 @@ class EpisodeTruth:
     slip_outcome: SlipLabel
 
 
-@dataclass(frozen=True, slots=True)
-class EpisodeResponses:
+class EpisodeResponses(NamedTuple):
     """What the monitors decided."""
 
     compensated: bool
@@ -239,23 +246,26 @@ class HarvestEpisode:
     records: tuple[StageRecord, ...]
     truth: EpisodeTruth
     responses: EpisodeResponses
+    # the _WALKS key of the records, kept from the one scan that checks them
+    _walk: tuple[Variant, bool] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        problem = episode_problem(self.records)
+        key = _walk_key(self.records)
+        problem = _walk_problem(key, self.records)
         if problem:
             raise ValidationError(problem)
+        object.__setattr__(self, "_walk", key)
 
     @property
     def outcome(self) -> Outcome:
-        return outcome_of(self.records)
+        return _FAULT_OUTCOMES[self._walk[0]]
 
     @property
     def total_s(self) -> float:
         return sum(r.duration_s for r in self.records)
 
 
-@dataclass(frozen=True, slots=True)
-class ApproachOutcome:
+class ApproachOutcome(NamedTuple):
     visual_error: tuple[float, float]  # measured (dx, dy), mm
     compensated: bool
     residual_x: float
@@ -303,29 +313,44 @@ def episode_cycle(
 ) -> Generator[EpisodeTruth, Sequence[SlipLabel], HarvestEpisode]:
     """The eight-stage walk of one episode. Unless the grasp aborts, it
     suspends once, at snap-off, to yield the truth; the caller draws the
-    slip perception from the same rng and sends back its labels."""
+    slip perception from the same rng and sends back its labels. Each
+    monitor decision fixes the walk up to the next one, and the records
+    in between draw their durations as one block."""
 
-    def draw(stage: Stage, variant: Variant) -> float:
-        mean, std = STAGE_TIMING[stage, variant]
-        return mean if deterministic else max(MIN_DURATION_S, float(rng.normal(mean, std)))
+    def durations(pairs: Sequence[tuple[Stage, Variant]]) -> list[float]:
+        """Each (stage, variant)'s duration, in order: mean + std * z from
+        one standard_normal block, bit for bit what one rng.normal(mean,
+        std) per pair returns, floored at MIN_DURATION_S; or each mean in
+        deterministic mode, drawing nothing."""
+        if deterministic:
+            return [STAGE_TIMING[pair][0] for pair in pairs]
+        times = []
+        for pair, z in zip(pairs, rng.standard_normal(len(pairs)).tolist()):
+            mean, std = STAGE_TIMING[pair]
+            times.append(max(MIN_DURATION_S, mean + std * z))
+        return times
 
     records: list[StageRecord] = []
 
-    def record(detail: str = "", duration_s: float | None = None) -> None:
-        stage, variant, _ = walk[len(records)]
-        duration_s = draw(stage, variant) if duration_s is None else duration_s
-        records.append(StageRecord(stage, variant, duration_s, detail))
+    def record(walk: list[tuple[Stage, Variant]], times: list[float], *details: str) -> None:
+        """Append the next len(times) records of a _WALK_PAIRS walk, with
+        these durations, and these details on the first of them."""
+        n = len(records)
+        for (stage, variant), duration_s, detail in zip_longest(walk[n : n + len(times)], times, details, fillvalue=""):
+            records.append(StageRecord(stage, variant, duration_s, detail))
 
     truth = world.sample_truth(rng)
 
     # approach; the visual check decides whether a compensation move runs
     approach = world.approach(truth, rng)
-    # each monitor sets the walk of its fault before the record it decides
-    walk = _WALKS[Variant.NORMAL, approach.compensated]
-    record("visual error ({:.1f}, {:.1f}) mm".format(*approach.visual_error))
-    if approach.compensated:
-        record(f"residual ({approach.residual_x:.1f}, {approach.residual_y:.1f}) mm")
-    record()  # swallowing
+    compensated = approach.compensated
+    # each monitor sets the walk of its fault before the records it decides
+    walk = _WALK_PAIRS[Variant.NORMAL, compensated]
+    details = ["visual error ({:.1f}, {:.1f}) mm".format(*approach.visual_error)]
+    if compensated:
+        details.append(f"residual ({approach.residual_x:.1f}, {approach.residual_y:.1f}) mm")
+    deflating = 2 + compensated  # its seq: the records up to it end with swallowing
+    record(walk, durations(walk[:deflating]), *details)
 
     # deflating: the grasp verifier watches frames until a verdict or the
     # stream ends
@@ -340,43 +365,43 @@ def episode_cycle(
     detect_idx: int | None = None
     if grasp_action is GraspAction.ABORT_CYCLE:
         # fault response replaces the normal deflating duration and folds
-        # in the re-inflation move
+        # in the re-inflation move; no monitor decides the rest of the walk
         fault = Variant.EMPTY_GRASP_RESPONSE if grasp_detected is GraspClass.EMPTY else Variant.MISGRASP_RESPONSE
-        walk = _WALKS[fault, approach.compensated]
-        record(f"detected {grasp_detected.name.lower()}")
+        walk = _WALK_PAIRS[fault, compensated]
+        record(walk, durations(walk[deflating:]), f"detected {grasp_detected.name.lower()}")
     else:
-        record()  # deflating
+        record(walk, durations(walk[deflating : deflating + 1]))
 
         # snap-off: the slip monitor scans window predictions past any
-        # confirmed normal; the first regrasp or abort action decides the path
-        predictions = list((yield truth))
+        # confirmed normal; the first regrasp or abort action decides the
+        # path, and with it the rest of the walk: descending, placing when
+        # the fruit is held, homing
+        predictions = yield truth
         slip_action, detect_idx = first_action(
             time_stability_step, predictions, ignore=(RecoveryAction.CONTINUE_SNAP_OFF,)
         )
+        snap_off = deflating + 1
 
         if slip_action is RecoveryAction.ABORT_CYCLE:
-            walk = _WALKS[Variant.SLIPPED_ABORT, approach.compensated]
-            record(f"slip confirmed at window {detect_idx}")
+            walk = _WALK_PAIRS[Variant.SLIPPED_ABORT, compensated]
+            record(walk, durations(walk[snap_off:]), f"slip confirmed at window {detect_idx}")
         elif slip_action is RecoveryAction.REGRASP_AND_RESNAP:
-            # one recovery draw covers the whole snap-off phase, split at the
-            # detection point across the interrupted and re-snap records
-            walk = _WALKS[Variant.SLIPPING_RECOVERY, approach.compensated]
-            phase = draw(Stage.SNAP_OFF, Variant.SLIPPING_RECOVERY)
+            # one recovery draw, the first of the block, covers the whole
+            # snap-off phase, split at the detection point across the
+            # interrupted and re-snap records
+            walk = _WALK_PAIRS[Variant.SLIPPING_RECOVERY, compensated]
+            phase, *times = durations(walk[snap_off + 1 :])
             frames_seen = detect_idx + 1
             fraction = frames_seen / max(len(predictions), frames_seen)
-            record(f"slipping confirmed at window {detect_idx}", phase * fraction)
-            record("regrasped and re-snapped", phase * (1.0 - fraction))
+            record(walk, [phase * fraction, phase * (1.0 - fraction), *times],
+                   f"slipping confirmed at window {detect_idx}", "regrasped and re-snapped")
         else:
-            record()  # snap-off
-
-    # the rest of the walk: descending, placing when the fruit is held, homing
-    for _ in walk[len(records):]:
-        record()
+            record(walk, durations(walk[snap_off:]))
 
     responses = EpisodeResponses(
-        compensated=approach.compensated,
-        residual_x=approach.residual_x if approach.compensated else None,
-        residual_y=approach.residual_y if approach.compensated else None,
+        compensated=compensated,
+        residual_x=approach.residual_x if compensated else None,
+        residual_y=approach.residual_y if compensated else None,
         grasp_action=grasp_action,
         grasp_detected=grasp_detected,
         grasp_detect_frame=grasp_frame,
@@ -428,7 +453,7 @@ def write_episode_log(path: str | Path, episodes: Iterable[HarvestEpisode]) -> N
             fh.write(
                 "".join(
                     f"{head}{eid}{to_duration}{_json_number(rec.duration_s)}{to_detail}{_json_str(rec.detail)}{tail}\n"
-                    for rec, (head, to_duration, to_detail, tail) in zip(ep.records, _LINE_TEXT[_walk_key(ep.records)])
+                    for rec, (head, to_duration, to_detail, tail) in zip(ep.records, _LINE_TEXT[ep._walk])
                 )
             )
 

@@ -14,6 +14,7 @@ across runs and independent of scheduling.
 
 from __future__ import annotations
 
+import bisect
 import configparser
 import functools
 import itertools
@@ -346,13 +347,16 @@ def simulate_approach(
     """
     px, py = NOMINAL_PICKING_POINT
     ex, ey = injected_error
-    act = config.actuation_noise_std_mm
-    vis = config.vision_noise_std_mm
-    a1x, a1y = rng.normal(0.0, act, size=2).tolist() if act > 0 else (0.0, 0.0)
+    act, vis = config.actuation_noise_std_mm, config.vision_noise_std_mm
+    # the actuation pair, then the vision pair, each drawn only when its std
+    # is not 0, in one block: 0.0 + std * z is bit for bit what
+    # rng.normal(0.0, std, size=2) returns
+    z = rng.standard_normal(2 * (act > 0) + 2 * (vis > 0)).tolist()
+    a1x, a1y = (0.0 + act * z[0], 0.0 + act * z[1]) if act > 0 else (0.0, 0.0)
+    v_x, v_y = (0.0 + vis * z[-2], 0.0 + vis * z[-1]) if vis > 0 else (0.0, 0.0)
     e1x = px - ex + a1x
     e1y = py - ey + a1y
     require_finite(x=e1x, y=e1y)
-    v_x, v_y = rng.normal(0.0, vis, size=2).tolist() if vis > 0 else (0.0, 0.0)
     dx, dy = (px - e1x) + v_x, (py - e1y) + v_y
     require_finite(dx=dx, dy=dy)
 
@@ -423,11 +427,11 @@ _GRASP_ORDER = (GraspClass.RIPE_HELD, GraspClass.EMPTY, GraspClass.UNRIPE_HELD)
 _SLIP_ORDER = (SlipLabel.NORMAL, SlipLabel.SLIPPING, SlipLabel.SLIPPED)
 
 
-def _choice_cdf(p: tuple[float, float, float]) -> np.ndarray:
+def _choice_cdf(p: tuple[float, float, float]) -> list[float]:
     """The normalised cumulative weights Generator.choice searches."""
     cdf = np.cumsum(np.asarray(p, dtype=np.float64))
     cdf /= cdf[-1]
-    return cdf
+    return cdf.tolist()
 
 
 class EpisodeWorld:
@@ -462,12 +466,16 @@ class EpisodeWorld:
         self._truth_windows: dict[SlipLabel, tuple[SlipLabel, ...]] = {}
 
     def sample_truth(self, rng: np.random.Generator) -> EpisodeTruth:
-        ex = float(rng.normal(self.config.error_mean_x_mm, self.config.error_std_x_mm))
-        ey = float(rng.normal(self.config.error_mean_y_mm, self.config.error_std_y_mm))
+        cfg = self.config
+        # mean + std * z is bit for bit what rng.normal(mean, std) returns
+        z_x, z_y = rng.standard_normal(2).tolist()
         # one uniform per class, searched as Generator.choice(3, p=...) does
-        grasp = _GRASP_ORDER[self._grasp_cdf.searchsorted(rng.random(), side="right")]
-        slip = _SLIP_ORDER[self._slip_cdf.searchsorted(rng.random(), side="right")]
-        return EpisodeTruth((ex, ey), grasp, slip)
+        u_grasp, u_slip = rng.random(2).tolist()
+        return EpisodeTruth(
+            (cfg.error_mean_x_mm + cfg.error_std_x_mm * z_x, cfg.error_mean_y_mm + cfg.error_std_y_mm * z_y),
+            _GRASP_ORDER[bisect.bisect_right(self._grasp_cdf, u_grasp)],
+            _SLIP_ORDER[bisect.bisect_right(self._slip_cdf, u_slip)],
+        )
 
     def approach(self, truth: EpisodeTruth, rng: np.random.Generator) -> ApproachOutcome:
         return simulate_approach(self.config, self._params, rng, truth.positional_error)

@@ -1,7 +1,9 @@
 """Cycle state machine: timing, anchor episodes, logs."""
 
+import dataclasses
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from harvest_guard import fsm
 from harvest_guard.errors import ValidationError
 from harvest_guard.fsm import (
     STAGE_TIMING,
+    ApproachOutcome,
     EpisodeResponses,
     EpisodeTruth,
     Event,
@@ -23,12 +26,13 @@ from harvest_guard.fsm import (
     advance,
     episode_cycle,
     episode_problem,
+    outcome_of,
     read_episode_log,
     run_episode,
     write_episode_log,
 )
 from harvest_guard.grasp import GraspAction, GraspClass
-from harvest_guard.slip_decision import ACTION_FOR_LABEL
+from harvest_guard.slip_decision import ACTION_FOR_LABEL, RecoveryAction
 from harvest_guard.slip_windows import SlipLabel
 
 from conftest import ScriptedWorld, implied_outcome
@@ -319,6 +323,46 @@ def _edits(walk):
                 yield records, events[:i] + [event] + events[i + 1:]
     for n in range(len(events)):
         yield records, events[:n]
+
+
+@pytest.mark.parametrize("cls,values", [
+    (StageRecord, (Stage.SNAP_OFF, Variant.SLIPPED_ABORT, 1.44, "slip confirmed at window 3")),
+    (EpisodeTruth, ((12.5, -3.0), GraspClass.EMPTY, SlipLabel.SLIPPING)),
+    (EpisodeResponses, (True, 0.5, -1.25, GraspAction.ABORT_CYCLE, GraspClass.UNRIPE_HELD, 1,
+                        RecoveryAction.REGRASP_AND_RESNAP, 4)),
+    (ApproachOutcome, ((20.0, 15.0), True, 0.5, -1.25)),
+], ids=lambda v: v.__name__ if isinstance(v, type) else "values")
+def test_value_records_are_immutable_named_tuples(cls, values):
+    positional = cls(*values)
+    by_keyword = cls(**dict(zip(cls._fields, values)))
+    # equal to each other and to the plain tuple of their fields
+    assert positional == by_keyword == values
+    assert [getattr(positional, name) for name in cls._fields] == list(values)
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(positional, name, values[0])
+
+
+def test_stage_record_detail_defaults_to_empty():
+    assert StageRecord(Stage.HOMING, Variant.NORMAL, 1.88) == (Stage.HOMING, Variant.NORMAL, 1.88, "")
+    assert StageRecord(stage=Stage.HOMING, variant=Variant.NORMAL, duration_s=1.88).detail == ""
+
+
+def test_episode_keeps_the_walk_its_check_found(tmp_path):
+    # outcome and log events come from the key the check found, for every walk
+    path = tmp_path / "episodes.jsonl"
+    for key, walk in fsm._WALKS.items():
+        records = tuple(StageRecord(stage, variant, 1.0) for stage, variant, _ in walk)
+        ep = HarvestEpisode(0, records, _TRUTH, _RESPONSES)
+        assert ep.outcome is outcome_of(records) is fsm._FAULT_OUTCOMES[key[0]]
+        write_episode_log(path, [ep])
+        assert [json.loads(line)["event"] for line in path.read_text().splitlines()] == [e.value for _, _, e in walk]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ep.records = records[:-1]
+        # a bad walk raises its episode_problem line
+        for bad in (records[:-1], records + records[-1:], records[1:]):
+            with pytest.raises(ValidationError, match=f"^{re.escape(episode_problem(bad))}$"):
+                HarvestEpisode(0, bad, _TRUTH, _RESPONSES)
 
 
 def test_episode_problem_matches_the_full_scan():

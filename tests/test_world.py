@@ -1,5 +1,6 @@
 """Synthetic-world tests: config files, trajectories, approaches, episodes."""
 
+import re
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -326,6 +327,29 @@ def test_approach_names_the_effector_axis_that_overflows(params, injected, messa
     for config in (QUIET, ScenarioConfig()):
         with pytest.raises(ValidationError, match=f"^{message}$"):
             simulate_approach(config, params, episode_rng(0, 0), injected_error=injected)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("values,message", [
+    ({"a": _NAN, "b": 1.0}, "a must be finite, got nan"),
+    ({"a": 1.0, "b": _NAN}, "b must be finite, got nan"),
+    ({"a": _INF, "b": 1.0}, "a must be finite, got inf"),
+    ({"a": 1.0, "b": -_INF}, "b must be finite, got -inf"),
+    ({"a": _INF, "b": _NAN}, "a must be finite, got inf"),
+    ({"a": -_INF, "b": _INF}, "a must be finite, got -inf"),
+    ({"a": 1e308, "b": 1e308, "c": _NAN}, "c must be finite, got nan"),
+], ids=["nan-first", "nan-second", "inf-first", "inf-second", "inf-then-nan", "infs-that-cancel", "after-overflow"])
+def test_require_finite_names_the_first_bad_value(values, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        require_finite(**values)
+
+
+def test_require_finite_passes_finite_values_whose_sum_overflows():
+    require_finite(a=1e308, b=1e308, c=-1e308)
+    require_finite(a=-1e308, b=-1e308)
+    require_finite()
 
 
 def test_noisy_approach_residuals_match_field_scale():
