@@ -27,7 +27,9 @@ from .geometry import (
     read_alignment_csv,
     write_records_csv,
 )
-from .grasp import GraspClass, GraspModel, read_grasp_csv, train_grasp_classifier, classify_grasp
+from .grasp import (
+    GRASP_EPOCHS, GRASP_LEARNING_RATE, GraspClass, GraspModel, classify_grasp, read_grasp_csv, train_grasp_classifier
+)
 from .lstm import LstmArch, SlipModel, TrainConfig, evaluate, lstm_train
 from .metrics import (
     ConfusionMatrix,
@@ -85,6 +87,8 @@ def _parse_counts(text: str) -> tuple[int, int, int]:
         a, b, c = (int(p) for p in parts)
     except ValueError:
         raise ValidationError(f"--counts needs integers, got {text!r}") from None
+    if min(a, b, c) < 0:
+        raise ValidationError(f"--counts needs non-negative integers, got {text!r}")
     if max(a, b, c) > MAX_COUNT:
         raise ValidationError(f"--counts allows at most {MAX_COUNT} per class, got {text!r}")
     return a, b, c
@@ -152,17 +156,17 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="model file destination")
     p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--lr", type=float, default=0.5)
+    p.add_argument("--epochs", type=int, default=GRASP_EPOCHS)
+    p.add_argument("--lr", type=float, default=GRASP_LEARNING_RATE)
     p.add_argument("--ratio", type=float, default=0.7)
 
     p = sub.add_parser("compensate", help="replay an alignment audit CSV through the compensation rule")
     p.add_argument("--input", required=True, help="CSV with xs,ys,zs,xe,ye,ze[,dx_w,dy_w]")
     p.add_argument("--out", required=True, help="per-trial record CSV destination")
-    p.add_argument("--kx", type=float, default=1.0)
-    p.add_argument("--ky", type=float, default=0.5)
-    p.add_argument("--threshold", type=float, default=10.0)
-    p.add_argument("--mode", choices=("per-axis", "either"), default="either")
+    p.add_argument("--kx", type=float, default=CompensationParams.k_x)
+    p.add_argument("--ky", type=float, default=CompensationParams.k_y)
+    p.add_argument("--threshold", type=float, default=CompensationParams.threshold_t)
+    p.add_argument("--mode", choices=("per-axis", "either"), default=CompensationParams.mode.value)
 
     p = sub.add_parser("simulate", help="run fault-injection harvest episodes")
     p.add_argument("--config", help="scenario INI file")

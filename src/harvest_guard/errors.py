@@ -15,10 +15,6 @@ class ValidationError(ValueError):
 def require_finite(**values: float) -> None:
     """Reject the first NaN or infinite value by name. NaN passes every
     range comparison, so bounds checks run after this one."""
-    # a NaN or an infinity makes the sum one too, and finite values can
-    # only overflow it, so a finite sum passes them all
-    if math.isfinite(sum(values.values())):
-        return
     for name, value in values.items():
         if not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value}")

@@ -349,8 +349,7 @@ def episode_cycle(
     details = ["visual error ({:.1f}, {:.1f}) mm".format(*approach.visual_error)]
     if compensated:
         details.append(f"residual ({approach.residual_x:.1f}, {approach.residual_y:.1f}) mm")
-    deflating = 2 + compensated  # its seq: the records up to it end with swallowing
-    record(walk, durations(walk[:deflating]), *details)
+    record(walk, durations(walk[: walk.index((Stage.DEFLATING, Variant.NORMAL))]), *details)
 
     # deflating: the grasp verifier watches frames until a verdict or the
     # stream ends
@@ -368,9 +367,9 @@ def episode_cycle(
         # in the re-inflation move; no monitor decides the rest of the walk
         fault = Variant.EMPTY_GRASP_RESPONSE if grasp_detected is GraspClass.EMPTY else Variant.MISGRASP_RESPONSE
         walk = _WALK_PAIRS[fault, compensated]
-        record(walk, durations(walk[deflating:]), f"detected {grasp_detected.name.lower()}")
+        record(walk, durations(walk[len(records) :]), f"detected {grasp_detected.name.lower()}")
     else:
-        record(walk, durations(walk[deflating : deflating + 1]))
+        record(walk, durations([walk[len(records)]]))
 
         # snap-off: the slip monitor scans window predictions past any
         # confirmed normal; the first regrasp or abort action decides the
@@ -380,23 +379,21 @@ def episode_cycle(
         slip_action, detect_idx = first_action(
             time_stability_step, predictions, ignore=(RecoveryAction.CONTINUE_SNAP_OFF,)
         )
-        snap_off = deflating + 1
 
         if slip_action is RecoveryAction.ABORT_CYCLE:
             walk = _WALK_PAIRS[Variant.SLIPPED_ABORT, compensated]
-            record(walk, durations(walk[snap_off:]), f"slip confirmed at window {detect_idx}")
+            record(walk, durations(walk[len(records) :]), f"slip confirmed at window {detect_idx}")
         elif slip_action is RecoveryAction.REGRASP_AND_RESNAP:
             # one recovery draw, the first of the block, covers the whole
             # snap-off phase, split at the detection point across the
             # interrupted and re-snap records
             walk = _WALK_PAIRS[Variant.SLIPPING_RECOVERY, compensated]
-            phase, *times = durations(walk[snap_off + 1 :])
-            frames_seen = detect_idx + 1
-            fraction = frames_seen / max(len(predictions), frames_seen)
+            phase, *times = durations(walk[len(records) + 1 :])
+            fraction = (detect_idx + 1) / len(predictions)
             record(walk, [phase * fraction, phase * (1.0 - fraction), *times],
                    f"slipping confirmed at window {detect_idx}", "regrasped and re-snapped")
         else:
-            record(walk, durations(walk[snap_off:]))
+            record(walk, durations(walk[len(records) :]))
 
     responses = EpisodeResponses(
         compensated=compensated,

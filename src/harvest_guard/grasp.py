@@ -91,13 +91,16 @@ def classify_grasp(model: GraspModel, x: np.ndarray) -> list[GraspClass]:
     return [GraspClass(i) for i in probs.argmax(axis=1).tolist()]
 
 
+GRASP_EPOCHS, GRASP_LEARNING_RATE = 300, 0.5
+
+
 # a diverging run overflows; the check after each epoch reports it once
 @np.errstate(over="ignore", invalid="ignore")
 def train_grasp_classifier(
     x: np.ndarray,
     y: np.ndarray,
-    learning_rate: float = 0.5,
-    epochs: int = 300,
+    learning_rate: float = GRASP_LEARNING_RATE,
+    epochs: int = GRASP_EPOCHS,
     seed: int = 0,
 ) -> GraspModel:
     """Full-batch softmax regression on an (n, 4) observation array and

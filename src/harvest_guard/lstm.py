@@ -306,7 +306,7 @@ def _backward_batch(
     d_current = np.zeros((n_batch, n_steps, h_size))
     d_current[:, -1, :] = dh_final
 
-    grads_layers: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [None] * a.n_layers  # type: ignore[list-item]
+    grads = [d_w_out, d_b_out]
     for layer in reversed(range(a.n_layers)):
         if cache["masks"][layer] is not None:
             d_current = d_current * cache["masks"][layer]
@@ -339,13 +339,8 @@ def _backward_batch(
             if t:  # step 0 has no earlier step to pass the state gradients to
                 dh_next = dz @ model.w_h[layer]
                 dc_next = dc * gf
-        grads_layers[layer] = (d_w_x, d_w_h, d_b)
+        grads[:0] = (d_w_x, d_w_h, d_b)
         d_current = d_input
-
-    grads: list[np.ndarray] = []
-    for layer in range(a.n_layers):
-        grads.extend(grads_layers[layer])
-    grads.extend((d_w_out, d_b_out))
     return grads
 
 

@@ -52,13 +52,8 @@ def first_bad_frame(frames: np.ndarray) -> tuple[int, str] | None:
     sum to 1 within AREA_SUM_TOL; a row is checked in FEATURE_ORDER, then
     by its area sum."""
     area_sum = frames[:, 0] + frames[:, 1] + frames[:, 2]
-    deviation = np.abs(area_sum - 1.0)
-    # a whole-array test passes every valid array; NaN fails its min and an
-    # empty array has none, so both go on to the row scan
-    if frames.size and frames.min() >= 0.0 and frames.max() <= 1.0 and deviation.max() <= AREA_SUM_TOL:
-        return None
     in_range = (frames >= 0.0) & (frames <= 1.0)
-    bad = ~in_range.all(axis=1) | (deviation > AREA_SUM_TOL)
+    bad = ~in_range.all(axis=1) | (np.abs(area_sum - 1.0) > AREA_SUM_TOL)
     if not bad.any():
         return None
     row = int(bad.argmax())

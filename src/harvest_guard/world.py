@@ -217,7 +217,7 @@ def _slip_curve(initial_area: float, decay_rate: float, phases: tuple[int, int, 
             area, y = moved(area, y, 1.0)
         elif ramp and left <= ramp:
             area, y = moved(area, y, (ramp - left + 1) / ramp)
-        scale = math.sqrt(max(area, 0.0) / initial_area)
+        scale = math.sqrt(area / initial_area)
         rows.append((area, _GRIPPER_AREA, _BOX_W * scale, _BOX_H * scale, _CENTER_X, y))
     curve = np.array(rows).reshape(len(rows), 6)
     labels = np.repeat(np.arange(len(SlipLabel), dtype=np.int64), phases)

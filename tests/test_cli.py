@@ -66,6 +66,14 @@ def test_counts_over_the_cap_are_usage_errors(tmp_path, capsys, kind):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["slip", "grasp"])
+def test_negative_counts_are_one_flag_error_for_both_kinds(tmp_path, capsys, kind):
+    out = tmp_path / "x.csv"
+    assert main(["gen-data", "--kind", kind, "--counts=-1,2,3", "--out", str(out), "--seed", "0"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: --counts needs non-negative integers, got '-1,2,3'"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("source, episodes, message", [
     ("flag", "1000001", "error: episodes must be <= 1000000, got 1000001"),
     ("config", "1000001", "error: episodes must be <= 1000000, got 1000001"),
