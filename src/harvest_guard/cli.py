@@ -14,11 +14,13 @@ import dataclasses
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import __version__
 from .errors import ValidationError
-from .fsm import outcome_of, read_episode_log, write_episode_log
+from .fsm import HarvestEpisode, outcome_of, read_episode_log, write_episode_log
 from .geometry import (
     CompensationMode,
     CompensationParams,
@@ -49,6 +51,7 @@ from .slip_windows import (
     windows_from_slip_csv,
 )
 from .world import (
+    EPISODE_CHUNK,
     MAX_COUNT,
     EpisodeWorld,
     ScenarioConfig,
@@ -299,6 +302,24 @@ def _cmd_compensate(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextmanager
+def _staged(path: Path) -> Iterator[Path]:
+    """A temporary file to write `path`'s contents to. It sits in the
+    nearest existing ancestor of `path`'s directory, and once the block
+    ends that directory is made and the file moved to `path`. Any
+    exception, KeyboardInterrupt too, removes it instead, so a failing
+    write creates no directory and leaves every existing file as it was."""
+    ancestor = next((p for p in path.parents if p.is_dir()), path.parent)
+    staged = ancestor / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    try:
+        yield staged
+        path.parent.mkdir(parents=True, exist_ok=True)
+        os.replace(staged, path)
+    except BaseException:
+        staged.unlink(missing_ok=True)
+        raise
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_scenario(args.config)
     # the flag passes the config's own bound; scenario.ini records the loaded config
@@ -308,19 +329,28 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     slip_model = _load_model_of(args.slip_model, SlipModel) if args.slip_model else None
     grasp_model = _load_model_of(args.grasp_model, GraspModel) if args.grasp_model else None
     world = EpisodeWorld(config, slip_model=slip_model, grasp_model=grasp_model)
-    episodes = run_episodes(world, n, deterministic=args.deterministic, master_seed=args.seed)
+    # all the summary needs: each episode's total, by outcome, in run order
+    totals: dict[str, list[float]] = {}
+
+    def episodes() -> Iterator[HarvestEpisode]:
+        for first in range(0, n, EPISODE_CHUNK):
+            chunk = run_episodes(world, min(EPISODE_CHUNK, n - first), deterministic=args.deterministic,
+                                 master_seed=args.seed, first=first)
+            for ep in chunk:
+                totals.setdefault(ep.outcome.value, []).append(ep.total_s)
+            yield from chunk
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_episode_log(out_dir / "episodes.jsonl", episodes)
+    with _staged(out_dir / "episodes.jsonl") as staged:
+        write_episode_log(staged, episodes())
     save_config(out_dir / "scenario.ini", config)
 
-    _write_summary([(ep.outcome.value, ep.total_s) for ep in episodes], out_dir / "summary.csv", "csv")
+    _write_summary(((outcome, t) for outcome, ts in totals.items() for t in ts), out_dir / "summary.csv", "csv")
     print(f"episode log: {out_dir / 'episodes.jsonl'}")
     return 0
 
 
-def _write_summary(outcome_totals: list[tuple[str, float]], path: str | Path, fmt: str) -> None:
+def _write_summary(outcome_totals: Iterable[tuple[str, float]], path: str | Path, fmt: str) -> None:
     """Per-outcome cycle-time rows, written to `path` and printed."""
     rows = [
         {"outcome": outcome, "n": agg.n, "mean_s": agg.mean_s, "std_s": agg.std_s}
@@ -332,12 +362,20 @@ def _write_summary(outcome_totals: list[tuple[str, float]], path: str | Path, fm
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    episodes = read_episode_log(args.episodes)
-    if not episodes:
+    # per outcome, each episode's id and total, in file order
+    groups: dict[str, tuple[list[int], list[float]]] = {}
+    for episode_id, records in read_episode_log(args.episodes):
+        ids, totals = groups.setdefault(outcome_of(records).value, ([], []))
+        ids.append(episode_id)
+        totals.append(sum(r.duration_s for r in records))
+    if not groups:
         raise ValidationError(f"{args.episodes}: empty log")
-    # by episode id, which the reader keeps unique
-    totals = [(outcome_of(records).value, sum(r.duration_s for r in records)) for _, records in sorted(episodes)]
-    _write_summary(totals, args.out, args.format)
+    # each outcome's totals by episode id, which the reader keeps unique
+    by_id = (
+        (outcome, totals[k]) for outcome, (ids, totals) in groups.items()
+        for k in sorted(range(len(ids)), key=ids.__getitem__)
+    )
+    _write_summary(by_id, args.out, args.format)
     return 0
 
 

@@ -33,8 +33,8 @@ members are singletons. write_episode_log writes each record as exactly
 json.dumps of its LOG_FIELDS dict: _LINE_TEXT holds, per walk entry, the
 text json.dumps gives around the episode_id, duration_s and detail
 values, and only those three are encoded per record. read_episode_log
-accepts only the (stage, variant) keys of STAGE_TIMING and runs that
-check on each episode at its homing line.
+accepts only the (stage, variant) keys of STAGE_TIMING, runs that check
+on each episode at its homing line and yields the episode there.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from enum import Enum
 from itertools import product, zip_longest
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Generator, Iterable, NamedTuple, Protocol, Sequence
+from typing import Generator, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -487,29 +487,39 @@ def _log_value_problem(doc: dict[str, object]) -> str | None:
     return None
 
 
-def _order_problem(episodes: dict[int, list[StageRecord]], doc: dict[str, object]) -> str | None:
+def _order_problem(
+    run: range, rest: set[int], episode_id: int | None, records: list[StageRecord], doc: dict[str, object]
+) -> str | None:
     """What is wrong with where a well-formed log line sits, if anything:
     an episode runs seq 0, 1, 2, ... to its one homing record, then the
-    next episode starts."""
-    last_id, last = next(reversed(episodes.items()), (None, None))
-    homed = last is None or last[-1].stage is Stage.HOMING
-    if homed and doc["episode_id"] in episodes:
+    next episode starts. `records` are those of the current episode
+    `episode_id` so far, empty between episodes, and `run` and `rest`
+    hold the ids of every episode before it, as read_episode_log keeps
+    them."""
+    if not records and (doc["episode_id"] in run or doc["episode_id"] in rest):
         return f"episode {doc['episode_id']} already ended"
-    if not homed and doc["episode_id"] != last_id:
-        return f"episode {last_id} ends in {last[-1].stage.value}, not homing"
-    expected = 0 if homed else len(last)
-    if doc["seq"] != expected:
-        return f"episode {doc['episode_id']} has seq {doc['seq']}, expected {expected}"
+    if records and doc["episode_id"] != episode_id:
+        return f"episode {episode_id} ends in {records[-1].stage.value}, not homing"
+    if doc["seq"] != len(records):
+        return f"episode {doc['episode_id']} has seq {doc['seq']}, expected {len(records)}"
     return None
 
 
-def read_episode_log(path: str | Path) -> list[tuple[int, list[StageRecord]]]:
-    """The episodes of a log in file order, as (episode_id, records). The
-    first line that is not a well-formed record in its place is an error,
-    and so is a homing line that ends a walk episode_problem rejects."""
+def read_episode_log(path: str | Path) -> Iterator[tuple[int, list[StageRecord]]]:
+    """The episodes of a log in file order, as (episode_id, records), each
+    yielded at its homing line. The first line that is not a well-formed
+    record in its place is an error, and so is a homing line that ends a
+    walk episode_problem rejects; each is raised when iteration reaches
+    it. Only the current episode and the ids of ended ones are held."""
     path = Path(path)
-    episodes: dict[int, list[StageRecord]] = {}
-    events: list[Event] = []  # those of the current episode
+    # the ids of ended episodes: the run of ids, each one above the last,
+    # that a log in id order keeps extending, and a set of every other one
+    run = range(0)
+    rest: set[int] = set()
+    # the current episode: its id, records and events so far
+    episode_id: int | None = None
+    records: list[StageRecord] = []
+    events: list[Event] = []
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -522,19 +532,24 @@ def read_episode_log(path: str | Path) -> list[tuple[int, list[StageRecord]]]:
                 raise ValidationError(f"{path}: line {lineno}: not a JSON object")
             if list(doc.keys()) != list(LOG_FIELDS):
                 raise ValidationError(f"{path}: line {lineno}: unexpected log fields {list(doc.keys())}")
-            problem = _log_value_problem(doc) or _order_problem(episodes, doc)
+            problem = _log_value_problem(doc) or _order_problem(run, rest, episode_id, records, doc)
             if problem:
                 raise ValidationError(f"{path}: line {lineno}: {problem}")
             stage, variant, event = (_LOG_ENUMS[key][doc[key]] for key in _LOG_ENUMS)
-            episode = episodes.setdefault(doc["episode_id"], [])
-            episode.append(StageRecord(stage, variant, float(doc["duration_s"]), doc["detail"]))
+            episode_id = doc["episode_id"]
+            records.append(StageRecord(stage, variant, float(doc["duration_s"]), doc["detail"]))
             events.append(event)
-            if stage is Stage.HOMING:
-                if problem := episode_problem(episode, events):
-                    raise ValidationError(f"{path}: line {lineno}: episode {doc['episode_id']}: {problem}")
-                events.clear()
             last_lineno = lineno
-    last_id, last = next(reversed(episodes.items()), (None, None))
-    if last is not None and last[-1].stage is not Stage.HOMING:
-        raise ValidationError(f"{path}: line {last_lineno}: episode {last_id} ends in {last[-1].stage.value}, not homing")
-    return list(episodes.items())
+            if stage is Stage.HOMING:
+                if problem := episode_problem(records, events):
+                    raise ValidationError(f"{path}: line {lineno}: episode {episode_id}: {problem}")
+                if not run:
+                    run = range(episode_id, episode_id + 1)
+                elif episode_id == run.stop:
+                    run = range(run.start, episode_id + 1)
+                else:
+                    rest.add(episode_id)
+                yield episode_id, records
+                records, events = [], []
+    if records:
+        raise ValidationError(f"{path}: line {last_lineno}: episode {episode_id} ends in {records[-1].stage.value}, not homing")

@@ -38,7 +38,8 @@ from .slip_windows import (
 
 PROB_SUM_TOL = 1e-9
 MAX_FRAMES = 1000  # per frame count; a huge count would exhaust memory building per-frame lists
-# the most items one command generates: simulate's episodes (all held in memory), gen-data's per-class counts
+# the most items one command generates: simulate's episodes (streamed a chunk
+# at a time; the summary keeps each one's total), gen-data's per-class counts
 MAX_COUNT = 1_000_000
 MAX_MM = 1000  # the largest approach error mean or spread: 1 m, past the arm's reach; keeps every draw finite
 
@@ -517,7 +518,11 @@ class EpisodeWorld:
         return [labels[k : k + n_windows] for k in range(0, len(labels), n_windows)]
 
 
-EPISODE_CHUNK = 32  # episodes per stacked slip forward, half on each thread; 16 is slower, 48-128 no faster
+# episodes per stacked slip forward (half on each thread), and so the most
+# episodes simulate holds at once. Against 32 in paired sim-learned runs on
+# a 2-vCPU VM, 16 is slower, 64 was faster in only 5 of 7 pairs, and 128
+# peaked about 8 MB higher.
+EPISODE_CHUNK = 32
 
 
 def run_episodes(
@@ -526,13 +531,16 @@ def run_episodes(
     deterministic: bool = False,
     *,
     master_seed: int,
+    first: int = 0,
 ) -> list[HarvestEpisode]:
-    """n episodes with per-episode derived seeds; order-independent. Equal
-    to run_episode per episode, but each chunk's cycles walk to snap-off,
-    one slip_streams call perceives them all, then each cycle finishes."""
+    """n episodes, ids first to first + n - 1, with per-episode derived
+    seeds; order-independent. Equal to run_episode per episode, but each
+    chunk's cycles walk to snap-off, one slip_streams call perceives them
+    all, then each cycle finishes."""
     episodes: list[HarvestEpisode] = []
-    for start in range(0, n_episodes, EPISODE_CHUNK):
-        ids = range(start, min(start + EPISODE_CHUNK, n_episodes))
+    end = first + n_episodes
+    for start in range(first, end, EPISODE_CHUNK):
+        ids = range(start, min(start + EPISODE_CHUNK, end))
         rngs = [episode_rng(master_seed, i) for i in ids]
         cycles = [episode_cycle(world, rng, deterministic, i) for i, rng in zip(ids, rngs)]
         stops = [advance(cycle) for cycle in cycles]

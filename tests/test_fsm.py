@@ -405,7 +405,7 @@ def test_episode_log_round_trip(tmp_path):
     ]
     path = tmp_path / "episodes.jsonl"
     write_episode_log(path, episodes)
-    assert read_episode_log(path) == [(ep.episode_id, list(ep.records)) for ep in episodes]
+    assert list(read_episode_log(path)) == [(ep.episode_id, list(ep.records)) for ep in episodes]
     first = json.loads(path.read_text().splitlines()[0])
     assert list(first) == list(LOG_FIELDS)
     assert first["stage"] == "inflating-approaching"
@@ -449,7 +449,7 @@ def test_episode_log_lines_are_json_dumps_of_each_record(tmp_path):
     # reads every record back once durations are capped there
     first_over = _LOG_DURATIONS.index(1e16) + 1
     with pytest.raises(ValidationError, match=rf": line {first_over}: duration_s must be <= 86400, got 1e\+16$"):
-        read_episode_log(path)
+        list(read_episode_log(path))
     capped = [
         HarvestEpisode(ep.episode_id, tuple(
             StageRecord(r.stage, r.variant, min(r.duration_s, fsm.MAX_LOG_DURATION_S), r.detail) for r in ep.records
@@ -457,7 +457,7 @@ def test_episode_log_lines_are_json_dumps_of_each_record(tmp_path):
         for ep in episodes
     ]
     write_episode_log(path, capped)
-    assert read_episode_log(path) == [(ep.episode_id, list(ep.records)) for ep in capped]
+    assert list(read_episode_log(path)) == [(ep.episode_id, list(ep.records)) for ep in capped]
 
 
 def test_episode_log_rejects_reordered_keys(tmp_path):
@@ -469,4 +469,4 @@ def test_episode_log_rejects_reordered_keys(tmp_path):
     lines[0] = json.dumps(scrambled)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValidationError, match="unexpected log fields"):
-        read_episode_log(path)
+        list(read_episode_log(path))

@@ -509,7 +509,7 @@ def test_episode_log_reads_back_the_records_of_every_episode(tmp_path):
     episodes = run_episodes(EpisodeWorld(ScenarioConfig()), 500, master_seed=3)
     path = tmp_path / "episodes.jsonl"
     write_episode_log(path, episodes)
-    read = read_episode_log(path)
+    read = list(read_episode_log(path))
     assert len(read) == len(episodes)
     for ep, (episode_id, records) in zip(episodes, read):
         assert episode_id == ep.episode_id
