@@ -15,7 +15,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import ValidationError
 from .geometry import (
-    CompensationMode,
     CompensationParams,
     compensated_point,
     mean_abs_error,

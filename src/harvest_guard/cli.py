@@ -16,13 +16,12 @@ import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from . import __version__
 from .errors import ValidationError
 from .fsm import HarvestEpisode, outcome_of, read_episode_log, write_episode_log
 from .geometry import (
-    CompensationMode,
     CompensationParams,
     compensate_row,
     mean_abs_error,
@@ -169,7 +168,6 @@ def build_parser() -> _Parser:
     p.add_argument("--kx", type=float, default=CompensationParams.k_x)
     p.add_argument("--ky", type=float, default=CompensationParams.k_y)
     p.add_argument("--threshold", type=float, default=CompensationParams.threshold_t)
-    p.add_argument("--mode", choices=("per-axis", "either"), default=CompensationParams.mode.value)
 
     p = sub.add_parser("simulate", help="run fault-injection harvest episodes")
     p.add_argument("--config", help="scenario INI file")
@@ -276,7 +274,7 @@ def _cmd_train_grasp(args: argparse.Namespace) -> int:
 
 
 def _cmd_compensate(args: argparse.Namespace) -> int:
-    params = CompensationParams(threshold_t=args.threshold, k_x=args.kx, k_y=args.ky, mode=CompensationMode(args.mode))
+    params = CompensationParams(threshold_t=args.threshold, k_x=args.kx, k_y=args.ky)
     trials = read_alignment_csv(args.input)
     if not trials:
         raise ValidationError(f"{args.input}: no trials")
@@ -345,16 +343,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         write_episode_log(staged, episodes())
     save_config(out_dir / "scenario.ini", config)
 
-    _write_summary(((outcome, t) for outcome, ts in totals.items() for t in ts), out_dir / "summary.csv", "csv")
+    _write_summary(totals, out_dir / "summary.csv", "csv")
     print(f"episode log: {out_dir / 'episodes.jsonl'}")
     return 0
 
 
-def _write_summary(outcome_totals: Iterable[tuple[str, float]], path: str | Path, fmt: str) -> None:
-    """Per-outcome cycle-time rows, written to `path` and printed."""
+def _write_summary(totals: dict[str, list[float]], path: str | Path, fmt: str) -> None:
+    """Per-outcome cycle-time rows of each outcome's episode totals, written
+    to `path` and printed."""
     rows = [
         {"outcome": outcome, "n": agg.n, "mean_s": agg.mean_s, "std_s": agg.std_s}
-        for outcome, agg in aggregate_cycle_times(outcome_totals).items()
+        for outcome, agg in aggregate_cycle_times(totals).items()
     ]
     write_report(path, rows, fmt=fmt)
     for row in rows:
@@ -371,10 +370,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not groups:
         raise ValidationError(f"{args.episodes}: empty log")
     # each outcome's totals by episode id, which the reader keeps unique
-    by_id = (
-        (outcome, totals[k]) for outcome, (ids, totals) in groups.items()
-        for k in sorted(range(len(ids)), key=ids.__getitem__)
-    )
+    by_id = {
+        outcome: [totals[k] for k in sorted(range(len(ids)), key=ids.__getitem__)]
+        for outcome, (ids, totals) in groups.items()
+    }
     _write_summary(by_id, args.out, args.format)
     return 0
 

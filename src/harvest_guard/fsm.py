@@ -182,8 +182,6 @@ def _make_walk(fault: Variant, compensated: bool) -> tuple[tuple[Stage, Variant,
 
 # every walk a cycle takes, by (fault, compensated)
 _WALKS = {key: _make_walk(*key) for key in product(Variant, (False, True))}
-# each key itself: an episode keeps one of these ten, not a tuple of its own
-_WALK_KEYS = {key: key for key in _WALKS}
 # each walk's (stage, variant) pairs and events, which a valid episode matches as a whole
 _WALK_PAIRS = {key: [(stage, variant) for stage, variant, _ in walk] for key, walk in _WALKS.items()}
 _WALK_EVENTS = {key: [event for _, _, event in walk] for key, walk in _WALKS.items()}
@@ -192,7 +190,7 @@ _WALK_EVENTS = {key: [event for _, _, event in walk] for key, walk in _WALKS.ite
 def _walk_key(records: Sequence[StageRecord]) -> tuple[Variant, bool]:
     """The _WALKS key of the walk the records' fault fixes, compensated
     when their second stage is."""
-    return _WALK_KEYS[_fault_of(records), len(records) > 1 and records[1].stage is Stage.COMPENSATION]
+    return _fault_of(records), len(records) > 1 and records[1].stage is Stage.COMPENSATION
 
 
 def episode_problem(records: Sequence[StageRecord], events: Sequence[Event] = ()) -> str | None:

@@ -3,9 +3,10 @@
 The approach stage leaves the end-effector somewhere beneath the target
 fruit. Both positions are observed in the same camera view and expressed
 in the robot-arm frame (millimetres), so the offset between them can be
-measured directly and, when it exceeds the tolerance, used to command a
-corrected picking point. Only x and y are corrected; the snap-off motion
-deliberately overshoots in z, so the vertical offset is left alone.
+measured directly and, when it exceeds the tolerance on either axis, used
+to command a corrected picking point. Only x and y are corrected, both
+at once; the snap-off motion deliberately overshoots in z, so the
+vertical offset is left alone.
 """
 
 from __future__ import annotations
@@ -13,24 +14,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ValidationError, csv_records, require_finite
-
-
-class CompensationMode(Enum):
-    """How the per-axis tolerance check gates the applied correction.
-
-    PER_AXIS corrects each axis independently, exactly when that axis
-    exceeds the tolerance. EITHER_AXIS_BOTH corrects both x and y as soon
-    as either exceeds it; field alignment logs show both axes being
-    corrected together, so this is the default.
-    """
-
-    PER_AXIS = "per-axis"
-    EITHER_AXIS_BOTH = "either"
 
 
 @dataclass(frozen=True)
@@ -44,7 +31,6 @@ class CompensationParams:
     threshold_t: float = 10.0
     k_x: float = 1.0
     k_y: float = 0.5
-    mode: CompensationMode = CompensationMode.EITHER_AXIS_BOTH
 
     def __post_init__(self) -> None:
         require_finite(threshold_t=self.threshold_t, k_x=self.k_x, k_y=self.k_y)
@@ -54,35 +40,25 @@ class CompensationParams:
             raise ValidationError("gains k_x, k_y must be non-negative")
 
 
-def _axes_to_correct(dx: float, dy: float, params: CompensationParams) -> tuple[bool, bool]:
-    """The one compensation rule: which of x and y a measured offset
-    (dx, dy) corrects, given the tolerance and mode."""
-    t = params.threshold_t
-    over_x = abs(dx) > t
-    over_y = abs(dy) > t
-    if params.mode is CompensationMode.EITHER_AXIS_BOTH:
-        trigger = over_x or over_y
-        return trigger, trigger
-    return over_x, over_y
-
-
 def needs_compensation(dx: float, dy: float, params: CompensationParams) -> bool:
-    """Whether the measured x/y offset exceeds the tolerance on either
-    axis, |dx| > T or |dy| > T. Both modes share this test; they differ
-    only in which axes compensated_point then corrects."""
-    return any(_axes_to_correct(dx, dy, params))
+    """The one compensation rule: whether the measured x/y offset exceeds
+    the tolerance on either axis, |dx| > T or |dy| > T. When it does, both
+    x and y are corrected."""
+    t = params.threshold_t
+    return abs(dx) > t or abs(dy) > t
 
 
 def compensated_point(x: float, y: float, dx: float, dy: float, params: CompensationParams) -> tuple[float, float]:
     """The corrected picking point (x_c, y_c) for a measured offset.
 
-    Each corrected axis moves by its gain times the measured offset:
-    x_c = x + k_x * dx when the mode applies an x correction, else x;
-    y_c analogously with k_y. z is never corrected, so it is not an
-    argument. If no axis triggers, (x, y) is returned unchanged.
+    When the offset trips the rule, each axis moves by its gain times the
+    measured offset: x_c = x + k_x * dx and y_c = y + k_y * dy. z is never
+    corrected, so it is not an argument. Otherwise (x, y) is returned
+    unchanged.
     """
-    fix_x, fix_y = _axes_to_correct(dx, dy, params)
-    return (x + params.k_x * dx if fix_x else x, y + params.k_y * dy if fix_y else y)
+    if not needs_compensation(dx, dy, params):
+        return x, y
+    return x + params.k_x * dx, y + params.k_y * dy
 
 
 def mean_abs_error(values: Sequence[float]) -> float:
@@ -147,7 +123,7 @@ def compensate_row(row: dict[str, float | None], params: CompensationParams) -> 
     fed to the rule is the coordinate difference (xs - xe, ys - ye). The
     reported dx,dy keep the row's listed values (logged at finer
     precision than the rounded coordinates) and otherwise take that
-    difference. When no axis is corrected, x_ce,y_ce,z_ce and e_x,e_y
+    difference. When the rule does not trip, x_ce,y_ce,z_ce and e_x,e_y
     are None. Otherwise z_ce is zs, and the residuals come from the
     row's listed e_x,e_y when present; else they are predicted as the
     best-known pre-correction offset (dx_w,dy_w, or the difference)
@@ -159,8 +135,7 @@ def compensate_row(row: dict[str, float | None], params: CompensationParams) -> 
     record = dict(row, x_ce=None, y_ce=None, z_ce=None, e_x=None, e_y=None)
     if row["dx"] is None:
         record["dx"], record["dy"] = dx, dy
-    fix_x, fix_y = _axes_to_correct(dx, dy, params)
-    if not (fix_x or fix_y):
+    if not needs_compensation(dx, dy, params):
         return record
     record["x_ce"], record["y_ce"] = compensated_point(xs, ys, dx, dy, params)
     record["z_ce"] = row["zs"]
@@ -169,8 +144,8 @@ def compensate_row(row: dict[str, float | None], params: CompensationParams) -> 
     else:
         base_x = dx if row["dx_w"] is None else row["dx_w"]
         base_y = dy if row["dy_w"] is None else row["dy_w"]
-        record["e_x"] = base_x - (params.k_x * dx if fix_x else 0.0)
-        record["e_y"] = base_y - (params.k_y * dy if fix_y else 0.0)
+        record["e_x"] = base_x - params.k_x * dx
+        record["e_y"] = base_y - params.k_y * dy
     require_finite(**{c: record[c] for c in ("x_ce", "y_ce", "e_x", "e_y")})
     return record
 

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -86,16 +86,13 @@ class TimingAggregate:
     n: int
 
 
-def aggregate_cycle_times(episodes: Iterable[tuple[str, float]]) -> dict[str, TimingAggregate]:
-    """Group (outcome, total seconds) pairs and summarize each group with
-    the sample mean and sample (n-1) standard deviation; a single episode
-    reports std 0."""
-    groups: dict[str, list[float]] = {}
-    for outcome, total in episodes:
-        groups.setdefault(outcome, []).append(float(total))
+def aggregate_cycle_times(totals: Mapping[str, Sequence[float]]) -> dict[str, TimingAggregate]:
+    """Summarize each outcome's episode totals (seconds), in sorted outcome
+    order, with the sample mean and sample (n-1) standard deviation; a
+    single episode reports std 0."""
     out: dict[str, TimingAggregate] = {}
-    for outcome in sorted(groups):
-        vals = np.array(groups[outcome])
+    for outcome in sorted(totals):
+        vals = np.array(totals[outcome], dtype=np.float64)
         std = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
         out[outcome] = TimingAggregate(float(vals.mean()), std, len(vals))
     return out

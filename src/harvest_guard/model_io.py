@@ -3,14 +3,14 @@
 A model file is `json.dumps(doc, indent=1)` plus a newline: a format tag,
 a version, a kind, the architecture (slip models only), metadata, and
 every weight array as `{"shape": [...], "data": ...}`. A slip model's
-arrays are the names of lstm.array_layout. Version 2 stores
-`data` as the base64 (RFC 4648) of the array's little-endian float64
-bytes in C order, so a load returns the saved bits by construction.
-load_model also reads version 1, whose `data` is a flat JSON list of
-numbers printed through repr. The version must be the int 1 or 2 and each
-shape entry a non-negative int (not `true` or `3.0`); a version 2 payload
-must be valid base64 of 8 bytes per element. Arrays holding a NaN or an
-infinity are rejected, and every load error names the file.
+arrays are the names of lstm.array_layout. `data` is the base64
+(RFC 4648) of the array's little-endian float64 bytes in C order, so a
+load returns the saved bits by construction. The version must be the
+int 2; a version 1 file, whose `data` was a JSON list of numbers, is
+rejected and must be regenerated. Each shape entry must be a non-negative
+int (not `true` or `3.0`), and a payload valid base64 of 8 bytes per
+element. Arrays holding a NaN or an infinity are rejected, and every load
+error names the file.
 """
 
 from __future__ import annotations
@@ -36,21 +36,18 @@ KIND_SLIP = "slip-lstm"
 KIND_GRASP = "grasp-linear"
 
 
-def _array_from_payload(name: str, payload: Any, version: int) -> np.ndarray:
+def _array_from_payload(name: str, payload: Any) -> np.ndarray:
     try:
         shape, data = payload["shape"], payload["data"]
         if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
             raise ValueError(f"shape must be a list of non-negative integers, got {shape!r}")
-        if version == 1:
-            array = np.array(data, dtype=np.float64).reshape(shape)
-        elif not isinstance(data, str):
+        if not isinstance(data, str):
             raise TypeError(f"data must be a base64 string, got {type(data).__name__}")
-        else:
-            raw = base64.b64decode(data, validate=True)
-            if len(raw) != (need := 8 * math.prod(shape)):
-                raise ValueError(f"{len(raw)} data bytes, shape {shape} needs {need}")
-            # frombuffer is a read-only view of raw; astype copies it
-            array = np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
+        raw = base64.b64decode(data, validate=True)
+        if len(raw) != (need := 8 * math.prod(shape)):
+            raise ValueError(f"{len(raw)} data bytes, shape {shape} needs {need}")
+        # frombuffer is a read-only view of raw; astype copies it
+        array = np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"array {name!r} is malformed: {exc}") from exc
     if not np.isfinite(array).all():
@@ -94,7 +91,7 @@ def _model_from(doc: Any) -> SlipModel | GraspModel:
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ValidationError(f"missing format tag {FORMAT_NAME!r}")
     version = doc.get("version")
-    if type(version) is not int or version not in (1, FORMAT_VERSION):
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ValidationError(f"unsupported version {version!r}")
     kind = doc.get("kind")
     metadata = doc.get("metadata") or {}
@@ -131,5 +128,5 @@ def _model_from(doc: Any) -> SlipModel | GraspModel:
     for name in payloads:
         if name not in known:
             raise ValidationError(f"unexpected array {name!r}")
-    arrays = {name: _array_from_payload(name, p, version) for name, p in payloads.items()}
+    arrays = {name: _array_from_payload(name, p) for name, p in payloads.items()}
     return build({name: arrays[name] for name in expected})

@@ -299,6 +299,9 @@ def test_report_rejects_malformed_log_lines(tmp_path, capsys, line, problem):
         pytest.param("duration_s", "1" + "0" * 400, f"duration_s must be a finite number, got {10**400}", id="huge-int"),
         pytest.param("duration_s", "-100.0", "duration_s must be non-negative, got -100.0", id="negative"),
         pytest.param("duration_s", "86400.001", "duration_s must be <= 86400, got 86400.001", id="over-a-day"),
+        pytest.param("duration_s", "1.7976931348623157e308", "duration_s must be <= 86400, got 1.7976931348623157e+308",
+                     id="largest-float"),
+        pytest.param("duration_s", "1e309", "duration_s must be a finite number, got inf", id="past-largest-float"),
         ("episode_id", '"a"', "episode_id must be an integer, got 'a'"),
         ("episode_id", "[1]", "episode_id must be an integer, got [1]"),
         ("seq", "1.0", "seq must be an integer, got 1.0"),
@@ -400,6 +403,23 @@ def test_report_rejects_a_log_whose_records_do_not_form_episodes(tmp_path, capsy
     report = tmp_path / "s.csv"
     assert main(["report", "--episodes", str(log), "--out", str(report)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {log}: {problem}"]
+    assert not report.exists()
+
+
+def test_report_rejects_a_log_of_one_homing_record(tmp_path, capsys):
+    # an episode of one record has no second stage to say whether it was compensated
+    out_dir = tmp_path / "run"
+    assert main(["simulate", "--seed", "2", "--episodes", "1", "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    log = out_dir / "episodes.jsonl"
+    homing = json.loads(log.read_text().splitlines()[-1])
+    assert homing["stage"] == "homing"
+    homing["seq"] = 0
+    log.write_text(json.dumps(homing) + "\n")
+    report = tmp_path / "s.csv"
+    assert main(["report", "--episodes", str(log), "--out", str(report)]) == 1
+    problem = "episode 0: picked-and-placed walk has homing at seq 0, expected inflating-approaching"
+    assert capsys.readouterr().err.splitlines() == [f"error: {log}: line 1: {problem}"]
     assert not report.exists()
 
 

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from harvest_guard.errors import ValidationError, csv_records, require_finite
 from harvest_guard.geometry import (
-    CompensationMode,
     CompensationParams,
     RECORD_COLUMNS,
     compensate_row,
@@ -45,20 +44,15 @@ def test_threshold_is_strict():
 
 
 def test_both_modes_share_the_trigger():
-    # the modes differ only in which axes they correct
-    for mode in CompensationMode:
-        params = CompensationParams(mode=mode)
-        for dx, dy, over in ((10.0, -10.0, False), (10.1, 0.0, True), (0.0, -10.1, True), (12.0, 11.0, True)):
-            assert needs_compensation(dx, dy, params) is over
+    # the per-axis mode is gone; the trigger it shared with the either-axis
+    # rule stays: either axis over the tolerance trips it
+    params = CompensationParams()
+    for dx, dy, over in ((10.0, -10.0, False), (10.1, 0.0, True), (0.0, -10.1, True), (12.0, 11.0, True)):
+        assert needs_compensation(dx, dy, params) is over
 
 
 def test_default_gains_halve_y_correction():
     assert compensated_point(709.0, 221.0, 23.0, -4.0, CompensationParams()) == (732.0, 219.0)
-
-
-def test_per_axis_mode_corrects_only_exceeding_axis():
-    params = CompensationParams(mode=CompensationMode.PER_AXIS)
-    assert compensated_point(100.0, 200.0, 12.0, 5.0, params) == (112.0, 200.0)
 
 
 def test_either_axis_mode_corrects_both():
@@ -130,9 +124,7 @@ def test_z_is_never_corrected(x, y, z, dx, dy):
     dy=st.floats(min_value=-10.0, max_value=10.0),
 )
 def test_within_tolerance_is_identity(x, y, dx, dy):
-    for mode in CompensationMode:
-        params = CompensationParams(mode=mode)
-        assert compensated_point(x, y, dx, dy, params) == (x, y)
+    assert compensated_point(x, y, dx, dy, CompensationParams()) == (x, y)
 
 
 @given(dx=finite, dy=finite)
@@ -294,12 +286,8 @@ def _ref_relative_error(picking, effector):
 
 def _ref_axes_to_correct(err, params):
     t = params.threshold_t
-    over_x = abs(err.dx) > t
-    over_y = abs(err.dy) > t
-    if params.mode is CompensationMode.EITHER_AXIS_BOTH:
-        trigger = over_x or over_y
-        return trigger, trigger
-    return over_x, over_y
+    trigger = abs(err.dx) > t or abs(err.dy) > t
+    return trigger, trigger
 
 
 def _ref_corrected(picking, err, params, fix):
@@ -414,11 +402,7 @@ def _ref_cells(r):
     )))
 
 
-_AUDIT_PARAMS = [
-    CompensationParams(mode=mode, **values)
-    for mode in CompensationMode
-    for values in ({}, {"k_x": 0.8, "k_y": 0.7, "threshold_t": 7.0})
-]
+_AUDIT_PARAMS = [CompensationParams(), CompensationParams(k_x=0.8, k_y=0.7, threshold_t=7.0)]
 
 
 def _assert_audit_matches(records, ref_records, out):

@@ -71,8 +71,7 @@ def test_zero_denominators_flag_instead_of_raising():
 
 
 def test_cycle_time_aggregates():
-    rows = [("picked", 10.0), ("picked", 12.0), ("abort", 5.0)]
-    agg = aggregate_cycle_times(rows)
+    agg = aggregate_cycle_times({"picked": [10.0, 12.0], "abort": [5.0]})
     assert list(agg) == ["abort", "picked"]  # sorted outcomes
     assert agg["picked"].mean_s == pytest.approx(11.0)
     assert agg["picked"].std_s == pytest.approx(2.0 ** 0.5)  # ddof=1

@@ -1,5 +1,5 @@
-"""Model persistence: bit-exact round-trips under both format versions and
-malformed-file rejection."""
+"""Model persistence: bit-exact round-trips under format version 2, and
+the rejection of version 1 and of malformed files."""
 
 import base64
 import contextlib
@@ -127,7 +127,7 @@ def test_load_rejects_unknown_version(tmp_path):
 
 def test_load_rejects_unknown_kind(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"format": FORMAT_NAME, "version": 1, "kind": "mystery"}))
+    path.write_text(json.dumps({"format": FORMAT_NAME, "version": FORMAT_VERSION, "kind": "mystery"}))
     with pytest.raises(ValidationError, match="unknown model kind"):
         load_model(path)
 
@@ -173,21 +173,17 @@ def test_save_rejects_foreign_objects(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "model, array, bad, version",
+    "model, array, bad",
     [
-        pytest.param(GraspModel(np.zeros((3, 4)), np.zeros(3)), "weights", float("nan"), 2, id="model0-weights-nan"),
-        pytest.param(init_model(ARCH, seed=0), "layer1.w_h", float("inf"), 2, id="model1-layer1.w_h-inf"),
-        pytest.param(GraspModel(np.zeros((3, 4)), np.zeros(3)), "bias", float("-inf"), 2, id="model2-bias--inf"),
-        pytest.param(init_model(ARCH, seed=0), "head.b", float("nan"), 1, id="model3-head.b-nan-v1-literal"),
+        pytest.param(GraspModel(np.zeros((3, 4)), np.zeros(3)), "weights", float("nan"), id="model0-weights-nan"),
+        pytest.param(init_model(ARCH, seed=0), "layer1.w_h", float("inf"), id="model1-layer1.w_h-inf"),
+        pytest.param(GraspModel(np.zeros((3, 4)), np.zeros(3)), "bias", float("-inf"), id="model2-bias--inf"),
     ],
 )
-def test_load_rejects_non_finite_weights(tmp_path, capsys, model, array, bad, version):
+def test_load_rejects_non_finite_weights(tmp_path, capsys, model, array, bad):
     path = tmp_path / "model.json"
-    doc = json.loads(_reference_bytes(model, version))
-    if version == 1:
-        doc["arrays"][array]["data"][1] = bad  # json writes NaN / Infinity literals
-    else:
-        _put_double(doc["arrays"][array], 1, struct.pack("<d", bad))
+    doc = json.loads(_reference_bytes(model, 2))
+    _put_double(doc["arrays"][array], 1, struct.pack("<d", bad))
     path.write_text(json.dumps(doc))
     with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: array {array!r} holds non-finite"):
         load_model(path)
@@ -252,10 +248,10 @@ def test_load_rejects_any_other_feature_order(tmp_path, order):
         load_model(path)
 
 
-# --- writer oracle and version 1 compatibility ---------------------------------
+# --- writer oracle and version 1 rejection ------------------------------------
 # _reference_bytes is the one-call writer of either version. Version 1 is
-# what earlier releases wrote: their files must keep loading to the bits
-# of the model, as the version 2 file does.
+# what earlier releases wrote, with `data` a JSON list of numbers: it no
+# longer loads, whatever that list holds.
 
 
 def _reference_bytes(model, version):
@@ -295,7 +291,7 @@ def _assert_loads_to_the_bits_of(path, model):
     """Every payload in the file, and every array load_model returns, holds
     the model's float64 bits in a writable, C-contiguous, aligned array."""
     doc = json.loads(path.read_text())
-    decoded = {name: _array_from_payload(name, p, doc["version"]) for name, p in doc["arrays"].items()}
+    decoded = {name: _array_from_payload(name, p) for name, p in doc["arrays"].items()}
     want = model.named_arrays()
     for arrays in (decoded, load_model(path).named_arrays()):
         for name, got in arrays.items():
@@ -348,72 +344,60 @@ def _tricky(model):
 )
 def test_writer_matches_one_call_json_dumps(tmp_path, build):
     model = build()
-    v2, v1 = tmp_path / "v2.json", tmp_path / "v1.json"
-    save_model(v2, model)
-    assert v2.read_bytes() == _reference_bytes(model, 2)
-    v1.write_bytes(_reference_bytes(model, 1))
-    for path in (v2, v1):
-        if isinstance(model, _GraspWithEmptyArray):
-            # no model uses a zero-size array, so its payload only decodes:
-            # load_model rejects the unused name before decoding anything
-            doc = json.loads(path.read_text())
-            assert _array_from_payload("empty", doc["arrays"]["empty"], doc["version"]).shape == (0, 4)
-            with pytest.raises(ValidationError, match="unexpected array 'empty'$"):
-                load_model(path)
-        else:
-            _assert_loads_to_the_bits_of(path, model)
+    path = tmp_path / "v2.json"
+    save_model(path, model)
+    assert path.read_bytes() == _reference_bytes(model, 2)
+    if isinstance(model, _GraspWithEmptyArray):
+        # no model uses a zero-size array, so its payload only decodes:
+        # load_model rejects the unused name before decoding anything
+        doc = json.loads(path.read_text())
+        assert _array_from_payload("empty", doc["arrays"]["empty"]).shape == (0, 4)
+        with pytest.raises(ValidationError, match="unexpected array 'empty'$"):
+            load_model(path)
+    else:
+        _assert_loads_to_the_bits_of(path, model)
 
 
 def test_writer_matches_one_call_json_dumps_after_training(tmp_path):
-    data, path, v1 = tmp_path / "slip.csv", tmp_path / "slip.json", tmp_path / "v1.json"
+    data, path = tmp_path / "slip.csv", tmp_path / "slip.json"
     assert main(["gen-data", "--kind", "slip", "--counts", "12,6,6", "--out", str(data), "--seed", "0"]) == 0
     argv = ["train-slip", "--data", str(data), "--out", str(path), "--seed", "0", "--epochs", "1",
             "--layers", "2", "--hidden", "8"]
     assert main(argv) == 0
     model = load_model(path)
     assert path.read_bytes() == _reference_bytes(model, 2)
-    v1.write_bytes(_reference_bytes(model, 1))
-    _assert_loads_to_the_bits_of(v1, model)
+    _assert_loads_to_the_bits_of(path, model)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_writer_keeps_non_finite_literals(tmp_path, bad):
-    # the writer checks nothing: version 2 keeps the bit pattern and
-    # version 1 the JSON literal, and the reader rejects both
+    # the writer checks nothing: it keeps the bit pattern, and the reader rejects it
     model = _grasp(7)
     model.weights[1, 2] = bad
-    v2, v1 = tmp_path / "v2.json", tmp_path / "v1.json"
-    save_model(v2, model)
-    assert v2.read_bytes() == _reference_bytes(model, 2)
-    raw = base64.b64decode(json.loads(v2.read_text())["arrays"]["weights"]["data"])
+    path = tmp_path / "v2.json"
+    save_model(path, model)
+    assert path.read_bytes() == _reference_bytes(model, 2)
+    raw = base64.b64decode(json.loads(path.read_text())["arrays"]["weights"]["data"])
     assert raw[8 * 6 : 8 * 7] == struct.pack("<d", bad)
-    v1.write_bytes(_reference_bytes(model, 1))
-    assert {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[repr(bad)] in v1.read_text()
-    for path in (v2, v1):
-        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: array 'weights' holds non-finite"):
-            load_model(path)
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: array 'weights' holds non-finite"):
+        load_model(path)
 
 
-def test_simulate_logs_the_same_episodes_with_v1_and_v2_models(tmp_path):
-    slip, grasp = tmp_path / "slip.csv", tmp_path / "grasp.csv"
-    models = {name: (tmp_path / f"{name}.json", tmp_path / f"{name}.v1.json") for name in ("slip", "grasp")}
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["gen-data", "--kind", "slip", "--counts", "30,15,15", "--out", str(slip), "--seed", "3"]) == 0
-        assert main(["gen-data", "--kind", "grasp", "--counts", "30,30,30", "--out", str(grasp), "--seed", "1"]) == 0
-        assert main(["train-slip", "--data", str(slip), "--out", str(models["slip"][0]), "--seed", "0",
-                     "--layers", "2", "--hidden", "8", "--epochs", "1"]) == 0
-        assert main(["train-grasp", "--data", str(grasp), "--out", str(models["grasp"][0]), "--seed", "1"]) == 0
-        for v2, v1 in models.values():
-            v1.write_bytes(_reference_bytes(load_model(v2), 1))
-        logs = []
-        for which in (0, 1):  # the version 2 pair, then the version 1 pair
-            run = tmp_path / f"run{which}"
-            assert main(["simulate", "--seed", "7", "--episodes", "100", "--out", str(run),
-                         "--slip-model", str(models["slip"][which]),
-                         "--grasp-model", str(models["grasp"][which])]) == 0
-            logs.append((run / "episodes.jsonl").read_bytes())
-    assert logs[0] == logs[1]
-
+@pytest.mark.parametrize(
+    "data",
+    [None, [True, "1.5", "1e3", False], [[1, 2, 3]]],
+    ids=["numbers", "bools-and-strings", "nested"],
+)
+def test_a_version_1_file_exits_1_with_one_line(eval_inputs, tmp_path, data):
+    # version 1 read [true, "1.5", "1e3", false] as [1, 1.5, 1000, 0], and
+    # [[1, 2, 3]] for shape [3]; such a file now fails before any payload
+    eval_data, docs = eval_inputs
+    doc = json.loads(json.dumps(docs[1]))
+    if data is not None:
+        doc["arrays"]["head.b"]["data"] = data
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert _eval_slip(eval_data, path) == (1, [f"error: {path}: unsupported version 1"])
 
 
 # --- version, shape and payload rules ------------------------------------------
@@ -427,11 +411,10 @@ def _eval_slip(data, model):
     return code, err.getvalue().splitlines()
 
 
-@pytest.mark.parametrize("version", [True, 1.0, 2.0, 3], ids=["true", "1.0", "2.0", "3"])
-def test_version_must_be_the_int_1_or_2(eval_inputs, tmp_path, version):
+@pytest.mark.parametrize("version", [1, True, 1.0, 2.0, 3], ids=["1", "true", "1.0", "2.0", "3"])
+def test_version_must_be_the_int_2(eval_inputs, tmp_path, version):
     data, docs = eval_inputs
-    # the payload layout the version compares equal to, so only the type can fail
-    doc = json.loads(json.dumps(docs[1 if version == 1 else 2]))
+    doc = json.loads(json.dumps(docs[2]))
     doc["version"] = version
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
@@ -506,12 +489,14 @@ def test_huge_n_layers_stops_at_the_first_missing_array(eval_inputs, tmp_path, n
 @pytest.mark.parametrize("version", [1, 2])
 @pytest.mark.parametrize("shape", [[3, 4.9], [3, True, 4], [-1, 4]], ids=["float", "bool", "negative"])
 def test_load_rejects_shape_entries_that_are_not_counts(tmp_path, shape, version):
-    # version 1 once read [3, 4.9] as (3, 4) and [-1, 4] as (3, 4); true passed as 1
+    # version 1 once read [3, 4.9] as (3, 4) and [-1, 4] as (3, 4), and
+    # true passed as 1; such a file now fails on its version alone
     path = tmp_path / "model.json"
     doc = json.loads(_reference_bytes(_grasp(0), version))
     doc["arrays"]["weights"]["shape"] = shape
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: array 'weights' is malformed: shape must be"):
+    problem = "unsupported version 1" if version == 1 else "array 'weights' is malformed: shape must be"
+    with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {problem}')}"):
         load_model(path)
 
 
@@ -572,12 +557,12 @@ def test_huge_shape_fails_the_byte_count_check(eval_inputs, tmp_path):
 
 
 # --- reader fuzzer -----------------------------------------------------------
-# A valid 1x2 slip model file of either version, its version 2 payload
-# perhaps broken (base64 that does not decode, a wrong byte count, a
-# non-finite bit pattern, a shape entry that is not a count), then mutated
-# at the JSON level (drop a key or an element, retype a value), then
-# perhaps at the byte level (truncate, or insert bytes that are not
-# UTF-8), and read by eval-slip in-process. Whatever the file holds,
+# A 1x2 slip model file of either version (version 1 no longer loads),
+# its version 2 payload perhaps broken (base64 that does not decode, a
+# wrong byte count, a non-finite bit pattern, a shape entry that is not a
+# count), then mutated at the JSON level (drop a key or an element,
+# retype a value), then perhaps at the byte level (truncate, or insert
+# bytes that are not UTF-8), and read by eval-slip in-process. Whatever the file holds,
 # eval-slip exits 0, 1 or 2 with at most one stderr line; an exception
 # escaping cli.main is a traceback.
 

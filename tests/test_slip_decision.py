@@ -32,6 +32,11 @@ def test_argmax_picks_highest():
     assert classify_slip(np.empty((0, 3))) == []
 
 
+def test_one_hot_rows_are_their_class():
+    # 0 and 1 are the ends of the allowed range, not outside it
+    assert classify_slip(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])) == [SlipLabel.SLIPPED, SlipLabel.NORMAL]
+
+
 def test_argmax_ties_go_to_severity():
     probs = np.array([[0.4, 0.4, 0.2], [1 / 3, 1 / 3, 1 / 3], [0.2, 0.4, 0.4]])
     assert classify_slip(probs) == [SlipLabel.SLIPPING, SlipLabel.SLIPPED, SlipLabel.SLIPPED]

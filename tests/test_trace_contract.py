@@ -3,6 +3,7 @@ each caller looks up. Renaming or removing one of those attributes must
 fail here, not only in a traced benchmark run; so must an attribute that
 still resolves but that the simulation no longer calls."""
 
+import csv
 import math
 
 import numpy as np
@@ -63,7 +64,7 @@ def test_simulate_calls_every_sim_trace_point(tmp_path, monkeypatch, capsys):
     save_model(slip_model, init_model(LstmArch(n_layers=1, hidden_size=4), seed=0))
     # all-zero weights score every frame RipeHeld, so every episode reaches snap-off
     save_model(grasp_model, GraspModel(np.zeros((3, 4)), np.zeros(3)))
-    runs = []  # (world, episodes) of each simulate run
+    runs = []  # (world, episodes) of each run_episodes call
     run_episodes = cli.run_episodes
 
     def keep_episodes(w, *args, **kwargs):
@@ -94,7 +95,10 @@ def test_simulate_calls_every_sim_trace_point(tmp_path, monkeypatch, capsys):
             grasp_used += w.config.grasp_frames if r.grasp_detect_frame is None else r.grasp_detect_frame + 1
             if r.grasp_action is GraspAction.PROCEED:
                 slip_used += n_windows if r.slip_detect_frame is None else r.slip_detect_frame + 1
-    assert len(runs) == 2 and slip_used > 0
+    # each simulate run gets episodes 0-19 in order, in however many chunks
+    worlds = list(dict.fromkeys(w for w, _ in runs))
+    ids = [[ep.episode_id for v, chunk in runs if v is w for ep in chunk] for w in worlds]
+    assert ids == [list(range(20))] * 2 and slip_used > 0
     assert op.calls["grasp.grasp_decision_step"] == grasp_used
     assert op.calls["slip_decision.time_stability_step"] == slip_used
 
@@ -104,8 +108,9 @@ def test_ground_truth_simulate_draws_one_trajectory_per_proceeding_grasp(tmp_pat
     run_episodes, jittered = cli.run_episodes, world._jittered
 
     def keep_episodes(*args, **kwargs):
-        episodes.extend(run_episodes(*args, **kwargs))
-        return episodes
+        chunk = run_episodes(*args, **kwargs)
+        episodes.extend(chunk)
+        return chunk
 
     def keep_plans(config, chunk):
         plans.extend(chunk)
@@ -127,6 +132,8 @@ def test_ground_truth_simulate_draws_one_trajectory_per_proceeding_grasp(tmp_pat
     assert len({id(rng) for _, rng in plans}) == len(plans)
     assert op.calls["world.gen_slip_trajectory"] == 0
     assert op.calls["slip_windows.build_windows"] <= len(SlipLabel)
+    with (tmp_path / "run" / "summary.csv").open(newline="") as fh:
+        assert sum(int(row["n"]) for row in csv.DictReader(fh)) == 100
 
 
 def test_simulate_stacks_slip_inference_across_episodes(tmp_path, monkeypatch, capsys):

@@ -12,7 +12,7 @@ from harvest_guard.errors import ValidationError, require_finite
 from harvest_guard.fsm import (
     EpisodeTruth, Outcome, Stage, episode_problem, outcome_of, read_episode_log, run_episode, write_episode_log
 )
-from harvest_guard.geometry import CompensationMode, CompensationParams
+from harvest_guard.geometry import CompensationParams
 from harvest_guard.grasp import GraspClass, GraspModel
 from harvest_guard.lstm import LstmArch, TrainConfig, init_model, lstm_train
 from harvest_guard.slip_windows import (
@@ -773,12 +773,8 @@ _REF_NOMINAL_PICKING_POINT = _RefArmPoint3(400.0, 300.0, 250.0)
 
 def _ref_axes_to_correct(err, params):
     t = params.threshold_t
-    over_x = abs(err.dx) > t
-    over_y = abs(err.dy) > t
-    if params.mode is CompensationMode.EITHER_AXIS_BOTH:
-        trigger = over_x or over_y
-        return trigger, trigger
-    return over_x, over_y
+    trigger = abs(err.dx) > t or abs(err.dy) > t
+    return trigger, trigger
 
 
 def _ref_needs_compensation(err, params):
