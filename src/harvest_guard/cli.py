@@ -78,7 +78,13 @@ def _setup_logging() -> None:
         raise ValidationError(
             f"HARVEST_GUARD_LOG must be one of {sorted(levels)}, got {level_name!r}"
         )
-    logging.basicConfig(stream=sys.stderr, level=levels[level_name], format="%(levelname)s %(message)s")
+    # set on every call, so each main() of a process follows the variable;
+    # basicConfig would keep the first call's level and stream
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
+    log.handlers = [handler]
+    log.setLevel(levels[level_name])
+    log.propagate = False
 
 
 def _parse_counts(text: str) -> tuple[int, int, int]:
@@ -142,15 +148,13 @@ def build_parser() -> _Parser:
     p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--ratio", type=float, default=0.7, help="train fraction of the stratified split")
-    p.add_argument("--oversample-first", action="store_true", help="oversample before splitting instead of after")
     p.add_argument("--layers", type=int, default=LstmArch.n_layers, help=f"LSTM layers, at most {_MAX_LAYERS}")
     p.add_argument("--hidden", type=int, default=LstmArch.hidden_size, help=f"units per layer, at most {_MAX_HIDDEN}")
 
     p = sub.add_parser("eval-slip", help="evaluate a slip model on a SlipData CSV")
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--out", help="optional per-class metrics report")
-    p.add_argument("--format", choices=("csv", "jsonlines"), default="csv")
+    p.add_argument("--out", help="optional per-class metrics CSV")
     p.add_argument("--split-ratio", type=float, help="evaluate only the validation side of this split")
     p.add_argument("--split-seed", type=_seed, help="seed of the split to reproduce (with --split-ratio)")
 
@@ -181,7 +185,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("report", help="aggregate an episode log into a summary report")
     p.add_argument("--episodes", required=True, help="episode JSONL log")
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "jsonlines"), default="csv")
 
     return parser
 
@@ -207,7 +210,7 @@ def _cmd_train_slip(args: argparse.Namespace) -> int:
         raise ValidationError(f"{args.data}: no windows (episodes need at least {WINDOW_LEN + LOOKAHEAD} frames)")
     counts = class_counts(windows.y)
     log.info("loaded %d windows, counts %s", len(windows), {k.name: v for k, v in sorted(counts.items())})
-    train, val = prepare_splits(windows, args.ratio, args.seed, oversample_first=args.oversample_first)
+    train, val = prepare_splits(windows, args.ratio, args.seed)
     arch = LstmArch(n_layers=args.layers, hidden_size=args.hidden)
     model = lstm_train(
         train,
@@ -216,7 +219,8 @@ def _cmd_train_slip(args: argparse.Namespace) -> int:
         arch,
     )
     model.metadata["split_ratio"] = args.ratio
-    model.metadata["oversample_first"] = bool(args.oversample_first)
+    # training always splits first; the key stays so model files keep their bytes
+    model.metadata["oversample_first"] = False
     save_model(args.out, model)
     final_loss = model.metadata["train_loss"][-1]
     summary = f"trained on {len(train)} windows ({args.epochs} epochs); final loss {final_loss:.4f}"
@@ -237,7 +241,7 @@ def _cmd_eval_slip(args: argparse.Namespace) -> int:
     if (args.split_ratio is None) != (args.split_seed is None):
         raise ValidationError("--split-ratio and --split-seed go together")
     if args.split_ratio is not None:
-        # the validation side of train-slip's default split; nothing is oversampled
+        # the validation side of train-slip's split; nothing is oversampled
         windows = windows.take(stratified_split(windows.y, args.split_ratio, args.split_seed)[1])
     if not windows:
         raise ValidationError(f"{args.data}: nothing to evaluate")
@@ -252,7 +256,7 @@ def _cmd_eval_slip(args: argparse.Namespace) -> int:
         print(f"{row['class']:>9}: precision {row['precision']:.4f} recall {row['recall']:.4f} f1 {row['f1']:.4f}")
     print(f"macro-F1: {macro_f1(cm):.4f}")
     if args.out:
-        write_report(args.out, rows, fmt=args.format)
+        write_report(args.out, rows)
         log.info("wrote metrics report to %s", args.out)
     return 0
 
@@ -343,19 +347,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         write_episode_log(staged, episodes())
     save_config(out_dir / "scenario.ini", config)
 
-    _write_summary(totals, out_dir / "summary.csv", "csv")
+    _write_summary(totals, out_dir / "summary.csv")
     print(f"episode log: {out_dir / 'episodes.jsonl'}")
     return 0
 
 
-def _write_summary(totals: dict[str, list[float]], path: str | Path, fmt: str) -> None:
+def _write_summary(totals: dict[str, list[float]], path: str | Path) -> None:
     """Per-outcome cycle-time rows of each outcome's episode totals, written
     to `path` and printed."""
     rows = [
         {"outcome": outcome, "n": agg.n, "mean_s": agg.mean_s, "std_s": agg.std_s}
         for outcome, agg in aggregate_cycle_times(totals).items()
     ]
-    write_report(path, rows, fmt=fmt)
+    write_report(path, rows)
     for row in rows:
         print(f"{row['outcome']}: n={row['n']} mean {row['mean_s']:.3f} s std {row['std_s']:.3f} s")
 
@@ -374,7 +378,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         outcome: [totals[k] for k in sorted(range(len(ids)), key=ids.__getitem__)]
         for outcome, (ids, totals) in groups.items()
     }
-    _write_summary(by_id, args.out, args.format)
+    _write_summary(by_id, args.out)
     return 0
 
 

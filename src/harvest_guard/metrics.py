@@ -10,7 +10,6 @@ give byte-identical files.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -155,39 +154,21 @@ def format_value(key: str, value: object) -> str:
     return str(value)
 
 
-def _parse_value(text: str) -> object:
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def write_report(path: str | Path, rows: Sequence[Mapping[str, object]], fmt: str = "csv") -> None:
-    """Write rows to csv or jsonlines in the first row's field order,
-    which every row must share."""
+def write_report(path: str | Path, rows: Sequence[Mapping[str, object]]) -> None:
+    """Write rows as CSV in the first row's field order, which every row
+    must share."""
     path = Path(path)
-    if fmt not in ("csv", "jsonlines"):
-        raise ValidationError(f"format must be 'csv' or 'jsonlines', got {fmt!r}")
     fields = list(rows[0].keys()) if rows else []
     for i, row in enumerate(rows):
         if list(row.keys()) != fields:
             raise ValidationError(f"row {i} fields {list(row.keys())} differ from {fields}")
     try:
         with path.open("w", newline="") as fh:
-            if fmt == "csv":
-                writer = csv.writer(fh)
-                if fields:
-                    writer.writerow(fields)
-                for row in rows:
-                    writer.writerow([format_value(k, row[k]) for k in fields])
-            else:
-                for row in rows:
-                    doc = {k: _parse_value(format_value(k, row[k])) for k in fields}
-                    fh.write(json.dumps(doc) + "\n")
+            writer = csv.writer(fh)
+            if fields:
+                writer.writerow(fields)
+            for row in rows:
+                writer.writerow([format_value(k, row[k]) for k in fields])
     except OSError as exc:
         raise OSError(f"cannot write report {path}: {exc}") from exc
 

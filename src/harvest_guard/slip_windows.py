@@ -172,23 +172,10 @@ def stratified_split(labels: np.ndarray, ratio: float, rng_seed: int) -> tuple[n
     return np.array(train, dtype=np.intp), np.array(val, dtype=np.intp)
 
 
-def prepare_splits(
-    windows: SlipWindows,
-    ratio: float,
-    rng_seed: int,
-    oversample_first: bool = False,
-) -> tuple[SlipWindows, SlipWindows]:
-    """Balanced train set plus untouched validation set.
-
-    Default order splits first and oversamples only the training side, so
-    duplicated windows can never leak into validation. With
-    oversample_first the whole set is balanced before splitting,
-    replicating pipelines that balance up front.
-    """
-    if oversample_first:
-        balanced = oversample(windows.y, rng_seed)
-        train, val = stratified_split(windows.y[balanced], ratio, rng_seed)
-        return windows.take(balanced[train]), windows.take(balanced[val])
+def prepare_splits(windows: SlipWindows, ratio: float, rng_seed: int) -> tuple[SlipWindows, SlipWindows]:
+    """Balanced train set plus untouched validation set: the split comes
+    first and only the training side is oversampled, so duplicated
+    windows can never leak into validation."""
     train, val = stratified_split(windows.y, ratio, rng_seed)
     return windows.take(train[oversample(windows.y[train], rng_seed)]), windows.take(val)
 

@@ -2,7 +2,6 @@
 frozen finite-difference gradient-check procedure."""
 
 import json
-import logging
 import os
 from pathlib import Path
 
@@ -31,16 +30,6 @@ FLOAT_KEYS = [
     for key, attr in keys.items()
     if isinstance(getattr(ScenarioConfig, attr), float)
 ]
-
-
-@pytest.fixture(autouse=True)
-def _reset_root_logging():
-    # the CLI configures the root logger against the current stderr; drop
-    # handlers after each test so captured streams never go stale
-    yield
-    root = logging.getLogger()
-    for handler in list(root.handlers):
-        root.removeHandler(handler)
 
 
 def fd_max_rel_err(seed: int) -> float:

@@ -117,6 +117,44 @@ def test_invalid_log_level_is_rejected(tmp_path, monkeypatch, capsys):
     assert "HARVEST_GUARD_LOG" in capsys.readouterr().err
 
 
+def test_log_level_follows_the_variable_on_every_call(tmp_path, monkeypatch, capsys):
+    # every call sets the level again, also under pytest, whose root
+    # logger already has a handler that logging.basicConfig would defer to
+    out = tmp_path / "x.csv"
+    argv = ["gen-data", "--kind", "slip", "--counts", "3,3,3", "--out", str(out), "--seed", "0"]
+    runs = []
+    for level in ("error", "info", "error"):
+        monkeypatch.setenv("HARVEST_GUARD_LOG", level)
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        runs.append((captured.out, captured.err, out.read_bytes()))
+    assert [err for _, err, _ in runs] == ["", f"INFO wrote slip dataset with counts (3, 3, 3) to {out}\n", ""]
+    assert runs[0][0] == runs[1][0] == runs[2][0] and runs[0][2] == runs[1][2] == runs[2][2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train-slip", "--data", "slip.csv", "--out", "out.json", "--seed", "0", "--epochs", "1", "--layers", "1",
+         "--hidden", "2", "--oversample-first"],
+        ["report", "--episodes", "run/episodes.jsonl", "--out", "out.csv", "--format", "csv"],
+        ["eval-slip", "--data", "slip.csv", "--model", "slip.json", "--out", "out.csv", "--format", "csv"],
+    ],
+    ids=["oversample-first", "report-format", "eval-slip-format"],
+)
+def test_removed_flags_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
+    # the inputs are real, so each command would write its output without the flag
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen-data", "--kind", "slip", "--counts", "3,3,3", "--out", "slip.csv", "--seed", "0"]) == 0
+    assert main(["simulate", "--seed", "1", "--episodes", "2", "--out", "run"]) == 0
+    _slip_model_file(tmp_path / "slip.json")
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "unrecognized arguments" in err[0]
+    assert not list(tmp_path.glob("out.*"))
+
+
 def test_missing_config_file_is_io_error(tmp_path, capsys):
     code = main(
         [
@@ -746,13 +784,12 @@ def test_training_bytes_are_pinned(tmp_path, capsys):
     # path: the order of every training window reaches these bytes, so a
     # data path that reorders a draw or a window fails here
     slip, grasp = tmp_path / "slip.csv", tmp_path / "grasp.csv"
-    slip_model, first_model, grasp_model = (tmp_path / n for n in ("slip.json", "first.json", "grasp.json"))
+    slip_model, grasp_model = tmp_path / "slip.json", tmp_path / "grasp.json"
     assert main(["gen-data", "--kind", "slip", "--counts", "60,25,25", "--out", str(slip), "--seed", "3"]) == 0
     assert main(["gen-data", "--kind", "grasp", "--counts", "30,30,30", "--out", str(grasp), "--seed", "1"]) == 0
     train = ["train-slip", "--data", str(slip), "--seed", "0", "--layers", "2", "--hidden", "8", "--epochs", "2",
              "--lr", "0.03"]
     assert main(train + ["--out", str(slip_model)]) == 0
-    assert main(train + ["--out", str(first_model), "--oversample-first"]) == 0
     assert main(["train-grasp", "--data", str(grasp), "--out", str(grasp_model), "--seed", "1"]) == 0
     capsys.readouterr()
     evaluated = ["eval-slip", "--data", str(slip), "--model", str(slip_model), "--split-ratio", "0.7", "--split-seed", "0"]
@@ -764,14 +801,12 @@ def test_training_bytes_are_pinned(tmp_path, capsys):
     assert main(simulated) == 0
     digests = {
         "slip model": hashlib.sha256(slip_model.read_bytes()).hexdigest(),
-        "oversample-first model": hashlib.sha256(first_model.read_bytes()).hexdigest(),
         "grasp model": hashlib.sha256(grasp_model.read_bytes()).hexdigest(),
         "eval-slip stdout": hashlib.sha256(eval_stdout.encode()).hexdigest(),
         "episodes.jsonl": hashlib.sha256((run / "episodes.jsonl").read_bytes()).hexdigest(),
     }
     assert digests == {
         "slip model": "272448c238f1b21abbf32dbae48302f5c4d174c9257591c3a33a66a2b741ce6d",
-        "oversample-first model": "d428b39777497c1562036ed0e413ba849c59b9e4f99946a39fb1657503d4d30c",
         "grasp model": "4e4103727b1b84dda0ec3c1cb6827d03f11a355a823f6e51b994f5c3dd861f13",
         "eval-slip stdout": "12ee286ac7ff67c45ace3b137d5b138ea12592ea6cefa17c007d55345f7deb36",
         "episodes.jsonl": "ffdda36dfbb99eecebaa3fa1612fc21c6b0c46f63c56f569e06e98fcf62a9870",
@@ -1024,8 +1059,7 @@ def test_non_utf8_input_is_validation_error(tmp_path, monkeypatch, capsys, argv)
 
 
 def test_error_is_one_stderr_line_in_a_fresh_process(tmp_path):
-    # in-process runs share pytest's logging set-up; a real process
-    # configures logging itself and must still print one line
+    # outside pytest's capture, a real process must still print one line
     bad = tmp_path / "bad.bin"
     bad.write_bytes(np.random.default_rng(0).bytes(200))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")])}

@@ -1,7 +1,6 @@
 """Metric formulas, exact percentage rounding, and report files."""
 
 import csv
-import json
 from decimal import Decimal
 
 import pytest
@@ -139,7 +138,7 @@ def test_report_round_trip_csv(tmp_path):
         {"outcome": "abort", "n": 1, "mean_s": 5.26},
     ]
     path = tmp_path / "report.csv"
-    write_report(path, rows, fmt="csv")
+    write_report(path, rows)
     assert path.read_bytes() == b"outcome,n,mean_s\r\npicked,3,11.217\r\nabort,1,5.260\r\n"
     with path.open(newline="") as fh:
         assert list(csv.DictReader(fh)) == [
@@ -148,16 +147,8 @@ def test_report_round_trip_csv(tmp_path):
         ]
     # identical rows -> identical bytes
     again = tmp_path / "report2.csv"
-    write_report(again, rows, fmt="csv")
+    write_report(again, rows)
     assert path.read_bytes() == again.read_bytes()
-
-
-def test_report_round_trip_jsonlines(tmp_path):
-    rows = [{"outcome": "picked", "n": 2, "mean_s": 10.5}]
-    path = tmp_path / "report.jsonl"
-    write_report(path, rows, fmt="jsonlines")
-    assert path.read_bytes() == b'{"outcome": "picked", "n": 2, "mean_s": 10.5}\n'
-    assert json.loads(path.read_text()) == {"outcome": "picked", "n": 2, "mean_s": 10.5}
 
 
 def test_report_field_order_is_enforced(tmp_path):
@@ -167,11 +158,6 @@ def test_report_field_order_is_enforced(tmp_path):
     ]
     with pytest.raises(ValidationError, match="row 1"):
         write_report(tmp_path / "r.csv", rows)
-
-
-def test_report_rejects_unknown_format(tmp_path):
-    with pytest.raises(ValidationError):
-        write_report(tmp_path / "r.x", [], fmt="xml")
 
 
 def test_report_write_failure_is_os_error(tmp_path):

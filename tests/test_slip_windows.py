@@ -192,23 +192,6 @@ def test_prepare_splits_keeps_validation_untouched():
     assert not set(_tags(got_train)) & set(_tags(got_val))
 
 
-def test_prepare_splits_can_balance_before_splitting():
-    windows = _windows_with_counts(20, 8, 4)
-    train, val = prepare_splits(windows, 0.7, rng_seed=0, oversample_first=True)
-    total = class_counts(np.concatenate([train.y, val.y]))
-    assert total == {
-        SlipLabel.NORMAL: 20,
-        SlipLabel.SLIPPING: 20,
-        SlipLabel.SLIPPED: 20,
-    }
-    assert stratified_split_counts((20, 20, 20), 0.7)[0] == (14, 14, 14)
-    assert class_counts(train.y) == {
-        SlipLabel.NORMAL: 14,
-        SlipLabel.SLIPPING: 14,
-        SlipLabel.SLIPPED: 14,
-    }
-
-
 def test_slip_csv_round_trip(tmp_path):
     frames_a, labels_a = _labeled([0, 0, 0, 0, 0, 1, 1, 2])
     frames_b, labels_b = _labeled([0] * 9)

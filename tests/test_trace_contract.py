@@ -145,7 +145,7 @@ def test_simulate_stacks_slip_inference_across_episodes(tmp_path, monkeypatch, c
         assert cli.main(["simulate", "--seed", "3", "--episodes", "70", "--out", str(tmp_path / "run"),
                          "--slip-model", str(slip_model), "--grasp-model", str(grasp_model)]) == 0
     # one forward per chunk of episodes, not one per episode
-    assert 0 < tracer.phases["op"].calls["lstm.predict_proba"] <= math.ceil(70 / 32)
+    assert 0 < tracer.phases["op"].calls["lstm.predict_proba"] <= math.ceil(70 / world.EPISODE_CHUNK)
 
 
 def test_simulate_classifies_each_grasp_stream_in_one_call(tmp_path, monkeypatch, capsys):
