@@ -205,19 +205,15 @@ def _cmd_train_slip(args: argparse.Namespace) -> int:
     for flag, value, cap in (("--layers", args.layers, _MAX_LAYERS), ("--hidden", args.hidden, _MAX_HIDDEN)):
         if value > cap:
             raise ValidationError(f"{flag} allows at most {cap}, got {value}")
+    arch = LstmArch(n_layers=args.layers, hidden_size=args.hidden)
+    config = TrainConfig(epochs=args.epochs, learning_rate=args.lr, batch_size=args.batch_size, seed=args.seed)
     windows = windows_from_slip_csv(args.data)
     if not windows:
         raise ValidationError(f"{args.data}: no windows (episodes need at least {WINDOW_LEN + LOOKAHEAD} frames)")
     counts = class_counts(windows.y)
     log.info("loaded %d windows, counts %s", len(windows), {k.name: v for k, v in sorted(counts.items())})
     train, val = prepare_splits(windows, args.ratio, args.seed)
-    arch = LstmArch(n_layers=args.layers, hidden_size=args.hidden)
-    model = lstm_train(
-        train,
-        val,
-        TrainConfig(epochs=args.epochs, learning_rate=args.lr, batch_size=args.batch_size, seed=args.seed),
-        arch,
-    )
+    model = lstm_train(train, val, config, arch)
     model.metadata["split_ratio"] = args.ratio
     # training always splits first; the key stays so model files keep their bytes
     model.metadata["oversample_first"] = False
@@ -236,10 +232,10 @@ _SLIP_CLASS_NAMES = tuple(l.name.lower() for l in SlipLabel)
 
 
 def _cmd_eval_slip(args: argparse.Namespace) -> int:
-    model = _load_model_of(args.model, SlipModel)
-    windows = windows_from_slip_csv(args.data)
     if (args.split_ratio is None) != (args.split_seed is None):
         raise ValidationError("--split-ratio and --split-seed go together")
+    model = _load_model_of(args.model, SlipModel)
+    windows = windows_from_slip_csv(args.data)
     if args.split_ratio is not None:
         # the validation side of train-slip's split; nothing is oversampled
         windows = windows.take(stratified_split(windows.y, args.split_ratio, args.split_seed)[1])

@@ -17,14 +17,16 @@ array_layout(arch) is the one list of the weight arrays: their names,
 shapes and order. SlipModel checks its arrays against it, init_model
 draws them in its order, and model files name them by it.
 
-Each time step keeps its gates in one packed (B, 4H) buffer: one sigmoid
-pass over all of z, then tanh written over the g slice in place; the
-backward pass copies i, f, g, o out of it as contiguous blocks and fills
-one (B, 4H) buffer per layer with the pre-activation gradient. Inference
-(predict_proba) caches nothing across steps: every step writes into
-buffers allocated once per call. Only loss_and_grads keeps the per-step
-state that backpropagation needs. predict_proba runs the two halves of
-an (E, B, T, D) episode stack on the calling thread and one worker.
+Each training step keeps its gates in one packed (B, 4H) buffer: one
+sigmoid pass over all of z, then tanh written over the g slice in place;
+the backward pass copies i, f, g, o out of it as contiguous blocks and
+fills one (B, 4H) buffer per layer with the pre-activation gradient.
+Only loss_and_grads keeps the per-step state that backpropagation needs.
+Inference (predict_proba) has its own step loop, which caches nothing:
+it computes the gates in place in z, skips the recurrent GEMM of the
+zero initial state, and writes into seven buffers allocated once per
+call. It runs the two halves of an (E, B, T, D) episode stack on the
+calling thread and one worker.
 
 The kernel's bits are part of its contract: a seed must keep producing
 the same weights and labels. So the GEMM operand layouts, the batch
@@ -181,7 +183,8 @@ def _sigmoid(
     """Overflow-free logistic: 1/(1+e^-z) for z >= 0, e^z/(1+e^z) below.
     Both branches share e = exp(-|z|), so one pass gives the same bits as
     evaluating each branch on its own half. out, e and ge0 (bool) are
-    optional buffers of z's shape; without them each is a new array."""
+    optional buffers of z's shape; without them each is a new array. out
+    may be z itself: ge0 is taken from z before out is written."""
     e = np.exp(np.negative(np.abs(z, out=e), out=e), out=e)
     # max(e, 1) is 1 since e <= 1, max(e, 0) is e, and NaN stays NaN
     out = np.maximum(e, np.greater_equal(z, 0, out=ge0), out=out)
@@ -217,21 +220,13 @@ def _check_width(model: SlipModel, x: np.ndarray) -> None:
 
 
 def _forward_batch(
-    model: SlipModel,
-    x: np.ndarray,
-    dropout_rng: np.random.Generator | None,
-    cache: dict[str, Any] | None = None,
-    buf: dict[str, np.ndarray] | None = None,
+    model: SlipModel, x: np.ndarray, dropout_rng: np.random.Generator | None, cache: dict[str, Any] | None = None
 ) -> np.ndarray:
-    """Run (..., T, D) inputs through the stack and return the (..., C)
-    logits. An (E, B) stack runs one GEMM per episode, never a flattened
-    (E*B, D) one, so every episode gets the bits of its own call.
-    dropout_rng None means inference: no dropout anywhere.
-
-    Pass a dict as cache to have it filled with what _backward_batch
-    needs. Without buf each step writes into fresh arrays, which the cache
-    keeps; given buf (see predict_proba) every step writes into it and
-    updates the state in place, so no step allocates."""
+    """Training forward: run (B, T, D) inputs through the stack and return
+    the (B, C) logits. dropout_rng None runs without dropout (the
+    finite-difference checks). Pass a dict as cache to have it filled
+    with what _backward_batch needs; each step writes into fresh arrays,
+    which the cache keeps."""
     a = model.arch
     *lead, n_steps, _ = x.shape
     h_size = a.hidden_size
@@ -242,23 +237,17 @@ def _forward_batch(
     current = x
     for layer in range(a.n_layers):
         w_x_t, w_h_t, bias = model.w_x[layer].T, model.w_h[layer].T, model.b[layer]
-        if buf is None:
-            h, c, outputs = np.zeros((*lead, h_size)), np.zeros((*lead, h_size)), np.empty((*lead, n_steps, h_size))
-        else:
-            h, c, outputs = buf["h"], buf["c"], buf[f"out{layer % 2}"]
-            h.fill(0.0)
-            c.fill(0.0)
+        h, c, outputs = np.zeros((*lead, h_size)), np.zeros((*lead, h_size)), np.empty((*lead, n_steps, h_size))
         steps: list[tuple[np.ndarray, ...]] = []
         for t in range(n_steps):
             x_t = current[..., t, :]
-            step = _step_buffers(lead, h_size) if buf is None else buf
+            step = _step_buffers(lead, h_size)
             # z = x_t @ W_x.T + h @ W_h.T + b, summed in that order
             z, gates = step["z"], step["gates"]
             np.add(np.matmul(x_t, w_x_t, out=z), np.matmul(h, w_h_t, out=step["zh"]), out=z)
             np.add(z, bias, out=z)
             _sigmoid(z, gates, step["e"], step["ge0"])
             np.tanh(z[..., s_g], out=gates[..., s_g])
-            # h and c may be step's own arrays: each is read before it is overwritten
             c_new = np.multiply(gates[..., s_f], c, out=step["c"])
             np.add(c_new, np.multiply(gates[..., s_i], gates[..., s_g], out=step["prod"]), out=c_new)
             tanh_c = np.tanh(c_new, out=step["tanh_c"])
@@ -365,29 +354,65 @@ def loss_and_grads(
     return loss, _backward_batch(model, cache, dlogits)
 
 
+def _infer_logits(model: SlipModel, x: np.ndarray, buf: dict[str, np.ndarray]) -> np.ndarray:
+    """Inference forward: (..., T, D) inputs -> (..., C) logits, no dropout,
+    with the bits of _forward_batch. An (E, B) stack runs one GEMM per
+    episode, never a flattened (E*B, D) one, so every episode gets the
+    bits of its own call. Every step writes into buf (see predict_proba):
+    the gates go over z in place, tanh(g) into h (dead once its GEMM has
+    run) and tanh(c') into prod. The one (..., T, H) output buffer serves
+    every layer, since step t of a layer reads step t of the layer below
+    into its GEMM before it writes its own. Needs finite W_h: at t = 0,
+    h and c are +0, and h @ W_h.T gives +0 everywhere, so the step adds
+    the scalar +0.0 in its place, with the same bits (-0 + 0.0 is +0)."""
+    h_size = model.arch.hidden_size
+    s_i, s_f, s_g, s_o = (slice(k * h_size, (k + 1) * h_size) for k in range(4))
+    z, zh, ge0, h, c, prod, outputs = (buf[k] for k in ("z", "zh", "ge0", "h", "c", "prod", "out"))
+    current = x
+    for layer in range(model.arch.n_layers):
+        w_x_t, w_h_t, bias = model.w_x[layer].T, model.w_h[layer].T, model.b[layer]
+        c.fill(0.0)
+        for t in range(x.shape[-2]):
+            # z = x_t @ W_x.T + h @ W_h.T + b, summed in that order
+            np.matmul(current[..., t, :], w_x_t, out=z)
+            np.add(z, np.matmul(h, w_h_t, out=zh) if t else 0.0, out=z)
+            np.add(z, bias, out=z)
+            np.tanh(z[..., s_g], out=h)
+            _sigmoid(z, z, zh, ge0)
+            np.multiply(z[..., s_f], c, out=c)
+            np.add(c, np.multiply(z[..., s_i], h, out=prod), out=c)
+            np.multiply(z[..., s_o], np.tanh(c, out=prod), out=h)
+            outputs[..., t, :] = h
+        current = outputs
+    return outputs[..., -1, :] @ model.w_out.T + model.b_out
+
+
 def predict_proba(model: SlipModel, x: np.ndarray) -> np.ndarray:
     """(..., T, D) windows -> (..., C) class probabilities, no dropout.
+    The model's W_h must be finite (load_model and lstm_train see to it):
+    the first step of each layer skips the GEMM of the zero state.
 
     An (E, B, T, D) stack of two or more episodes runs episodes [E//2:] on
     a one-worker pool while the calling thread runs [:E//2]; numpy and BLAS
     release the GIL, so the halves overlap on two cores. Each episode keeps
     its own GEMMs and everything else is per element or per row, so the
-    bits equal one call per episode. The calling thread allocates every
-    buffer of both halves once, so the worker allocates next to nothing.
-    A worker exception is raised here, once, after the worker has ended."""
+    bits equal one call per episode. The calling thread allocates the
+    seven buffers of both halves once, so the worker allocates next to
+    nothing. A worker exception is raised here, once, after the worker
+    has ended."""
     _check_width(model, x)
     *lead, n_steps, _ = x.shape
-    h_size = model.arch.hidden_size
-    # the step buffers plus two (..., T, H) layer outputs that alternate
-    # between layers; v[k:m] of each is the buffer of episodes k..m-1
-    buf = _step_buffers(tuple(lead), h_size)
-    buf.update((name, np.empty((*lead, n_steps, h_size))) for name in ("out0", "out1"))
+    gate, state = (*lead, 4 * model.arch.hidden_size), (*lead, model.arch.hidden_size)
+    # v[k:m] of each buffer is the buffer of episodes k..m-1
+    buf = {"z": np.empty(gate), "zh": np.empty(gate), "ge0": np.empty(gate, dtype=bool)}
+    buf.update((name, np.empty(state)) for name in ("h", "c", "prod"))
+    buf["out"] = np.empty((*lead, n_steps, model.arch.hidden_size))
     if x.ndim != 4 or len(x) < 2:
-        return softmax(_forward_batch(model, x, None, buf=buf))
+        return softmax(_infer_logits(model, x, buf))
     half = len(x) // 2
     with ThreadPoolExecutor(max_workers=1) as pool:  # leaving the block joins the worker
-        upper = pool.submit(_forward_batch, model, x[half:], None, buf={k: v[half:] for k, v in buf.items()})
-        lower = _forward_batch(model, x[:half], None, buf={k: v[:half] for k, v in buf.items()})
+        upper = pool.submit(_infer_logits, model, x[half:], {k: v[half:] for k, v in buf.items()})
+        lower = _infer_logits(model, x[:half], {k: v[:half] for k, v in buf.items()})
         return softmax(np.concatenate([lower, upper.result()]))
 
 

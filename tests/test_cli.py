@@ -155,6 +155,29 @@ def test_removed_flags_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
     assert not list(tmp_path.glob("out.*"))
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval-slip", "--model", "absent.json", "--split-ratio", "0.7"], "--split-ratio and --split-seed go together"),
+        (["eval-slip", "--model", "absent.json", "--split-seed", "0"], "--split-ratio and --split-seed go together"),
+        (["train-slip", "--out", "m.json", "--seed", "0", "--layers", "0"], "degenerate architecture: LstmArch("),
+        (["train-slip", "--out", "m.json", "--seed", "0", "--hidden", "0"], "degenerate architecture: LstmArch("),
+        (["train-slip", "--out", "m.json", "--seed", "0", "--epochs", "0"], "epochs must be positive, got 0"),
+        (["train-slip", "--out", "m.json", "--seed", "0", "--lr", "0"], "learning rate must be positive, got 0.0"),
+        (["train-slip", "--out", "m.json", "--seed", "0", "--lr", "nan"], "learning_rate must be finite"),
+        (["train-slip", "--out", "m.json", "--seed", "0", "--batch-size", "0"], "batch size must be positive, got 0"),
+    ],
+    ids=["split-ratio-alone", "split-seed-alone", "layers-0", "hidden-0", "epochs-0", "lr-0", "lr-nan", "batch-0"],
+)
+def test_slip_flags_are_checked_before_any_file_is_read(tmp_path, monkeypatch, capsys, argv, message):
+    # neither --data nor --model exists: reading either first would exit 2
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--data", "absent.csv"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_config_file_is_io_error(tmp_path, capsys):
     code = main(
         [

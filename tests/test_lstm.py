@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -394,7 +395,8 @@ def test_kernel_matches_reference_bit_for_bit(arch):
         x = rng.normal(0.0, 3.0, size=(n_batch, 5, arch.input_size))
         y = rng.integers(0, arch.n_classes, size=n_batch)
         logits, _ = _ref_forward_batch(model, x, None)
-        assert np.array_equal(predict_proba(model, x), softmax(logits)), n_batch
+        # bytes, not values: array_equal takes -0.0 for +0.0
+        assert predict_proba(model, x).tobytes() == softmax(logits).tobytes(), n_batch
         for dropout_seed in (None, n_batch):
             ref_rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
             new_rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
@@ -403,7 +405,7 @@ def test_kernel_matches_reference_bit_for_bit(arch):
             assert loss == ref_loss, (n_batch, dropout_seed)
             assert len(grads) == len(ref_grads)
             for g, ref in zip(grads, ref_grads):
-                assert np.array_equal(g, ref), (n_batch, dropout_seed)
+                assert g.shape == ref.shape and g.tobytes() == ref.tobytes(), (n_batch, dropout_seed)
 
 
 @pytest.mark.parametrize("arch", [SMALL, LstmArch()], ids=["2x8", "5x64"])
@@ -415,7 +417,8 @@ def test_stacked_forward_matches_per_episode_calls_bit_for_bit(arch):
             x = rng.normal(0.0, 3.0, size=(n_episodes, n_batch, 5, arch.input_size))
             stacked = predict_proba(model, x)
             assert stacked.shape == (n_episodes, n_batch, arch.n_classes)
-            assert np.array_equal(stacked, np.stack([predict_proba(model, xe) for xe in x])), (n_episodes, n_batch)
+            per_episode = np.stack([predict_proba(model, xe) for xe in x])
+            assert stacked.tobytes() == per_episode.tobytes(), (n_episodes, n_batch)
 
 
 @pytest.mark.parametrize("arch", [SMALL, LstmArch()], ids=["2x8", "5x64"])
@@ -432,20 +435,51 @@ def test_split_stack_matches_per_episode_calls_bit_for_bit(arch):
                 x = rng.normal(0.0, 3.0, size=(n_episodes, n_batch, 5, arch.input_size))
                 stacked = predict_proba(model, x)
                 per_episode = np.stack([predict_proba(model, xe) for xe in x])
-                assert np.array_equal(stacked, per_episode), (n_episodes, n_batch)
+                assert stacked.shape == per_episode.shape, (n_episodes, n_batch)
+                assert stacked.tobytes() == per_episode.tobytes(), (n_episodes, n_batch)
     finally:
         sys.setswitchinterval(switch)
 
 
+@pytest.mark.parametrize("arch", [SMALL, LstmArch()], ids=["2x8", "5x64"])
+@pytest.mark.parametrize("bias_zero", [-0.0, 0.0])
+def test_zero_windows_match_reference_bytes(arch, bias_zero):
+    # zero inputs through zero input weights make every x_t @ W_x.T and
+    # h @ W_h.T a zero, so the signs of the zeros in z rest on the bias
+    model = init_model(arch, seed=5)
+    for w_x, b in zip(model.w_x, model.b):
+        w_x[...] = 0.0
+        b[...] = bias_zero
+    for shape in ((1,), (10,), (3, 10)):
+        x = np.zeros((*shape, 5, arch.input_size))
+        flat = x.reshape(-1, 5, arch.input_size)
+        ref = softmax(_ref_forward_batch(model, flat, None)[0]).reshape(*shape, arch.n_classes)
+        assert predict_proba(model, x).tobytes() == ref.tobytes(), shape
+
+
+@pytest.mark.parametrize("lead", [(936,), (32, 10)], ids=["batch", "stack"])
+def test_inference_holds_under_10_kb_per_window(lead):
+    model = init_model(LstmArch(), seed=5)
+    x = np.random.default_rng(17).normal(size=(*lead, 5, model.arch.input_size))
+    predict_proba(model, x)  # warm up: the pool, imports and caches
+    tracemalloc.start()
+    try:
+        predict_proba(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / math.prod(lead) <= 10_000
+
+
 def test_worker_half_failure_is_raised_once_in_the_caller(monkeypatch):
-    forward = lstm._forward_batch
+    forward = lstm._infer_logits
 
     def fail_off_the_main_thread(*args, **kwargs):
         if threading.current_thread() is not threading.main_thread():
             raise RuntimeError("worker half failed")
         return forward(*args, **kwargs)
 
-    monkeypatch.setattr(lstm, "_forward_batch", fail_off_the_main_thread)
+    monkeypatch.setattr(lstm, "_infer_logits", fail_off_the_main_thread)
     hooked = []
     monkeypatch.setattr(threading, "excepthook", hooked.append)
     threads = threading.active_count()
@@ -489,3 +523,7 @@ def test_sigmoid_matches_two_branch_form_bit_for_bit():
     got, ref = lstm._sigmoid(z), _ref_sigmoid(z)
     assert np.array_equal(got, ref, equal_nan=True)
     assert np.array_equal(np.signbit(got[~np.isnan(got)]), np.signbit(ref[~np.isnan(ref)]))
+    # in place, as inference calls it: out is z itself
+    in_place = z.copy()
+    lstm._sigmoid(in_place, in_place, np.empty_like(z), np.empty(z.shape, dtype=bool))
+    assert in_place.tobytes() == got.tobytes()
