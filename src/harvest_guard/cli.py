@@ -44,6 +44,7 @@ from .slip_windows import (
     LOOKAHEAD,
     WINDOW_LEN,
     SlipLabel,
+    check_split_ratio,
     class_counts,
     prepare_splits,
     stratified_split,
@@ -202,6 +203,7 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def _cmd_train_slip(args: argparse.Namespace) -> int:
+    check_split_ratio(args.ratio)
     for flag, value, cap in (("--layers", args.layers, _MAX_LAYERS), ("--hidden", args.hidden, _MAX_HIDDEN)):
         if value > cap:
             raise ValidationError(f"{flag} allows at most {cap}, got {value}")
@@ -234,6 +236,8 @@ _SLIP_CLASS_NAMES = tuple(l.name.lower() for l in SlipLabel)
 def _cmd_eval_slip(args: argparse.Namespace) -> int:
     if (args.split_ratio is None) != (args.split_seed is None):
         raise ValidationError("--split-ratio and --split-seed go together")
+    if args.split_ratio is not None:
+        check_split_ratio(args.split_ratio)
     model = _load_model_of(args.model, SlipModel)
     windows = windows_from_slip_csv(args.data)
     if args.split_ratio is not None:
@@ -258,6 +262,7 @@ def _cmd_eval_slip(args: argparse.Namespace) -> int:
 
 
 def _cmd_train_grasp(args: argparse.Namespace) -> int:
+    check_split_ratio(args.ratio)
     x, y = read_grasp_csv(args.data)
     if not len(y):
         raise ValidationError(f"{args.data}: empty dataset")

@@ -133,14 +133,19 @@ def oversample(labels: np.ndarray, rng_seed: int) -> np.ndarray:
     return np.concatenate(picks)
 
 
+def check_split_ratio(ratio: float) -> None:
+    """Reject a train fraction outside (0, 1); NaN fails the comparison too."""
+    if not (0.0 < ratio < 1.0):
+        raise ValidationError(f"split ratio must lie in (0, 1), got {ratio}")
+
+
 def stratified_split_counts(counts: Sequence[int], ratio: float) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per-class train/validation sizes for a stratified split.
 
     Each class contributes round(count * ratio) items to training
     (rounding half away from zero) and the remainder to validation.
     """
-    if not (0.0 < ratio < 1.0):
-        raise ValidationError(f"split ratio must lie in (0, 1), got {ratio}")
+    check_split_ratio(ratio)
     for c in counts:
         if c < 1:
             raise ValidationError(f"every class needs at least one item, got counts {tuple(counts)}")

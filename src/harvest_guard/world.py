@@ -19,6 +19,7 @@ import configparser
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, NamedTuple
@@ -156,6 +157,97 @@ def save_config(path: str | Path, config: ScenarioConfig) -> None:
 def episode_rng(master_seed: int, index: int) -> np.random.Generator:
     """Per-episode generator; independent of how many episodes ran before."""
     return np.random.default_rng([master_seed, index])
+
+
+# --- a chunk's episode generators in one SeedSequence pass ---------------
+#
+# default_rng([seed, id]) hashes its entropy words (the seed's little-endian
+# 32-bit words, then the id) into a 4-word uint32 pool, and PCG64 seeds
+# itself from generate_state(4, uint64) of that pool. episode_rngs runs the
+# same uint32 arithmetic (numpy's SeedSequence) on arrays holding every id
+# of a chunk. Array ops wrap modulo 2**32 silently; numpy scalar-by-scalar
+# products would warn instead, so every product here has an array operand.
+
+ID_LIMIT = 2**32  # episode ids stay one entropy word
+_POOL = 4
+_OTHERS = np.array([[d for d in range(_POOL) if d != s] for s in range(_POOL)])  # each source word's destinations
+_XSHIFT = 16
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+@functools.cache
+def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k = 0..calls, as uint32: hash call k
+    xors with entry k and multiplies by entry k + 1."""
+    out = [init]
+    for _ in range(calls):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    consts = np.array(out, dtype=np.uint32)
+    consts.flags.writeable = False  # every caller shares it
+    return consts
+
+
+_STATE_B = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)  # generate_state's 8 uint32 words
+
+
+def _hashmix(value: np.ndarray, xor: Any, mul: Any) -> np.ndarray:
+    value = value ^ xor
+    value *= mul
+    value ^= value >> _XSHIFT
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_L
+    out -= y * _MIX_R
+    out ^= out >> _XSHIFT
+    return out
+
+
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """Hands PCG64 its 4 precomputed seed words; it has no spawn."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype: Any = np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds 4 uint64 words, asked for {n_words} {np.dtype(dtype)}")
+        return self.words
+
+
+def _check_ids(ids: range) -> None:
+    if ids and not (min(ids[0], ids[-1]) >= 0 and max(ids[0], ids[-1]) < ID_LIMIT):
+        raise ValidationError(f"episode ids must lie in [0, 2**32), got {ids[0]} to {ids[-1]}")
+
+
+def episode_rngs(master_seed: int, ids: range) -> list[np.random.Generator]:
+    """The generators of ids, each with the state of episode_rng(master_seed,
+    id), from one SeedSequence pass over all of them. Ids lie in [0, 2**32)."""
+    _check_ids(ids)
+    seed = operator.index(master_seed)
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
+    seed_words = np.frombuffer(seed.to_bytes(4 * max(1, -(-seed.bit_length() // 32)), "little"), "<u4")
+    entropy = np.zeros((max(len(seed_words) + 1, _POOL), len(ids)), dtype=np.uint32)
+    entropy[: len(seed_words)] = seed_words[:, None]
+    entropy[len(seed_words)] = np.arange(ids.start, ids.stop, ids.step, dtype=np.uint32)
+    # 4 pool fills, 12 cross-mixes, then 4 mixes per word past the pool;
+    # numpy mixes one destination word at a time, but each round's
+    # destinations read only their own word and the source, so they run
+    # as one block, with consecutive hash constants
+    a = _hash_consts(0x43B0D7E5, 0x931E8875, 16 + _POOL * (len(entropy) - _POOL))[:, None]
+    pool = _hashmix(entropy[:_POOL], a[:_POOL], a[1 : _POOL + 1])
+    k = _POOL
+    for src, dst in enumerate(_OTHERS):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[k : k + 3], a[k + 1 : k + 4]))
+        k += 3
+    for word in entropy[_POOL:]:
+        pool = _mix(pool, _hashmix(word, a[k : k + _POOL], a[k + 1 : k + _POOL + 1]))
+        k += _POOL
+    state = _hashmix(np.concatenate([pool, pool]), _STATE_B[:-1, None], _STATE_B[1:, None])
+    words = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+    return [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in words]
 
 
 # --- slip trajectories --------------------------------------------------
@@ -536,12 +628,14 @@ def run_episodes(
     """n episodes, ids first to first + n - 1, with per-episode derived
     seeds; order-independent. Equal to run_episode per episode, but each
     chunk's cycles walk to snap-off, one slip_streams call perceives them
-    all, then each cycle finishes."""
+    all, then each cycle finishes. Ids must lie in [0, 2**32); a run that
+    would pass that raises before it draws anything."""
     episodes: list[HarvestEpisode] = []
     end = first + n_episodes
+    _check_ids(range(first, end))
     for start in range(first, end, EPISODE_CHUNK):
         ids = range(start, min(start + EPISODE_CHUNK, end))
-        rngs = [episode_rng(master_seed, i) for i in ids]
+        rngs = episode_rngs(master_seed, ids)
         cycles = [episode_cycle(world, rng, deterministic, i) for i, rng in zip(ids, rngs)]
         stops = [advance(cycle) for cycle in cycles]
         waiting = [k for k, stop in enumerate(stops) if isinstance(stop, EpisodeTruth)]

@@ -166,8 +166,19 @@ def test_removed_flags_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
         (["train-slip", "--out", "m.json", "--seed", "0", "--lr", "0"], "learning rate must be positive, got 0.0"),
         (["train-slip", "--out", "m.json", "--seed", "0", "--lr", "nan"], "learning_rate must be finite"),
         (["train-slip", "--out", "m.json", "--seed", "0", "--batch-size", "0"], "batch size must be positive, got 0"),
+        (["train-slip", "--out", "m.json", "--seed", "0", "--ratio", "2"], "split ratio must lie in (0, 1), got 2.0"),
+        (["train-slip", "--out", "m.json", "--seed", "0", "--ratio", "0"], "split ratio must lie in (0, 1), got 0.0"),
+        (["train-slip", "--out", "m.json", "--seed", "0", "--ratio", "nan"], "split ratio must lie in (0, 1), got nan"),
+        (["eval-slip", "--model", "absent.json", "--split-ratio", "2", "--split-seed", "0"],
+         "split ratio must lie in (0, 1), got 2.0"),
+        (["eval-slip", "--model", "absent.json", "--split-ratio", "0", "--split-seed", "0"],
+         "split ratio must lie in (0, 1), got 0.0"),
+        (["eval-slip", "--model", "absent.json", "--split-ratio", "nan", "--split-seed", "0"],
+         "split ratio must lie in (0, 1), got nan"),
+        (["train-grasp", "--out", "m.json", "--seed", "0", "--ratio", "2"], "split ratio must lie in (0, 1), got 2.0"),
     ],
-    ids=["split-ratio-alone", "split-seed-alone", "layers-0", "hidden-0", "epochs-0", "lr-0", "lr-nan", "batch-0"],
+    ids=["split-ratio-alone", "split-seed-alone", "layers-0", "hidden-0", "epochs-0", "lr-0", "lr-nan", "batch-0",
+         "ratio-2", "ratio-0", "ratio-nan", "split-ratio-2", "split-ratio-0", "split-ratio-nan", "grasp-ratio-2"],
 )
 def test_slip_flags_are_checked_before_any_file_is_read(tmp_path, monkeypatch, capsys, argv, message):
     # neither --data nor --model exists: reading either first would exit 2

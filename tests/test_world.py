@@ -25,9 +25,13 @@ from harvest_guard.world import (
     _phases,
     _slip_curve,
     _trajectory,
+    EPISODE_CHUNK,
+    ID_LIMIT,
+    MAX_COUNT,
     EpisodeWorld,
     ScenarioConfig,
     episode_rng,
+    episode_rngs,
     gen_grasp_observations,
     gen_slip_dataset,
     gen_slip_trajectory,
@@ -189,6 +193,71 @@ def test_episode_rng_is_stable_and_stream_separated():
     c = episode_rng(5, 4).uniform(size=4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def _assert_default_rng_streams(master_seed, ids):
+    rngs = episode_rngs(master_seed, ids)
+    assert len(rngs) == len(ids)
+    for i, rng in zip(ids, rngs):
+        oracle = np.random.default_rng([master_seed, i])
+        assert rng.bit_generator.state == oracle.bit_generator.state, (master_seed, i)
+        assert rng.random(3).tobytes() == oracle.random(3).tobytes()
+        assert rng.integers(0, 2**63, size=2).tolist() == oracle.integers(0, 2**63, size=2).tolist()
+
+
+# seeds of 1, 1, 2, 2, 3, 4 and 5 little-endian 32-bit words: from 4 words
+# on, the id is mixed in past the 4-word pool
+@pytest.mark.parametrize("master_seed", [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 3, 2**96 + 1, 2**130 + 7])
+def test_episode_rngs_match_default_rng(master_seed):
+    for first in (0, MAX_COUNT - 32, ID_LIMIT - 32):
+        for size in (1, 7, 32):
+            _assert_default_rng_streams(master_seed, range(first, first + size))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(st.integers(0, 2**200), st.integers(0, ID_LIMIT - 1), st.integers(0, EPISODE_CHUNK))
+def test_episode_rngs_match_default_rng_for_any_seed(master_seed, first, size):
+    _assert_default_rng_streams(master_seed, range(first, min(first + size, ID_LIMIT)))
+
+
+def test_episode_rngs_seed_words_serve_pcg64_alone():
+    seed_seq = episode_rngs(3, range(1))[0].bit_generator.seed_seq
+    words = np.random.SeedSequence([3, 0]).generate_state(4, np.uint64)
+    assert seed_seq.generate_state(4, np.uint64).tobytes() == words.tobytes()
+    for request in ((4,), (4, np.uint32), (8, np.uint64), (2, np.uint64)):
+        with pytest.raises(ValueError, match="holds 4 uint64 words"):
+            seed_seq.generate_state(*request)
+    assert not hasattr(seed_seq, "spawn")
+
+
+@pytest.mark.parametrize("ids", [range(ID_LIMIT - 1, ID_LIMIT + 1), range(-1, 3), range(ID_LIMIT, ID_LIMIT + 1)])
+def test_episode_rngs_reject_ids_past_one_word(ids):
+    with pytest.raises(ValidationError, match=r"episode ids must lie in \[0, 2\*\*32\)"):
+        episode_rngs(0, ids)
+
+
+def test_run_episodes_rejects_an_id_at_2_to_the_32_before_drawing(monkeypatch):
+    world = EpisodeWorld(ScenarioConfig())
+    last = ID_LIMIT - 1
+    assert run_episodes(world, 1, master_seed=2, first=last) == [run_episode(world, episode_rng(2, last), episode_id=last)]
+    calls = []
+    monkeypatch.setattr(world_module, "episode_rngs", lambda *args: calls.append(args))
+    monkeypatch.setattr(world_module, "episode_cycle", lambda *args: calls.append(args))
+    # the first chunk's ids are all valid; the last id of the run is 2**32
+    message = rf"episode ids must lie in \[0, 2\*\*32\), got {ID_LIMIT - 40} to {ID_LIMIT}$"
+    with pytest.raises(ValidationError, match=message):
+        run_episodes(world, 41, master_seed=2, first=ID_LIMIT - 40)
+    assert calls == []
+
+
+def test_run_episode_defaults_to_seed_zero(tmp_path):
+    world = EpisodeWorld(ScenarioConfig())
+    logs = {}
+    for name, episode in (("default", run_episode(world)), ("zero", run_episode(world, np.random.default_rng(0))),
+                          ("one", run_episode(world, np.random.default_rng(1)))):
+        write_episode_log(tmp_path / name, [episode])
+        logs[name] = (tmp_path / name).read_bytes()
+    assert logs["default"] == logs["zero"] != logs["one"]
 
 
 def test_trajectory_lengths_and_labels():
