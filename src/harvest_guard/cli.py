@@ -193,10 +193,8 @@ def build_parser() -> _Parser:
 def _cmd_gen_data(args: argparse.Namespace) -> int:
     config = _load_scenario(args.config)
     counts = _parse_counts(args.counts)
-    if args.kind == "slip":
-        gen_slip_dataset(args.out, config, counts, args.seed)
-    else:
-        gen_grasp_dataset(args.out, config, counts, args.seed)
+    with _staged(Path(args.out)) as staged:
+        (gen_slip_dataset if args.kind == "slip" else gen_grasp_dataset)(staged, config, counts, args.seed)
     log.info("wrote %s dataset with counts %s to %s", args.kind, counts, args.out)
     print(f"{args.out}: {args.kind} dataset, counts {counts[0]},{counts[1]},{counts[2]}")
     return 0
@@ -344,11 +342,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             yield from chunk
 
     out_dir = Path(args.out)
-    with _staged(out_dir / "episodes.jsonl") as staged:
-        write_episode_log(staged, episodes())
-    save_config(out_dir / "scenario.ini", config)
-
-    _write_summary(totals, out_dir / "summary.csv")
+    # all three are written before any is moved; the moves run summary first, the log last
+    with (_staged(out_dir / "episodes.jsonl") as log_path, _staged(out_dir / "scenario.ini") as ini_path,
+          _staged(out_dir / "summary.csv") as summary_path):
+        write_episode_log(log_path, episodes())
+        save_config(ini_path, config)
+        _write_summary(totals, summary_path)
     print(f"episode log: {out_dir / 'episodes.jsonl'}")
     return 0
 

@@ -219,14 +219,12 @@ def _check_width(model: SlipModel, x: np.ndarray) -> None:
         raise ValidationError(f"input feature size {x.shape[-1]}, model expects {model.arch.input_size}")
 
 
-def _forward_batch(
-    model: SlipModel, x: np.ndarray, dropout_rng: np.random.Generator | None, cache: dict[str, Any] | None = None
-) -> np.ndarray:
+def _forward_batch(model: SlipModel, x: np.ndarray,
+                   dropout_rng: np.random.Generator | None) -> tuple[np.ndarray, dict[str, Any]]:
     """Training forward: run (B, T, D) inputs through the stack and return
-    the (B, C) logits. dropout_rng None runs without dropout (the
-    finite-difference checks). Pass a dict as cache to have it filled
-    with what _backward_batch needs; each step writes into fresh arrays,
-    which the cache keeps."""
+    the (B, C) logits and the cache _backward_batch reads. dropout_rng None
+    runs without dropout (the finite-difference checks). Each step writes
+    into fresh arrays, which the cache keeps."""
     a = model.arch
     *lead, n_steps, _ = x.shape
     h_size = a.hidden_size
@@ -251,8 +249,7 @@ def _forward_batch(
             c_new = np.multiply(gates[..., s_f], c, out=step["c"])
             np.add(c_new, np.multiply(gates[..., s_i], gates[..., s_g], out=step["prod"]), out=c_new)
             tanh_c = np.tanh(c_new, out=step["tanh_c"])
-            if cache is not None:
-                steps.append((x_t, h, c, gates, tanh_c))
+            steps.append((x_t, h, c, gates, tanh_c))
             h, c = np.multiply(gates[..., s_o], tanh_c, out=step["h"]), c_new
             outputs[..., t, :] = h
         layer_steps.append(steps)
@@ -271,9 +268,8 @@ def _forward_batch(
         keep = 1.0 - a.head_dropout
         head_mask = (dropout_rng.random(h_final.shape) < keep) / keep
         h_final = h_final * head_mask
-    if cache is not None:
-        cache.update(x=x, steps=layer_steps, masks=masks, head_mask=head_mask, h_final=h_final)
-    return h_final @ model.w_out.T + model.b_out
+    cache = {"x": x, "steps": layer_steps, "masks": masks, "head_mask": head_mask, "h_final": h_final}
+    return h_final @ model.w_out.T + model.b_out, cache
 
 
 def _backward_batch(
@@ -343,8 +339,8 @@ def loss_and_grads(
     parameter. Pass a generator to draw dropout masks; None runs the
     network deterministically (used by the finite-difference checks)."""
     _check_width(model, x)
-    cache: dict[str, Any] = {}
-    probs = softmax(_forward_batch(model, x, dropout_rng, cache))
+    logits, cache = _forward_batch(model, x, dropout_rng)
+    probs = softmax(logits)
     n = x.shape[0]
     eps = 1e-12
     loss = float(-np.log(probs[np.arange(n), y] + eps).mean())

@@ -22,7 +22,7 @@ import math
 import operator
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any, Iterator, NamedTuple
 
 import numpy as np
 
@@ -154,19 +154,15 @@ def save_config(path: str | Path, config: ScenarioConfig) -> None:
         parser.write(fh)
 
 
-def episode_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Per-episode generator; independent of how many episodes ran before."""
-    return np.random.default_rng([master_seed, index])
-
-
 # --- a chunk's episode generators in one SeedSequence pass ---------------
 #
-# default_rng([seed, id]) hashes its entropy words (the seed's little-endian
-# 32-bit words, then the id) into a 4-word uint32 pool, and PCG64 seeds
-# itself from generate_state(4, uint64) of that pool. episode_rngs runs the
-# same uint32 arithmetic (numpy's SeedSequence) on arrays holding every id
-# of a chunk. Array ops wrap modulo 2**32 silently; numpy scalar-by-scalar
-# products would warn instead, so every product here has an array operand.
+# numpy's default_rng of a [seed, id] list hashes its entropy words (the
+# seed's little-endian 32-bit words, then the id) into a 4-word uint32
+# pool, and PCG64 seeds itself from generate_state(4, uint64) of that
+# pool. episode_rngs runs the same uint32 arithmetic (numpy's SeedSequence)
+# on arrays holding every id of a chunk. Array ops wrap modulo 2**32
+# silently; numpy scalar-by-scalar products would warn instead, so every
+# product here has an array operand.
 
 ID_LIMIT = 2**32  # episode ids stay one entropy word
 _POOL = 4
@@ -222,8 +218,8 @@ def _check_ids(ids: range) -> None:
 
 
 def episode_rngs(master_seed: int, ids: range) -> list[np.random.Generator]:
-    """The generators of ids, each with the state of episode_rng(master_seed,
-    id), from one SeedSequence pass over all of them. Ids lie in [0, 2**32)."""
+    """The generators of ids in [0, 2**32), each with the state of default_rng
+    of [master_seed, id], from one SeedSequence pass; every per-item stream comes from here."""
     _check_ids(ids)
     seed = operator.index(master_seed)
     if seed < 0:
@@ -410,8 +406,8 @@ def sample_grasp_dataset(
     if any(c < 0 for c in counts):
         raise ValidationError(f"counts must be non-negative, got {counts}")
     x = np.concatenate([
-        gen_grasp_observations(cls, n, np.random.default_rng([seed, int(cls)]), noise_scale)
-        for cls, n in zip(GraspClass, counts)
+        gen_grasp_observations(cls, n, rng, noise_scale)
+        for cls, n, rng in zip(GraspClass, counts, episode_rngs(seed, range(len(GraspClass))))
     ])
     return x, np.repeat(np.arange(len(GraspClass), dtype=np.int64), counts)
 
@@ -499,9 +495,13 @@ def plan_slip_trajectories(
 
 
 def gen_slip_dataset(path: str | Path, config: ScenarioConfig, targets: tuple[int, int, int], seed: int) -> None:
-    """SlipData CSV whose per-label window counts equal `targets` exactly."""
+    """SlipData CSV whose per-label window counts equal `targets` exactly;
+    trajectory i draws from stream i, and each chunk is written as it is built."""
     plans = plan_slip_trajectories(config, targets)
-    write_slip_csv(path, [(i, *_trajectory(config, phases, episode_rng(seed, i))) for i, phases in enumerate(plans)])
+    write_slip_csv(path, (
+        (i, *_trajectory(config, plans[i], rng))
+        for ids in _chunks(range(len(plans))) for i, rng in zip(ids, episode_rngs(seed, ids))
+    ))
 
 
 def gen_grasp_dataset(
@@ -617,6 +617,11 @@ class EpisodeWorld:
 EPISODE_CHUNK = 32
 
 
+def _chunks(ids: range) -> Iterator[range]:
+    """ids in consecutive pieces of EPISODE_CHUNK."""
+    return (ids[k : k + EPISODE_CHUNK] for k in range(0, len(ids), EPISODE_CHUNK))
+
+
 def run_episodes(
     world: EpisodeWorld,
     n_episodes: int,
@@ -633,8 +638,7 @@ def run_episodes(
     episodes: list[HarvestEpisode] = []
     end = first + n_episodes
     _check_ids(range(first, end))
-    for start in range(first, end, EPISODE_CHUNK):
-        ids = range(start, min(start + EPISODE_CHUNK, end))
+    for ids in _chunks(range(first, end)):
         rngs = episode_rngs(master_seed, ids)
         cycles = [episode_cycle(world, rng, deterministic, i) for i, rng in zip(ids, rngs)]
         stops = [advance(cycle) for cycle in cycles]

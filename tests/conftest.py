@@ -66,6 +66,12 @@ def fd_max_rel_err(seed: int) -> float:
     return worst
 
 
+def episode_rng(master_seed: int, index: int) -> np.random.Generator:
+    """The reference per-item generator, default_rng([master_seed, index]),
+    whose state world.episode_rngs reproduces for a whole chunk."""
+    return np.random.default_rng([master_seed, index])
+
+
 def implied_outcome(responses: EpisodeResponses) -> Outcome:
     """The outcome the monitors' decisions lead to: a grasp abort ends the
     cycle before snap-off, where the slip monitor may abort or regrasp."""

@@ -25,9 +25,9 @@ from harvest_guard.lstm import LstmArch, TrainConfig, evaluate, lstm_train
 from harvest_guard.metrics import ConfusionMatrix, confusion_metrics, macro_f1, success_rates, SuccessTally
 from harvest_guard.slip_decision import ACTION_FOR_LABEL, first_action, time_stability_step
 from harvest_guard.slip_windows import SlipLabel, class_counts, prepare_splits, stratified_split, windows_from_slip_csv
-from harvest_guard.world import ScenarioConfig, EpisodeWorld, episode_rng, gen_slip_dataset, run_episodes, sample_grasp_dataset
+from harvest_guard.world import ScenarioConfig, EpisodeWorld, gen_slip_dataset, run_episodes, sample_grasp_dataset
 
-from conftest import ALIGNMENT_CSV, ScriptedWorld, fd_max_rel_err
+from conftest import ALIGNMENT_CSV, ScriptedWorld, episode_rng, fd_max_rel_err
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:

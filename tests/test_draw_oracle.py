@@ -40,11 +40,10 @@ from harvest_guard.world import (
     NOMINAL_PICKING_POINT,
     EpisodeWorld,
     ScenarioConfig,
-    episode_rng,
     run_episodes,
 )
 
-from conftest import ScriptedWorld
+from conftest import ScriptedWorld, episode_rng
 
 
 def _oracle_cycle(world, rng, deterministic, episode_id):

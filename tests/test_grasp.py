@@ -21,7 +21,9 @@ from harvest_guard.grasp import (
 )
 from harvest_guard.lstm import softmax
 from harvest_guard.slip_decision import first_action
-from harvest_guard.world import episode_rng, gen_grasp_observations, sample_grasp_dataset
+from harvest_guard.world import gen_grasp_observations, sample_grasp_dataset
+
+from conftest import episode_rng
 
 RIPE, EMPTY, UNRIPE = GraspClass.RIPE_HELD, GraspClass.EMPTY, GraspClass.UNRIPE_HELD
 ZERO_MODEL = GraspModel(np.zeros((3, 4)), np.zeros(3))

@@ -1,6 +1,7 @@
-"""`simulate` and `report` stream a run: the same bytes as holding it
-whole, nothing left behind by a run that fails part way, and peak
-memory that does not grow with the episode count."""
+"""`simulate`, `report` and `gen-data --kind slip` stream: the same
+bytes as holding a run whole, nothing left behind by a run that fails
+part way, and peak memory that does not grow with the episode or
+window count."""
 
 import json
 import random
@@ -61,6 +62,63 @@ def test_simulate_failing_after_its_first_chunk_leaves_no_trace(tmp_path, monkey
         assert capsys.readouterr().err.splitlines() == ["error: episode 40 fails"]
     assert len(calls) == 41 > world.EPISODE_CHUNK
     # no directory made, no temporary file left, every older file unchanged
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("blocked,moved", [
+    ("summary.csv", []),
+    ("scenario.ini", ["summary.csv"]),
+    ("episodes.jsonl", ["summary.csv", "scenario.ini"]),
+])
+def test_simulate_moves_its_files_only_once_all_three_are_written(tmp_path, capsys, blocked, moved):
+    new, out = tmp_path / "new", tmp_path / "old" / "run"
+    for seed, path in ((2, new), (1, out)):
+        assert main(["simulate", "--seed", str(seed), "--episodes", "5", "--out", str(path)]) == 0
+    # one of the older run's files is now a directory, which no move can replace
+    (out / blocked).unlink()
+    (out / blocked).mkdir()
+    # the moves run summary.csv, scenario.ini, episodes.jsonl: those before
+    # the failing one hold the new run, the rest the old one, and no
+    # temporary file is left
+    expected = _tree(out.parent)
+    expected.update({(out / name).relative_to(out.parent): (new / name).read_bytes() for name in moved})
+    capsys.readouterr()
+
+    assert main(["simulate", "--seed", "2", "--episodes", "5", "--out", str(out)]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith("i/o error: ") and blocked in err
+    assert _tree(out.parent) == expected
+
+
+_OUT_OF_RANGE = "[slip]\ninitial_area = 0.5\nfeature_noise_std = 0.04\n"
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+def test_gen_data_failing_past_its_first_chunk_leaves_no_trace(tmp_path, monkeypatch, capsys, existing):
+    config = tmp_path / "crowded.ini"
+    config.write_text(_OUT_OF_RANGE)
+    out = tmp_path / "data" / "slip.csv"
+    if existing:
+        assert main(["gen-data", "--kind", "slip", "--counts", "20,10,10", "--seed", "1", "--out", str(out)]) == 0
+    before = _tree(tmp_path)
+    capsys.readouterr()
+
+    trajectory, calls = world._trajectory, []
+
+    def counted(*args):
+        calls.append(len(calls))
+        return trajectory(*args)
+
+    monkeypatch.setattr(world, "_trajectory", counted)
+    # at this seed trajectory 42, in the second chunk, is the first with a
+    # frame out of range; the 42 before it have been written by then
+    argv = ["gen-data", "--kind", "slip", "--counts", "200,100,100", "--seed", "3", "--config", str(config),
+            "--out", str(out)]
+    assert main(argv) == 1
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith("error: slip.feature_noise_std = 0.04 pushes a frame out of the feature range")
+    assert len(calls) == 43 > world.EPISODE_CHUNK
+    # no directory made, no temporary file left, an existing file unchanged
     assert _tree(tmp_path) == before
 
 
@@ -166,6 +224,15 @@ def logs(tmp_path_factory):
 def test_simulate_memory_does_not_grow_with_the_episode_count(logs, capsys):
     small, large = (_peak_bytes(["simulate", "--seed", "2", "--episodes", str(n), "--out", str(logs / f"run{n}")])
                     for n in (500, 5000))
+    assert large <= 3 * small, (small, large)
+
+
+def test_gen_data_memory_does_not_grow_with_the_window_count(logs, capsys):
+    assert main(["gen-data", "--kind", "slip", "--counts", "200,200,200", "--seed", "1",
+                 "--out", str(logs / "warm_slip.csv")]) == 0
+    small, large = (_peak_bytes(["gen-data", "--kind", "slip", "--counts", f"{n},{n},{n}", "--seed", "2",
+                                 "--out", str(logs / f"slip{n}.csv")])
+                    for n in (2000, 20000))
     assert large <= 3 * small, (small, large)
 
 

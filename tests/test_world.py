@@ -30,7 +30,6 @@ from harvest_guard.world import (
     MAX_COUNT,
     EpisodeWorld,
     ScenarioConfig,
-    episode_rng,
     episode_rngs,
     gen_grasp_observations,
     gen_slip_dataset,
@@ -43,7 +42,7 @@ from harvest_guard.world import (
     simulate_approach,
 )
 
-from conftest import FLOAT_KEYS, implied_outcome
+from conftest import FLOAT_KEYS, episode_rng, implied_outcome
 
 QUIET = ScenarioConfig(actuation_noise_std_mm=0.0, vision_noise_std_mm=0.0, slip_noise_std=0.0)
 
