@@ -347,21 +347,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
           _staged(out_dir / "summary.csv") as summary_path):
         write_episode_log(log_path, episodes())
         save_config(ini_path, config)
-        _write_summary(totals, summary_path)
+        summary = _write_summary(totals, summary_path)
+    print(summary, end="")  # only once every file is in place
     print(f"episode log: {out_dir / 'episodes.jsonl'}")
     return 0
 
 
-def _write_summary(totals: dict[str, list[float]], path: str | Path) -> None:
+def _write_summary(totals: dict[str, list[float]], path: str | Path) -> str:
     """Per-outcome cycle-time rows of each outcome's episode totals, written
-    to `path` and printed."""
+    to `path`; returns their text for the caller to print."""
     rows = [
         {"outcome": outcome, "n": agg.n, "mean_s": agg.mean_s, "std_s": agg.std_s}
         for outcome, agg in aggregate_cycle_times(totals).items()
     ]
     write_report(path, rows)
-    for row in rows:
-        print(f"{row['outcome']}: n={row['n']} mean {row['mean_s']:.3f} s std {row['std_s']:.3f} s")
+    line = "{outcome}: n={n} mean {mean_s:.3f} s std {std_s:.3f} s\n"
+    return "".join(line.format(**row) for row in rows)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -378,7 +379,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         outcome: [totals[k] for k in sorted(range(len(ids)), key=ids.__getitem__)]
         for outcome, (ids, totals) in groups.items()
     }
-    _write_summary(by_id, args.out)
+    print(_write_summary(by_id, args.out), end="")
     return 0
 
 

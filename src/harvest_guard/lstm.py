@@ -24,9 +24,9 @@ fills one (B, 4H) buffer per layer with the pre-activation gradient.
 Only loss_and_grads keeps the per-step state that backpropagation needs.
 Inference (predict_proba) has its own step loop, which caches nothing:
 it computes the gates in place in z, skips the recurrent GEMM of the
-zero initial state, and writes into seven buffers allocated once per
-call. It runs the two halves of an (E, B, T, D) episode stack on the
-calling thread and one worker.
+zero initial state, and runs any input as flat rows in blocks of at most
+_BLOCK rows zero-padded to a multiple of 8, so a row's bits do not depend
+on its batch. Two 8-aligned halves run on the calling thread and a worker.
 
 The kernel's bits are part of its contract: a seed must keep producing
 the same weights and labels. So the GEMM operand layouts, the batch
@@ -350,37 +350,48 @@ def loss_and_grads(
     return loss, _backward_batch(model, cache, dlogits)
 
 
-def _infer_logits(model: SlipModel, x: np.ndarray, buf: dict[str, np.ndarray]) -> np.ndarray:
-    """Inference forward: (..., T, D) inputs -> (..., C) logits, no dropout,
-    with the bits of _forward_batch. An (E, B) stack runs one GEMM per
-    episode, never a flattened (E*B, D) one, so every episode gets the
-    bits of its own call. Every step writes into buf (see predict_proba):
-    the gates go over z in place, tanh(g) into h (dead once its GEMM has
-    run) and tanh(c') into prod. The one (..., T, H) output buffer serves
-    every layer, since step t of a layer reads step t of the layer below
-    into its GEMM before it writes its own. Needs finite W_h: at t = 0,
-    h and c are +0, and h @ W_h.T gives +0 everywhere, so the step adds
-    the scalar +0.0 in its place, with the same bits (-0 + 0.0 is +0)."""
+# rows per inference block: padded to a multiple of 8, a block of up to
+# 400 rows gave each row the bits of an 8-row call (README Determinism)
+_BLOCK = 256
+
+
+def _block_buffers(model: SlipModel, x: np.ndarray) -> list[np.ndarray]:
+    """The seven buffers _infer_logits reuses for every block of x's rows."""
+    h_size, rows = model.arch.hidden_size, min(-(-len(x) // 8) * 8, _BLOCK)
+    return [*(np.empty((rows, 4 * h_size), dtype) for dtype in (float, float, bool)),
+            *(np.empty((rows, h_size)) for _ in range(3)), np.empty((rows, x.shape[1], h_size))]
+
+
+def _infer_logits(model: SlipModel, x: np.ndarray, logits: np.ndarray, bufs: list[np.ndarray]) -> None:
+    """Inference forward: (N, T, D) rows -> their (N, C) logits, written to
+    logits, with the bits of _forward_batch on 8-row batches. The gates go
+    over z in place, tanh(g) into h (dead once its GEMM has run) and tanh(c')
+    into prod. All layers share one output buffer: step t reads step t of
+    the layer below into its GEMM before it writes its own. With finite W_h,
+    h @ W_h.T of the +0 state at t = 0 is +0, so adding +0.0 keeps the bits."""
     h_size = model.arch.hidden_size
     s_i, s_f, s_g, s_o = (slice(k * h_size, (k + 1) * h_size) for k in range(4))
-    z, zh, ge0, h, c, prod, outputs = (buf[k] for k in ("z", "zh", "ge0", "h", "c", "prod", "out"))
-    current = x
-    for layer in range(model.arch.n_layers):
-        w_x_t, w_h_t, bias = model.w_x[layer].T, model.w_h[layer].T, model.b[layer]
-        c.fill(0.0)
-        for t in range(x.shape[-2]):
-            # z = x_t @ W_x.T + h @ W_h.T + b, summed in that order
-            np.matmul(current[..., t, :], w_x_t, out=z)
-            np.add(z, np.matmul(h, w_h_t, out=zh) if t else 0.0, out=z)
-            np.add(z, bias, out=z)
-            np.tanh(z[..., s_g], out=h)
-            _sigmoid(z, z, zh, ge0)
-            np.multiply(z[..., s_f], c, out=c)
-            np.add(c, np.multiply(z[..., s_i], h, out=prod), out=c)
-            np.multiply(z[..., s_o], np.tanh(c, out=prod), out=h)
-            outputs[..., t, :] = h
-        current = outputs
-    return outputs[..., -1, :] @ model.w_out.T + model.b_out
+    for start in range(0, len(x), _BLOCK):
+        current = block = x[start : start + _BLOCK]
+        if len(block) % 8:  # zero rows pad the ragged tail to a multiple of 8
+            current = np.concatenate([block, np.zeros((-len(block) % 8, *block.shape[1:]))])
+        z, zh, ge0, h, c, prod, outputs = (b[: len(current)] for b in bufs)
+        for layer in range(model.arch.n_layers):
+            w_x_t, w_h_t, bias = model.w_x[layer].T, model.w_h[layer].T, model.b[layer]
+            c.fill(0.0)
+            for t in range(x.shape[1]):
+                # z = x_t @ W_x.T + h @ W_h.T + b, summed in that order
+                np.matmul(current[:, t, :], w_x_t, out=z)
+                np.add(z, np.matmul(h, w_h_t, out=zh) if t else 0.0, out=z)
+                np.add(z, bias, out=z)
+                np.tanh(z[:, s_g], out=h)
+                _sigmoid(z, z, zh, ge0)
+                np.multiply(z[:, s_f], c, out=c)
+                np.add(c, np.multiply(z[:, s_i], h, out=prod), out=c)
+                np.multiply(z[:, s_o], np.tanh(c, out=prod), out=h)
+                outputs[:, t, :] = h
+            current = outputs
+        logits[start : start + len(block)] = (outputs[:, -1, :] @ model.w_out.T + model.b_out)[: len(block)]
 
 
 def predict_proba(model: SlipModel, x: np.ndarray) -> np.ndarray:
@@ -388,28 +399,26 @@ def predict_proba(model: SlipModel, x: np.ndarray) -> np.ndarray:
     The model's W_h must be finite (load_model and lstm_train see to it):
     the first step of each layer skips the GEMM of the zero state.
 
-    An (E, B, T, D) stack of two or more episodes runs episodes [E//2:] on
-    a one-worker pool while the calling thread runs [:E//2]; numpy and BLAS
-    release the GIL, so the halves overlap on two cores. Each episode keeps
-    its own GEMMs and everything else is per element or per row, so the
-    bits equal one call per episode. The calling thread allocates the
-    seven buffers of both halves once, so the worker allocates next to
-    nothing. A worker exception is raised here, once, after the worker
-    has ended."""
+    The windows run as flat (N, T, D) rows. Past 8 rows, a one-worker pool
+    runs those from the 8-aligned middle on and the calling thread those
+    before it, each half in its own blocks; numpy and BLAS release the GIL,
+    so the halves overlap on two cores. A worker exception is raised here,
+    once, after the worker has ended."""
     _check_width(model, x)
-    *lead, n_steps, _ = x.shape
-    gate, state = (*lead, 4 * model.arch.hidden_size), (*lead, model.arch.hidden_size)
-    # v[k:m] of each buffer is the buffer of episodes k..m-1
-    buf = {"z": np.empty(gate), "zh": np.empty(gate), "ge0": np.empty(gate, dtype=bool)}
-    buf.update((name, np.empty(state)) for name in ("h", "c", "prod"))
-    buf["out"] = np.empty((*lead, n_steps, model.arch.hidden_size))
-    if x.ndim != 4 or len(x) < 2:
-        return softmax(_infer_logits(model, x, buf))
-    half = len(x) // 2
-    with ThreadPoolExecutor(max_workers=1) as pool:  # leaving the block joins the worker
-        upper = pool.submit(_infer_logits, model, x[half:], {k: v[half:] for k, v in buf.items()})
-        lower = _infer_logits(model, x[:half], {k: v[:half] for k, v in buf.items()})
-        return softmax(np.concatenate([lower, upper.result()]))
+    *lead, n_steps, n_features = x.shape
+    rows = x.reshape(-1, n_steps, n_features)
+    logits = np.empty((len(rows), model.arch.n_classes))
+    if len(rows) <= 8:
+        _infer_logits(model, rows, logits, _block_buffers(model, rows))
+    else:
+        half = -(-len(rows) // 16) * 8
+        # allocated by the calling thread: the worker's own malloc arena kept 1.6 MB more RSS
+        lower, upper = _block_buffers(model, rows[:half]), _block_buffers(model, rows[half:])
+        with ThreadPoolExecutor(max_workers=1) as pool:  # leaving the block joins the worker
+            worker = pool.submit(_infer_logits, model, rows[half:], logits[half:], upper)
+            _infer_logits(model, rows[:half], logits[:half], lower)
+            worker.result()
+    return softmax(logits.reshape(*lead, model.arch.n_classes))
 
 
 # a diverging run overflows; the checks after each epoch report it once

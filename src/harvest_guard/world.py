@@ -610,10 +610,10 @@ class EpisodeWorld:
         return [labels[k : k + n_windows] for k in range(0, len(labels), n_windows)]
 
 
-# episodes per stacked slip forward (half on each thread), and so the most
-# episodes simulate holds at once. Against 32 in paired sim-learned runs on
-# a 2-vCPU VM, 16 is slower, 64 was faster in only 5 of 7 pairs, and 128
-# peaked about 8 MB higher.
+# episodes per slip forward, and so the most episodes simulate holds at
+# once. Against 32 in paired sim-learned runs on a 2-vCPU VM, while each
+# episode ran its own GEMMs, 16 was slower, 64 faster in only 5 of 7 pairs
+# and 128 peaked about 8 MB higher; not re-measured with blocked inference.
 EPISODE_CHUNK = 32
 
 

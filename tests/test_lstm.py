@@ -423,8 +423,8 @@ def test_stacked_forward_matches_per_episode_calls_bit_for_bit(arch):
 
 @pytest.mark.parametrize("arch", [SMALL, LstmArch()], ids=["2x8", "5x64"])
 def test_split_stack_matches_per_episode_calls_bit_for_bit(arch):
-    # a stack of E >= 2 episodes runs its two halves on two threads; odd E
-    # gives the worker the larger half, and E = 2, 3 a one-episode lower half
+    # past 8 rows the two 8-aligned halves run on two threads; the worker
+    # takes the tail, and 9 to 16 rows give it fewer rows than the caller
     rng = np.random.default_rng(15)
     model = init_model(arch, seed=5)
     switch = sys.getswitchinterval()
@@ -469,6 +469,60 @@ def test_inference_holds_under_10_kb_per_window(lead):
     finally:
         tracemalloc.stop()
     assert peak / math.prod(lead) <= 10_000
+
+
+@pytest.fixture(scope="module")
+def trained():
+    # init_model weights gave the same bits at every batch size on the BLAS
+    # build measured; after four short Adam epochs, unblocked inference gave
+    # other bits at 126 of the batch sizes 1-300 below
+    return lstm_train(_dataset(np.random.default_rng(1), 32), config=TrainConfig(epochs=4, seed=0))
+
+
+def test_every_batch_size_gives_the_bits_of_8_row_calls(trained):
+    x = np.random.default_rng(18).normal(0.0, 3.0, size=(1000, 5, trained.arch.input_size))
+    ref = np.concatenate([predict_proba(trained, x[k : k + 8]) for k in range(0, len(x), 8)])
+    # 1,000 rows make halves of 504 and 496 rows, past the 400 where one GEMM changed bits
+    sizes = [*range(1, 301), 1000]
+    differ = [n for n in sizes if predict_proba(trained, x[:n]).tobytes() != ref[:n].tobytes()]
+    assert differ == []
+
+
+@pytest.mark.parametrize("lead", [(0,), (3, 0), (0, 4), (13,), (2, 9), (32, 10), (20, 23), (2, 3, 4)], ids=str)
+def test_any_leading_shape_gives_the_rows_of_the_flat_call(trained, lead):
+    a = trained.arch
+    x = np.random.default_rng(19).normal(0.0, 3.0, size=(*lead, 5, a.input_size))
+    probs = predict_proba(trained, x)
+    assert probs.shape == (*lead, a.n_classes)
+    assert probs.tobytes() == predict_proba(trained, x.reshape(-1, 5, a.input_size)).tobytes()
+    if len(lead) == 2 and lead[0]:  # an (E, B) stack, as simulate runs it
+        assert probs.tobytes() == np.stack([predict_proba(trained, xe) for xe in x]).reshape(probs.shape).tobytes()
+
+
+@pytest.mark.parametrize("lead", [(40,), (4, 10)], ids=["batch", "stack"])
+def test_wrong_feature_width_raises_before_any_thread_starts(monkeypatch, lead):
+    starts, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: (starts.append(thread), start(thread)))
+    with pytest.raises(ValidationError, match="input feature size 6, model expects 7"):
+        predict_proba(init_model(SMALL, seed=5), np.zeros((*lead, 5, 6)))
+    assert starts == []
+
+
+def test_inference_memory_is_bounded_by_the_block():
+    # windows run in blocks of at most 256 rows, so ten times the windows
+    # add only their logits and probabilities to the peak
+    model = init_model(LstmArch(), seed=5)
+    rng = np.random.default_rng(20)
+    peaks = {}
+    for n in (936, 936, 9360, 9357):  # the first call warms up the pool, imports and caches
+        x = rng.normal(size=(n, 5, model.arch.input_size))
+        tracemalloc.start()
+        try:
+            predict_proba(model, x)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[9360] <= 1.5 * peaks[936] and peaks[9357] <= 1.5 * peaks[936], peaks
 
 
 def test_worker_half_failure_is_raised_once_in_the_caller(monkeypatch):

@@ -85,8 +85,10 @@ def test_simulate_moves_its_files_only_once_all_three_are_written(tmp_path, caps
     capsys.readouterr()
 
     assert main(["simulate", "--seed", "2", "--episodes", "5", "--out", str(out)]) == 2
-    (err,) = capsys.readouterr().err.splitlines()
+    printed = capsys.readouterr()
+    (err,) = printed.err.splitlines()
     assert err.startswith("i/o error: ") and blocked in err
+    assert printed.out == ""  # no summary rows of files that were not all moved
     assert _tree(out.parent) == expected
 
 
